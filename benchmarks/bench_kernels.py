@@ -1,19 +1,19 @@
 """Batch-kernel benchmark: one numpy pass vs the scalar loop.
 
-PR "vectorized batch kernels" turned the per-mapping Python cycle
-models into array programs: a chunk of mappings is packed into an
-``(N, k)`` int64 tile matrix and the whole profile/II/fill/steady/psum
-arithmetic runs as numpy ops, bit-identical to the scalar path (see
-``tests/test_batch_kernels.py`` for the parity suite).  This bench
-measures what that buys on the two hot paths:
+MAERI's cycle model is written once over tile columns: a single mapping
+evaluates it on Python ints, and a chunk of mappings is packed into an
+``(N, k)`` int64 tile matrix so the same profile/II/fill/steady/psum
+arithmetic runs as numpy ops (see ``tests/test_batch_kernels.py`` and
+``tests/test_cycle_model_golden.py``).  This bench measures what the
+int64 evaluation buys on the two hot paths:
 
 * **sweep** — a 4096-mapping MAERI tuning sweep over one conv layer:
   ``run_conv_batch`` vs the scalar ``run_conv`` loop (the default
   base-class batch method), plus the tuner's closed-form psum proxy
   (``estimate_conv_psums_batch`` vs its loop);
 * **mrna** — the mRNA mapper's full divisor-grid enumeration and
-  scoring: the vectorized grid + ``conv_cycles_batch`` argmin vs the
-  original candidate-object loop.
+  scoring: the vectorized grid scored as int64 columns + argmin vs the
+  candidate-object loop on Python ints.
 
 Every arm is compared for bit-identity before it is timed as a
 speedup.  At full scale the sweep batch kernel must beat the scalar

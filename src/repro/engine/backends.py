@@ -187,11 +187,16 @@ def simulate_layer_batch(controller, layer, mappings) -> List:
     """Simulate one layer under many mappings through the controller's
     batch kernels; returns stats-or-exception per item, in order.
 
-    GEMM layers carry no mapping, so a group of ``n`` items lowers to
-    ``run_gemm_batch([layer] * n)``.  Duck-typed controllers without the
+    Each controller has a single cycle model: MAERI's batch kernels
+    evaluate it on int64 columns (Python ints for the layers int64
+    cannot hold), and the mapping-free fabrics run it once and copy the
+    result, so a batch returns exactly what the per-item scalar calls
+    would.  A GEMM carries no mapping, so its ``n`` items are ``n``
+    copies of one ``run_gemm``.  Duck-typed controllers without the
     batch surface fall back to a scalar loop — batching is an
     optimization, never a requirement.
     """
+    from repro.stonne.controller import AcceleratorController, _lowered_gemm_batch
     from repro.stonne.layer import ConvLayer, FcLayer
 
     if isinstance(layer, ConvLayer):
@@ -202,10 +207,8 @@ def simulate_layer_batch(controller, layer, mappings) -> List:
         batch = getattr(controller, "run_fc_batch", None)
         if batch is not None:
             return batch(layer, mappings)
-    else:
-        batch = getattr(controller, "run_gemm_batch", None)
-        if batch is not None:
-            return batch([layer] * len(mappings))
+    elif isinstance(controller, AcceleratorController):
+        return _lowered_gemm_batch(controller, layer, mappings)
     results: List = []
     for mapping in mappings:
         try:

@@ -20,6 +20,7 @@ from repro.errors import MappingError, TuningError
 from repro.mrna.model import MaeriAnalyticalModel
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.layer import ConvLayer, FcLayer
+from repro.stonne.maeri import conv_profile, fc_profile
 from repro.stonne.mapping import (
     ConvMapping,
     FcMapping,
@@ -138,23 +139,20 @@ class MrnaMapper:
         """Best candidate with its estimated cycle count.
 
         One numpy pass: the divisor grid is enumerated as plain tuples
-        (:func:`_tile_grid`), scored in a single
-        :meth:`~repro.mrna.model.MaeriAnalyticalModel.conv_cycles_batch`
-        call, and only the argmin row becomes a :class:`ConvMapping`.
-        Bit-identical to the scalar scan (same candidate order, argmin
-        keeps the first minimum); layers near int64 limits replay the
-        exact scalar loop.
+        (:func:`_tile_grid`), scored as int64 columns by the analytical
+        model in one call, and only the argmin row becomes a
+        :class:`ConvMapping`.  Same candidate order as the scalar scan,
+        and argmin keeps the first minimum; layers beyond the int64
+        bound run the scalar scan on Python ints.
         """
-        try:
-            return self._score_conv_batch(layer)
-        except OverflowError:
+        if not self.model.fits_int64(layer):
             return self._score_conv_scalar(layer)
+        return self._score_conv_batch(layer)
 
     def score_fc(self, layer: FcLayer) -> MappingChoice:
-        try:
-            return self._score_fc_batch(layer)
-        except OverflowError:
+        if not self.model.fits_int64(layer):
             return self._score_fc_scalar(layer)
+        return self._score_fc_batch(layer)
 
     # ------------------------------------------------------------------
     def _score_conv_batch(self, layer: ConvLayer) -> MappingChoice:
@@ -177,7 +175,9 @@ class MrnaMapper:
         valid = np.flatnonzero(~conv_batch_invalid(layer, tiles, ms))
         if not valid.size:
             raise TuningError(f"no valid conv mapping for layer {layer.name!r}")
-        cycles = self.model.conv_cycles_batch(layer, tiles[valid])
+        cycles = self.model.profile_cycles(
+            conv_profile(layer, tuple(tiles[valid].T))
+        )
         pos = int(np.argmin(cycles))
         row = tiles[valid[pos]].tolist()
         mapping = ConvMapping(
@@ -197,7 +197,9 @@ class MrnaMapper:
         valid = np.flatnonzero(~fc_batch_invalid(layer, tiles, ms))
         if not valid.size:
             raise TuningError(f"no valid FC mapping for layer {layer.name!r}")
-        cycles = self.model.fc_cycles_batch(layer, tiles[valid])
+        cycles = self.model.profile_cycles(
+            fc_profile(layer, tuple(tiles[valid].T))
+        )
         pos = int(np.argmin(cycles))
         row = tiles[valid[pos]].tolist()
         mapping = FcMapping(T_S=row[0], T_K=row[1], T_N=row[2])
@@ -205,7 +207,7 @@ class MrnaMapper:
 
     # ------------------------------------------------------------------
     def _score_conv_scalar(self, layer: ConvLayer) -> MappingChoice:
-        """The original scalar scan (arbitrary-precision fallback)."""
+        """The candidate-object scan on Python ints (layers beyond int64)."""
         best: Optional[MappingChoice] = None
         for mapping in self.conv_candidates(layer):
             try:

@@ -19,179 +19,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.stonne.config import SimulatorConfig
-from repro.stonne.controller import _INT64_SAFE
-from repro.stonne.layer import ConvLayer, FcLayer, ceil_div
+from repro.stonne.layer import ConvLayer, FcLayer
+from repro.stonne.maeri import (
+    TileProfile,
+    conv_profile,
+    fc_profile,
+    fits_int64,
+    steady_state,
+)
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 
 
 @dataclass(frozen=True)
 class MaeriAnalyticalModel:
-    """Closed-form cycle estimates for MAERI mappings."""
+    """Closed-form cycle estimates for MAERI mappings.
+
+    The estimate is the steady-state term of the MAERI model — the same
+    tile profile (:func:`~repro.stonne.maeri.conv_profile` /
+    :func:`~repro.stonne.maeri.fc_profile`) and interval arithmetic
+    (:func:`~repro.stonne.maeri.steady_state`) — without pipeline fill
+    and with the buffer's plain RAW latency as the hazard stall.  Like
+    those functions it takes one mapping's tiles as Python ints or a
+    candidate grid's tiles as int64 columns.
+    """
 
     config: SimulatorConfig
     params: CycleModelParams = DEFAULT_PARAMS
 
-    def _ii(
-        self,
-        unique_weights: int,
-        unique_inputs: int,
-        outputs: int,
-        partial: bool,
-        has_temporal_reduction: bool,
-    ) -> int:
-        """Steady-state initiation interval of one tile iteration."""
-        dn = ceil_div(unique_weights + unique_inputs, self.config.dn_bw)
-        occupancy = self.params.rmw_occupancy if partial else 1
-        rn = ceil_div(outputs * occupancy, self.config.rn_bw)
-        raw = self.params.acc_raw_latency if has_temporal_reduction else 0
-        return max(dn, rn, raw, 1)
+    def profile_cycles(self, profile: TileProfile):
+        """Estimated cycles of a tile profile (an int or an int64 column)."""
+        return steady_state(
+            profile,
+            self.config.dn_bw,
+            self.config.rn_bw,
+            self.params.rmw_occupancy,
+            self.params.acc_raw_latency,
+        )[2]
 
-    # ------------------------------------------------------------------
+    def fits_int64(self, layer) -> bool:
+        """Whether int64 columns score every valid mapping of ``layer`` exactly."""
+        return fits_int64(
+            layer, self.config.ms_size, self.params.rmw_occupancy,
+            self.params.acc_raw_latency,
+        )
+
     def conv_cycles(self, layer: ConvLayer, mapping: ConvMapping) -> int:
         """Estimated cycles for a conv mapping."""
-        folds = mapping.fold_counts(layer)
-        red_folds = folds["R"] * folds["S"] * folds["C"]
-        iterations = mapping.iterations(layer)
-        out_iters = iterations // red_folds
-
-        weights = (
-            mapping.T_K * mapping.T_G * mapping.T_C * mapping.T_R * mapping.T_S
-        )
-        in_rows = (mapping.T_X - 1) * layer.stride_h + mapping.T_R
-        in_cols = (mapping.T_Y - 1) * layer.stride_w + mapping.T_S
-        inputs = mapping.T_G * mapping.T_C * in_rows * in_cols
-
-        partial_iters = out_iters * (red_folds - 1)
-        final_iters = iterations - partial_iters
-        temporal = red_folds > 1
-        ii_partial = self._ii(weights, inputs, mapping.num_vns, True, temporal)
-        ii_final = self._ii(weights, inputs, mapping.num_vns, False, temporal)
-        return partial_iters * ii_partial + final_iters * ii_final
+        return self.profile_cycles(conv_profile(layer, mapping.as_tuple()))
 
     def fc_cycles(self, layer: FcLayer, mapping: FcMapping) -> int:
         """Estimated cycles for an FC mapping."""
-        folds = mapping.fold_counts(layer)
-        red_folds = folds["K"]
-        iterations = mapping.iterations(layer)
-        out_iters = iterations // red_folds
-
-        weights = mapping.T_S * mapping.T_K
-        inputs = mapping.T_K * mapping.T_N
-        partial_iters = out_iters * (red_folds - 1)
-        final_iters = iterations - partial_iters
-        temporal = red_folds > 1
-        ii_partial = self._ii(weights, inputs, mapping.num_vns, True, temporal)
-        ii_final = self._ii(weights, inputs, mapping.num_vns, False, temporal)
-        return partial_iters * ii_partial + final_iters * ii_final
-
-    # ------------------------------------------------------------------
-    # batch scorers: one numpy pass over a candidate grid, bit-identical
-    # to the scalar estimates (integer-only array math; raises
-    # OverflowError near int64 limits so callers replay the exact
-    # scalar path instead of silently wrapping).
-    # ------------------------------------------------------------------
-    def conv_cycles_batch(self, layer: ConvLayer, tiles):
-        """Vectorized :meth:`conv_cycles` over an ``(N, 8)`` int64 tile
-        array in ``ConvMapping.as_tuple`` order; returns an int64 array."""
-        import numpy as np
-
-        bounds = np.array(
-            (
-                layer.R, layer.S, layer.C // layer.G, layer.K // layer.G,
-                layer.G, layer.N, layer.P, layer.Q,
-            ),
-            dtype=np.int64,
-        )
-        if int(bounds.max()) >= 2 ** 62:
-            raise OverflowError("layer dimensions too large for int64 folds")
-        folds = -(-bounds[None, :] // tiles)
-        tf = tiles.astype(np.float64)
-        ff = folds.astype(np.float64)
-        occ = self.params.rmw_occupancy
-        raw_const = self.params.acc_raw_latency
-
-        iter_f = ff.prod(axis=1)
-        w_f = tf[:, 3] * tf[:, 4] * tf[:, 2] * tf[:, 0] * tf[:, 1]
-        in_rows_f = (tf[:, 6] - 1.0) * layer.stride_h + tf[:, 0]
-        in_cols_f = (tf[:, 7] - 1.0) * layer.stride_w + tf[:, 1]
-        i_f = tf[:, 4] * tf[:, 2] * in_rows_f * in_cols_f
-        num_f = tf[:, 3] * tf[:, 4] * tf[:, 5] * tf[:, 6] * tf[:, 7]
-        # The per-iteration interval is bounded by dn + rn + raw + 1, so
-        # this bounds the final cycle count.
-        big = iter_f * (w_f + i_f + num_f * occ + raw_const + 1.0)
-        if float(big.max(initial=0.0)) > _INT64_SAFE:
-            raise OverflowError("cycle estimate would exceed int64")
-
-        red = folds[:, 0] * folds[:, 1] * folds[:, 2]
-        iterations = folds.prod(axis=1)
-        out_iters = iterations // red
-        weights = (
-            tiles[:, 3] * tiles[:, 4] * tiles[:, 2] * tiles[:, 0] * tiles[:, 1]
-        )
-        in_rows = (tiles[:, 6] - 1) * layer.stride_h + tiles[:, 0]
-        in_cols = (tiles[:, 7] - 1) * layer.stride_w + tiles[:, 1]
-        inputs = tiles[:, 4] * tiles[:, 2] * in_rows * in_cols
-        num_vns = (
-            tiles[:, 3] * tiles[:, 4] * tiles[:, 5] * tiles[:, 6] * tiles[:, 7]
-        )
-        return self._cycles_from_terms(
-            red, iterations, out_iters, weights, inputs, num_vns
-        )
-
-    def fc_cycles_batch(self, layer: FcLayer, tiles):
-        """Vectorized :meth:`fc_cycles` over an ``(N, 3)`` int64 tile
-        array in ``FcMapping.as_tuple`` order; returns an int64 array."""
-        import numpy as np
-
-        bounds = np.array(
-            (layer.out_features, layer.in_features, layer.batch),
-            dtype=np.int64,
-        )
-        if int(bounds.max()) >= 2 ** 62:
-            raise OverflowError("layer dimensions too large for int64 folds")
-        folds = -(-bounds[None, :] // tiles)
-        tf = tiles.astype(np.float64)
-        occ = self.params.rmw_occupancy
-        raw_const = self.params.acc_raw_latency
-
-        iter_f = folds.astype(np.float64).prod(axis=1)
-        w_f = tf[:, 0] * tf[:, 1]
-        i_f = tf[:, 1] * tf[:, 2]
-        num_f = tf[:, 0] * tf[:, 2]
-        big = iter_f * (w_f + i_f + num_f * occ + raw_const + 1.0)
-        if float(big.max(initial=0.0)) > _INT64_SAFE:
-            raise OverflowError("cycle estimate would exceed int64")
-
-        red = folds[:, 1]
-        iterations = folds.prod(axis=1)
-        out_iters = iterations // red
-        weights = tiles[:, 0] * tiles[:, 1]
-        inputs = tiles[:, 1] * tiles[:, 2]
-        num_vns = tiles[:, 0] * tiles[:, 2]
-        return self._cycles_from_terms(
-            red, iterations, out_iters, weights, inputs, num_vns
-        )
-
-    def _cycles_from_terms(
-        self, red, iterations, out_iters, weights, inputs, num_vns
-    ):
-        """Shared tail of the batch scorers: fold the per-row traffic
-        terms through the vectorized :meth:`_ii` arithmetic."""
-        import numpy as np
-
-        occ = self.params.rmw_occupancy
-        raw_const = self.params.acc_raw_latency
-        partial_iters = out_iters * (red - 1)
-        final_iters = iterations - partial_iters
-        dn = -(-(weights + inputs) // self.config.dn_bw)
-        rn_partial = -(-(num_vns * occ) // self.config.rn_bw)
-        rn_final = -(-num_vns // self.config.rn_bw)
-        raw = np.where(red > 1, np.int64(raw_const), np.int64(0))
-        one = np.ones_like(dn)
-        ii_partial = np.maximum.reduce([dn, rn_partial, raw, one])
-        ii_final = np.maximum.reduce([dn, rn_final, raw, one])
-        return partial_iters * ii_partial + final_iters * ii_final
+        return self.profile_cycles(fc_profile(layer, mapping.as_tuple()))
 
     # ------------------------------------------------------------------
     def conv_utilization(self, layer: ConvLayer, mapping: ConvMapping) -> float:

@@ -78,8 +78,9 @@ def _single_batch(layer):
 def _batch_parallel_error(mapping, layer, count):
     """The error for a T_N > 1 mapping on a batch-N layer.
 
-    Shared between the scalar batch-N wrapper and the vectorized batch
-    kernels so the two paths can never disagree about the message.
+    Shared between the scalar batch-N wrapper and
+    :func:`_lowered_gemm_batch` so the two can never disagree about the
+    message.
     """
     from repro.errors import MappingError
 
@@ -132,29 +133,18 @@ def _captured(method, layer, mapping):
         return exc
 
 
-#: Batch kernels route rows whose intermediate products could exceed this
-#: bound back through the exact scalar path: the array math is int64 while
-#: Python ints are arbitrary-precision.  The 4x headroom below 2**63
-#: absorbs the float64 rounding in the guard estimates themselves.
-_INT64_SAFE = float(2 ** 61)
-
-#: Above this bound an int->float64 conversion rounds, so float products
-#: in a kernel could differ from the scalar path's exact-int-then-convert
-#: ordering by an ulp; such rows also fall back to the scalar path.
-_FLOAT_EXACT = float(2 ** 53)
-
-
 def _lowered_gemm_batch(controller, layer, mappings):
     """Batch kernel for mapping-free controllers (SIGMA, TPU, MAGMA).
 
     Those fabrics ignore the mapping entirely, so every item of a
-    same-layer group is the *same* simulation: run the lowered GEMM once
-    and hand each item an independent copy (scaled by ``repeated`` for
-    batch-N layers).  The only per-item divergence the scalar path has
-    is the batch-parallel T_N rejection, reproduced here.
+    same-layer group is the *same* simulation: run the (lowered) GEMM
+    once and hand each item an independent copy (scaled by ``repeated``
+    for batch-N layers).  The only per-item divergence the scalar path
+    has is the batch-parallel T_N rejection, reproduced here.
     """
     count = _batch_count(layer)
     base = layer if count == 1 else _single_batch(layer)
+    gemm = base if isinstance(base, GemmLayer) else base.as_gemm()
     template = None
     results: List[Union[SimulationStats, Exception]] = []
     for mapping in mappings:
@@ -163,7 +153,7 @@ def _lowered_gemm_batch(controller, layer, mappings):
             continue
         if template is None:
             try:
-                template = controller.run_gemm(base.as_gemm())
+                template = controller.run_gemm(gemm)
             except Exception as exc:
                 results.append(exc)
                 continue
@@ -239,20 +229,21 @@ class AcceleratorController:
     # batch kernels
     # ------------------------------------------------------------------
     # One call simulates a whole same-layer group of mappings.  The
-    # contract, shared by these defaults and the vectorized overrides
-    # (MAERI, SIGMA, TPU, MAGMA):
+    # contract, shared by these defaults and the overrides:
     #
     # * the returned list matches ``mappings`` in length and order;
     # * every element is either the scalar method's result for that item
     #   (a SimulationStats / psum int, batch-N ``repeated`` semantics
     #   included) or the exact exception instance the scalar call would
-    #   have raised — one invalid mapping never poisons the batch;
-    # * results are bit-identical to the scalar path (all array math in
-    #   the overrides is integer-only), so batch execution is an
-    #   optimization, never an approximation.
+    #   have raised — one invalid mapping never poisons the batch.
     #
-    # The defaults loop the scalar methods, so third-party controllers
-    # stay correct without opting in.
+    # Each controller has one cycle model, so batching cannot change a
+    # result.  MAERI writes its model once over tile columns and
+    # evaluates it on Python ints for one mapping or on int64 numpy
+    # columns for a batch (see repro.stonne.maeri); SIGMA, TPU and MAGMA
+    # ignore mappings, so a batch runs the scalar model once and copies
+    # it (_lowered_gemm_batch).  The defaults loop the scalar methods, so
+    # third-party controllers stay correct without opting in.
 
     def run_conv_batch(
         self, layer: ConvLayer, mappings: Sequence[Optional[ConvMapping]]
@@ -265,18 +256,6 @@ class AcceleratorController:
     ) -> List[Union[SimulationStats, Exception]]:
         """Simulate ``layer`` under every mapping; per-item error capture."""
         return [_captured(self.run_fc, layer, m) for m in mappings]
-
-    def run_gemm_batch(
-        self, gemms: Sequence[GemmLayer]
-    ) -> List[Union[SimulationStats, Exception]]:
-        """Simulate every GEMM; per-item error capture."""
-        results: List[Union[SimulationStats, Exception]] = []
-        for gemm in gemms:
-            try:
-                results.append(self.run_gemm(gemm))
-            except Exception as exc:
-                results.append(exc)
-        return results
 
     def estimate_conv_psums_batch(
         self, layer: ConvLayer, mappings: Sequence[Optional[ConvMapping]]

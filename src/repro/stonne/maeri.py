@@ -14,8 +14,8 @@ initiation interval ``II = max(dn, rn, compute, raw_stall)`` where
   multicast across ``T_K`` count once);
 * ``rn`` — cycles to drain the iteration's outputs, with partial outputs
   paying the accumulation-buffer read-modify-write occupancy;
-* ``compute`` — 1 in the common case (every occupied PE retires one MAC
-  per cycle);
+* ``compute`` — always 1: an iteration issues exactly one MAC per occupied
+  multiplier, so it is the interval's floor;
 * ``raw_stall`` — the accumulation RAW hazard, paid whenever the iteration
   accumulates onto outputs the previous iteration wrote (temporal
   reduction folds).
@@ -23,48 +23,193 @@ initiation interval ``II = max(dn, rn, compute, raw_stall)`` where
 Identical steady-state iterations are batched ("macro-tile batching"), so
 simulating a layer is O(1) in the iteration count while remaining a
 deterministic function of (layer, config, mapping) exactly like STONNE.
+
+The model is written once, over tile *columns*: :func:`conv_profile` /
+:func:`fc_profile` and :func:`steady_state` take either one mapping's
+tiles as Python ints (``run_conv`` and friends) or a whole batch's tiles
+as int64 numpy columns (the ``*_batch`` kernels), so the two paths
+cannot disagree.  :func:`fits_int64` decides per layer whether the int64
+columns are exact; layers beyond it run every row on Python ints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+import functools
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.controller import (
     AcceleratorController,
-    _INT64_SAFE,
     _batch_count,
     _captured,
     _single_batch,
     register_controller,
 )
 from repro.stonne.distribution import DistributionNetwork
-from repro.stonne.layer import ConvLayer, FcLayer, ceil_div
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.mapping import (
     ConvMapping,
     FcMapping,
     conv_batch_invalid,
+    conv_tile_bounds,
     fc_batch_invalid,
+    fc_tile_bounds,
     pack_conv_mappings,
     pack_fc_mappings,
 )
 from repro.stonne.memory import AccumulationBuffer
-from repro.stonne.multiplier import LinearMultiplierNetwork
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.reduction import TemporalRN, make_reduction_network
+from repro.stonne.reduction import make_reduction_network
 from repro.stonne.stats import SimulationStats, TrafficBreakdown
 
 
-@dataclass(frozen=True)
-class _IterationProfile:
-    """Per-iteration operand and output counts for a mapping."""
+class TileProfile(NamedTuple):
+    """What one tile iteration moves and how many iterations there are.
 
-    unique_weights: int
-    unique_inputs: int
-    outputs: int
-    macs: int
+    Every field is a Python int (one mapping) or an int64 column (one
+    row per mapping of a batch).
+    """
+
+    iterations: object
+    red_folds: object
+    vn_size: object
+    num_vns: object
+    unique_weights: object
+    unique_inputs: object
+    psums: object
+
+
+def _folds(bounds, tiles):
+    return [-(-bound // tile) for bound, tile in zip(bounds, tiles)]
+
+
+def conv_profile(layer: ConvLayer, tiles) -> TileProfile:
+    """The conv tile profile for ``tiles`` in ``ConvMapping.as_tuple`` order.
+
+    Weights are shared (multicast) across the ``T_X * T_Y`` output-pixel
+    VNs; the input window is shared across the ``T_K`` filter VNs, and
+    neighbouring output pixels overlap (halo reuse), so the unique input
+    count is the union window, not ``vn_size * num_vns``.
+
+    Psums are accumulation-buffer writebacks plus per-iteration flushes:
+    one writeback per output element per temporal reduction fold, plus
+    one configuration-flush psum per tile iteration (the same flush term
+    the FC counter has).  Minimizing this maximizes spatial reduction
+    (``T_R*T_S*T_C``) first and output parallelism second.
+    """
+    t_r, t_s, t_c, t_k, t_g, t_n, t_x, t_y = tiles
+    f_r, f_s, f_c, f_k, f_g, f_n, f_x, f_y = _folds(conv_tile_bounds(layer), tiles)
+    red_folds = f_r * f_s * f_c
+    iterations = red_folds * f_k * f_g * f_n * f_x * f_y
+    in_rows = (t_x - 1) * layer.stride_h + t_r
+    in_cols = (t_y - 1) * layer.stride_w + t_s
+    return TileProfile(
+        iterations=iterations,
+        red_folds=red_folds,
+        vn_size=t_r * t_s * t_c,
+        num_vns=t_k * t_g * t_n * t_x * t_y,
+        unique_weights=t_k * t_g * t_c * t_r * t_s,
+        unique_inputs=t_g * t_c * in_rows * in_cols * t_n,
+        psums=layer.output_elements * red_folds + iterations,
+    )
+
+
+def fc_profile(layer: FcLayer, tiles) -> TileProfile:
+    """The dense tile profile for ``tiles`` in ``FcMapping.as_tuple`` order.
+
+    Every weight is distinct (``T_S * T_K``); the ``T_K`` input
+    activations are multicast across the ``T_S`` output-neuron VNs.  Psums
+    are the reduction network's spatial adds (``vn_size - 1`` per VN)
+    plus one flush per iteration.
+    """
+    t_s, t_k, t_n = tiles
+    f_s, f_k, f_n = _folds(fc_tile_bounds(layer), tiles)
+    iterations = f_s * f_k * f_n
+    num_vns = t_s * t_n
+    return TileProfile(
+        iterations=iterations,
+        red_folds=f_k,
+        vn_size=t_k,
+        num_vns=num_vns,
+        unique_weights=t_s * t_k,
+        unique_inputs=t_k * t_n,
+        psums=iterations * (num_vns * (t_k - 1) + 1),
+    )
+
+
+def _maximum(first, *rest):
+    """``max`` on Python ints; elementwise maximum on numpy columns."""
+    if isinstance(first, int):
+        return max(first, *rest)
+    import numpy as np
+
+    return functools.reduce(np.maximum, rest, first)
+
+
+def steady_state(profile: TileProfile, dn_bw: int, rn_bw: int,
+                 rmw_occupancy: int, raw_stall: int):
+    """``(partial_iters, final_iters, steady_cycles)`` of a tile profile.
+
+    Iterations that accumulate onto outputs a later fold revisits write
+    *partial* outputs (read-modify-write occupancy at the reduction
+    port); the last reduction fold of every output writes finals.  Both
+    kinds pay ``raw_stall`` when the layer has temporal reduction folds.
+    """
+    num_vns = profile.num_vns
+    stall = raw_stall * (profile.red_folds > 1)
+    dn = -(-(profile.unique_weights + profile.unique_inputs) // dn_bw)
+    ii_partial = _maximum(dn, -(-(num_vns * rmw_occupancy) // rn_bw), stall, 1)
+    ii_final = _maximum(dn, -(-num_vns // rn_bw), stall, 1)
+    partial_iters = profile.iterations // profile.red_folds * (profile.red_folds - 1)
+    final_iters = profile.iterations - partial_iters
+    return (
+        partial_iters,
+        final_iters,
+        partial_iters * ii_partial + final_iters * ii_final,
+    )
+
+
+def fits_int64(layer: Union[ConvLayer, FcLayer], ms_size: int,
+               rmw_occupancy: int, raw_stall: int, fill: int = 0) -> bool:
+    """Whether int64 columns evaluate every valid mapping of ``layer`` exactly.
+
+    ``layer`` is the single-batch replica (batch-N scaling happens on
+    Python ints).  For a mapping that passes ``validate_for``, every tile
+    is between 1 and its layer bound and the product of any subset of
+    tiles is at most ``ms_size``.  Hence, with ``macs`` the product of
+    the tile bounds:
+
+    * ``iterations`` (the product of the folds) is at most ``macs``;
+    * ``vn_size``, ``num_vns`` and ``unique_weights`` are at most
+      ``ms_size``;
+    * ``unique_inputs = T_G*T_C*T_N * in_rows * in_cols``, with
+      ``in_rows <= T_X*stride_h + T_R`` and ``in_cols <= T_Y*stride_w +
+      T_S``, expands to four stride products times products of distinct
+      tiles, so it is at most ``ms_size * window`` with ``window =
+      (stride_h + 1) * (stride_w + 1)`` (dense layers: ``T_K*T_N``,
+      window 1);
+    * each interval is at most ``per_iter = weights + inputs + num_vns *
+      rmw_occupancy + raw_stall + 1``, the sum of its ``max`` terms;
+    * psums are at most ``2 * macs`` (conv) or ``macs * ms_size`` (dense)
+      and the accumulator writes at most ``macs * ms_size``, all below
+      ``macs * per_iter``.
+
+    Every factor the profile and :func:`steady_state` multiply is >= 1,
+    so each partial product is at most its final value, and every value
+    formed is at most ``macs * per_iter + fill``, with ``fill`` bounding
+    the pipeline fill added to the steady cycles.  That bound below
+    ``2**63`` makes the int64 arithmetic exact.
+    """
+    if isinstance(layer, ConvLayer):
+        window = (layer.stride_h + 1) * (layer.stride_w + 1)
+        bounds = conv_tile_bounds(layer)
+    else:
+        window = 1
+        bounds = fc_tile_bounds(layer)
+    macs = functools.reduce(lambda a, b: a * b, bounds)
+    per_iter = ms_size * (1 + window + rmw_occupancy) + raw_stall + 1
+    return macs * per_iter + fill < 2 ** 63
 
 
 @register_controller(ControllerType.MAERI_DENSE_WORKLOAD)
@@ -86,7 +231,7 @@ class MaeriController(AcceleratorController):
             )
         self.config = config
         self.params = params
-        self.multipliers = LinearMultiplierNetwork(size=config.ms_size)
+        self._controller_name = config.controller_type.value
         self.distribution = DistributionNetwork(
             bandwidth=config.dn_bw, fanout=config.ms_size
         )
@@ -101,126 +246,64 @@ class MaeriController(AcceleratorController):
         )
 
     # ------------------------------------------------------------------
-    # workload-specific iteration profiles
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _conv_profile(layer: ConvLayer, mapping: ConvMapping) -> _IterationProfile:
-        """Unique operand counts for one conv tile iteration.
-
-        Weights are shared (multicast) across the ``T_X * T_Y`` output-pixel
-        VNs; the input window is shared across the ``T_K`` filter VNs, and
-        neighbouring output pixels overlap (halo reuse), so the unique input
-        count is the union window, not ``vn_size * num_vns``.
-        """
-        weights = mapping.T_K * mapping.T_G * mapping.T_C * mapping.T_R * mapping.T_S
-        in_rows = (mapping.T_X - 1) * layer.stride_h + mapping.T_R
-        in_cols = (mapping.T_Y - 1) * layer.stride_w + mapping.T_S
-        inputs = mapping.T_G * mapping.T_C * in_rows * in_cols * mapping.T_N
-        return _IterationProfile(
-            unique_weights=weights,
-            unique_inputs=inputs,
-            outputs=mapping.num_vns,
-            macs=mapping.vn_size * mapping.num_vns,
-        )
-
-    @staticmethod
-    def _fc_profile(layer: FcLayer, mapping: FcMapping) -> _IterationProfile:
-        """Unique operand counts for one dense tile iteration.
-
-        Every weight is distinct (``T_S * T_K``); the ``T_K`` input
-        activations are multicast across the ``T_S`` output-neuron VNs.
-        """
-        return _IterationProfile(
-            unique_weights=mapping.T_S * mapping.T_K,
-            unique_inputs=mapping.T_K * mapping.T_N,
-            outputs=mapping.num_vns,
-            macs=mapping.vn_size * mapping.num_vns,
-        )
-
-    # ------------------------------------------------------------------
-    # psum accounting (see repro.stonne.stats module docs)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def conv_psums(layer: ConvLayer, mapping: ConvMapping) -> int:
-        """Accumulation-buffer writebacks plus per-iteration flushes.
-
-        One writeback per output element per temporal reduction fold, plus
-        one configuration-flush psum per tile iteration (the same flush
-        term the FC counter has).  Minimizing this maximizes spatial
-        reduction (``T_R*T_S*T_C``) first and output parallelism second.
-        """
-        return (
-            layer.output_elements * mapping.reduction_folds(layer)
-            + mapping.iterations(layer)
-        )
-
-    @staticmethod
-    def fc_psums(layer: FcLayer, mapping: FcMapping) -> int:
-        """Reduction-network psums: spatial adds plus one flush per iteration."""
-        iterations = mapping.iterations(layer)
-        spatial_per_iter = mapping.num_vns * max(0, mapping.vn_size - 1)
-        return iterations * (spatial_per_iter + 1)
-
-    # ------------------------------------------------------------------
     # cycle model core
     # ------------------------------------------------------------------
-    def _simulate(
-        self,
-        layer: Union[ConvLayer, FcLayer],
-        mapping: Union[ConvMapping, FcMapping],
-        profile: _IterationProfile,
-        red_folds: int,
-        iterations: int,
-        psums: int,
-    ) -> SimulationStats:
-        self.multipliers.check_fit(mapping.vn_size, mapping.num_vns)
-        params = self.params
+    def _evaluate(self, profile: TileProfile):
+        """The model's stats fields for a tile profile, as ints or columns.
 
-        dn_cycles = self.distribution.cycles_to_distribute(
-            profile.unique_weights + profile.unique_inputs
+        Returns ``(fill, steady, cycles, psums, iterations,
+        multipliers_used, weights_distributed, inputs_distributed)`` and
+        records the accumulator writes.
+        """
+        partial_iters, final_iters, steady = steady_state(
+            profile,
+            self.config.dn_bw,
+            self.config.rn_bw,
+            self.reduction.rmw_occupancy,
+            self.accumulator.hazard_stall(True),
         )
-        rn_partial = self.reduction.cycles_to_collect(profile.outputs, partial=True)
-        rn_final = self.reduction.cycles_to_collect(profile.outputs, partial=False)
-        compute = self.multipliers.compute_cycles(
-            profile.macs, mapping.multipliers_used
+        partial_writes = partial_iters * profile.num_vns
+        final_writes = final_iters * profile.num_vns
+        if not isinstance(partial_writes, int):
+            partial_writes = sum(partial_writes.tolist())
+            final_writes = sum(final_writes.tolist())
+        self.accumulator.record_partial_writes(partial_writes)
+        self.accumulator.record_final_writes(final_writes)
+        fill = self._fill_constant() + self.reduction.reduction_latency(
+            profile.vn_size
         )
-        raw_stall = self.accumulator.hazard_stall(red_folds > 1)
-
-        out_iters = iterations // red_folds
-        partial_iters = out_iters * (red_folds - 1)
-        final_iters = iterations - partial_iters
-
-        ii_partial = max(dn_cycles, rn_partial, compute, raw_stall, 1)
-        ii_final = max(dn_cycles, rn_final, compute, raw_stall, 1)
-
-        fill = (
-            params.config_cycles
-            + self.distribution.fill_latency() * params.pipeline_fill_per_level
-            + self.reduction.reduction_latency(mapping.vn_size)
+        iterations = profile.iterations
+        return (
+            fill, steady, fill + steady, profile.psums, iterations,
+            profile.vn_size * profile.num_vns,
+            iterations * profile.unique_weights,
+            iterations * profile.unique_inputs,
         )
-        steady = partial_iters * ii_partial + final_iters * ii_final
-        cycles = fill + steady
 
-        self.accumulator.record_partial_writes(partial_iters * profile.outputs)
-        self.accumulator.record_final_writes(final_iters * profile.outputs)
-
-        traffic = TrafficBreakdown(
-            weights_distributed=iterations * profile.unique_weights,
-            inputs_distributed=iterations * profile.unique_inputs,
-            psums_reduced=psums,
-            outputs_written=layer.output_elements,
+    def _fill_constant(self) -> int:
+        """Mapping-independent pipeline fill: config load plus tree depth."""
+        return (
+            self.params.config_cycles
+            + self.distribution.fill_latency() * self.params.pipeline_fill_per_level
         )
+
+    def _stats(self, name, macs, outputs, fill, steady, cycles, psums,
+               iterations, used, weights_distributed, inputs_distributed):
+        # Positional construction: it halves the cost of building the
+        # batch kernels' per-row records.
         return SimulationStats(
-            layer_name=layer.name,
-            controller=self.config.controller_type.value,
-            cycles=cycles,
-            psums=psums,
-            macs=layer.macs,
-            iterations=iterations,
-            multipliers_used=mapping.multipliers_used,
-            array_size=self.config.ms_size,
-            traffic=traffic,
-            phase_cycles={"fill": fill, "steady": steady},
+            name, self._controller_name, cycles, psums, macs, iterations,
+            used, self.config.ms_size,
+            TrafficBreakdown(
+                weights_distributed, inputs_distributed, psums, outputs
+            ),
+            {"fill": fill, "steady": steady},
+        )
+
+    def _run(self, layer, profile: TileProfile) -> SimulationStats:
+        return self._stats(
+            layer.name, layer.macs, layer.output_elements,
+            *self._evaluate(profile),
         )
 
     # ------------------------------------------------------------------
@@ -236,15 +319,7 @@ class MaeriController(AcceleratorController):
         """
         mapping = mapping or ConvMapping.basic()
         mapping.validate_for(layer, self.config.ms_size)
-        profile = self._conv_profile(layer, mapping)
-        return self._simulate(
-            layer,
-            mapping,
-            profile,
-            red_folds=mapping.reduction_folds(layer),
-            iterations=mapping.iterations(layer),
-            psums=self.conv_psums(layer, mapping),
-        )
+        return self._run(layer, conv_profile(layer, mapping.as_tuple()))
 
     def run_fc(
         self, layer: FcLayer, mapping: Optional[FcMapping] = None
@@ -252,15 +327,7 @@ class MaeriController(AcceleratorController):
         """Simulate a dense layer under ``mapping``; returns its stats."""
         mapping = mapping or FcMapping.basic()
         mapping.validate_for(layer, self.config.ms_size)
-        profile = self._fc_profile(layer, mapping)
-        return self._simulate(
-            layer,
-            mapping,
-            profile,
-            red_folds=mapping.reduction_folds(layer),
-            iterations=mapping.iterations(layer),
-            psums=self.fc_psums(layer, mapping),
-        )
+        return self._run(layer, fc_profile(layer, mapping.as_tuple()))
 
     def estimate_conv_psums(
         self, layer: ConvLayer, mapping: Optional[ConvMapping] = None
@@ -272,7 +339,7 @@ class MaeriController(AcceleratorController):
         """
         mapping = mapping or ConvMapping.basic()
         mapping.validate_for(layer, self.config.ms_size)
-        return self.conv_psums(layer, mapping)
+        return conv_profile(layer, mapping.as_tuple()).psums
 
     def estimate_fc_psums(
         self, layer: FcLayer, mapping: Optional[FcMapping] = None
@@ -280,45 +347,41 @@ class MaeriController(AcceleratorController):
         """Fast psum estimate for a dense layer (no cycle simulation)."""
         mapping = mapping or FcMapping.basic()
         mapping.validate_for(layer, self.config.ms_size)
-        return self.fc_psums(layer, mapping)
+        return fc_profile(layer, mapping.as_tuple()).psums
 
     # ------------------------------------------------------------------
-    # vectorized batch kernels
+    # batch kernels: the same model on int64 columns
     # ------------------------------------------------------------------
-    # One numpy pass over a whole group of mappings for the same layer —
-    # the tuner/sweep hot path.  Bit-identity with the scalar methods is
-    # the contract (see AcceleratorController): the array math is
-    # integer-only, rows the scalar path would reject (or whose
-    # intermediates could overflow int64) are re-run through the scalar
-    # method so messages, error types and arbitrary-precision results
-    # stay exactly identical.
-
     def run_conv_batch(
         self, layer: ConvLayer, mappings: Sequence[Optional[ConvMapping]]
     ) -> List[Union[SimulationStats, Exception]]:
-        return self._batch_kernel(layer, mappings, conv=True, estimate=False)
+        return self._batch(layer, mappings, conv=True, estimate=False)
 
     def run_fc_batch(
         self, layer: FcLayer, mappings: Sequence[Optional[FcMapping]]
     ) -> List[Union[SimulationStats, Exception]]:
-        return self._batch_kernel(layer, mappings, conv=False, estimate=False)
+        return self._batch(layer, mappings, conv=False, estimate=False)
 
     def estimate_conv_psums_batch(
         self, layer: ConvLayer, mappings: Sequence[Optional[ConvMapping]]
     ) -> List[Union[int, Exception]]:
-        return self._batch_kernel(layer, mappings, conv=True, estimate=True)
+        return self._batch(layer, mappings, conv=True, estimate=True)
 
     def estimate_fc_psums_batch(
         self, layer: FcLayer, mappings: Sequence[Optional[FcMapping]]
     ) -> List[Union[int, Exception]]:
-        return self._batch_kernel(layer, mappings, conv=False, estimate=True)
+        return self._batch(layer, mappings, conv=False, estimate=True)
 
-    def _batch_kernel(self, layer, mappings, conv: bool, estimate: bool) -> List:
+    def _batch(self, layer, mappings, conv: bool, estimate: bool) -> List:
+        """Evaluate the model on int64 columns, one row per mapping.
+
+        Rows ``validate_for`` would reject (and batch-parallel ``T_N``
+        rows of a batch-N layer) run through the scalar method, which
+        raises the exact exception; so does every row of a layer beyond
+        :func:`fits_int64`.  Batch-N results scale the single-batch row
+        exactly like the scalar wrapper does.
+        """
         import numpy as np
-
-        results: List = [None] * len(mappings)
-        if not mappings:
-            return results
 
         if estimate:
             scalar = self.estimate_conv_psums if conv else self.estimate_fc_psums
@@ -327,188 +390,43 @@ class MaeriController(AcceleratorController):
         count = _batch_count(layer)
         base = layer if count == 1 else _single_batch(layer)
         ms_size = self.config.ms_size
-
-        try:
-            bad, arrays = self._batch_arrays(base, mappings, count, conv, estimate)
-        except OverflowError:
-            # A layer dimension or tile beyond int64; Python's
-            # arbitrary-precision scalar path handles it.
+        if not fits_int64(base, ms_size, self.reduction.rmw_occupancy,
+                          self.accumulator.hazard_stall(True),
+                          self._fill_constant() + ms_size):
             return [_captured(scalar, layer, m) for m in mappings]
 
-        # Flagged rows (invalid mapping, batch-parallel T_N, TEMPORALRN
-        # spatial reduction, or int64-overflow risk) replay through the
-        # scalar method: same result or the exact exception it raises.
-        for row in np.flatnonzero(bad).tolist():
-            results[row] = _captured(scalar, layer, mappings[row])
-        ok = np.flatnonzero(~bad)
-        if not ok.size:
-            return results
-
-        if estimate:
-            for pos, value in enumerate(arrays["psums"].tolist()):
-                results[ok[pos]] = value * count
-            return results
-
-        # Accumulator tallies are recorded for the N=1 base run, exactly
-        # like the scalar wrapper (``repeated`` never touches them).
-        self.accumulator.record_partial_writes(sum(arrays["partial_writes"].tolist()))
-        self.accumulator.record_final_writes(sum(arrays["final_writes"].tolist()))
-
-        name = layer.name
-        ctrl = self.config.controller_type.value
-        macs_total = base.macs * count
-        outputs_written = base.output_elements * count
-        cycles_l = (arrays["cycles"] * count).tolist()
-        psums_l = (arrays["psums"] * count).tolist()
-        iters_l = (arrays["iterations"] * count).tolist()
-        used_l = arrays["used"].tolist()
-        wd_l = (arrays["weights_distributed"] * count).tolist()
-        id_l = (arrays["inputs_distributed"] * count).tolist()
-        fill_l = (arrays["fill"] * count).tolist()
-        steady_l = (arrays["steady"] * count).tolist()
-        for pos, row in enumerate(ok.tolist()):
-            results[row] = SimulationStats(
-                layer_name=name,
-                controller=ctrl,
-                cycles=cycles_l[pos],
-                psums=psums_l[pos],
-                macs=macs_total,
-                iterations=iters_l[pos],
-                multipliers_used=used_l[pos],
-                array_size=ms_size,
-                traffic=TrafficBreakdown(
-                    weights_distributed=wd_l[pos],
-                    inputs_distributed=id_l[pos],
-                    psums_reduced=psums_l[pos],
-                    outputs_written=outputs_written,
-                ),
-                phase_cycles={"fill": fill_l[pos], "steady": steady_l[pos]},
-            )
-        return results
-
-    def _batch_arrays(self, base, mappings, count: int, conv: bool, estimate: bool):
-        """The (bad-row mask, per-valid-row int64 arrays) for a batch.
-
-        Pure computation — no accumulator side effects — so callers can
-        abandon it (overflow fallback) without double counting.
-        """
-        import numpy as np
-
-        ms_size = self.config.ms_size
         if conv:
             default = ConvMapping.basic()
-            normalized = [default if m is None else m for m in mappings]
-            tiles = pack_conv_mappings(normalized)
+            tiles = pack_conv_mappings([m or default for m in mappings])
             bad = conv_batch_invalid(base, tiles, ms_size)
             t_n = tiles[:, 5]
-            spatial_one = (
-                (tiles[:, 0] == 1) & (tiles[:, 1] == 1) & (tiles[:, 2] == 1)
-            )
-            fold_bounds = (
-                base.R, base.S, base.C // base.G, base.K // base.G,
-                base.G, base.N, base.P, base.Q,
-            )
         else:
             default = FcMapping.basic()
-            normalized = [default if m is None else m for m in mappings]
-            tiles = pack_fc_mappings(normalized)
+            tiles = pack_fc_mappings([m or default for m in mappings])
             bad = fc_batch_invalid(base, tiles, ms_size)
             t_n = tiles[:, 2]
-            spatial_one = tiles[:, 1] == 1
-            fold_bounds = (base.out_features, base.in_features, base.batch)
         if count > 1:
             # The scalar wrapper rejects batch-parallel T_N before
             # validation; replaying flagged rows preserves that ordering.
             bad = bad | (t_n != 1)
-        if not estimate and isinstance(self.reduction, TemporalRN):
-            bad = bad | ~spatial_one
+        results: List = [None] * len(mappings)
+        for row in np.flatnonzero(bad).tolist():
+            results[row] = _captured(scalar, layer, mappings[row])
+        ok = np.flatnonzero(~bad)
+        profile = (conv_profile if conv else fc_profile)(base, tuple(tiles[ok].T))
+        rows = ok.tolist()
 
-        if max(fold_bounds) >= 2 ** 62:
-            raise OverflowError("layer dimension beyond the int64 kernel")
-        folds = np.stack(
-            [-(-bound // tiles[:, i]) for i, bound in enumerate(fold_bounds)]
-        )
-
-        # Overflow guard in float64: float products of the (individually
-        # small) columns bound every int64 product the kernel forms; rows
-        # within 4x of int64 range go back to the exact scalar path.
-        tf = tiles.T.astype(np.float64)
-        ff = folds.astype(np.float64)
-        iter_f = ff.prod(axis=0)
-        if conv:
-            red_f = ff[0] * ff[1] * ff[2]
-            vn_f = tf[0] * tf[1] * tf[2]
-            num_f = tf[3] * tf[4] * tf[5] * tf[6] * tf[7]
-            w_f = vn_f * tf[3] * tf[4]
-            in_rows_f = (tf[6] - 1) * base.stride_h + tf[0]
-            in_cols_f = (tf[7] - 1) * base.stride_w + tf[1]
-            i_f = tf[4] * tf[2] * in_rows_f * in_cols_f * tf[5]
-            psum_f = float(base.output_elements) * red_f + iter_f
-        else:
-            red_f = ff[1]
-            vn_f = tf[1]
-            num_f = tf[0] * tf[2]
-            w_f = tf[0] * tf[1]
-            i_f = tf[1] * tf[2]
-            psum_f = iter_f * (num_f * np.maximum(vn_f - 1.0, 0.0) + 1.0)
-        occ = self.reduction.rmw_occupancy
-        stall_const = self.accumulator.hazard_stall(True)
-        per_iter_f = w_f + i_f + num_f * occ + stall_const + 1.0
-        big = iter_f * per_iter_f * count > _INT64_SAFE
-        big |= psum_f * count > _INT64_SAFE
-        big |= vn_f * num_f > _INT64_SAFE
-        bad = bad | big
-
-        ok = ~bad
-        st = tiles[ok].T
-        sf = folds[:, ok]
-        iterations = sf.prod(axis=0)
-        if conv:
-            red = sf[0] * sf[1] * sf[2]
-            vn = st[0] * st[1] * st[2]
-            num = st[3] * st[4] * st[5] * st[6] * st[7]
-            weights = vn * st[3] * st[4]
-            in_rows = (st[6] - 1) * base.stride_h + st[0]
-            in_cols = (st[7] - 1) * base.stride_w + st[1]
-            inputs = st[4] * st[2] * in_rows * in_cols * st[5]
-            psums = base.output_elements * red + iterations
-        else:
-            red = sf[1]
-            vn = st[1]
-            num = st[0] * st[2]
-            weights = st[0] * st[1]
-            inputs = st[1] * st[2]
-            psums = iterations * (num * np.maximum(vn - 1, 0) + 1)
         if estimate:
-            return bad, {"psums": psums}
+            for row, psums in zip(rows, profile.psums.tolist()):
+                results[row] = psums * count
+            return results
 
-        used = vn * num
-        dn = -(-(weights + inputs) // self.config.dn_bw)
-        rn_partial = -(-(num * occ) // self.config.rn_bw)
-        rn_final = -(-num // self.config.rn_bw)
-        compute = -(-(vn * num) // used)
-        raw = np.where(red > 1, np.int64(stall_const), np.int64(0))
-        out_iters = iterations // red
-        partial_iters = out_iters * (red - 1)
-        final_iters = iterations - partial_iters
-        one = np.ones_like(dn)
-        ii_partial = np.maximum.reduce([dn, rn_partial, compute, raw, one])
-        ii_final = np.maximum.reduce([dn, rn_final, compute, raw, one])
-        fill = (
-            self.params.config_cycles
-            + self.distribution.fill_latency() * self.params.pipeline_fill_per_level
-            + self.reduction.reduction_latency_batch(vn)
-        )
-        steady = partial_iters * ii_partial + final_iters * ii_final
-        return bad, {
-            "psums": psums,
-            "iterations": iterations,
-            "used": used,
-            "weights_distributed": iterations * weights,
-            "inputs_distributed": iterations * inputs,
-            "fill": fill,
-            "steady": steady,
-            "cycles": fill + steady,
-            "partial_writes": partial_iters * num,
-            "final_writes": final_iters * num,
-        }
+        make, name = self._stats, layer.name
+        macs, outputs = base.macs, base.output_elements
+        for row, fill, steady, cycles, psums, iters, used, wd, id_ in zip(
+            rows, *(column.tolist() for column in self._evaluate(profile))
+        ):
+            stats = make(name, macs, outputs, fill, steady, cycles, psums,
+                         iters, used, wd, id_)
+            results[row] = stats if count == 1 else stats.repeated(count)
+        return results

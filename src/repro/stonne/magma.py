@@ -24,14 +24,10 @@ other controller.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
 from repro.errors import ConfigError
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.controller import (
     AcceleratorController,
-    _FLOAT_EXACT,
-    _INT64_SAFE,
     _lowered_gemm_batch,
     register_controller,
 )
@@ -158,96 +154,3 @@ class MagmaController(AcceleratorController):
 
     def run_fc_batch(self, layer, mappings):
         return _lowered_gemm_batch(self, layer, mappings)
-
-    def run_gemm_batch(
-        self, gemms: Sequence[GemmLayer]
-    ) -> List[Union[SimulationStats, Exception]]:
-        """One numpy pass over heterogeneous GEMMs, bit-identical to
-        :meth:`run_gemm` (the nnz rounding is replicated exactly; rows at
-        float-precision or int64 limits replay through it)."""
-        import numpy as np
-
-        results: List[Union[SimulationStats, Exception]] = [None] * len(gemms)
-        if not gemms:
-            return results
-        try:
-            dims = np.array(
-                [(g.M, g.K, g.N) for g in gemms], dtype=np.int64
-            ).reshape(len(gemms), 3)
-        except OverflowError:
-            return super().run_gemm_batch(gemms)
-
-        m, k, n = dims.T
-        mf, kf, nf = dims.astype(np.float64).T
-        occ = self.reduction.rmw_occupancy
-        bad = (m < 1) | (k < 1) | (n < 1)
-        bad |= mf * kf > _FLOAT_EXACT
-        bad |= mf * nf * np.maximum(kf, 1.0) * (occ + 2) > _INT64_SAFE / 16.0
-        for row in np.flatnonzero(bad).tolist():
-            try:
-                results[row] = self.run_gemm(gemms[row])
-            except Exception as exc:
-                results[row] = exc
-        ok = np.flatnonzero(~bad)
-        if not ok.size:
-            return results
-
-        m, k, n = m[ok], k[ok], n[ok]
-        mf, kf = mf[ok], kf[ok]
-        ms = self.config.ms_size
-        dn_bw = self.config.dn_bw
-
-        nnz = np.maximum(1, np.round(mf * kf * self.density).astype(np.int64))
-        effective_macs = nnz * n
-        folds = -(-nnz // ms)
-        a_cycles = -(-nnz // dn_bw)
-        rows_per_fold = np.minimum(k, ms)
-        b_cycles = folds * n * -(-rows_per_fold // dn_bw)
-        compute = -(-effective_macs // ms)
-        nnz_per_row = np.maximum(1, -(-nnz // m))
-        row_folds = -(-nnz_per_row // ms)
-        psum_writes = m * n * row_folds
-        psum_cycles = -(-(psum_writes * occ) // self.config.rn_bw)
-        gather = GATHER_CYCLES_PER_FOLD * folds
-        fixed = self.params.sigma_fixed_overhead
-        stream = np.maximum(compute, b_cycles)
-        cycles = stream + a_cycles + psum_cycles + gather + fixed
-
-        ctrl = self.config.controller_type.value
-        cyc_l = cycles.tolist()
-        psum_l = psum_writes.tolist()
-        macs_l = effective_macs.tolist()
-        iter_l = folds.tolist()
-        used_l = np.minimum(ms, nnz).tolist()
-        nnz_l = nnz.tolist()
-        id_l = (folds * rows_per_fold * n).tolist()
-        out_l = (m * n).tolist()
-        stream_l = stream.tolist()
-        a_l = a_cycles.tolist()
-        psumc_l = psum_cycles.tolist()
-        gather_l = gather.tolist()
-        for pos, row in enumerate(ok.tolist()):
-            results[row] = SimulationStats(
-                layer_name=gemms[row].name,
-                controller=ctrl,
-                cycles=cyc_l[pos],
-                psums=psum_l[pos],
-                macs=macs_l[pos],
-                iterations=iter_l[pos],
-                multipliers_used=used_l[pos],
-                array_size=ms,
-                traffic=TrafficBreakdown(
-                    weights_distributed=nnz_l[pos],
-                    inputs_distributed=id_l[pos],
-                    psums_reduced=psum_l[pos],
-                    outputs_written=out_l[pos],
-                ),
-                phase_cycles={
-                    "stream": stream_l[pos],
-                    "stationary_load": a_l[pos],
-                    "psum": psumc_l[pos],
-                    "gather": gather_l[pos],
-                    "fixed": fixed,
-                },
-            )
-        return results

@@ -16,6 +16,7 @@ into (i.e. does not exceed) the corresponding layer dimension.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Sequence, Tuple
 
@@ -213,22 +214,44 @@ class FcMapping:
 # ----------------------------------------------------------------------
 # batch-kernel helpers (vectorized packing and validation)
 # ----------------------------------------------------------------------
-def pack_conv_mappings(mappings: Sequence[ConvMapping]):
-    """Pack conv mappings into an ``(N, 8)`` int64 array (as_tuple order)."""
+def conv_tile_bounds(layer: ConvLayer) -> Tuple[int, ...]:
+    """The layer dimension each conv tile folds, in ``as_tuple`` order."""
+    return (
+        layer.R, layer.S, layer.C // layer.G, layer.K // layer.G,
+        layer.G, layer.N, layer.P, layer.Q,
+    )
+
+
+def fc_tile_bounds(layer: FcLayer) -> Tuple[int, int, int]:
+    """The layer dimension each FC tile folds, in ``as_tuple`` order."""
+    return (layer.out_features, layer.in_features, layer.batch)
+
+
+def _pack(mappings, width: int):
     import numpy as np
 
-    return np.array([m.as_tuple() for m in mappings], dtype=np.int64).reshape(
-        len(mappings), 8
-    )
+    rows = [m.as_tuple() for m in mappings]
+    try:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(rows), np.int64, len(rows) * width
+        )
+    except OverflowError:
+        # A tile beyond int64 exceeds any array and any layer the int64
+        # kernels accept, so clamping it keeps its row flagged invalid.
+        flat = np.array(
+            [min(tile, 2 ** 62) for row in rows for tile in row], np.int64
+        )
+    return flat.reshape(len(rows), width)
+
+
+def pack_conv_mappings(mappings: Sequence[ConvMapping]):
+    """Pack conv mappings into an ``(N, 8)`` int64 array (as_tuple order)."""
+    return _pack(mappings, 8)
 
 
 def pack_fc_mappings(mappings: Sequence[FcMapping]):
     """Pack FC mappings into an ``(N, 3)`` int64 array (as_tuple order)."""
-    import numpy as np
-
-    return np.array([m.as_tuple() for m in mappings], dtype=np.int64).reshape(
-        len(mappings), 3
-    )
+    return _pack(mappings, 3)
 
 
 def conv_batch_invalid(layer: ConvLayer, tiles, ms_size: int):
@@ -246,11 +269,7 @@ def conv_batch_invalid(layer: ConvLayer, tiles, ms_size: int):
     # real ms_size; below that float64 is exact).
     used = tiles.astype(np.float64).prod(axis=1)
     bad = used > ms_size
-    bounds = (
-        layer.R, layer.S, layer.C // layer.G, layer.K // layer.G,
-        layer.G, layer.N, layer.P, layer.Q,
-    )
-    for column, bound in zip(tiles.T, bounds):
+    for column, bound in zip(tiles.T, conv_tile_bounds(layer)):
         bad = bad | (column > bound)
     return bad
 

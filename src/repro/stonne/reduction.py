@@ -1,6 +1,6 @@
 """Reduction network models.
 
-Three fabrics from STONNE (Table III):
+Two spatial fabrics from STONNE (Table III):
 
 * :class:`ARTNetwork` (``ASNETWORK``) — MAERI's Augmented Reduction Tree: a
   fat tree of adder switches that can be partitioned into independent
@@ -10,18 +10,19 @@ Three fabrics from STONNE (Table III):
   SIGMA uses; functionally equivalent for our purposes but with a
   forwarding-adder latency of 1 regardless of VN size (spatio-temporal
   reduction), at the cost of one extra psum forward per level.
-* :class:`TemporalRN` (``TEMPORALRN``) — no spatial adders at all; every
-  partial sum is accumulated temporally in the accumulation buffer.  Rigid
-  architectures (the TPU) use this.
 
-All three expose the same interface so the engine is fabric-agnostic:
-``cycles_to_collect`` (port bandwidth), ``reduction_latency`` (pipeline
-fill) and ``spatial_psums`` (the psum counter contribution).
+``TEMPORALRN`` (no spatial adders) is a valid config value only for the
+TPU, whose systolic mesh accumulates in place and builds no reduction
+network object at all.
+
+Both fabrics expose the same interface so the engine is fabric-agnostic:
+``cycles_to_collect`` (port bandwidth) and ``reduction_latency`` (pipeline
+fill).  ``reduction_latency`` takes a Python int or an int64 numpy array
+of VN sizes, so the MAERI cycle model evaluates it either way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -63,61 +64,35 @@ class ReductionNetworkBase:
         occupancy = self.rmw_occupancy if partial else 1
         return ceil_div(outputs * occupancy, self.bandwidth)
 
-    # Subclasses override the two methods below. ------------------------
-    def reduction_latency(self, vn_size: int) -> int:
-        raise NotImplementedError
-
-    def reduction_latency_batch(self, vn_sizes):
-        """Vectorized :meth:`reduction_latency` over an int array.
-
-        The default loops the scalar method (correct for any subclass);
-        the built-in fabrics override it with exact integer array math
-        so batch kernels stay bit-identical to the scalar path.
-        """
-        import numpy as np
-
-        return np.array(
-            [self.reduction_latency(int(v)) for v in vn_sizes], dtype=np.int64
-        )
-
-    def spatial_psums(self, vn_size: int, num_vns: int) -> int:
-        """Partial sums generated *inside* the fabric per iteration."""
+    def reduction_latency(self, vn_size):
         raise NotImplementedError
 
 
-def _ceil_log2_batch(v):
-    """Exact ``ceil(log2(v))`` per element for ``v >= 1``.
+def _ceil_log2(vn_size):
+    """Exact ``ceil(log2(v))`` of an int or an int64 array, ``v >= 1``.
 
-    ``frexp`` returns the binary exponent, i.e. the bit length, which is
-    exact for any int64 a float64 can represent — unlike a float
-    ``ceil(log2(...))`` round trip.  ``ceil(log2(v)) == bit_length(v-1)``.
+    ``ceil(log2(v)) == bit_length(v - 1)``.  For arrays the binary
+    exponent ``frexp`` returns is that bit length, exact for any value a
+    float64 holds — unlike a float ``ceil(log2(...))`` round trip.
     """
+    if isinstance(vn_size, int):
+        if vn_size < 1:
+            raise SimulationError(f"vn_size must be >= 1, got {vn_size}")
+        return (vn_size - 1).bit_length()
     import numpy as np
 
-    return np.frexp((v - 1).astype(np.float64))[1].astype(np.int64)
+    if vn_size.size and int(vn_size.min()) < 1:
+        raise SimulationError(f"vn_size must be >= 1, got {int(vn_size.min())}")
+    return np.frexp((vn_size - 1).astype(np.float64))[1].astype(np.int64)
 
 
 @dataclass(frozen=True)
 class ARTNetwork(ReductionNetworkBase):
     """MAERI's augmented reduction tree (``ASNETWORK``)."""
 
-    def reduction_latency(self, vn_size: int) -> int:
+    def reduction_latency(self, vn_size):
         """Adder-tree depth for one virtual neuron (pipeline fill)."""
-        if vn_size < 1:
-            raise SimulationError(f"vn_size must be >= 1, got {vn_size}")
-        return math.ceil(math.log2(vn_size)) if vn_size > 1 else 0
-
-    def reduction_latency_batch(self, vn_sizes):
-        import numpy as np
-
-        v = np.asarray(vn_sizes, dtype=np.int64)
-        if v.size and int(v.min()) < 1:
-            raise SimulationError(f"vn_size must be >= 1, got {int(v.min())}")
-        return _ceil_log2_batch(v)
-
-    def spatial_psums(self, vn_size: int, num_vns: int) -> int:
-        """A VN of size ``v`` performs ``v - 1`` adds, each emitting a psum."""
-        return num_vns * max(0, vn_size - 1)
+        return _ceil_log2(vn_size)
 
 
 @dataclass(frozen=True)
@@ -127,68 +102,21 @@ class FENetwork(ReductionNetworkBase):
     Reduction happens by forwarding psums between neighbouring adders, so
     the latency is linear in the VN size but each hop is a single cheap
     forward; we model latency as ``vn_size - 1`` capped by the tree depth
-    the fabric falls back to, and one extra forwarded psum per adder.
+    the fabric falls back to.
     """
 
-    def reduction_latency(self, vn_size: int) -> int:
-        if vn_size < 1:
-            raise SimulationError(f"vn_size must be >= 1, got {vn_size}")
-        if vn_size == 1:
-            return 0
-        return min(vn_size - 1, 2 * math.ceil(math.log2(vn_size)))
-
-    def reduction_latency_batch(self, vn_sizes):
+    def reduction_latency(self, vn_size):
+        depth = 2 * _ceil_log2(vn_size)
+        if isinstance(vn_size, int):
+            return min(vn_size - 1, depth)
         import numpy as np
 
-        v = np.asarray(vn_sizes, dtype=np.int64)
-        if v.size and int(v.min()) < 1:
-            raise SimulationError(f"vn_size must be >= 1, got {int(v.min())}")
-        return np.minimum(v - 1, 2 * _ceil_log2_batch(v))
-
-    def spatial_psums(self, vn_size: int, num_vns: int) -> int:
-        """Forwarding generates a psum per hop: also ``v - 1`` per VN."""
-        return num_vns * max(0, vn_size - 1)
-
-
-@dataclass(frozen=True)
-class TemporalRN(ReductionNetworkBase):
-    """Purely temporal reduction (``TEMPORALRN``), used by the TPU.
-
-    There are no spatial adders; every multiplier output is a psum that
-    the accumulation buffer folds in place, so the in-fabric latency is
-    zero and the spatial psum count is zero (the accumulation writes are
-    accounted by the engine instead).
-    """
-
-    def reduction_latency(self, vn_size: int) -> int:
-        if vn_size != 1:
-            raise SimulationError(
-                f"TEMPORALRN cannot spatially reduce (vn_size={vn_size})"
-            )
-        return 0
-
-    def reduction_latency_batch(self, vn_sizes):
-        import numpy as np
-
-        v = np.asarray(vn_sizes, dtype=np.int64)
-        spatial = v[v != 1]
-        if spatial.size:
-            raise SimulationError(
-                f"TEMPORALRN cannot spatially reduce (vn_size={int(spatial[0])})"
-            )
-        return np.zeros(v.shape, dtype=np.int64)
-
-    def spatial_psums(self, vn_size: int, num_vns: int) -> int:
-        return 0
+        return np.minimum(vn_size - 1, depth)
 
 
 def make_reduction_network(kind: str, bandwidth: int, rmw_occupancy: int = 3):
     """Factory keyed by the Table III option string."""
-    networks = {
-        "ASNETWORK": ARTNetwork,
-        "FENETWORK": FENetwork,
-        "TEMPORALRN": TemporalRN,
-    }
+    networks = {"ASNETWORK": ARTNetwork, "FENETWORK": FENetwork}
     try:
         cls = networks[kind]
     except KeyError:

@@ -33,15 +33,10 @@ sparsity cannot shrink) save less (~44 %).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Union
-
 from repro.errors import ConfigError
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.controller import (
     AcceleratorController,
-    _FLOAT_EXACT,
-    _INT64_SAFE,
     _lowered_gemm_batch,
     register_controller,
 )
@@ -180,100 +175,3 @@ class SigmaController(AcceleratorController):
 
     def run_fc_batch(self, layer, mappings):
         return _lowered_gemm_batch(self, layer, mappings)
-
-    def run_gemm_batch(
-        self, gemms: Sequence[GemmLayer]
-    ) -> List[Union[SimulationStats, Exception]]:
-        """One numpy pass over heterogeneous GEMMs, bit-identical to
-        :meth:`run_gemm` (the float rounding steps are replicated exactly;
-        rows at float-precision or int64 limits replay through it)."""
-        import numpy as np
-
-        results: List[Union[SimulationStats, Exception]] = [None] * len(gemms)
-        if not gemms:
-            return results
-        try:
-            dims = np.array(
-                [(g.M, g.K, g.N) for g in gemms], dtype=np.int64
-            ).reshape(len(gemms), 3)
-        except OverflowError:
-            return super().run_gemm_batch(gemms)
-
-        m, k, n = dims.T
-        mf, kf, nf = dims.astype(np.float64).T
-        occ = self.reduction.rmw_occupancy
-        bad = (m < 1) | (k < 1) | (n < 1)
-        bad |= mf * kf > _FLOAT_EXACT
-        bad |= mf * kf * nf > _FLOAT_EXACT
-        bad |= mf * nf * np.maximum(kf, 1.0) * (occ + 2) > _INT64_SAFE / 16.0
-        for row in np.flatnonzero(bad).tolist():
-            try:
-                results[row] = self.run_gemm(gemms[row])
-            except Exception as exc:
-                results[row] = exc
-        ok = np.flatnonzero(~bad)
-        if not ok.size:
-            return results
-
-        m, k, n = m[ok], k[ok], n[ok]
-        mf, kf, nf = mf[ok], kf[ok], nf[ok]
-        density = self.density
-        ms = self.config.ms_size
-        params = self.params
-
-        effective_macs = np.round(mf * kf * nf * density).astype(np.int64)
-        nnz = np.round(mf * kf * density).astype(np.int64)
-        folds = -(-k // ms)
-        outputs = m * n
-        psum_writes = outputs * folds
-
-        compute = -(-np.maximum(effective_macs, 1) // ms)
-        weight_cycles = (
-            np.round(nnz.astype(np.float64) / self._effective_dn_bandwidth())
-            .astype(np.int64)
-            + 1
-        )
-        input_cycles = -(-(k * n) // self.config.dn_bw)
-        stream = np.maximum(compute, weight_cycles) + input_cycles
-        psum_cycles = -(-(psum_writes * occ) // self.config.rn_bw)
-        decode = params.sigma_bitmap_decode * folds
-        fixed = params.sigma_fixed_overhead
-        cycles = stream + psum_cycles + decode + fixed
-        used = np.where(nnz == 0, 1, np.minimum(ms, nnz))
-
-        ctrl = self.config.controller_type.value
-        cyc_l = cycles.tolist()
-        psum_l = psum_writes.tolist()
-        macs_l = effective_macs.tolist()
-        iter_l = (folds * m).tolist()
-        used_l = used.tolist()
-        nnz_l = nnz.tolist()
-        kn_l = (k * n).tolist()
-        out_l = outputs.tolist()
-        stream_l = stream.tolist()
-        psumc_l = psum_cycles.tolist()
-        decode_l = decode.tolist()
-        for pos, row in enumerate(ok.tolist()):
-            results[row] = SimulationStats(
-                layer_name=gemms[row].name,
-                controller=ctrl,
-                cycles=cyc_l[pos],
-                psums=psum_l[pos],
-                macs=macs_l[pos],
-                iterations=iter_l[pos],
-                multipliers_used=used_l[pos],
-                array_size=ms,
-                traffic=TrafficBreakdown(
-                    weights_distributed=nnz_l[pos],
-                    inputs_distributed=kn_l[pos],
-                    psums_reduced=psum_l[pos],
-                    outputs_written=out_l[pos],
-                ),
-                phase_cycles={
-                    "stream": stream_l[pos],
-                    "psum": psumc_l[pos],
-                    "decode": decode_l[pos],
-                    "fixed": fixed,
-                },
-            )
-        return results

@@ -15,13 +15,10 @@ length ``K``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
-
 from repro.errors import ConfigError
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.controller import (
     AcceleratorController,
-    _INT64_SAFE,
     _lowered_gemm_batch,
     register_controller,
 )
@@ -106,83 +103,3 @@ class TpuController(AcceleratorController):
 
     def run_fc_batch(self, layer, mappings):
         return _lowered_gemm_batch(self, layer, mappings)
-
-    def run_gemm_batch(
-        self, gemms: Sequence[GemmLayer]
-    ) -> List[Union[SimulationStats, Exception]]:
-        """One numpy pass over heterogeneous GEMMs; the model is already
-        integer-only, so only int64-overflow rows replay through
-        :meth:`run_gemm`."""
-        import numpy as np
-
-        results: List[Union[SimulationStats, Exception]] = [None] * len(gemms)
-        if not gemms:
-            return results
-        try:
-            dims = np.array(
-                [(g.M, g.K, g.N) for g in gemms], dtype=np.int64
-            ).reshape(len(gemms), 3)
-        except OverflowError:
-            return super().run_gemm_batch(gemms)
-
-        rows, cols = self.mesh.rows, self.mesh.cols
-        fill_drain = (rows + cols - 2) * self.params.tpu_fill_drain_factor
-        m, k, n = dims.T
-        mf, kf, nf = dims.astype(np.float64).T
-        # Per-dimension tile counts are bounded by the dimensions, so the
-        # int64 ceil-divs are safe on every row; products are guarded in
-        # float64 before being formed in int64.
-        row_tiles = -(-np.maximum(m, 1) // rows)
-        col_tiles = -(-np.maximum(n, 1) // cols)
-        tiles_f = row_tiles.astype(np.float64) * col_tiles.astype(np.float64)
-        per_tile_f = kf + fill_drain + 1.0
-        bad = (m < 1) | (k < 1) | (n < 1)
-        bad |= tiles_f * per_tile_f > _INT64_SAFE / 16.0
-        bad |= mf * nf * np.maximum(kf, 1.0) > _INT64_SAFE / 16.0
-        bad |= tiles_f * max(rows, cols) * np.maximum(kf, 1.0) > _INT64_SAFE / 16.0
-        for row in np.flatnonzero(bad).tolist():
-            try:
-                results[row] = self.run_gemm(gemms[row])
-            except Exception as exc:
-                results[row] = exc
-        ok = np.flatnonzero(~bad)
-        if not ok.size:
-            return results
-
-        m, k, n = m[ok], k[ok], n[ok]
-        tiles = row_tiles[ok] * col_tiles[ok]
-        per_tile = k + fill_drain + 1
-        tile_cycles = tiles * per_tile
-        cycles = self.params.config_cycles + tile_cycles
-        outputs = m * n
-        psums = outputs * k
-
-        ctrl = self.config.controller_type.value
-        mesh_size = self.mesh.size
-        cyc_l = cycles.tolist()
-        psum_l = psums.tolist()
-        macs_l = (outputs * k).tolist()
-        tiles_l = tiles.tolist()
-        wd_l = (tiles * rows * k).tolist()
-        id_l = (tiles * cols * k).tolist()
-        out_l = outputs.tolist()
-        phase_l = tile_cycles.tolist()
-        for pos, row in enumerate(ok.tolist()):
-            results[row] = SimulationStats(
-                layer_name=gemms[row].name,
-                controller=ctrl,
-                cycles=cyc_l[pos],
-                psums=psum_l[pos],
-                macs=macs_l[pos],
-                iterations=tiles_l[pos],
-                multipliers_used=mesh_size,
-                array_size=mesh_size,
-                traffic=TrafficBreakdown(
-                    weights_distributed=wd_l[pos],
-                    inputs_distributed=id_l[pos],
-                    psums_reduced=psum_l[pos],
-                    outputs_written=out_l[pos],
-                ),
-                phase_cycles={"tiles": phase_l[pos]},
-            )
-        return results

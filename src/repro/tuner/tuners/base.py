@@ -86,7 +86,9 @@ class Tuner:
             n_trials: Maximum number of measurements.
             early_stopping: Stop after this many trials without improving
                 the best cost (AutoTVM's "early stopping" utility, which
-                the paper uses to detect convergence).
+                the paper uses to detect convergence).  It only counts
+                once a valid config has been measured: invalid draws
+                before the first valid one never end the run.
             records: Optional pre-existing history to append to.
         """
         if n_trials < 1:
@@ -128,7 +130,11 @@ class Tuner:
                     trials_since_best = 0
                 else:
                     trials_since_best += 1
-                if early_stopping and trials_since_best >= early_stopping:
+                if (
+                    early_stopping
+                    and best_config is not None
+                    and trials_since_best >= early_stopping
+                ):
                     stopped_early = True
                     break
             self.update(measured, costs)

@@ -1,4 +1,4 @@
-"""Scalar-vs-batch parity for the vectorized batch kernels.
+"""Scalar-vs-batch parity for the batch kernels.
 
 The batch-kernel contract (``AcceleratorController``): for any mapping
 chunk, ``run_*_batch`` returns, per item and in order, exactly what the
@@ -8,13 +8,18 @@ scalar call would have produced — the same bit-identical
 with per-item failures isolated instead of poisoning the batch.  These
 tests pin that contract with seeded randomized sweeps over all four
 controllers plus the structural edge cases (vn_size=1,
-reduction_folds=1, batch-N>1, invalid rows mid-batch) and the grouped
-chunk path the engine routes through.
+reduction_folds=1, batch-N>1, invalid rows mid-batch, layers at the
+int64 limit) and the grouped chunk path the engine routes through.
 """
 
+import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import test_cycle_model_golden as golden
 
 from repro.engine.backends import simulate_chunk, simulate_layer_batch
 from repro.stonne.config import (
@@ -25,6 +30,7 @@ from repro.stonne.config import (
 )
 from repro.stonne.controller import AcceleratorController, make_controller
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
+from repro.stonne.maeri import conv_profile, fits_int64, steady_state
 from repro.stonne.mapping import ConvMapping, FcMapping
 
 GEMM_CONFIGS = [sigma_config(), tpu_config(), magma_config()]
@@ -199,25 +205,6 @@ class TestGemmParity:
     @pytest.mark.parametrize(
         "config", GEMM_CONFIGS, ids=lambda c: c.controller_type.value
     )
-    def test_randomized_gemm_sweep(self, config):
-        rnd = random.Random(17)
-        gemms = [
-            GemmLayer(
-                f"g{i}",
-                M=rnd.randint(1, 300),
-                K=rnd.randint(1, 300),
-                N=rnd.randint(1, 300),
-            )
-            for i in range(150)
-        ]
-        controller = make_controller(config)
-        assert _canon(controller.run_gemm_batch(gemms)) == _canon(
-            _scalar(controller, "run_gemm_batch", gemms)
-        )
-
-    @pytest.mark.parametrize(
-        "config", GEMM_CONFIGS, ids=lambda c: c.controller_type.value
-    )
     @pytest.mark.parametrize("batch_n", [1, 3])
     def test_lowered_conv_and_fc(self, config, batch_n):
         conv = ConvLayer("c", C=8, H=10, W=10, K=8, R=3, S=3, N=batch_n)
@@ -233,17 +220,92 @@ class TestGemmParity:
             batch[0].layer_name = "mutated"
             assert batch[1].layer_name == layer.name
 
-    @pytest.mark.parametrize(
-        "config", GEMM_CONFIGS, ids=lambda c: c.controller_type.value
+
+# ----------------------------------------------------------------------
+# MAERI rows at int64 risk: the int64 columns or the Python-int fallback
+# ----------------------------------------------------------------------
+INT64_CONVS = [
+    layer for layer in golden.int64_risk_layers()
+    if isinstance(layer, ConvLayer)
+]
+
+
+def _int64_rows(config, layer):
+    """``fits_int64`` for the single-batch replica, as the kernel asks it."""
+    controller = make_controller(config)
+    base = dataclasses.replace(layer, N=1)
+    return fits_int64(
+        base, config.ms_size, controller.reduction.rmw_occupancy,
+        controller.accumulator.hazard_stall(True),
+        controller._fill_constant() + config.ms_size,
     )
-    def test_overflow_rows_replay_scalar(self, config):
-        gemms = [
-            GemmLayer("small", M=4, K=4, N=4),
-            GemmLayer("huge", M=2 ** 31, K=2 ** 31, N=2 ** 20),
-        ]
+
+
+class TestMaeriInt64Risk:
+    @pytest.mark.parametrize(
+        "label", ["maeri_as", "maeri_fe", "maeri_as_ms64_noacc"]
+    )
+    def test_batches_match_loop_and_golden(self, label):
+        config = golden._configs()[label]
+        table = json.loads(golden.GOLDEN_PATH.read_text())
+        # The corpus reaches both sides of the per-layer int64 bound.
+        fits = {_int64_rows(config, layer) for layer in INT64_CONVS}
+        assert fits == {True, False}
+        for method in ("run_conv_batch", "estimate_conv_psums_batch"):
+            batch_ctrl = make_controller(config)
+            loop_ctrl = make_controller(config)
+            batch, loop = [], []
+            for layer in INT64_CONVS:
+                mappings = [None, ConvMapping.basic()] + list(
+                    golden.random_mappings(layer, config.ms_size)
+                )
+                batch += getattr(batch_ctrl, method)(layer, mappings)
+                loop += _scalar(loop_ctrl, method, layer, mappings)
+            assert _canon(batch) == _canon(loop)
+            assert golden._digest(batch) == table[f"{label}|int64_risk|{method}"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(2 ** 10, 2 ** 30), w=st.integers(2 ** 8, 2 ** 20),
+        c=st.integers(1, 16), k=st.integers(1, 16),
+        r=st.integers(1, 5), stride=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_bound_is_conservative(self, h, w, c, k, r, stride, seed):
+        """On layers ``fits_int64`` admits, every quantity the model forms
+        for a valid mapping (computed exactly on Python ints) stays below
+        2**63, and the int64 batch equals the scalar loop."""
+        config = maeri_config(accumulation_buffer=False)
+        layer = ConvLayer("b", C=c, H=h, W=w, K=k, R=r, S=r,
+                          stride_h=stride, stride_w=stride)
+        assume(_int64_rows(config, layer))
         controller = make_controller(config)
-        assert _canon(controller.run_gemm_batch(gemms)) == _canon(
-            _scalar(controller, "run_gemm_batch", gemms)
+        rnd = random.Random(seed)
+        mappings = [ConvMapping.basic()]
+        for _ in range(8):
+            budget, tiles = config.ms_size, []
+            for bound in (layer.R, layer.S, layer.C, layer.K, 1, 1,
+                          layer.P, layer.Q):
+                tiles.append(rnd.randint(1, max(1, min(bound, budget))))
+                budget = max(1, budget // tiles[-1])
+            mappings.append(ConvMapping(*tiles))
+        for mapping in mappings:
+            mapping.validate_for(layer, config.ms_size)
+            profile = conv_profile(layer, mapping.as_tuple())
+            partial, final, steady = steady_state(
+                profile, config.dn_bw, config.rn_bw,
+                controller.reduction.rmw_occupancy,
+                controller.accumulator.hazard_stall(True),
+            )
+            stats = controller.run_conv(layer, mapping)
+            values = list(profile) + [
+                partial * profile.num_vns, final * profile.num_vns, steady,
+                stats.cycles, stats.traffic.weights_distributed,
+                stats.traffic.inputs_distributed,
+            ]
+            assert max(values) < 2 ** 63
+        assert _canon(controller.run_conv_batch(layer, mappings)) == _canon(
+            _scalar(controller, "run_conv_batch", layer, mappings)
         )
 
 

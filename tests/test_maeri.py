@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ConfigError, MappingError
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer
-from repro.stonne.maeri import MaeriController
+from repro.stonne.maeri import MaeriController, conv_profile
 from repro.stonne.mapping import ConvMapping, FcMapping
 
 
@@ -80,7 +80,7 @@ class TestConvCycles:
         input count must reflect the union window, not tiles x window."""
         layer = ConvLayer("h", C=1, H=16, W=16, K=1, R=3, S=3)
         mapping = ConvMapping(T_R=3, T_S=3, T_X=2, T_Y=2)
-        profile = controller._conv_profile(layer, mapping)
+        profile = conv_profile(layer, mapping.as_tuple())
         # union window is 4x4=16, not 4 disjoint windows x 9 = 36
         assert profile.unique_inputs == 16
 

@@ -8,12 +8,7 @@ from repro.errors import MappingError, SimulationError
 from repro.stonne.distribution import DistributionNetwork
 from repro.stonne.memory import AccumulationBuffer, GlobalBuffer
 from repro.stonne.multiplier import LinearMultiplierNetwork, OSMeshNetwork
-from repro.stonne.reduction import (
-    ARTNetwork,
-    FENetwork,
-    TemporalRN,
-    make_reduction_network,
-)
+from repro.stonne.reduction import ARTNetwork, FENetwork, make_reduction_network
 
 
 class TestDistributionNetwork:
@@ -47,11 +42,6 @@ class TestReductionNetworks:
         assert art.reduction_latency(8) == 3
         assert art.reduction_latency(9) == 4
 
-    def test_art_spatial_psums(self):
-        art = ARTNetwork(bandwidth=16)
-        assert art.spatial_psums(vn_size=8, num_vns=4) == 28
-        assert art.spatial_psums(vn_size=1, num_vns=16) == 0
-
     def test_partial_outputs_cost_rmw_occupancy(self):
         art = ARTNetwork(bandwidth=16, rmw_occupancy=3)
         assert art.cycles_to_collect(16, partial=False) == 1
@@ -64,17 +54,9 @@ class TestReductionNetworks:
         # capped at 2*ceil(log2(v)) for large VNs
         assert fen.reduction_latency(64) == 12
 
-    def test_temporal_rejects_spatial_vns(self):
-        trn = TemporalRN(bandwidth=256)
-        assert trn.reduction_latency(1) == 0
-        with pytest.raises(SimulationError):
-            trn.reduction_latency(4)
-        assert trn.spatial_psums(1, 256) == 0
-
     def test_factory(self):
         assert isinstance(make_reduction_network("ASNETWORK", 16), ARTNetwork)
         assert isinstance(make_reduction_network("FENETWORK", 16), FENetwork)
-        assert isinstance(make_reduction_network("TEMPORALRN", 16), TemporalRN)
         with pytest.raises(SimulationError, match="unknown"):
             make_reduction_network("NOPE", 16)
 

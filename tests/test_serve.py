@@ -324,11 +324,29 @@ class TestServeService:
         assert min(sims) < solo.counters["num_simulations"]
 
     def test_watch_streams_scenario_events(self, service):
+        # The executor is held until the watch subscription is attached,
+        # so no events are missed however fast the job runs.
+        release = threading.Event()
+        open_session = service._session_for_jobs
+
+        def held_session():
+            release.wait(timeout=30)
+            return open_session()
+
+        service._session_for_jobs = held_session
         with ServeClient(service.address) as client:
-            # A blocker keeps the watched job queued until the watch
-            # subscription is attached, so no events are missed.
-            client.submit(_plan(models=["mlp", "lenet"]), label="blocker")
             job = client.submit(_plan())
+
+            def release_once_watched():
+                deadline = time.monotonic() + 30
+                while (
+                    not service.jobs.get(job["id"]).subscribers
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                release.set()
+
+            threading.Thread(target=release_once_watched, daemon=True).start()
             events = []
             final = client.watch(job["id"], callback=events.append)
         assert final["state"] == "done"

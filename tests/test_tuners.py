@@ -115,6 +115,26 @@ class TestEarlyStopping:
         with pytest.raises(TuningError):
             GridSearchTuner(quadratic_space()).tune(n_trials=0)
 
+    def test_invalid_draws_before_first_valid_do_not_stop(self):
+        space = ConfigSpace()
+        space.define_knob("a", list(range(64)))
+        task = CallableTask(
+            space, lambda c: c["a"] if c["a"] >= 40 else INVALID_COST
+        )
+        result = GridSearchTuner(task).tune(n_trials=64, early_stopping=10)
+        assert result.best_config == {"a": 40}
+        assert result.stopped_early
+        assert result.num_trials == 51
+
+    def test_alexnet_conv2_seed1_finds_a_mapping(self):
+        # The default tune draws more than early_stopping=120 invalid
+        # mappings before its first valid one.
+        from repro.session import Session
+
+        with Session() as session:
+            report = session.tune("alexnet", "conv2", seed=1)
+        assert report.num_trials > 120
+
 
 class TestMaeriTasks:
     def test_fc_task_psums_objective(self, maeri128):
