@@ -15,6 +15,7 @@ int64 limit) and the grouped chunk path the engine routes through.
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -178,6 +179,35 @@ class TestMaeriParity:
         ) == _canon(
             _scalar(controller, "estimate_fc_psums_batch", fc, fc_maps)
         )
+
+    def test_single_calls_stay_off_numpy(self, monkeypatch):
+        # One mapping runs the model on Python ints: a numpy call would
+        # cost several times the whole simulation.
+        from repro.mrna import MaeriAnalyticalModel
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"single call used numpy.{name}")
+
+        conv = ConvLayer("c", C=8, H=12, W=12, K=8, R=3, S=3, N=2)
+        fc = FcLayer("f", in_features=30, out_features=20, batch=2)
+        conv_map = ConvMapping(T_R=3, T_S=3, T_C=2, T_X=2)
+        fc_map = FcMapping(T_S=4, T_K=5)
+        for reduce_network_type in ("ASNETWORK", "FENETWORK"):
+            config = maeri_config(reduce_network_type=reduce_network_type)
+            controller = make_controller(config)
+            model = MaeriAnalyticalModel(config)
+            monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
+            values = [
+                controller.run_conv(conv, conv_map).cycles,
+                controller.run_fc(fc, fc_map).cycles,
+                controller.estimate_conv_psums(conv, conv_map),
+                controller.estimate_fc_psums(fc, fc_map),
+                model.conv_cycles(conv, conv_map),
+                model.fc_cycles(fc, fc_map),
+            ]
+            monkeypatch.undo()
+            assert all(type(value) is int for value in values)
 
     def test_accumulator_tallies_match_scalar(self):
         layer = ConvLayer("c", C=4, H=8, W=8, K=8, R=3, S=3)

@@ -43,6 +43,37 @@ def _plan(models=("mlp",), **axes):
     )
 
 
+def _hold_next_job(service):
+    """Hold the service's executor before its next job; the returned
+    function releases it once a watcher has subscribed to ``job_id``.
+
+    Without the hold a fast job can finish before the watch under test
+    attaches, and the watch then sees no progress events at all.
+    """
+    release = threading.Event()
+    open_session = service._session_for_jobs
+
+    def held_session():
+        release.wait(timeout=30)
+        return open_session()
+
+    service._session_for_jobs = held_session
+
+    def release_once_watched(job_id):
+        def wait_for_watcher():
+            deadline = time.monotonic() + 30
+            while (
+                not service.jobs.get(job_id).subscribers
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            release.set()
+
+        threading.Thread(target=wait_for_watcher, daemon=True).start()
+
+    return release_once_watched
+
+
 # ----------------------------------------------------------------------
 # resume: fingerprints and plan splitting
 # ----------------------------------------------------------------------
@@ -324,29 +355,10 @@ class TestServeService:
         assert min(sims) < solo.counters["num_simulations"]
 
     def test_watch_streams_scenario_events(self, service):
-        # The executor is held until the watch subscription is attached,
-        # so no events are missed however fast the job runs.
-        release = threading.Event()
-        open_session = service._session_for_jobs
-
-        def held_session():
-            release.wait(timeout=30)
-            return open_session()
-
-        service._session_for_jobs = held_session
+        release_once_watched = _hold_next_job(service)
         with ServeClient(service.address) as client:
             job = client.submit(_plan())
-
-            def release_once_watched():
-                deadline = time.monotonic() + 30
-                while (
-                    not service.jobs.get(job["id"]).subscribers
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                release.set()
-
-            threading.Thread(target=release_once_watched, daemon=True).start()
+            release_once_watched(job["id"])
             events = []
             final = client.watch(job["id"], callback=events.append)
         assert final["state"] == "done"
@@ -728,9 +740,11 @@ class TestWatchReconnect:
         client reconnects, resubscribes by job id, and still returns the
         job's final state — with a one-line stderr notice, no traceback."""
         dropped = []
+        release_once_watched = _hold_next_job(service)
 
         with ServeClient(service.address) as client:
             job = client.submit(_plan(models=["mlp", "lenet", "alexnet"]))
+            release_once_watched(job["id"])
 
             def sabotage_once(event):
                 # The callback runs inside the watch loop, so shutting
