@@ -16,6 +16,11 @@ config-hash-overlapping scenarios adopted (``resumed_scenarios``)
 rather than re-run.  Finally SIGTERMs the daemon and requires a clean
 exit 0 — the graceful-shutdown contract CI gates on.
 
+A last leg runs the shared-secret handshake across processes: a second
+daemon started with ``REPRO_FLEET_SECRET`` in its environment must
+answer ``repro jobs`` run with the same secret (exit 0) and refuse it
+without one (exit 1, "requires a shared secret").
+
 Usage: PYTHONPATH=src python scripts/serve_smoke.py
 """
 
@@ -77,6 +82,63 @@ def _result(env: dict, address: str, job_id: str, path: str) -> dict:
          "--report-json", path)
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _secured_leg(env: dict, tmp: str) -> int:
+    """``repro jobs`` against a secured daemon: with the shared secret
+    it exits 0, without it exits 1 naming the missing secret."""
+    secured = dict(env, REPRO_FLEET_SECRET="serve-smoke-secret")
+    plain = {k: v for k, v in env.items() if k != "REPRO_FLEET_SECRET"}
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--listen", "127.0.0.1:0",
+         "--archive-dir", os.path.join(tmp, "secured-archive")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=secured,
+    )
+    try:
+        banner = daemon.stdout.readline()
+        match = re.search(r"listening on ([\d.]+:\d+)", banner)
+        if not match or "auth: on" not in banner:
+            print(f"FAIL: secured daemon banner: {banner!r}",
+                  file=sys.stderr)
+            return 1
+        address = match.group(1)
+        runs = {
+            name: subprocess.run(
+                [sys.executable, "-m", "repro.cli", "jobs",
+                 "--connect", address],
+                capture_output=True, text=True, env=client_env,
+                timeout=60,
+            )
+            for name, client_env in (("with", secured), ("without", plain))
+        }
+    finally:
+        daemon.send_signal(signal.SIGTERM)
+        try:
+            daemon.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            daemon.kill()
+        daemon.stdout.close()
+    if runs["with"].returncode != 0:
+        print("FAIL: repro jobs with the shared secret exited "
+              f"{runs['with'].returncode}:\n{runs['with'].stderr}",
+              file=sys.stderr)
+        return 1
+    without = runs["without"]
+    if (without.returncode != 1
+            or "requires a shared secret" not in without.stderr):
+        print("FAIL: repro jobs without the secret should exit 1 with "
+              f"'requires a shared secret'; got {without.returncode}:\n"
+              f"{without.stderr}", file=sys.stderr)
+        return 1
+    if daemon.returncode != 0:
+        print(f"FAIL: secured daemon exit code {daemon.returncode}",
+              file=sys.stderr)
+        return 1
+    print("OK: secured daemon accepted the shared secret across "
+          "processes and refused a client without it")
+    return 0
 
 
 def main() -> int:
@@ -195,7 +257,9 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print("OK: daemon drained and exited 0 on SIGTERM")
-    return 0
+
+    # --- leg 3: shared-secret handshake across processes -------------
+    return _secured_leg(env, tmp)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,13 @@ across machines:
     :class:`~repro.fleet.protocol.ProtocolError` instead of yielding
     partial batches.
 
+:mod:`repro.fleet.daemon`
+    The daemon skeleton both TCP daemons (the worker below and the
+    :mod:`repro.serve` sweep service) and their clients share: hello,
+    optional HMAC auth, the request loop and its error policy, the
+    blocking entry point, and :class:`~repro.fleet.daemon.DaemonLink`,
+    the client connection.
+
 :mod:`repro.fleet.worker`
     The daemon (``repro worker --listen HOST:PORT``): a threading TCP
     server that rebuilds one controller per engine fingerprint —
@@ -48,7 +55,8 @@ from repro.fleet.protocol import (
     encode_frame,
 )
 from repro.fleet.remote_backend import RemoteBackend
-from repro.fleet.worker import FleetWorker, parse_address, serve, start_worker
+from repro.fleet.daemon import parse_address
+from repro.fleet.worker import FleetWorker, serve, start_worker
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -12,9 +12,11 @@ Execution model per batch:
 * the batch is sharded round-robin across the configured workers
   (``host:port`` addresses — constructor argument, CLI ``--workers``,
   or the ``REPRO_FLEET_WORKERS`` environment variable);
-* shards run concurrently on one client thread per worker, over
-  persistent connections (the hello handshake is paid once per worker,
-  controller rebuilds once per engine fingerprint per worker);
+* shards run concurrently on one client thread per worker, each over
+  one persistent :class:`~repro.fleet.daemon.DaemonLink` (the shared
+  client half of the daemon skeleton), so the handshake is paid once
+  per worker and controller rebuilds once per engine fingerprint per
+  worker;
 * a shard whose worker dies mid-batch is *retried* on the surviving
   workers, in shard-sized pieces, so one crash costs one round trip,
   not the sweep;
@@ -32,7 +34,6 @@ checks keep working across the wire.
 from __future__ import annotations
 
 import os
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,15 +47,12 @@ from repro.engine.backends import (
     register_backend,
 )
 from repro.fleet import protocol
-from repro.fleet.worker import parse_address
+from repro.fleet.daemon import DaemonLink
 from repro.obs.trace import TRACER
 
 #: Environment variable naming the default worker pool
 #: (comma-separated ``host:port`` list).
 WORKERS_ENV = "REPRO_FLEET_WORKERS"
-
-#: Seconds to wait for a worker connection before declaring it dead.
-CONNECT_TIMEOUT_S = 5.0
 
 #: Default seconds to wait for a shard's results (the
 #: ``fleet.shard_timeout`` config knob overrides it).  Generous: a shard
@@ -70,138 +68,12 @@ def _env_workers() -> List[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-class _WorkerLink:
-    """One persistent connection to one worker, used by one client thread
-    at a time (the per-link lock covers retries landing on a survivor
-    that is mid-shard)."""
-
-    def __init__(
-        self,
-        address: str,
-        timeout: Optional[float] = None,
-        secret: Optional[str] = None,
-    ) -> None:
-        self.address = address
-        self.host, self.port = parse_address(address)
-        self.timeout = timeout if timeout is not None else BATCH_TIMEOUT_S
-        self.secret = secret or None
-        self.lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self.hello: Optional[dict] = None
-
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=CONNECT_TIMEOUT_S
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.timeout)
-            hello = protocol.recv_message(sock)
-            if not hello or hello.get("type") != "hello":
-                sock.close()
-                raise protocol.ProtocolError(
-                    f"worker {self.address} did not say hello"
-                )
-            if hello.get("version") != protocol.PROTOCOL_VERSION:
-                sock.close()
-                raise protocol.ProtocolError(
-                    f"worker {self.address} speaks protocol version "
-                    f"{hello.get('version')}, client speaks "
-                    f"{protocol.PROTOCOL_VERSION}"
-                )
-            try:
-                self._authenticate(sock, hello)
-            except protocol.ProtocolError:
-                sock.close()
-                raise
-            self.hello = hello
-            self._sock = sock
-        return self._sock
-
-    def _authenticate(self, sock: socket.socket, hello: dict) -> None:
-        """Answer the hello's HMAC challenge, if it carries one.
-
-        An unsecured worker (no challenge) is always accepted — the
-        secret is opt-in per daemon.  A secured worker with no local
-        secret, or one that rejects the digest, raises
-        :class:`~repro.fleet.protocol.ProtocolError` before the link is
-        considered connected.
-        """
-        challenge = hello.get("auth")
-        if not isinstance(challenge, dict):
-            return
-        nonce = challenge.get("nonce")
-        if not isinstance(nonce, str):
-            return
-        if not self.secret:
-            raise protocol.ProtocolError(
-                f"worker {self.address} requires a shared secret; set "
-                f"fleet.secret (or REPRO_FLEET_SECRET)"
-            )
-        protocol.send_message(
-            sock, protocol.auth_message(self.secret, nonce)
-        )
-        answer = protocol.recv_message(sock)
-        if not answer or answer.get("type") != "auth_ok":
-            raise protocol.ProtocolError(
-                f"worker {self.address} rejected the shared secret"
-            )
-
-    def ensure_connected(self) -> Optional[dict]:
-        """Connect (if needed) and return the worker's hello, or None
-        when the worker is unreachable."""
-        with self.lock:
-            try:
-                self._connect()
-            except (OSError, protocol.ProtocolError):
-                self.drop()
-                return None
-            return self.hello
-
-    @property
-    def capacity(self) -> int:
-        """The worker's advertised weight (1 for pre-capacity workers)."""
-        hello = self.hello or {}
-        try:
-            return max(1, int(hello.get("capacity", 1)))
-        except (TypeError, ValueError):
-            return 1
-
-    def request(self, message: dict) -> dict:
-        """One request/response round trip (connecting if needed)."""
-        with self.lock:
-            sock = self._connect()
-            try:
-                protocol.send_message(sock, message)
-                response = protocol.recv_message(sock)
-            except (OSError, protocol.ProtocolError):
-                self.drop()
-                raise
-            if response is None:
-                self.drop()
-                raise protocol.ProtocolError(
-                    f"worker {self.address} closed the connection mid-request"
-                )
-            return response
-
-    def drop(self) -> None:
-        """Forget the connection (next request reconnects or fails)."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-            self.hello = None
-
-    def close(self) -> None:
-        with self.lock:
-            if self._sock is not None:
-                try:
-                    protocol.send_message(self._sock, {"type": "bye"})
-                except (OSError, protocol.ProtocolError):
-                    pass
-            self.drop()
+def _capacity(hello: dict) -> int:
+    """A worker's advertised weight (1 for pre-capacity workers)."""
+    try:
+        return max(1, int(hello.get("capacity", 1)))
+    except (TypeError, ValueError):
+        return 1
 
 
 @register_backend("remote")
@@ -238,7 +110,7 @@ class RemoteBackend(ExecutorBackend):
         self.max_workers = max_workers
         self.shard_timeout = shard_timeout
         self.secret = secret or None
-        self._links: Dict[str, _WorkerLink] = {}
+        self._links: Dict[str, DaemonLink] = {}
         self._links_lock = threading.Lock()
         #: Batches (shards) that fell back to inline serial execution.
         self.fallback_batches = 0
@@ -249,12 +121,19 @@ class RemoteBackend(ExecutorBackend):
     def _addresses(self) -> List[str]:
         return list(self._configured) if self._configured else _env_workers()
 
-    def _link(self, address: str) -> _WorkerLink:
+    def _link(self, address: str) -> DaemonLink:
         with self._links_lock:
             link = self._links.get(address)
             if link is None:
-                link = _WorkerLink(
-                    address, timeout=self.shard_timeout, secret=self.secret
+                link = DaemonLink(
+                    address,
+                    peer="worker",
+                    secret=self.secret,
+                    timeout=(
+                        self.shard_timeout
+                        if self.shard_timeout is not None
+                        else BATCH_TIMEOUT_S
+                    ),
                 )
                 self._links[address] = link
             return link
@@ -264,8 +143,11 @@ class RemoteBackend(ExecutorBackend):
         capacities: Dict[str, int] = {}
         for address in addresses:
             link = self._link(address)
-            if link.ensure_connected() is not None:
-                capacities[address] = link.capacity
+            with link.lock:
+                try:
+                    capacities[address] = _capacity(link.connect())
+                except (OSError, protocol.ProtocolError):
+                    pass  # unreachable: no slots, no shard
         return capacities
 
     # ------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """The fleet worker daemon: a TCP service that executes simulation batches.
 
-One worker process serves many client connections (one handler thread
-per connection, the same accept model as the engine's thread backend).
-Per connection the dialogue is: worker sends ``hello`` (protocol
-version + the controller types it can rebuild), then loops serving
-``evaluate_batch`` requests and ``ping`` heartbeats until the client
-says ``bye`` or disconnects.
+The connection dialogue (hello, optional HMAC auth, request loop, error
+frames) is the shared skeleton in :mod:`repro.fleet.daemon`; this module
+adds only the worker's own part: the ``evaluate_batch`` verb, its
+controller cache and the batch drain on shutdown.  The hello advertises
+the controller types the worker can rebuild and its capacity.
 
 Controllers are rebuilt once per engine fingerprint and cached for the
 daemon's lifetime — the same amortization the process backend's workers
@@ -28,9 +27,6 @@ from __future__ import annotations
 
 import os
 import re
-import signal
-import socket
-import socketserver
 import subprocess
 import sys
 import threading
@@ -42,88 +38,12 @@ from repro.engine.backends import simulate_chunk
 from repro.engine.cache import StatsCache
 from repro.errors import FleetError
 from repro.fleet import protocol
+from repro.fleet.daemon import DaemonServer, parse_address, serve_until_stopped
 from repro.stonne.controller import registered_controller_types
 
 
-def parse_address(text: str, default_port: int = 0) -> Tuple[str, int]:
-    """Parse ``HOST:PORT`` (or bare ``HOST``) into an address tuple."""
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        return text or "127.0.0.1", default_port
-    try:
-        return host or "127.0.0.1", int(port)
-    except ValueError:
-        raise protocol.ProtocolError(
-            f"invalid worker address {text!r}; expected HOST:PORT"
-        ) from None
-
-
-class _FleetRequestHandler(socketserver.BaseRequestHandler):
-    """One client connection: hello, then a request/response loop."""
-
-    def setup(self) -> None:
-        # Batches are latency-sensitive small frames; don't Nagle them.
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-    def handle(self) -> None:
-        server: FleetWorker = self.server  # type: ignore[assignment]
-        nonce = protocol.make_nonce() if server.secret else None
-        protocol.send_message(
-            self.request,
-            protocol.hello_message(
-                registered_controller_types(),
-                os.getpid(),
-                capacity=server.capacity,
-                nonce=nonce,
-            ),
-        )
-        if server.secret:
-            # Challenge-response before anything else: no controller is
-            # rebuilt, no cache row touched, until the digest verifies.
-            try:
-                answer = protocol.recv_message(self.request)
-            except (protocol.ProtocolError, OSError):
-                return
-            if answer is None or not protocol.verify_auth(
-                server.secret, nonce, answer
-            ):
-                try:
-                    protocol.send_message(
-                        self.request,
-                        protocol.error_message(
-                            protocol.ProtocolError(
-                                "authentication failed: bad or missing "
-                                "shared secret"
-                            )
-                        ),
-                    )
-                except (protocol.ProtocolError, OSError):
-                    pass
-                return
-            protocol.send_message(self.request, {"type": "auth_ok"})
-        while True:
-            try:
-                message = protocol.recv_message(self.request)
-            except (protocol.ProtocolError, OSError):
-                return  # client vanished or spoke garbage; drop the line
-            if message is None or message.get("type") == "bye":
-                return
-            kind = message.get("type")
-            if kind == "ping":
-                protocol.send_message(self.request, {"type": "pong"})
-            elif kind == "evaluate_batch":
-                protocol.send_message(self.request, server.execute_batch(message))
-            else:
-                protocol.send_message(
-                    self.request,
-                    protocol.error_message(
-                        protocol.ProtocolError(f"unknown message type {kind!r}")
-                    ),
-                )
-
-
-class FleetWorker(socketserver.ThreadingTCPServer):
-    """The daemon: a threading TCP server plus the simulation state.
+class FleetWorker(DaemonServer):
+    """The daemon: the shared server skeleton plus the simulation state.
 
     Args:
         address: ``(host, port)`` to bind; port 0 picks a free port
@@ -142,9 +62,6 @@ class FleetWorker(socketserver.ThreadingTCPServer):
             state touched.
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
-
     def __init__(
         self,
         address: Tuple[str, int] = ("127.0.0.1", 0),
@@ -152,10 +69,9 @@ class FleetWorker(socketserver.ThreadingTCPServer):
         capacity: int = 1,
         secret: Optional[str] = None,
     ) -> None:
-        super().__init__(address, _FleetRequestHandler)
+        super().__init__(address, secret=secret)
         self.cache = cache
         self.capacity = max(1, int(capacity))
-        self.secret = secret or None
         self.batches_served = 0
         self.items_served = 0
         #: Rebuilt controllers keyed by engine fingerprint, with the
@@ -168,17 +84,16 @@ class FleetWorker(socketserver.ThreadingTCPServer):
         self._drain = threading.Condition()
 
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
+    def hello_fields(self) -> Dict:
+        return {
+            "capabilities": registered_controller_types(),
+            "capacity": self.capacity,
+        }
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+    def handlers(self) -> Dict:
+        return {
+            "evaluate_batch": lambda conn, message: self.execute_batch(message)
+        }
 
     # ------------------------------------------------------------------
     def _controller_for(self, spec) -> Tuple[object, bool]:
@@ -451,31 +366,6 @@ def spawn_local_workers(
     return workers
 
 
-def install_shutdown_signals(server) -> "threading.Event":
-    """Point SIGTERM/SIGINT at a graceful ``server.shutdown()``.
-
-    Returns the event set when a signal arrived.  ``shutdown()`` blocks
-    until ``serve_forever`` exits — and ``serve_forever`` runs on the
-    very main thread the handler interrupts — so the handler hands the
-    call to a helper thread instead of deadlocking on itself.  No-op
-    (returns an unset event) off the main thread, where ``signal.signal``
-    is unavailable; embedded servers are closed explicitly instead.
-    """
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):  # pragma: no cover - signal path
-        if not stop.is_set():
-            stop.set()
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _request_stop)
-        except ValueError:
-            break  # not the main thread
-    return stop
-
-
 def serve(
     listen: str,
     cache_path: Optional[str] = None,
@@ -507,23 +397,16 @@ def serve(
     worker = FleetWorker(
         (host, port), cache=cache, capacity=capacity, secret=secret
     )
-    if not quiet:
-        print(
-            f"fleet worker pid {os.getpid()} listening on {worker.address} "
-            f"(controllers: {', '.join(registered_controller_types())}; "
-            f"cache: {cache_path or 'none'}; capacity: {worker.capacity}; "
-            f"auth: {'on' if worker.secret else 'off'})",
-            flush=True,
-        )
-    install_shutdown_signals(worker)
+    banner = (
+        f"fleet worker pid {os.getpid()} listening on {worker.address} "
+        f"(controllers: {', '.join(registered_controller_types())}; "
+        f"cache: {cache_path or 'none'}; capacity: {worker.capacity}; "
+        f"auth: {'on' if worker.secret else 'off'})"
+    )
     try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        return serve_until_stopped(
+            worker, banner, "fleet worker stopped", quiet=quiet
+        )
     finally:
-        worker.close()
         if cache is not None and hasattr(cache, "close"):
             cache.close()
-    if not quiet:
-        print("fleet worker stopped", flush=True)
-    return 0

@@ -1,11 +1,12 @@
 """The sweep service's blocking client — the library behind the CLI.
 
-:class:`ServeClient` speaks the fleet wire protocol to one daemon over
-a persistent connection: hello (with the optional HMAC challenge), then
-request/response frames.  Every public method maps one-to-one onto a
-CLI verb: :meth:`submit` (``repro submit``), :meth:`jobs`, :meth:`status`,
-:meth:`result`, :meth:`cancel`, plus :meth:`watch` for streamed
-scenario-level progress and :meth:`wait` for simple polling.
+:class:`ServeClient` keeps only the service's verbs.  Its transport is
+one :class:`~repro.fleet.daemon.DaemonLink` (the shared client half of
+the daemon skeleton: connect, hello, HMAC answer, request, bye), held
+as :attr:`ServeClient.link`.  Every public method maps one-to-one onto a
+CLI verb: :meth:`submit` (``repro submit``), :meth:`jobs`,
+:meth:`status`, :meth:`result`, :meth:`cancel`, plus :meth:`watch` for
+streamed scenario-level progress and :meth:`wait` for simple polling.
 
 Server-side refusals arrive as error frames and raise
 :class:`~repro.errors.ServeError`; transport/framing trouble raises
@@ -15,23 +16,27 @@ of the fleet backend already handle.
 
 from __future__ import annotations
 
-import socket
 import sys
-import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServeError
 from repro.fleet import protocol
-from repro.fleet.worker import parse_address
+from repro.fleet.daemon import DaemonLink
 from repro.sweep.report import SweepReport
-
-#: Seconds to wait for the daemon to accept a connection.
-CONNECT_TIMEOUT_S = 5.0
 
 #: Default per-response timeout.  Generous: ``watch`` can legitimately
 #: sit idle between scenario events of a long sweep.
 RESPONSE_TIMEOUT_S = 600.0
+
+
+def _refused(response: dict) -> dict:
+    """``response``, with an error frame raised as :class:`ServeError`."""
+    if response.get("type") == "error":
+        raise ServeError(
+            response.get("error", "sweep service refused the request")
+        )
+    return response
 
 
 class ServeClient:
@@ -44,95 +49,17 @@ class ServeClient:
         timeout: Optional[float] = None,
     ) -> None:
         self.address = address
-        self.host, self.port = parse_address(address, default_port=9462)
-        self.secret = secret or None
-        self.timeout = timeout if timeout is not None else RESPONSE_TIMEOUT_S
-        self.hello: Optional[dict] = None
-        self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=CONNECT_TIMEOUT_S
-            )
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.timeout)
-            try:
-                hello = protocol.recv_message(sock)
-                if not hello or hello.get("type") != "hello":
-                    raise protocol.ProtocolError(
-                        f"service {self.address} did not say hello"
-                    )
-                if hello.get("version") != protocol.PROTOCOL_VERSION:
-                    raise protocol.ProtocolError(
-                        f"service {self.address} speaks protocol version "
-                        f"{hello.get('version')}, client speaks "
-                        f"{protocol.PROTOCOL_VERSION}"
-                    )
-                self._authenticate(sock, hello)
-            except protocol.ProtocolError:
-                sock.close()
-                raise
-            self.hello = hello
-            self._sock = sock
-        return self._sock
-
-    def _authenticate(self, sock: socket.socket, hello: dict) -> None:
-        challenge = hello.get("auth")
-        if not isinstance(challenge, dict):
-            return
-        nonce = challenge.get("nonce")
-        if not isinstance(nonce, str):
-            return
-        if not self.secret:
-            raise protocol.ProtocolError(
-                f"service {self.address} requires a shared secret; set "
-                f"fleet.secret (or REPRO_FLEET_SECRET)"
-            )
-        protocol.send_message(sock, protocol.auth_message(self.secret, nonce))
-        answer = protocol.recv_message(sock)
-        if not answer or answer.get("type") != "auth_ok":
-            raise protocol.ProtocolError(
-                f"service {self.address} rejected the shared secret"
-            )
-
-    def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-            self.hello = None
-
-    def _recv(self) -> dict:
-        """One response frame, with error frames raised as ServeError."""
-        response = protocol.recv_message(self._sock)
-        if response is None:
-            self._drop()
-            raise protocol.ProtocolError(
-                f"service {self.address} closed the connection mid-request"
-            )
-        if response.get("type") == "error":
-            raise ServeError(
-                response.get("error", "sweep service refused the request")
-            )
-        return response
+        self.link = DaemonLink(
+            address,
+            peer="service",
+            secret=secret,
+            timeout=timeout if timeout is not None else RESPONSE_TIMEOUT_S,
+            default_port=9462,
+        )
 
     def request(self, message: dict) -> dict:
         """One request/response round trip (connecting if needed)."""
-        with self._lock:
-            sock = self._connect()
-            try:
-                protocol.send_message(sock, message)
-                return self._recv()
-            except (OSError, protocol.ProtocolError):
-                self._drop()
-                raise
+        return _refused(self.link.request(message))
 
     # ------------------------------------------------------------------
     # verbs
@@ -204,27 +131,21 @@ class ServeClient:
         attempts = 0
         while True:
             try:
-                with self._lock:
-                    sock = self._connect()
-                    try:
-                        protocol.send_message(
-                            sock,
-                            protocol.job_request_message("job_watch", job_id),
-                        )
-                        while True:
-                            response = self._recv()
-                            kind = response.get("type")
-                            if kind == "progress":
-                                attempts = 0
-                                if callback is not None:
-                                    callback(dict(response.get("event", {})))
-                            elif kind == "job":
-                                return dict(response.get("job", {}))
-                            # Unknown frame kinds are skipped
-                            # (version tolerance).
-                    except (OSError, protocol.ProtocolError):
-                        self._drop()
-                        raise
+                with self.link.lock:
+                    self.link.send(
+                        protocol.job_request_message("job_watch", job_id)
+                    )
+                    while True:
+                        response = _refused(self.link.recv())
+                        kind = response.get("type")
+                        if kind == "progress":
+                            attempts = 0
+                            if callback is not None:
+                                callback(dict(response.get("event", {})))
+                        elif kind == "job":
+                            return dict(response.get("job", {}))
+                        # Unknown frame kinds are skipped
+                        # (version tolerance).
             except (OSError, protocol.ProtocolError) as exc:
                 attempts += 1
                 if attempts > max_retries:
@@ -270,13 +191,7 @@ class ServeClient:
         return dict(response.get("job", {}))
 
     def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    protocol.send_message(self._sock, {"type": "bye"})
-                except (OSError, protocol.ProtocolError):
-                    pass
-            self._drop()
+        self.link.close()
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -1,14 +1,15 @@
 """The sweep service daemon: many clients, one measurement substrate.
 
-:class:`SweepService` is a threading TCP server (one handler thread per
-client connection, the same accept model as the fleet worker) wrapped
-around exactly one :class:`~repro.session.Session`.  Handlers translate
-wire messages into :class:`~repro.serve.jobs.JobQueue` operations; a
-single executor thread drains the queue and runs each job through
-``Session.sweep`` — sequentially, because a session's engines are not
-thread-safe, and deliberately: concurrency across *clients* comes from
-the shared stats cache (a scenario one job simulated is a cache hit for
-every later job), not from racing sweeps against each other.
+:class:`SweepService` is the shared daemon skeleton
+(:mod:`repro.fleet.daemon`: hello, optional HMAC auth, request loop,
+error frames) wrapped around exactly one :class:`~repro.session.Session`.
+Its handlers translate ``submit_sweep``/``job_*`` requests into
+:class:`~repro.serve.jobs.JobQueue` operations; a single executor thread
+drains the queue and runs each job through ``Session.sweep`` —
+sequentially, because a session's engines are not thread-safe, and
+deliberately: concurrency across *clients* comes from the shared stats
+cache (a scenario one job simulated is a cache hit for every later job),
+not from racing sweeps against each other.
 
 Every finished report — including the partial report of a cancelled
 job — is archived as ``<archive_dir>/<job-id>.json``, a plain
@@ -26,15 +27,18 @@ import json
 import os
 import queue
 import socket
-import socketserver
 import sys
 import threading
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import ReproError, ServeError, SweepCancelled
+from repro.errors import ServeError, SweepCancelled
 from repro.fleet import protocol
-from repro.fleet.worker import install_shutdown_signals, parse_address
+from repro.fleet.daemon import (
+    DaemonServer,
+    parse_address,
+    serve_until_stopped,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.serve.jobs import Job, JobQueue
@@ -42,165 +46,11 @@ from repro.session.config import SessionConfig
 from repro.sweep.report import SweepReport
 
 
-class _ServeRequestHandler(socketserver.BaseRequestHandler):
-    """One client connection: hello (+auth), then a request loop.
-
-    Per-connection state is nothing but the socket itself — every
-    mutation goes through the lock-protected job queue — so two clients
-    interleaving messages on one daemon cannot corrupt each other.
-    """
-
-    def setup(self) -> None:
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-    def handle(self) -> None:
-        server: SweepService = self.server  # type: ignore[assignment]
-        server.metrics.counter("serve.connections").inc()
-        nonce = protocol.make_nonce() if server.secret else None
-        hello = protocol.hello_message(
-            ["sweep"], os.getpid(), capacity=1, nonce=nonce
-        )
-        hello["service"] = "sweep"
-        protocol.send_message(self.request, hello)
-        if server.secret:
-            try:
-                answer = protocol.recv_message(self.request)
-            except (protocol.ProtocolError, OSError):
-                return
-            if answer is None or not protocol.verify_auth(
-                server.secret, nonce, answer
-            ):
-                try:
-                    protocol.send_message(
-                        self.request,
-                        protocol.error_message(
-                            protocol.ProtocolError(
-                                "authentication failed: bad or missing "
-                                "shared secret"
-                            )
-                        ),
-                    )
-                except (protocol.ProtocolError, OSError):
-                    pass
-                return
-            protocol.send_message(self.request, {"type": "auth_ok"})
-        while True:
-            try:
-                message = protocol.recv_message(self.request)
-            except (protocol.ProtocolError, OSError):
-                return  # client vanished or spoke garbage; drop the line
-            if message is None or message.get("type") == "bye":
-                return
-            try:
-                if not self._dispatch(server, message):
-                    return
-            except (protocol.ProtocolError, OSError):
-                return
-
-    def _dispatch(self, server: "SweepService", message: dict) -> bool:
-        """Answer one message; False ends the connection."""
-        kind = message.get("type")
-        try:
-            if kind == "ping":
-                protocol.send_message(self.request, {"type": "pong"})
-            elif kind == "submit_sweep":
-                job = server.submit(message)
-                protocol.send_message(
-                    self.request, protocol.job_message(job.describe())
-                )
-            elif kind == "job_list":
-                protocol.send_message(
-                    self.request,
-                    protocol.jobs_message(
-                        [job.describe() for job in server.jobs.list()]
-                    ),
-                )
-            elif kind == "job_status":
-                job = server.jobs.get(message.get("id"))
-                protocol.send_message(
-                    self.request, protocol.job_message(job.describe())
-                )
-            elif kind == "job_result":
-                job, report = server.result(message.get("id"))
-                protocol.send_message(
-                    self.request,
-                    protocol.job_result_message(job.describe(), report),
-                )
-            elif kind == "job_cancel":
-                job = server.jobs.cancel(message.get("id"))
-                protocol.send_message(
-                    self.request, protocol.job_message(job.describe())
-                )
-            elif kind == "job_watch":
-                self._watch(server, message.get("id"))
-            else:
-                protocol.send_message(
-                    self.request,
-                    protocol.error_message(
-                        protocol.ProtocolError(
-                            f"unknown message type {kind!r}"
-                        )
-                    ),
-                )
-        except ReproError as exc:
-            # Bad request (unknown job, malformed plan...): answer with
-            # an error frame and keep the connection alive for the next
-            # request — one client mistake must not cost its session.
-            protocol.send_message(self.request, protocol.error_message(exc))
-        return True
-
-    def _watch(self, server: "SweepService", job_id: Optional[str]) -> None:
-        """Stream progress frames until the job lands, then its state.
-
-        The wait on the subscriber queue is bounded: between events the
-        socket is probed, so a watcher that vanished mid-job is
-        unsubscribed promptly instead of pinning its handler thread (and
-        every buffered progress event) until the job reaches a terminal
-        state.
-        """
-        job = server.jobs.get(job_id)
-        events = server.jobs.subscribe(job.id)
-        try:
-            while True:
-                try:
-                    event = events.get(timeout=1.0)
-                except queue.Empty:
-                    if self._watcher_vanished():
-                        return
-                    continue
-                if event is None:
-                    break
-                protocol.send_message(
-                    self.request, protocol.progress_message(job.id, event)
-                )
-        finally:
-            server.jobs.unsubscribe(job.id, events)
-        protocol.send_message(
-            self.request, protocol.job_message(job.describe())
-        )
-
-    def _watcher_vanished(self) -> bool:
-        """True when the watching client hung up (EOF on a peek).
-
-        A watcher sends nothing while a watch is active, so a non-blocking
-        peek either raises ``BlockingIOError`` (alive, idle), returns
-        ``b""`` (clean hangup), or errors (reset).
-        """
-        try:
-            return (
-                self.request.recv(
-                    1, socket.MSG_PEEK | socket.MSG_DONTWAIT
-                )
-                == b""
-            )
-        except (BlockingIOError, InterruptedError):
-            return False
-        except OSError:
-            return True
-
-
-class SweepService(socketserver.ThreadingTCPServer):
-    """The daemon: a threading TCP server owning one session and a queue.
+class SweepService(DaemonServer):
+    """The daemon: the shared server skeleton owning one session and a
+    queue.  Per-connection state is nothing but the socket itself —
+    every mutation goes through the lock-protected job queue — so two
+    clients interleaving messages cannot corrupt each other.
 
     Args:
         address: ``(host, port)`` to bind; port 0 picks a free port.
@@ -212,9 +62,6 @@ class SweepService(socketserver.ThreadingTCPServer):
             as the fleet worker (``fleet.secret`` covers both).
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
-
     def __init__(
         self,
         address: Tuple[str, int] = ("127.0.0.1", 0),
@@ -222,11 +69,11 @@ class SweepService(socketserver.ThreadingTCPServer):
         archive_dir: Optional[str] = None,
         secret: Optional[str] = None,
     ) -> None:
-        super().__init__(address, _ServeRequestHandler)
         self.config = config if config is not None else SessionConfig()
-        self.secret = (
-            secret if secret is not None else self.config.fleet.secret
-        ) or None
+        super().__init__(
+            address,
+            secret=secret if secret is not None else self.config.fleet.secret,
+        )
         self.archive_dir = Path(
             archive_dir if archive_dir is not None else "serve-archive"
         )
@@ -248,18 +95,62 @@ class SweepService(socketserver.ThreadingTCPServer):
         finally:
             self._serving.clear()
 
+    def finish_request(self, request, client_address) -> None:
+        self.metrics.counter("serve.connections").inc()
+        super().finish_request(request, client_address)
+
     # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
+    def hello_fields(self) -> Dict:
+        return {"capabilities": ["sweep"], "capacity": 1, "service": "sweep"}
 
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
+    def handlers(self) -> Dict:
+        def job_reply(job: Job) -> dict:
+            return protocol.job_message(job.describe())
 
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+        def result_reply(conn, message) -> dict:
+            job, report = self.result(message.get("id"))
+            return protocol.job_result_message(job.describe(), report)
+
+        return {
+            "submit_sweep": lambda conn, m: job_reply(self.submit(m)),
+            "job_list": lambda conn, m: protocol.jobs_message(
+                [job.describe() for job in self.jobs.list()]
+            ),
+            "job_status": lambda conn, m: job_reply(
+                self.jobs.get(m.get("id"))
+            ),
+            "job_result": result_reply,
+            "job_cancel": lambda conn, m: job_reply(
+                self.jobs.cancel(m.get("id"))
+            ),
+            "job_watch": self._watch,
+        }
+
+    def _watch(self, conn, message: dict) -> Optional[dict]:
+        """Stream progress frames until the job lands, then its state.
+
+        The wait on the subscriber queue is bounded: between events the
+        socket is probed, so a watcher that vanished mid-job is
+        unsubscribed promptly instead of pinning its handler thread (and
+        every buffered progress event) until the job reaches a terminal
+        state.
+        """
+        job = self.jobs.get(message.get("id"))
+        events = self.jobs.subscribe(job.id)
+        try:
+            while True:
+                try:
+                    event = events.get(timeout=1.0)
+                except queue.Empty:
+                    if _peer_hung_up(conn.request):
+                        return None
+                    continue
+                if event is None:
+                    break
+                conn.send(protocol.progress_message(job.id, event))
+        finally:
+            self.jobs.unsubscribe(job.id, events)
+        return protocol.job_message(job.describe())
 
     def _session_for_jobs(self):
         """The one lazily-built session every job runs against."""
@@ -397,6 +288,21 @@ class SweepService(socketserver.ThreadingTCPServer):
                 self._session = None
 
 
+def _peer_hung_up(sock: socket.socket) -> bool:
+    """True when a watching client hung up (EOF on a peek).
+
+    A watcher sends nothing while a watch is active, so a non-blocking
+    peek either raises ``BlockingIOError`` (alive, idle), returns
+    ``b""`` (clean hangup), or errors (reset).
+    """
+    try:
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except (BlockingIOError, InterruptedError):
+        return False
+    except OSError:
+        return True
+
+
 def serve(
     listen: str,
     config: Optional[SessionConfig] = None,
@@ -414,21 +320,12 @@ def serve(
     service = SweepService(
         (host, port), config=config, archive_dir=archive_dir
     )
-    if not quiet:
-        print(
-            f"sweep service pid {os.getpid()} listening on "
-            f"{service.address} (cache: {config.cache.path or 'memory'}; "
-            f"archive: {service.archive_dir}; "
-            f"auth: {'on' if service.secret else 'off'})",
-            flush=True,
-        )
-    install_shutdown_signals(service)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
-    if not quiet:
-        print("sweep service stopped", flush=True)
-    return 0
+    banner = (
+        f"sweep service pid {os.getpid()} listening on "
+        f"{service.address} (cache: {config.cache.path or 'memory'}; "
+        f"archive: {service.archive_dir}; "
+        f"auth: {'on' if service.secret else 'off'})"
+    )
+    return serve_until_stopped(
+        service, banner, "sweep service stopped", quiet=quiet
+    )

@@ -150,16 +150,16 @@ class TestFleetTiming:
         # Version skew: a pre-observability worker's results message
         # has no "timing" key.  Strip it at the link layer — the run
         # must succeed with no fleet.worker span and no error.
-        from repro.fleet import remote_backend as rb
+        from repro.fleet.daemon import DaemonLink
 
-        original = rb._WorkerLink.request
+        original = DaemonLink.request
 
         def skewed(self, message):
             response = original(self, message)
             response.pop("timing", None)
             return response
 
-        monkeypatch.setattr(rb._WorkerLink, "request", skewed)
+        monkeypatch.setattr(DaemonLink, "request", skewed)
         server, _ = start_worker()
         try:
             engine = EvaluationEngine(

@@ -10,6 +10,7 @@ SIGTERM shutdown of the ``repro worker`` and ``repro serve``
 subprocesses.
 """
 
+import gc
 import json
 import os
 import re
@@ -20,12 +21,16 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeError, SweepCancelled
 from repro.fleet import protocol
+from repro.fleet.daemon import DaemonLink
+from repro.fleet.remote_backend import RemoteBackend
+from repro.fleet.worker import FleetWorker, start_worker
 from repro.serve import JobQueue, ServeClient, SweepService
 from repro.session import Session, SessionConfig
 from repro.sweep import (
@@ -488,19 +493,22 @@ class TestServeService:
 
 
 # ----------------------------------------------------------------------
-# protocol edge cases on a live daemon
+# protocol edge cases on a live daemon (both daemons share one skeleton)
 # ----------------------------------------------------------------------
-class TestProtocolEdges:
-    def _raw(self, service):
-        sock = socket.create_connection(
-            ("127.0.0.1", service.port), timeout=5
-        )
-        hello = protocol.recv_message(sock)
-        assert hello["type"] == "hello"
-        return sock
+def _raw(daemon):
+    sock = socket.create_connection(("127.0.0.1", daemon.port), timeout=5)
+    hello = protocol.recv_message(sock)
+    assert hello["type"] == "hello"
+    return sock
 
-    def test_oversized_frame_drops_only_that_connection(self, service):
-        bad = self._raw(service)
+
+class _DaemonEdgeCases:
+    """Edge cases of the shared daemon skeleton.  Each subclass runs
+    them against one daemon through its ``daemon`` and ``malformed``
+    fixtures and its ``assert_serving`` check."""
+
+    def test_oversized_frame_drops_only_that_connection(self, daemon):
+        bad = _raw(daemon)
         bad.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
         bad.sendall(b"x" * 64)
         # The daemon refuses the frame and hangs up on this connection.
@@ -510,15 +518,48 @@ class TestProtocolEdges:
             reply = None
         assert reply is None
         bad.close()
-        with ServeClient(service.address) as client:
-            assert client.ping()
+        self.assert_serving(daemon)
 
-    def test_mid_frame_disconnect_leaves_daemon_serving(self, service):
-        half = self._raw(service)
+    def test_mid_frame_disconnect_leaves_daemon_serving(self, daemon):
+        half = _raw(daemon)
         frame = protocol.encode_frame({"type": "job_list"})
         half.sendall(frame[: len(frame) // 2])
         half.close()  # vanish mid-frame
-        with ServeClient(service.address) as client:
+        self.assert_serving(daemon)
+
+    def test_unknown_message_type_gets_error_frame(self, daemon):
+        sock = _raw(daemon)
+        protocol.send_message(sock, {"type": "make_coffee"})
+        reply = protocol.recv_message(sock)
+        assert reply["type"] == "error"
+        assert "make_coffee" in reply["error"]
+        sock.close()
+
+    def test_malformed_request_gets_error_frame_and_keeps_the_line(
+        self, daemon, malformed
+    ):
+        sock = _raw(daemon)
+        protocol.send_message(sock, malformed)
+        reply = protocol.recv_message(sock)
+        assert reply["type"] == "error"
+        assert reply["error_type"] == "AttributeError"
+        # The same connection still answers.
+        protocol.send_message(sock, {"type": "ping"})
+        assert protocol.recv_message(sock)["type"] == "pong"
+        sock.close()
+
+
+class TestProtocolEdges(_DaemonEdgeCases):
+    @pytest.fixture
+    def daemon(self, service):
+        return service
+
+    @pytest.fixture
+    def malformed(self):
+        return {"type": "submit_sweep", "plan": 5}
+
+    def assert_serving(self, daemon):
+        with ServeClient(daemon.address) as client:
             assert client.ping()
             assert client.jobs() == []
 
@@ -537,18 +578,120 @@ class TestProtocolEdges:
             one.wait(job["id"], timeout=120)
             assert two.status(job["id"])["state"] == "done"
 
-    def test_unknown_message_type_gets_error_frame(self, service):
-        sock = self._raw(service)
-        protocol.send_message(sock, {"type": "make_coffee"})
-        reply = protocol.recv_message(sock)
-        assert reply["type"] == "error"
-        assert "make_coffee" in reply["error"]
-        sock.close()
+
+class TestWorkerProtocolEdges(_DaemonEdgeCases):
+    @pytest.fixture
+    def daemon(self):
+        worker, _ = start_worker()
+        yield worker
+        worker.close()
+
+    @pytest.fixture
+    def malformed(self):
+        from repro.engine import EvaluationEngine
+        from repro.stonne.config import maeri_config
+
+        spec = protocol.engine_spec(EvaluationEngine(maeri_config()))
+        return {"type": "evaluate_batch", "spec": spec, "items": [1]}
+
+    def assert_serving(self, daemon):
+        with DaemonLink(daemon.address) as link:
+            assert link.request({"type": "ping"})["type"] == "pong"
+
+
+# ----------------------------------------------------------------------
+# failed handshakes
+# ----------------------------------------------------------------------
+@pytest.fixture
+def silent_listener():
+    """An address that accepts connections but never says hello."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+    yield f"127.0.0.1:{listener.getsockname()[1]}"
+    listener.close()
+
+
+def _without_unclosed_sockets(call):
+    gc.collect()  # earlier tests' garbage is not this call's leak
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+    return result
+
+
+class TestHandshakeFailure:
+    def test_remote_backend_closes_socket_on_hello_timeout(
+        self, silent_listener
+    ):
+        backend = RemoteBackend(workers=[silent_listener], shard_timeout=0.3)
+        status = _without_unclosed_sockets(backend.ping)
+        assert status == {silent_listener: False}
+
+    def test_serve_client_closes_socket_on_hello_timeout(
+        self, silent_listener
+    ):
+        client = ServeClient(silent_listener, timeout=0.3)
+        assert _without_unclosed_sockets(client.ping) is False
 
 
 # ----------------------------------------------------------------------
 # shared-secret auth
 # ----------------------------------------------------------------------
+class _SecuredDaemonCases:
+    """Accept, wrong-secret and missing-secret handshakes against one
+    daemon secured with ``s3cret`` (the subclass's ``secured`` fixture)."""
+
+    def test_accepts_matching_secret(self, secured):
+        with DaemonLink(secured.address, secret="s3cret") as link:
+            assert link.connect() is not None
+            assert link.request({"type": "ping"})["type"] == "pong"
+
+    def test_rejects_wrong_and_missing_secret(self, secured):
+        wrong = DaemonLink(secured.address, secret="nope")
+        with pytest.raises(protocol.ProtocolError, match="rejected"):
+            wrong.connect()
+        missing = DaemonLink(secured.address)
+        with pytest.raises(protocol.ProtocolError, match="requires"):
+            missing.connect()
+        # No state was built for the refused connections.
+        self.assert_untouched(secured)
+
+
+class TestWorkerAuth(_SecuredDaemonCases):
+    @pytest.fixture
+    def secured(self):
+        worker = FleetWorker(("127.0.0.1", 0), secret="s3cret")
+        thread = threading.Thread(target=worker.serve_forever, daemon=True)
+        thread.start()
+        yield worker
+        worker.close()
+
+    def assert_untouched(self, worker):
+        assert worker.batches_served == 0
+        assert not worker._controllers
+
+
+class TestServiceAuth(_SecuredDaemonCases):
+    @pytest.fixture
+    def secured(self, tmp_path):
+        svc = SweepService(
+            ("127.0.0.1", 0),
+            config=SessionConfig(),
+            archive_dir=str(tmp_path),
+            secret="s3cret",
+        )
+        threading.Thread(target=svc.serve_forever, daemon=True).start()
+        yield svc
+        svc.close()
+
+    def assert_untouched(self, service):
+        assert not service.jobs.list()
+
+
 class TestAuth:
     def test_digest_round_trip_and_mismatch(self):
         nonce = protocol.make_nonce()
@@ -567,45 +710,11 @@ class TestAuth:
             "direct"
         )
 
-    @pytest.fixture
-    def secured_worker(self):
-        from repro.fleet.worker import FleetWorker
-
-        worker = FleetWorker(("127.0.0.1", 0), secret="s3cret")
-        thread = threading.Thread(target=worker.serve_forever, daemon=True)
-        thread.start()
-        yield worker
-        worker.close()
-
-    def test_worker_accepts_matching_secret(self, secured_worker):
-        from repro.fleet.remote_backend import _WorkerLink
-
-        link = _WorkerLink(secured_worker.address, secret="s3cret")
-        assert link.ensure_connected() is not None
-        assert link.request({"type": "ping"})["type"] == "pong"
-        link.close()
-
-    def test_worker_rejects_wrong_and_missing_secret(self, secured_worker):
-        from repro.fleet.remote_backend import _WorkerLink
-
-        wrong = _WorkerLink(secured_worker.address, secret="nope")
-        with pytest.raises(protocol.ProtocolError, match="rejected"):
-            wrong._connect()
-        missing = _WorkerLink(secured_worker.address)
-        with pytest.raises(protocol.ProtocolError, match="requires"):
-            missing._connect()
-        # No state was built for the refused connections.
-        assert secured_worker.batches_served == 0
-        assert not secured_worker._controllers
-
     def test_unsecured_worker_ignores_client_secret(self):
-        from repro.fleet.remote_backend import _WorkerLink
-        from repro.fleet.worker import start_worker
-
         worker, _ = start_worker()
         try:
-            link = _WorkerLink(worker.address, secret="anything")
-            assert link.ensure_connected() is not None
+            link = DaemonLink(worker.address, secret="anything")
+            assert link.connect() is not None
             link.close()
         finally:
             worker.close()
@@ -751,7 +860,7 @@ class TestWatchReconnect:
                 # the socket down here is a deterministic mid-stream drop.
                 if not dropped:
                     dropped.append(event)
-                    client._sock.shutdown(socket.SHUT_RDWR)
+                    client.link.drop()
 
             final = client.watch(job["id"], callback=sabotage_once,
                                  backoff_s=0.01)
@@ -768,17 +877,17 @@ class TestWatchReconnect:
             job = client.submit(_plan())
             client.wait(job["id"], timeout=120)
 
-            original_recv = client._recv
+            original_recv = client.link.recv
             failed = []
 
             def recv_flaky():
                 if not failed:
                     failed.append(True)
-                    client._drop()
+                    client.link.drop()
                     raise protocol.ProtocolError("synthetic drop")
                 return original_recv()
 
-            client._recv = recv_flaky
+            client.link.recv = recv_flaky
             final = client.watch(job["id"], backoff_s=0.01)
         assert failed and final["state"] == "done"
         assert "reconnecting in" in capsys.readouterr().err
