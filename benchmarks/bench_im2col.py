@@ -5,17 +5,28 @@ step ii / the exact GEMM datapath), so its cost multiplies across every
 offloaded layer.  This bench keeps the pre-vectorization loop as the
 baseline oracle, asserts bit-identical output, and reports the speedup
 of the stride-tricks implementation.
+
+A second case times ``conv2d_nchw`` end to end through a MAERI and a
+SIGMA session on VGG's widest 3x3 layer: both run the same NCHW
+datapath (MAERI's NHWC/RSCK staging is not emulated), so the outputs
+must be bit-identical and MAERI must cost about what SIGMA does.
 """
 
 import time
 
 import numpy as np
-from conftest import emit
+from conftest import SMOKE, emit, scaled
 
+from repro.session import Session
+from repro.stonne import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer
 from repro.stonne.simulator import _im2col
 
 ROUNDS = 10
+#: conv2d_nchw timings are best of this many calls per architecture.
+CONV_ROUNDS = scaled(7, 2)
+#: Full-scale ceiling on MAERI's conv2d_nchw time over SIGMA's.
+MAERI_OVER_SIGMA_MAX = 1.5
 
 LAYERS = [
     ConvLayer("alexnet_conv2ish", C=64, H=27, W=27, K=192, R=5, S=5, pad_h=2, pad_w=2),
@@ -81,3 +92,46 @@ def test_bench_im2col(benchmark, results_dir):
 
     for name, _, _, speedup in rows:
         assert speedup > 1.0, f"{name}: vectorized im2col slower than the loop"
+
+
+def _time_conv2d_nchw(config, data, weights):
+    """Best-of-CONV_ROUNDS seconds and the output of one session's conv."""
+    with Session(simulator_config=config) as session:
+        conv = session.api.conv2d_nchw
+        out = conv(data, weights, padding=(1, 1))  # warms the stats cache
+        best = _time(lambda: conv(data, weights, padding=(1, 1)), CONV_ROUNDS)
+    return best, out
+
+
+def test_bench_conv2d_nchw_maeri_vs_sigma(benchmark, results_dir):
+    """VGG's 512->512 3x3 conv on an 8x8 map, MAERI vs SIGMA sessions."""
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(1, 512, 8, 8))
+    weights = rng.normal(size=(512, 512, 3, 3))
+
+    def run():
+        return {
+            name: _time_conv2d_nchw(config, data, weights)
+            for name, config in (("maeri", maeri_config()),
+                                 ("sigma", sigma_config()))
+        }
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    (t_maeri, out_maeri), (t_sigma, out_sigma) = (
+        results["maeri"], results["sigma"]
+    )
+    ratio = t_maeri / t_sigma
+    emit(
+        results_dir,
+        "conv2d_nchw_maeri_vs_sigma",
+        f"{'arch':<8}{'best ms':>10}\n"
+        f"{'maeri':<8}{t_maeri * 1e3:>10.3f}\n"
+        f"{'sigma':<8}{t_sigma * 1e3:>10.3f}\n"
+        f"maeri/sigma = {ratio:.2f}x (best of {CONV_ROUNDS})",
+    )
+    assert np.array_equal(out_maeri, out_sigma)
+    if not SMOKE:
+        assert ratio <= MAERI_OVER_SIGMA_MAX, (
+            f"MAERI conv2d_nchw {ratio:.2f}x SIGMA's; both should run the "
+            "same NCHW datapath"
+        )

@@ -36,6 +36,13 @@ import tempfile
 
 MATRIX = ["--models", "mlp,lenet", "--axis", "ms_size=64,128"]
 RESUME_MATRIX = ["--models", "mlp,lenet", "--axis", "ms_size=128,256"]
+#: Leg 2's blocker: a cold 96-scenario matrix (about 0.7 s on a 2-vCPU
+#: host) that keeps the executor busy far longer than the victim's
+#: submit + cancel round trips (tens of ms), so the victim is still
+#: queued when its cancel lands.  None of these models ran in leg 1.
+BLOCKER_MODELS = ["alexnet", "vgg_small", "transformer",
+                  "depthwise_sep", "grouped_conv", "dilated_conv"]
+BLOCKER_AXES = {"ms_size": [32, 512, 1024, 2048], "rn_bw": [8, 16, 32, 64]}
 
 
 def _env() -> dict:
@@ -203,8 +210,8 @@ def main() -> int:
 
         with ServeClient(address) as client:
             blocker = client.submit(
-                SweepPlan.matrix(SessionConfig(), models=["mlp", "lenet"],
-                                 axes={"ms_size": [32]}),
+                SweepPlan.matrix(SessionConfig(), models=BLOCKER_MODELS,
+                                 axes=BLOCKER_AXES),
                 label="blocker",
             )
             victim = client.submit(

@@ -5,13 +5,22 @@ lists:
 
 1. parse layer information;
 2. transform layer information and input data into a STONNE-compatible
-   format (layout transposes, run on the CPU and *not* counted in the
-   cycle totals);
+   format;
 3. create a new STONNE instance;
 4. configure it with the architecture and dataflow mapping;
 5. load the layer and run;
 6. transform the output back into the caller's format;
 7. record the simulated cycle count and/or partial sums.
+
+Real STONNE MAERI consumes only NHWC/RSCK (§V-B1), so Bifrost transposes
+NCHW/KCRS tensors on the CPU in step 2 and the output back in step 6,
+work that is *not* counted in the cycle totals.  Here the cycle models
+read layer descriptors, not tensors, and the functional datapath (an
+exact im2col GEMM) computes in NCHW whatever the architecture, so those
+transposes are not emulated: they would be uncounted CPU work undone at
+once.  Step 2 reduces to a float64 conversion of the inputs and step 6
+to nothing; only :meth:`StonneBifrostApi.conv2d_nhwc` transposes, for
+NHWC callers.
 
 The functions are registered in a global registry under TVM-style names
 (``tvm.contrib.stonne.conv2d.nchw`` etc.), which is how the TOPI
@@ -36,12 +45,7 @@ from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.simulator import _conv_via_gemm
 from repro.stonne.sparsity import prune_to_sparsity
 from repro.stonne.stats import SimulationStats
-from repro.topi.layout import (
-    nchw_to_nhwc,
-    nhwc_to_nchw,
-    npqk_to_nkpq,
-    rsck_to_kcrs,
-)
+from repro.topi.layout import nchw_to_nhwc, nhwc_to_nchw, rsck_to_kcrs
 
 
 @dataclass
@@ -180,6 +184,17 @@ class StonneBifrostApi:
             return prune_to_sparsity(weights, self.config.sparsity_ratio)
         return weights
 
+    def _evaluate(self, layer) -> SimulationStats:
+        """The layer's cycle model through the session engine (cached for
+        repeated shapes), mapped when the controller requires a mapping.
+        Callers still run the functional datapath for every call."""
+        mapping = (
+            self.mappings.mapping_for(layer)
+            if self._controller_cls().requires_mapping
+            else None
+        )
+        return self.engine.evaluate(layer, mapping)
+
     # ------------------------------------------------------------------
     # conv2d
     # ------------------------------------------------------------------
@@ -194,9 +209,12 @@ class StonneBifrostApi:
     ) -> np.ndarray:
         """Execute an NCHW/KCRS convolution on the simulated accelerator.
 
-        For MAERI — which only consumes NHWC/RSCK (§V-B1) — the inputs are
-        transposed on the CPU first and the NPQK output transposed back to
-        NKPQ, exactly the execution path the paper describes.
+        One path for every architecture: the mapping is resolved when the
+        controller requires one (MAERI), the session engine serves the
+        cycle model, and the exact NCHW datapath produces the output.
+        MAERI's NHWC/RSCK staging (§V-B1) is uncounted CPU work that the
+        layout-independent datapath would undo at once, so it is not
+        emulated; the output is bit-identical either way.
         """
         if data.ndim != 4 or weights.ndim != 4:
             raise LayerError(
@@ -216,37 +234,12 @@ class StonneBifrostApi:
                 f"weight channels {c_per_g} != C/groups = {c // groups}"
             )
         weights = self._maybe_prune(weights)
-
-        if self._controller_cls().requires_mapping:
-            # Mapping-driven architectures (MAERI) consume NHWC/RSCK (§V-B1).
-            # Steps i-ii: transpose NCHW -> NHWC and KCRS -> RSCK on the CPU.
-            nhwc = nchw_to_nhwc(np.asarray(data, dtype=np.float64))
-            rsck = np.ascontiguousarray(
-                np.asarray(weights, dtype=np.float64).transpose(2, 3, 1, 0)
-            )
-            # Steps iii-v: resolve the mapping, then the session engine
-            # serves the cycle model (cached for repeated shapes) while
-            # the exact datapath always executes to produce outputs.
-            mapping = self.mappings.mapping_for(layer)
-            stats = self.engine.evaluate(layer, mapping)
-            raw = _conv_via_gemm(
-                nhwc_to_nchw(nhwc),               # functional path is NCHW
-                rsck_to_kcrs(rsck),
-                layer,
-            )
-            # Step vi: NPQK -> NKPQ back to the caller's layout.
-            output = npqk_to_nkpq(
-                np.ascontiguousarray(raw.transpose(0, 2, 3, 1))
-            )
-        else:
-            stats = self.engine.evaluate(layer)
-            output = _conv_via_gemm(
-                np.asarray(data, dtype=np.float64),
-                np.asarray(weights, dtype=np.float64),
-                layer,
-            )
-
-        # Step vii: record the stats.
+        stats = self._evaluate(layer)
+        output = _conv_via_gemm(
+            np.asarray(data, dtype=np.float64),
+            np.asarray(weights, dtype=np.float64),
+            layer,
+        )
         self.stats.append(stats)
         return output
 
@@ -298,14 +291,7 @@ class StonneBifrostApi:
             batch=data.shape[0],
         )
         weights = self._maybe_prune(np.asarray(weights, dtype=np.float64))
-        mapping = (
-            self.mappings.mapping_for(layer)
-            if self._controller_cls().requires_mapping
-            else None
-        )
-        # Cycle model through the session engine (cached for repeated
-        # shapes); the functional GEMM always executes.
-        stats = self.engine.evaluate(layer, mapping)
+        stats = self._evaluate(layer)
         output = np.asarray(data, dtype=np.float64) @ weights.T
         self.stats.append(stats)
         return output

@@ -161,7 +161,7 @@ def simulate_layer(controller, layer, mapping, functional: bool):
         if isinstance(layer, ConvLayer):
             if layer.layout == "NHWC":
                 # NHWC activations / RSCK kernels, transposed around the
-                # NCHW core exactly like Bifrost's layout-emulation path.
+                # NCHW core exactly like StonneBifrostApi.conv2d_nhwc.
                 from repro.topi.layout import nchw_to_nhwc, nhwc_to_nchw, rsck_to_kcrs
 
                 data = np.ones((layer.N, layer.H, layer.W, layer.C))

@@ -13,7 +13,9 @@ from repro.bifrost import (
 )
 from repro.errors import LayerError, SimulationError
 from repro.stonne.config import maeri_config, sigma_config, tpu_config
+from repro.stonne.layer import ConvLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
+from repro.stonne.simulator import _conv_via_gemm
 from repro.topi import conv2d_nchw, dense as dense_ref, kcrs_to_rsck, nchw_to_nhwc, nhwc_to_nchw
 
 
@@ -67,6 +69,65 @@ class TestConv2dNhwc:
             nchw_to_nhwc(data), kcrs_to_rsck(weights), padding=(1, 1)
         )
         np.testing.assert_allclose(nhwc_to_nchw(out_nhwc), out_nchw, rtol=1e-9)
+
+
+def _conv_cases(rng):
+    """(name, data, weights, strides, padding, groups) NCHW/KCRS cases."""
+    return [
+        ("stride4_padded", rng.normal(size=(1, 3, 23, 23)),
+         rng.normal(size=(8, 3, 5, 5)), (4, 4), (2, 2), 1),
+        ("grouped", rng.normal(size=(1, 4, 9, 9)),
+         rng.normal(size=(6, 2, 3, 3)), (1, 1), (1, 1), 2),
+        # Transposed views of NHWC/RSCK buffers: neither is C-contiguous.
+        ("non_contiguous", rng.normal(size=(1, 10, 10, 3)).transpose(0, 3, 1, 2),
+         rng.normal(size=(3, 3, 3, 4)).transpose(3, 2, 0, 1), (2, 1), (1, 0), 1),
+    ]
+
+
+def _reference_conv(data, weights, strides, padding, groups):
+    """The exact NCHW datapath called directly on the same inputs."""
+    n, c, h, w = data.shape
+    k, _, r, s = weights.shape
+    layer = ConvLayer(
+        "ref", C=c, H=h, W=w, K=k, R=r, S=s,
+        stride_h=strides[0], stride_w=strides[1],
+        pad_h=padding[0], pad_w=padding[1], G=groups, N=n,
+    )
+    return _conv_via_gemm(
+        np.asarray(data, dtype=np.float64),
+        np.asarray(weights, dtype=np.float64),
+        layer,
+    )
+
+
+class TestConvDatapathBitIdentity:
+    """Every architecture's conv output is the NCHW datapath, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config_fn", [maeri_config, sigma_config, tpu_config],
+        ids=["maeri", "sigma", "tpu"],
+    )
+    def test_conv2d_nchw_is_the_gemm_datapath(self, rng, config_fn):
+        api = make_api(config_fn())
+        for name, data, weights, strides, padding, groups in _conv_cases(rng):
+            out = api.conv2d_nchw(
+                data, weights, strides=strides, padding=padding, groups=groups
+            )
+            expected = _reference_conv(data, weights, strides, padding, groups)
+            assert np.array_equal(out, expected), name
+            assert out.flags.c_contiguous, name
+
+    def test_maeri_nhwc_is_transposed_nchw_result(self, rng, maeri128):
+        api = make_api(maeri128)
+        for name, data, weights, strides, padding, groups in _conv_cases(rng):
+            out_nchw = api.conv2d_nchw(
+                data, weights, strides=strides, padding=padding, groups=groups
+            )
+            out_nhwc = api.conv2d_nhwc(
+                nchw_to_nhwc(data), kcrs_to_rsck(weights),
+                strides=strides, padding=padding, groups=groups,
+            )
+            assert np.array_equal(out_nhwc, nchw_to_nhwc(out_nchw)), name
 
 
 class TestDense:
