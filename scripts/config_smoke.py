@@ -11,7 +11,9 @@ CLI:
 3. ``repro run --config`` with a temp TOML produces the same stats as
    the equivalent explicit flags;
 4. the file-driven example (``examples/session_quickstart.py``) runs
-   end to end under that TOML.
+   end to end under that TOML;
+5. a TOML naming a removed knob (``[tuning] speculation``) makes
+   ``repro run --config`` fail with the key named on stderr.
 
 Run:  PYTHONPATH=src python scripts/config_smoke.py
 Exit: 0 on success, 1 on any mismatch.
@@ -52,15 +54,22 @@ max_workers = 4
 """
 
 
-def run_cli(*argv, env=None):
+def _subprocess_env(env=None):
     merged = dict(os.environ)
     merged["PYTHONPATH"] = SRC + os.pathsep + merged.get("PYTHONPATH", "")
     if env:
         merged.update(env)
+    return merged
+
+
+def run_cli(*argv, env=None, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
-        capture_output=True, text=True, env=merged, cwd=str(ROOT),
+        capture_output=True, text=True, env=_subprocess_env(env),
+        cwd=str(ROOT),
     )
+    if not check:
+        return proc
     if proc.returncode != 0:
         raise SystemExit(
             f"FAIL: repro {' '.join(argv)} exited {proc.returncode}\n"
@@ -131,12 +140,11 @@ def main() -> int:
         print("run --config is bit-identical to explicit flags")
 
         # 4. The file-driven example runs end to end under the TOML.
-        merged = dict(os.environ)
-        merged["PYTHONPATH"] = SRC + os.pathsep + merged.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, str(ROOT / "examples" / "session_quickstart.py"),
              str(toml_path)],
-            capture_output=True, text=True, env=merged, cwd=str(ROOT),
+            capture_output=True, text=True, env=_subprocess_env(),
+            cwd=str(ROOT),
         )
         if proc.returncode != 0:
             raise SystemExit(
@@ -145,6 +153,14 @@ def main() -> int:
             )
         assert "run report JSON round-trip verified" in proc.stdout
         print("examples/session_quickstart.py ran end to end under --config")
+
+        # 5. A removed knob is a typed config error, not a silent no-op.
+        removed = Path(tmp) / "removed.toml"
+        removed.write_text("[tuning]\nspeculation = true\n")
+        proc = run_cli("run", "mlp", "--config", str(removed), check=False)
+        assert proc.returncode != 0, proc.stdout
+        assert "speculation" in proc.stderr, proc.stderr
+        print("run --config rejects the removed [tuning] speculation key")
 
     print("config smoke: OK")
     return 0

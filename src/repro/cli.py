@@ -695,8 +695,8 @@ saturation scheduling:
 
 tracing and metrics:
   Any run/tune/compare/sweep records spans with --trace: session ->
-  sweep -> engine -> per-slot scheduler chunks (steals, re-splits and
-  speculative pulls as distinct span names) -> cache tier events, plus
+  sweep -> engine -> per-slot scheduler chunks (steals and re-splits
+  as distinct span names) -> cache tier events, plus
   one lane per fleet worker with the worker's own batch timing shipped
   back in the wire protocol.  The file loads directly in
   chrome://tracing / Perfetto:

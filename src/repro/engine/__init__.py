@@ -54,10 +54,9 @@ Components
     The saturation scheduler: :func:`~repro.engine.scheduler.run_plan_groups`
     drains many engines' planned batches through one pull-based work
     queue (one puller per backend slot) so engine groups overlap, fast
-    slots steal slow slots' tails, stragglers re-split past a deadline,
-    and speculative low-priority work (a tuner's predicted next
-    generation) fills otherwise-idle slots — all bit-identical to
-    serial execution, with exact steal/re-split/idle counters.
+    slots steal slow slots' tails and stragglers re-split past a
+    deadline — all bit-identical to serial execution, with exact
+    steal/re-split/idle counters.
 
 Who routes through it
 ---------------------

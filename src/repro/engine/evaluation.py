@@ -521,7 +521,6 @@ class EvaluationEngine:
         max_workers: Optional[int] = None,
         executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
-        speculative: Sequence[EvalRequest] = (),
     ) -> dict:
         """Execute the pending misses of one or more plans as one batch.
 
@@ -536,8 +535,7 @@ class EvaluationEngine:
         through the work-stealing scheduler
         (:func:`repro.engine.scheduler.run_plan_groups`); otherwise it
         runs as one static backend batch.  Results are bit-identical
-        either way.  ``speculative`` requests, if any, ride the
-        scheduler's low-priority lane and only ever warm the cache.
+        either way.
 
         Per-request failures abort by re-raising the first one unless
         ``return_errors`` is True, in which case the failed slots hold
@@ -562,7 +560,6 @@ class EvaluationEngine:
                 max_workers=max_workers,
                 executor=executor,
                 return_errors=return_errors,
-                speculative=speculative,
             )
 
     def evaluate_many(
@@ -571,7 +568,6 @@ class EvaluationEngine:
         max_workers: Optional[int] = None,
         executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
-        speculative: Sequence[EvalRequest] = (),
     ) -> List[SimulationStats]:
         """Evaluate a batch, preserving order.
 
@@ -584,24 +580,18 @@ class EvaluationEngine:
         :meth:`plan_many` followed by :meth:`run_plans`, the same path
         multi-scenario sweeps use.
 
-        ``speculative`` requests are extra low-priority work for the
-        scheduler: they run only while normal slots would otherwise
-        idle, populate the cache, and never appear in the returned
-        results.
-
         Per-request failures abort the batch by re-raising the first one
         unless ``return_errors`` is True, in which case the failed slots
         hold the exception instances instead of stats.
         """
         plan = self.plan_many(requests)
-        if not plan.requests and not speculative:
+        if not plan.requests:
             return []
         self.run_plans(
             [plan],
             max_workers=max_workers,
             executor=executor,
             return_errors=return_errors,
-            speculative=speculative,
         )
         return plan.results
 

@@ -15,12 +15,7 @@ by *pullers* — one per backend slot — so
 * stragglers re-split: when an idle slot finds no queued work but a
   chunk has been in flight past ``steal_deadline`` seconds, it clones
   the chunk's still-unfilled items and races the straggler — first
-  writer wins per item, so results stay deterministic;
-* speculative work rides at low priority: priority-1 chunks (e.g. a GA
-  tuner's predicted next generation) are pulled only when no normal
-  work is queued, their results warm the cache without touching any
-  plan, and whatever is still queued when the normal work completes is
-  cancelled.
+  writer wins per item, so results stay deterministic.
 
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
@@ -74,9 +69,6 @@ COUNTER_KEYS = (
     "chunks_pulled",
     "steals",
     "resplits",
-    "speculative_pulled",
-    "speculative_cancelled",
-    "speculative_simulations",
     "idle_time_s",
 )
 
@@ -91,9 +83,8 @@ class Chunk:
 
     ``slots`` are the items' positions in the group's flattened work
     list; ``home`` is the slot the chunk would have belonged to under
-    static fan-out (the steal baseline).  Priority 0 is normal work,
-    1 is speculative.  A re-split duplicate records its original in
-    ``resplit_of`` so it is never itself re-split.
+    static fan-out (the steal baseline).  A re-split duplicate records
+    its original in ``resplit_of`` so it is never itself re-split.
     """
 
     __slots__ = (
@@ -102,7 +93,6 @@ class Chunk:
         "slots",
         "items",
         "home",
-        "priority",
         "started_at",
         "puller",
         "resplit_of",
@@ -112,11 +102,10 @@ class Chunk:
     def __init__(
         self,
         engine,
-        group: Optional[int],
-        slots: Optional[List[int]],
+        group: int,
+        slots: List[int],
         items: List[Tuple[Optional[Hashable], Any]],
         home: Optional[int] = None,
-        priority: int = 0,
         resplit_of: Optional["Chunk"] = None,
     ) -> None:
         self.engine = engine
@@ -124,22 +113,20 @@ class Chunk:
         self.slots = slots
         self.items = items
         self.home = home
-        self.priority = priority
         self.started_at: Optional[float] = None
         self.puller = None
         self.resplit_of = resplit_of
         self.resplit_issued = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "spec" if self.priority else "work"
         return (
-            f"Chunk({kind}, group={self.group}, items={len(self.items)}, "
+            f"Chunk(group={self.group}, items={len(self.items)}, "
             f"home={self.home})"
         )
 
 
 class WorkQueue:
-    """The shared pull queue: priorities, steal accounting, re-splits.
+    """The shared pull queue: steal accounting, re-splits, results.
 
     Thread-safe; all bookkeeping happens under one condition variable.
     ``clock`` is injectable so tests can pin steal/re-split decisions
@@ -162,8 +149,7 @@ class WorkQueue:
             else DEFAULT_STEAL_DEADLINE_S
         )
         self._cond = threading.Condition()
-        self._normal: deque = deque()
-        self._spec: deque = deque()
+        self._queued: deque = deque()
         self._in_flight: Dict[int, Chunk] = {}
         self._filled: List[List[bool]] = [
             [False] * size for size in group_sizes
@@ -172,20 +158,15 @@ class WorkQueue:
         self.results: List[List[Optional[Tuple]]] = [
             [None] * size for size in group_sizes
         ]
-        #: Completed speculative items, cache-merge only.
-        self.spec_results: List[Tuple] = []
         self._pending_slots = sum(group_sizes)
         self.counters = zero_counters()
         assert num_groups == len(group_sizes)
 
     # ------------------------------------------------------------------
     def add(self, chunk: Chunk) -> None:
-        """Enqueue a chunk (normal or speculative by its priority)."""
+        """Enqueue a chunk."""
         with self._cond:
-            if chunk.priority == 0:
-                self._normal.append(chunk)
-            else:
-                self._spec.append(chunk)
+            self._queued.append(chunk)
             self._cond.notify()
 
     @property
@@ -197,11 +178,10 @@ class WorkQueue:
     def pull(self, slot_id) -> Optional[Chunk]:
         """The next chunk for ``slot_id``; None when all work is done.
 
-        Order of preference: queued normal work (counting a steal when
-        the chunk's home is another slot), then a re-split of the oldest
-        straggler past the deadline, then queued speculative work, then
-        wait.  Returns None — cancelling any still-queued speculation —
-        once every normal item has a result.
+        Order of preference: queued work (counting a steal when the
+        chunk's home is another slot), then a re-split of the oldest
+        straggler past the deadline, then wait.  Returns None once every
+        item has a result.
         """
         with self._cond:
             idle_started: Optional[float] = None
@@ -219,16 +199,10 @@ class WorkQueue:
 
     def _next_locked(self, slot_id):
         if self._pending_slots == 0:
-            # Normal work complete: queued-but-unstarted speculation is
-            # cancelled (its losers never run); in-flight speculative
-            # chunks finish and still warm the cache.
-            if self._spec:
-                self.counters["speculative_cancelled"] += len(self._spec)
-                self._spec.clear()
             self._cond.notify_all()
             return None
-        if self._normal:
-            chunk = self._normal.popleft()
+        if self._queued:
+            chunk = self._queued.popleft()
             self.counters["chunks_pulled"] += 1
             if chunk.home is not None and chunk.home != slot_id:
                 self.counters["steals"] += 1
@@ -236,11 +210,6 @@ class WorkQueue:
         resplit = self._make_resplit(slot_id)
         if resplit is not None:
             return resplit
-        if self._spec:
-            chunk = self._spec.popleft()
-            self.counters["chunks_pulled"] += 1
-            self.counters["speculative_pulled"] += 1
-            return self._start(chunk, slot_id)
         return _WAIT
 
     def _start(self, chunk: Chunk, slot_id) -> Chunk:
@@ -259,8 +228,7 @@ class WorkQueue:
         straggler: Optional[Chunk] = None
         for chunk in self._in_flight.values():
             if (
-                chunk.priority != 0
-                or chunk.resplit_of is not None
+                chunk.resplit_of is not None
                 or chunk.resplit_issued
                 or chunk.started_at is None
                 or now - chunk.started_at < self.steal_deadline
@@ -285,7 +253,6 @@ class WorkQueue:
             slots=[straggler.slots[i] for i in remaining],
             items=[straggler.items[i] for i in remaining],
             home=slot_id,
-            priority=0,
             resplit_of=straggler,
         )
         self.counters["resplits"] += 1
@@ -297,16 +264,13 @@ class WorkQueue:
         """Record a chunk's results (first writer wins per item)."""
         with self._cond:
             self._in_flight.pop(id(chunk), None)
-            if chunk.priority == 0:
-                filled = self._filled[chunk.group]
-                out = self.results[chunk.group]
-                for position, result in zip(chunk.slots, results):
-                    if not filled[position]:
-                        filled[position] = True
-                        out[position] = result
-                        self._pending_slots -= 1
-            else:
-                self.spec_results.extend(results)
+            filled = self._filled[chunk.group]
+            out = self.results[chunk.group]
+            for position, result in zip(chunk.slots, results):
+                if not filled[position]:
+                    filled[position] = True
+                    out[position] = result
+                    self._pending_slots -= 1
             self._cond.notify_all()
 
 
@@ -417,7 +381,6 @@ def run_plan_groups(
     max_workers: Optional[int] = None,
     executor=None,
     return_errors: bool = False,
-    speculative: Sequence[Any] = (),
     chunk_size: Optional[int] = None,
     steal_deadline: Optional[float] = None,
     clock=None,
@@ -431,10 +394,6 @@ def run_plan_groups(
     onto one :class:`WorkQueue` and drained by one puller thread per
     slot.  Otherwise each group runs through the backend's legacy
     ``run`` batch, bit-identically to the pre-scheduler behaviour.
-
-    ``speculative`` is a sequence of extra :class:`EvalRequest` objects
-    for the *first* group's engine, enqueued at low priority; their
-    results only ever warm that engine's cache.
 
     Returns the scheduler counter report for this invocation (all-zero
     ``mode: "static"`` when the pull path was not engaged).  Errors obey
@@ -484,7 +443,6 @@ def run_plan_groups(
             collected,
             backend,
             slots,
-            speculative=speculative,
             chunk_size=chunk_size,
             steal_deadline=steal_deadline,
             clock=clock,
@@ -493,8 +451,7 @@ def run_plan_groups(
         _accumulate(backend, report)
     else:
         # Legacy path: one static backend batch per group.  Serial
-        # execution, third-party backends and single-slot pools land
-        # here; speculation has no low-priority lane and is skipped.
+        # execution, third-party backends and single-slot pools land here.
         for engine, _plans, work, owners in collected:
             if not work:
                 continue
@@ -529,7 +486,6 @@ def _run_scheduled(
     collected,
     backend,
     slots: List,
-    speculative: Sequence[Any],
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
     clock,
@@ -540,8 +496,7 @@ def _run_scheduled(
         groups=len(collected), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            collected, backend, slots, speculative, chunk_size,
-            steal_deadline, clock,
+            collected, backend, slots, chunk_size, steal_deadline, clock,
         )
 
 
@@ -549,7 +504,6 @@ def _run_scheduled_inner(
     collected,
     backend,
     slots: List,
-    speculative: Sequence[Any],
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
     clock,
@@ -577,25 +531,6 @@ def _run_scheduled_inner(
         chunk.home = slots[index % len(slots)]
         queue.add(chunk)
 
-    spec_engine = collected[0][0]
-    spec_work = _speculative_work(spec_engine, collected, speculative)
-    if spec_work:
-        spec_size = (
-            chunk_size
-            if chunk_size is not None and chunk_size >= 1
-            else _auto_chunk_size(len(spec_work), len(slots))
-        )
-        for start in range(0, len(spec_work), spec_size):
-            queue.add(
-                Chunk(
-                    engine=spec_engine,
-                    group=None,
-                    slots=None,
-                    items=spec_work[start : start + spec_size],
-                    priority=1,
-                )
-            )
-
     pullers = [
         threading.Thread(
             target=_drain,
@@ -616,37 +551,7 @@ def _run_scheduled_inner(
         if work:
             engine._merge_results(work, owners, queue.results[group])
 
-    speculative_simulations = 0
-    if queue.spec_results and spec_engine.cache_enabled:
-        for key, payload in queue.spec_results:
-            if key is not None and not isinstance(payload, Exception):
-                spec_engine.cache.put(key, payload)
-                speculative_simulations += 1
-    report = dict(queue.counters)
-    report["speculative_simulations"] = speculative_simulations
-    return report
-
-
-def _speculative_work(engine, collected, speculative) -> List[Tuple]:
-    """Key and dedup speculative requests against all pending work."""
-    if not speculative or not getattr(engine, "cache_enabled", False):
-        return []
-    from repro.engine.evaluation import evaluation_key
-
-    pending_keys = {
-        key
-        for _e, _p, work, _o in collected
-        for key, _request in work
-        if key is not None
-    }
-    out: List[Tuple] = []
-    for request in speculative:
-        key = evaluation_key(engine.fingerprint, request.layer, request.mapping)
-        if key in pending_keys or key in engine.cache:
-            continue
-        pending_keys.add(key)
-        out.append((key, request))
-    return out
+    return dict(queue.counters)
 
 
 def _slot_lane(slot) -> str:
@@ -657,10 +562,8 @@ def _slot_lane(slot) -> str:
 
 
 def _chunk_span_name(chunk: Chunk, slot) -> str:
-    """Distinct event names per lifecycle kind, so steals / re-splits /
-    speculation are visually distinguishable in a Chrome trace."""
-    if chunk.priority:
-        return "scheduler.speculative"
+    """Distinct event names per lifecycle kind, so steals and re-splits
+    are visually distinguishable in a Chrome trace."""
     if chunk.resplit_of is not None:
         return "scheduler.resplit"
     if chunk.home is not None and chunk.home != slot:

@@ -362,15 +362,6 @@ class TuningConfig:
         default=0,
         metadata=_meta(kind="int", help="RNG seed for stochastic tuners"),
     )
-    speculation: bool = field(
-        default=False,
-        metadata=_meta(kind="bool",
-                       help="let the GA tuner enqueue its predicted next "
-                            "generation at low scheduler priority while "
-                            "the current one finishes (cache-warming "
-                            "only; never changes the chosen best "
-                            "config)"),
-    )
 
     def __post_init__(self) -> None:
         if self.mapping not in MAPPING_STRATEGIES:

@@ -453,7 +453,6 @@ class SweepRunner:
                 f"tuner must be one of {sorted(tuners)}, got {tuning.tuner!r}"
             )
         tuner = tuners[tuning.tuner](task, seed=tuning.seed)
-        tuner.speculation = tuning.speculation
         result = tuner.tune(
             n_trials=tuning.trials,
             early_stopping=tuning.early_stopping,

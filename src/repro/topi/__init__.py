@@ -29,8 +29,6 @@ from repro.topi.layout import (
     kcrs_to_rsck,
     nchw_to_nhwc,
     nhwc_to_nchw,
-    nkpq_to_npqk,
-    npqk_to_nkpq,
     rsck_to_kcrs,
 )
 from repro.topi.normalization import (
@@ -74,8 +72,6 @@ __all__ = [
     "max_pool2d",
     "nchw_to_nhwc",
     "nhwc_to_nchw",
-    "nkpq_to_npqk",
-    "npqk_to_nkpq",
     "register_op",
     "registered_ops",
     "relu",

@@ -48,18 +48,6 @@ def rsck_to_kcrs(weights: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(weights.transpose(3, 2, 0, 1))
 
 
-def nkpq_to_npqk(output: np.ndarray) -> np.ndarray:
-    """Transpose conv outputs ``(N, K, P, Q) -> (N, P, Q, K)``."""
-    _require_4d("output", output)
-    return np.ascontiguousarray(output.transpose(0, 2, 3, 1))
-
-
-def npqk_to_nkpq(output: np.ndarray) -> np.ndarray:
-    """Transpose conv outputs ``(N, P, Q, K) -> (N, K, P, Q)``."""
-    _require_4d("output", output)
-    return np.ascontiguousarray(output.transpose(0, 3, 1, 2))
-
-
 def check_layout_pair(data_layout: str, kernel_layout: str) -> None:
     """Validate a (data, kernel) layout combination.
 

@@ -103,9 +103,7 @@ class TuningTask:
     def evaluate(self, config: Config) -> float:
         raise NotImplementedError
 
-    def evaluate_batch(
-        self, configs: Sequence[Config], speculative: Sequence[Config] = ()
-    ) -> List[float]:
+    def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
         """Costs for a batch of *valid* configs, isolating per-config
         mapping failures as :data:`INVALID_COST`.
 
@@ -113,9 +111,6 @@ class TuningTask:
         override this to submit the whole batch to
         :meth:`~repro.engine.EvaluationEngine.evaluate_many`, which is
         what lets a process backend fan a tuner generation out.
-        ``speculative`` configs are low-priority cache-warming hints for
-        the scheduler; the default (engineless) implementation ignores
-        them.
         """
         costs: List[float] = []
         for config in configs:
@@ -152,20 +147,13 @@ class TuningTask:
             self._cost_memo[index] = result
         return result
 
-    def measure_batch(
-        self, indices: Sequence[int], speculative: Sequence[int] = ()
-    ) -> List[MeasureResult]:
+    def measure_batch(self, indices: Sequence[int]) -> List[MeasureResult]:
         """Measure a whole generation of config indices at once.
 
         Memoized indices are served immediately; the rest are validated,
         and every cost that needs evaluation goes through
         :meth:`evaluate_batch` in a single call — one batch for the
         engine's executor backend instead of one submission per trial.
-
-        ``speculative`` indices (a tuner's guess at its *next* batch)
-        are deduped against ``indices`` and the memo, validated, and
-        passed through to :meth:`evaluate_batch` as cache-warming hints;
-        they produce no results and no measurement counts.
         """
         self.num_measurements += len(indices)
         results: List[Optional[MeasureResult]] = [None] * len(indices)
@@ -190,23 +178,8 @@ class TuningTask:
             else:
                 fresh_positions.append(position)
                 fresh_configs.append(config)
-        spec_configs: List[Config] = []
-        if speculative:
-            excluded = set(indices) | set(self._cost_memo)
-            for index in speculative:
-                if index in excluded:
-                    continue
-                excluded.add(index)
-                config = self.space.config_at(index)
-                if self.space.is_valid(config):
-                    spec_configs.append(config)
-        if fresh_configs or spec_configs:
-            if spec_configs:
-                costs = self.evaluate_batch(
-                    fresh_configs, speculative=spec_configs
-                )
-            else:
-                costs = self.evaluate_batch(fresh_configs)
+        if fresh_configs:
+            costs = self.evaluate_batch(fresh_configs)
             for position, config, cost in zip(
                 fresh_positions, fresh_configs, costs
             ):
@@ -257,9 +230,7 @@ class _MaeriLayerTask(TuningTask):
             return float(self._estimate_psums(mapping))
         return self._cost_from_stats(self.engine.evaluate(self.layer, mapping))
 
-    def evaluate_batch(
-        self, configs: Sequence[Config], speculative: Sequence[Config] = ()
-    ) -> List[float]:
+    def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
         """Batch evaluation: one ``evaluate_many`` per generation.
 
         The psums objective is closed-form (no simulation): the whole
@@ -269,11 +240,6 @@ class _MaeriLayerTask(TuningTask):
         executor backend may fan out over threads or worker processes.
         Per-config mapping failures price at :data:`INVALID_COST`
         without poisoning the batch.
-
-        ``speculative`` configs become low-priority scheduler requests
-        riding the same engine batch: they run only on otherwise-idle
-        slots and only populate the cache (psums needs no simulation,
-        so they are dropped there).
         """
         costs: List[Optional[float]] = [None] * len(configs)
         pending_positions: List[int] = []
@@ -296,20 +262,10 @@ class _MaeriLayerTask(TuningTask):
                     else:
                         costs[position] = float(estimate)
             return costs
-        spec_requests: List[EvalRequest] = []
-        if speculative and self.objective != "psums":
-            for config in speculative:
-                try:
-                    spec_requests.append(
-                        EvalRequest(self.layer, self.best_mapping(config))
-                    )
-                except MappingError:
-                    continue  # an unmappable guess is simply not warmed
-        if pending_mappings or spec_requests:
+        if pending_mappings:
             outcomes = self.engine.evaluate_many(
                 [EvalRequest(self.layer, m) for m in pending_mappings],
                 return_errors=True,
-                speculative=spec_requests,
             )
             for position, outcome in zip(pending_positions, outcomes):
                 if isinstance(outcome, MappingError):

@@ -42,13 +42,6 @@ class Tuner:
     #: Default number of proposals per round.
     batch_size = 16
 
-    #: Opt-in: enqueue :meth:`speculate` proposals as low-priority
-    #: scheduler work alongside each measured batch.  Speculative
-    #: results only ever warm the engine cache — they are never
-    #: recorded, never update the tuner, and cannot change the chosen
-    #: best config.
-    speculation = False
-
     def __init__(self, task: TuningTask, seed: int = 0) -> None:
         self.task = task
         self.seed = seed
@@ -60,15 +53,6 @@ class Tuner:
     def propose(self, count: int) -> List[int]:
         """Return up to ``count`` *unseen* config indices to measure."""
         raise NotImplementedError
-
-    def speculate(self, count: int) -> List[int]:
-        """Up to ``count`` config indices likely to be proposed next.
-
-        Must be side-effect free: calling it must not advance the
-        tuner's RNG or otherwise change what :meth:`propose` will
-        return.  The default tuner predicts nothing.
-        """
-        return []
 
     def update(self, indices: Sequence[int], costs: Sequence[float]) -> None:
         """Learn from a batch of measurements (default: nothing)."""
@@ -111,13 +95,7 @@ class Tuner:
             # The whole generation is measured in one batch, so the
             # task can submit it to the engine's executor backend
             # (threads/processes) instead of one trial at a time.
-            speculative = self.speculate(want) if self.speculation else []
-            if speculative:
-                results = self.task.measure_batch(
-                    indices, speculative=speculative
-                )
-            else:
-                results = self.task.measure_batch(indices)
+            results = self.task.measure_batch(indices)
             costs: List[float] = []
             measured: List[int] = []
             for index, result in zip(indices, results):

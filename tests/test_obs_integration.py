@@ -85,8 +85,7 @@ class TestSessionTracing:
         chunk_spans = [s for s in scheduler if s["lane"].startswith("slot-")]
         assert chunk_spans
         assert {s["name"] for s in chunk_spans} <= {
-            "scheduler.chunk", "scheduler.steal",
-            "scheduler.resplit", "scheduler.speculative",
+            "scheduler.chunk", "scheduler.steal", "scheduler.resplit",
         }
 
 

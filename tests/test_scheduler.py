@@ -3,14 +3,13 @@
 Three layers of guarantees:
 
 * :class:`~repro.engine.scheduler.WorkQueue` unit tests pin the steal /
-  re-split / speculation counters *exactly* under an injectable fake
+  re-split / idle-time counters *exactly* under an injectable fake
   clock — no timing assumptions;
 * :func:`~repro.engine.scheduler.run_plan_groups` integration tests
   prove the pull path bit-identical to ``--executor serial`` on the
   thread and process backends, including under injected slow workers
-  and straggler re-splits;
-* tuner-level tests prove speculative GA evaluation can never perturb
-  the search trajectory (RNG snapshot) or the chosen best config.
+  and straggler re-splits, and a GA tuning run through the pull path
+  bit-identical to a serial-engine run.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from repro.engine.scheduler import (
 from repro.errors import SimulationError
 from repro.stonne.config import sigma_config
 from repro.stonne.layer import FcLayer
-from repro.tuner import CallableTask, GATuner, MaeriFcTask
-from repro.tuner.space import ConfigSpace
+from repro.tuner import GATuner, MaeriFcTask
 
 
 class FakeClock:
@@ -52,11 +50,8 @@ class FakeClock:
         self.now += seconds
 
 
-def _chunk(slots, items, home=None, priority=0, group=0):
-    return Chunk(
-        engine=None, group=group, slots=slots, items=items,
-        home=home, priority=priority,
-    )
+def _chunk(slots, items, home=None, group=0):
+    return Chunk(engine=None, group=group, slots=slots, items=items, home=home)
 
 
 def _layers(count, width=8):
@@ -138,36 +133,6 @@ class TestWorkQueue:
         assert duplicate.slots == [0, 2]
         assert [key for key, _ in duplicate.items] == ["a", "c"]
 
-    def test_speculative_lane_and_accounting(self):
-        queue = WorkQueue(1, [1], clock=FakeClock())
-        normal = _chunk([0], [("k", None)], home=0)
-        spec = _chunk(None, [("s", None)], priority=1, group=None)
-        queue.add(spec)
-        queue.add(normal)
-        # Normal work is preferred even though speculation queued first.
-        assert queue.pull(0) is normal
-        # An idle slot with no normal work takes the speculative chunk.
-        assert queue.pull(1) is spec
-        assert queue.counters["speculative_pulled"] == 1
-        queue.complete(spec, [("s", "sres")])
-        assert queue.spec_results == [("s", "sres")]
-        assert queue.results[0] == [None]  # spec never touches plans
-        queue.complete(normal, [("k", "r")])
-        assert queue.pull(0) is None
-
-    def test_speculation_cancelled_when_normal_work_finishes(self):
-        queue = WorkQueue(1, [1], clock=FakeClock())
-        normal = _chunk([0], [("k", None)], home=0)
-        spec = _chunk(None, [("s", None)], priority=1, group=None)
-        queue.add(normal)
-        queue.add(spec)
-        assert queue.pull(0) is normal
-        queue.complete(normal, [("k", "r")])
-        assert queue.pull(0) is None
-        assert queue.counters["speculative_cancelled"] == 1
-        assert queue.counters["speculative_pulled"] == 0
-        assert queue.spec_results == []
-
     def test_idle_time_is_exact_under_fake_clock(self):
         clock = FakeClock()
         queue = WorkQueue(1, [1], clock=clock)
@@ -191,9 +156,7 @@ class TestWorkQueue:
         counters = zero_counters()
         assert counters["idle_time_s"] == 0.0
         assert set(counters) == {
-            "chunks_pulled", "steals", "resplits", "speculative_pulled",
-            "speculative_cancelled", "speculative_simulations",
-            "idle_time_s",
+            "chunks_pulled", "steals", "resplits", "idle_time_s",
         }
 
 
@@ -313,6 +276,10 @@ class TestRunPlanGroups:
         assert report["mode"] == "pull"
         assert report["steals"] >= 1
         assert [s.to_dict() for s in plan.results] == expected
+        # Pulled results merge into the cache: re-evaluating is all hits.
+        assert engine.num_simulations == 8
+        engine.evaluate_many([EvalRequest(l) for l in layers])
+        assert engine.num_simulations == 8
 
     def test_straggler_resplit_end_to_end(self, monkeypatch):
         real = backends_mod.simulate_layer
@@ -367,113 +334,7 @@ class TestRunPlanGroups:
         with pytest.raises(ValueError, match="injected failure"):
             run_plan_groups([(engine_b, [plan_b])])
 
-
-class TestSpeculativeExecution:
-    def test_speculation_warms_cache_without_counting(self, monkeypatch):
-        real = backends_mod.simulate_layer
-
-        def slow_fc0(controller, layer, mapping, functional):
-            if layer.name == "fc0":
-                time.sleep(0.3)
-            return real(controller, layer, mapping, functional)
-
-        monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        layers = _layers(8)
-        spec_layers = [
-            FcLayer(f"spec{i}", in_features=32 + i, out_features=32)
-            for i in range(2)
-        ]
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2, chunk_size=1
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            speculative=[EvalRequest(l) for l in spec_layers],
-        )
-        # While fc0 blocks one slot, the other runs out of normal work
-        # and takes the speculative chunk.
-        assert report["speculative_pulled"] >= 1
-        assert report["speculative_simulations"] == 2
-        # Speculative results warm the cache but never count as engine
-        # simulations ...
-        assert engine.num_simulations == 8
-        before = engine.num_simulations
-        for layer in spec_layers:
-            engine.evaluate(layer)
-        # ... so evaluating the speculated layers is all cache hits.
-        assert engine.num_simulations == before
-
-    def test_speculation_always_resolves_pulled_or_cancelled(self):
-        layers = _layers(2)
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2, chunk_size=1
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            speculative=[EvalRequest(_layers(1, width=32)[0])],
-        )
-        # With as many items as slots the single speculative chunk is
-        # either pulled by a slot that finished early or cancelled when
-        # normal work completes — never lost.
-        assert (
-            report["speculative_pulled"] + report["speculative_cancelled"]
-            == 1
-        )
-
-    def test_speculative_duplicates_of_pending_work_are_dropped(self):
-        layers = _layers(4)
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            # Same keys as the pending work: nothing to speculate.
-            speculative=[EvalRequest(l) for l in layers],
-        )
-        assert report["speculative_pulled"] == 0
-        assert report["speculative_simulations"] == 0
-
-
-def _toy_task():
-    space = ConfigSpace()
-    space.define_knob("a", list(range(8)))
-    space.define_knob("b", list(range(8)))
-    return CallableTask(space, lambda c: abs(c["a"] * 8 + c["b"] - 37))
-
-
-class TestGaSpeculation:
-    def test_speculate_never_advances_the_rng(self):
-        a, b = GATuner(_toy_task(), seed=7), GATuner(_toy_task(), seed=7)
-        for _ in range(3):
-            pa, pb = a.propose(8), b.propose(8)
-            assert pa == pb
-            costs = [float(i) for i in range(len(pa))]
-            a._seen.update(pa)
-            b._seen.update(pb)
-            a.update(pa, costs)
-            b.update(pb, costs)
-            # Only tuner ``a`` speculates; its trajectory must not move.
-            assert a.speculate(8) == a.speculate(8)
-
-    def test_speculate_empty_before_first_generation(self):
-        tuner = GATuner(_toy_task(), seed=1)
-        assert tuner.speculate(8) == []
-
-    def test_speculation_cannot_change_the_best_config(self):
-        baseline = GATuner(_toy_task(), seed=11).tune(n_trials=48)
-        speculating = GATuner(_toy_task(), seed=11)
-        speculating.speculation = True
-        result = speculating.tune(n_trials=48)
-        assert result.best_cost == baseline.best_cost
-        assert result.best_config == baseline.best_config
-        assert [t.index for t in result.records.trials] == [
-            t.index for t in baseline.records.trials
-        ]
-
-    def test_engine_backed_speculation_is_bit_identical(self, small_fc):
+    def test_engine_backed_ga_tune_is_bit_identical(self, small_fc):
         config = sigma_config()
         serial_engine = EvaluationEngine(config)
         serial_task = MaeriFcTask(
@@ -487,9 +348,7 @@ class TestGaSpeculation:
         pull_task = MaeriFcTask(
             small_fc, config, objective="cycles", engine=pull_engine
         )
-        tuner = GATuner(pull_task, seed=3)
-        tuner.speculation = True
-        result = tuner.tune(n_trials=32)
+        result = GATuner(pull_task, seed=3).tune(n_trials=32)
         assert result.best_cost == baseline.best_cost
         assert result.best_config == baseline.best_config
         assert [t.cost for t in result.records.trials] == [

@@ -115,6 +115,21 @@ class TestBadKeys:
         with pytest.raises(ConfigError, match="unknown config key"):
             SessionConfig.resolve(env=False, exector="serial")
 
+    def test_removed_speculation_knob_rejected(self, tmp_path, capsys):
+        # A deleted knob must fail loudly on every surface rather than
+        # be silently accepted.
+        with pytest.raises(ConfigError, match="unknown config key 'speculation'"):
+            SessionConfig.resolve(env=False, speculation=True)
+        path = _write_toml(tmp_path, "[tuning]\nspeculation = true\n")
+        with pytest.raises(ConfigError, match="unknown key 'speculation'"):
+            SessionConfig.from_file(path)
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "lenet", "conv1", "--speculation"])
+        assert exit_info.value.code == 2
+        assert "--speculation" in capsys.readouterr().err
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="executor must be one of"):
             SessionConfig.resolve(env=False, executor="bogus")
