@@ -18,8 +18,9 @@ layers.  It times three arms over identical work:
 
 * **serial** — one slot, no scheduling (also the bit-identity reference
   and the "total busy time" used for the utilization estimate);
-* **static** — the legacy path: one ``backend.run`` fan-out per engine
-  group, barriered, on a 4-worker process pool;
+* **static** — one ``run_plan_groups`` call per engine group on a
+  4-worker process pool: each group barriers before the next starts,
+  the historical static fan-out's schedule;
 * **pull** — ``run_plan_groups`` over all groups on the same pool;
 * **thread** — ``run_plan_groups`` on a 4-worker *thread* pool.  The
   historical claim that threads "help little" dated from the pure-Python
@@ -42,6 +43,7 @@ where that inheritance holds (fork start method, i.e. Linux).
 import json
 import multiprocessing
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from conftest import SMOKE, emit, scaled
 
@@ -109,7 +111,7 @@ def _serial_arm():
 
 
 def _static_arm(backend):
-    """The legacy path: one barriered fan-out per engine group."""
+    """One queue per engine group, run back to back: a group barrier."""
     engines = _engines(backend)
     start = time.perf_counter()
     plans = []
@@ -117,10 +119,7 @@ def _static_arm(backend):
         plan = engine.plan_many(
             [EvalRequest(l) for l in _group_layers(group)]
         )
-        work, owners = engine._collect_pending([plan])
-        run = backend.run(engine, work, max_workers=WORKERS)
-        engine._merge_results(work, owners, run)
-        plan._resolve_duplicates()
+        run_plan_groups([(engine, [plan])])
         plans.append(plan)
     return time.perf_counter() - start, _stats_dicts(plans)
 
@@ -142,14 +141,25 @@ def _pull_arm(backend):
 
 
 def _warm_pool(backend):
-    """Fork the pool and build every worker's controllers before timing."""
+    """Fork the pool and build every worker's controllers before timing.
+
+    One concurrent ``run_chunk`` per slot keeps every worker busy, so
+    the pool spawns all of them.
+    """
     for engine in _engines(backend):
+        slots = backend.pull_slots(engine, max_workers=WORKERS)
         items = [
             (None, EvalRequest(FcLayer(f"warm{i}", in_features=8 + i,
                                        out_features=8)))
             for i in range(2 * WORKERS)
         ]
-        backend.run(engine, items, max_workers=WORKERS)
+        with ThreadPoolExecutor(max_workers=len(slots)) as threads:
+            list(threads.map(
+                lambda slot: backend.run_chunk(
+                    engine, items[slot::len(slots)], slot=slot
+                ),
+                slots,
+            ))
 
 
 def _run():
@@ -210,11 +220,7 @@ def test_scheduler_saturation(benchmark, results_dir):
             and out["static_stats"] == out["serial_stats"]
             and out["thread_stats"] == out["serial_stats"]
         ),
-        "counters": {
-            key: value
-            for key, value in out["report"].items()
-            if key != "mode"
-        },
+        "counters": out["report"],
     }
     (results_dir / "BENCH_scheduler.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -231,14 +237,13 @@ def test_scheduler_saturation(benchmark, results_dir):
         f"speedup vs static fan-out: {speedup:.2f}x   "
         f"thread vs serial: {thread_speedup:.2f}x   "
         f"counters: {out['report']['chunks_pulled']} pulls, "
-        f"{out['report']['steals']} steals, "
-        f"{out['report']['resplits']} re-splits",
+        f"{out['report']['steals']} steals",
     ]
     emit(results_dir, "scheduler", "\n".join(lines))
 
     # Correctness first: all four arms bit-identical.
-    assert out["report"]["mode"] == "pull"
-    assert out["thread_report"]["mode"] == "pull"
+    assert out["report"]["chunks_pulled"] == items
+    assert out["thread_report"]["chunks_pulled"] == items
     assert out["static_stats"] == out["serial_stats"]
     assert out["pull_stats"] == out["serial_stats"]
     assert out["thread_stats"] == out["serial_stats"]

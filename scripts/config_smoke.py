@@ -12,8 +12,9 @@ CLI:
    the equivalent explicit flags;
 4. the file-driven example (``examples/session_quickstart.py``) runs
    end to end under that TOML;
-5. a TOML naming a removed knob (``[tuning] speculation``) makes
-   ``repro run --config`` fail with the key named on stderr.
+5. a TOML naming a removed knob (``[tuning] speculation``,
+   ``[engine] steal_deadline``) makes ``repro run --config`` fail with
+   the key named on stderr.
 
 Run:  PYTHONPATH=src python scripts/config_smoke.py
 Exit: 0 on success, 1 on any mismatch.
@@ -156,11 +157,15 @@ def main() -> int:
 
         # 5. A removed knob is a typed config error, not a silent no-op.
         removed = Path(tmp) / "removed.toml"
-        removed.write_text("[tuning]\nspeculation = true\n")
-        proc = run_cli("run", "mlp", "--config", str(removed), check=False)
-        assert proc.returncode != 0, proc.stdout
-        assert "speculation" in proc.stderr, proc.stderr
-        print("run --config rejects the removed [tuning] speculation key")
+        for section, key, value in (
+            ("tuning", "speculation", "true"),
+            ("engine", "steal_deadline", "5.0"),
+        ):
+            removed.write_text(f"[{section}]\n{key} = {value}\n")
+            proc = run_cli("run", "mlp", "--config", str(removed), check=False)
+            assert proc.returncode != 0, proc.stdout
+            assert key in proc.stderr, proc.stderr
+            print(f"run --config rejects the removed [{section}] {key} key")
 
     print("config smoke: OK")
     return 0

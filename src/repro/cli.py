@@ -75,8 +75,7 @@ def _print_fleet_report(engine) -> None:
     counters = backend_counters(backend)
     if counters.get("chunks_pulled"):
         print(f"scheduler: {counters['chunks_pulled']} chunks pulled, "
-              f"{counters['steals']} steals, "
-              f"{counters['resplits']} re-splits")
+              f"{counters['steals']} steals")
     if not hasattr(backend, "fallback_batches"):
         return
     print(f"fleet: {backend.fallback_batches} fallback batches, "
@@ -680,23 +679,23 @@ sweep service:
   exit 0.
 
 saturation scheduling:
-  Multi-scenario batches drain through one pull-based work queue: each
-  executor slot (thread, process, or fleet capacity unit) pulls the
-  next chunk as it finishes, so fast slots steal slow slots' tails and
-  engine groups overlap instead of running back to back.  A worker
-  started with --fleet-capacity N advertises N pull slots and receives
-  proportionally larger shards.  Tune the queue with --chunk-size
-  (items per pull, default auto) and --steal-deadline SECONDS (an
-  in-flight chunk older than this is re-split across idle slots;
-  distinct from --fleet-shard-timeout, which abandons a wedged
-  connection entirely — deadline seconds, timeout minutes).  Results
-  stay bit-identical to --executor serial; per-run steal/re-split
+  Every batch of cache misses drains through one pull-based work
+  queue: each executor slot (thread, process, or fleet capacity unit)
+  pulls the next chunk as it finishes, so fast slots steal slow slots'
+  queued tails and engine groups overlap instead of running back to
+  back.  Serial runs are one slot, drained inline as one chunk per
+  group.  A worker started with --fleet-capacity N advertises N pull
+  slots, so it runs N chunks at once.
+  Tune the queue with --chunk-size (items per pull, default auto).
+  Stealing never moves a chunk a slot is already running:
+  --fleet-shard-timeout is the only bound on a slow or wedged worker.
+  Results stay bit-identical to --executor serial; per-run pull/steal
   counters land in the report JSON under counters.scheduler.
 
 tracing and metrics:
   Any run/tune/compare/sweep records spans with --trace: session ->
-  sweep -> engine -> per-slot scheduler chunks (steals and re-splits
-  as distinct span names) -> cache tier events, plus
+  sweep -> engine -> per-slot scheduler chunks (steals as a
+  distinct span name) -> cache tier events, plus
   one lane per fleet worker with the worker's own batch timing shipped
   back in the wire protocol.  The file loads directly in
   chrome://tracing / Perfetto:

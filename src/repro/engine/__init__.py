@@ -38,8 +38,8 @@ Components
 :mod:`~repro.engine.backends`
     The executor backends ``evaluate_many`` runs cache misses on,
     selected by name through a registry that mirrors the controller
-    registry: ``serial`` (inline), ``thread`` (shared-memory pool, GIL
-    bound for the pure-Python cycle models), and ``process`` (a process
+    registry: ``serial`` (inline), ``thread`` (one puller thread per slot;
+    numpy batch kernels release the GIL), and ``process`` (a process
     pool — controllers are pure functions of (config, params, layer,
     mapping) and pickle cleanly, so workers simulate independently and
     return ``(key, stats)`` pairs that merge into the parent cache).
@@ -53,10 +53,10 @@ Components
 :mod:`~repro.engine.scheduler`
     The saturation scheduler: :func:`~repro.engine.scheduler.run_plan_groups`
     drains many engines' planned batches through one pull-based work
-    queue (one puller per backend slot) so engine groups overlap, fast
-    slots steal slow slots' tails and stragglers re-split past a
-    deadline — all bit-identical to serial execution, with exact
-    steal/re-split/idle counters.
+    queue (one puller per backend slot; one slot drains inline on the
+    caller's thread) so engine groups overlap and fast slots steal slow
+    slots' queued tails — all bit-identical to serial execution, with
+    exact pull/steal/idle counters.
 
 Who routes through it
 ---------------------

@@ -247,11 +247,9 @@ class EvaluationEngine:
             ``None`` keeps the historical default — threads when
             ``max_workers`` asks for parallelism, inline otherwise.
         max_workers: Default pool width for :meth:`evaluate_many`.
-        chunk_size: Items per scheduler chunk on pull-capable backends
+        chunk_size: Items per scheduler chunk
             (:mod:`repro.engine.scheduler`); ``None`` sizes chunks
             automatically from the batch and slot count.
-        steal_deadline: Seconds before an idle scheduler slot re-splits
-            a straggler's unfinished chunk.
     """
 
     def __init__(
@@ -264,7 +262,6 @@ class EvaluationEngine:
         executor: Union[str, ExecutorBackend, None] = None,
         max_workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        steal_deadline: Optional[float] = None,
     ) -> None:
         self.config = config
         self.params = params
@@ -273,7 +270,6 @@ class EvaluationEngine:
         self.functional = functional
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.steal_deadline = steal_deadline
         self.backend: ExecutorBackend = make_backend(executor, max_workers)
         self.controller: AcceleratorController = make_controller(config, params)
         self.num_evaluations = 0
@@ -485,8 +481,8 @@ class EvaluationEngine:
 
         Single-threaded by design (cache writes and plan mutation never
         race); counts each distinct successful item as one simulation
-        regardless of how the backend executed it, so counters stay
-        deterministic even when the scheduler re-splits a straggler.
+        regardless of which slot executed it, so counters stay
+        deterministic.
         """
         simulated = 0
         for slot, result in enumerate(run):
@@ -531,11 +527,9 @@ class EvaluationEngine:
         into the cache and into each plan's ``results``; parked
         duplicates resolve afterwards.
 
-        On pull-capable backends with two or more slots the work runs
-        through the work-stealing scheduler
-        (:func:`repro.engine.scheduler.run_plan_groups`); otherwise it
-        runs as one static backend batch.  Results are bit-identical
-        either way.
+        The work runs through the pull scheduler
+        (:func:`repro.engine.scheduler.run_plan_groups`); results are
+        bit-identical on every backend.
 
         Per-request failures abort by re-raising the first one unless
         ``return_errors`` is True, in which case the failed slots hold

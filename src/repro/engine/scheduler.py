@@ -1,28 +1,26 @@
 """Pull-based work-queue scheduling across engines, plans and backends.
 
-The executor backends historically received one static stride per worker
-and barriered per engine group: a sweep over three hardware configs ran
-three fan-outs back to back, and within each fan-out the fastest worker
-idled until the slowest finished its pre-assigned chunk.  This module
-replaces that with one global queue of ``(engine, chunk)`` items drained
-by *pullers* — one per backend slot — so
+Every batch of cache misses runs through one queue of ``(engine, chunk)``
+items drained by *pullers* — one per backend slot — so
 
 * engine groups overlap: a slot that finishes config A's chunks
-  immediately pulls config B's instead of waiting for the group barrier;
+  immediately pulls config B's instead of waiting for a group barrier;
 * fast slots steal the tail of slow slots' load: chunks carry a *home*
-  slot (the static assignment they would have had) and a pull by any
-  other slot counts as a steal;
-* stragglers re-split: when an idle slot finds no queued work but a
-  chunk has been in flight past ``steal_deadline`` seconds, it clones
-  the chunk's still-unfilled items and races the straggler — first
-  writer wins per item, so results stay deterministic.
+  slot (round-robin over the slots) and a pull by any other slot counts
+  as a steal.  Stealing rebalances only queued chunks; a chunk already
+  running on a slow slot finishes there.
+
+A backend with one slot (serial, single-worker pools, a fleet with no
+reachable worker) — or a call with one chunk — drains the queue on the
+caller's thread with no puller threads, and its automatic chunk size is
+the whole group, so a serial run makes exactly one batch-kernel call per
+same-layer group.
 
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
-no matter which slot runs a chunk or how often a straggler's items are
-duplicated — first-writer-wins only ever picks between identical
-payloads.  Counters (pulls, steals, re-splits, idle time) are exact
-under an injectable clock, which is how the test suite pins them.
+no matter which slot runs a chunk.  Counters (pulls, steals, idle time)
+are exact under an injectable clock, which is how the test suite pins
+them.
 
 Chunk grouping: a chunk is executed by the backend's ``run_chunk``,
 which groups the chunk's items by layer (dataclass equality) and makes
@@ -34,10 +32,7 @@ either way (see :func:`repro.engine.backends.simulate_chunk`).
 
 :func:`run_plan_groups` is the entry point: the sweep runner hands it
 every engine's plans at once; ``EvaluationEngine.run_plans`` is the
-single-group special case.  Backends opt in by returning two or more
-slot tokens from ``pull_slots``; everything else (serial, third-party
-backends, single-worker pools) keeps the legacy one-batch-per-group
-path, bit-for-bit.
+single-group special case.
 """
 
 from __future__ import annotations
@@ -50,25 +45,18 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 
-#: Seconds a chunk may be in flight before idle slots re-split it.
-DEFAULT_STEAL_DEADLINE_S = 5.0
-
 #: Auto chunk sizing: aim for this many chunks per slot per group (load
 #: balancing granularity) ...
 DEFAULT_CHUNKS_PER_SLOT = 4
 
 #: ... without ever exceeding this many items per chunk (bounds the
-#: work lost to a straggler and the latency of a steal).
+#: latency of a steal).
 MAX_CHUNK_ITEMS = 32
-
-#: Seconds an idle puller sleeps between straggler checks.
-_IDLE_POLL_S = 0.02
 
 #: Every counter the scheduler reports (and accumulates per backend).
 COUNTER_KEYS = (
     "chunks_pulled",
     "steals",
-    "resplits",
     "idle_time_s",
 )
 
@@ -82,22 +70,11 @@ class Chunk:
     """One pullable unit: a few work items of one engine group.
 
     ``slots`` are the items' positions in the group's flattened work
-    list; ``home`` is the slot the chunk would have belonged to under
-    static fan-out (the steal baseline).  A re-split duplicate records
-    its original in ``resplit_of`` so it is never itself re-split.
+    list; ``home`` is the slot the chunk is dealt to round-robin (the
+    steal baseline).
     """
 
-    __slots__ = (
-        "engine",
-        "group",
-        "slots",
-        "items",
-        "home",
-        "started_at",
-        "puller",
-        "resplit_of",
-        "resplit_issued",
-    )
+    __slots__ = ("engine", "group", "slots", "items", "home")
 
     def __init__(
         self,
@@ -106,17 +83,12 @@ class Chunk:
         slots: List[int],
         items: List[Tuple[Optional[Hashable], Any]],
         home: Optional[int] = None,
-        resplit_of: Optional["Chunk"] = None,
     ) -> None:
         self.engine = engine
         self.group = group
         self.slots = slots
         self.items = items
         self.home = home
-        self.started_at: Optional[float] = None
-        self.puller = None
-        self.resplit_of = resplit_of
-        self.resplit_issued = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -126,41 +98,23 @@ class Chunk:
 
 
 class WorkQueue:
-    """The shared pull queue: steal accounting, re-splits, results.
+    """The shared pull queue: steal accounting and per-group results.
 
     Thread-safe; all bookkeeping happens under one condition variable.
-    ``clock`` is injectable so tests can pin steal/re-split decisions
-    (and the idle-time estimate) exactly.  The queue owns the per-group
-    result arrays: :meth:`complete` fills them first-writer-wins, which
-    is what makes racing re-split duplicates safe.
+    ``clock`` is injectable so tests can pin the idle-time estimate
+    exactly.
     """
 
-    def __init__(
-        self,
-        num_groups: int,
-        group_sizes: Sequence[int],
-        clock=None,
-        steal_deadline: Optional[float] = None,
-    ) -> None:
+    def __init__(self, group_sizes: Sequence[int], clock=None) -> None:
         self._clock = clock if clock is not None else time.monotonic
-        self.steal_deadline = (
-            steal_deadline
-            if steal_deadline is not None
-            else DEFAULT_STEAL_DEADLINE_S
-        )
         self._cond = threading.Condition()
         self._queued: deque = deque()
-        self._in_flight: Dict[int, Chunk] = {}
-        self._filled: List[List[bool]] = [
-            [False] * size for size in group_sizes
-        ]
-        #: Per-group result arrays, filled first-writer-wins.
+        #: Per-group result arrays, filled by :meth:`complete`.
         self.results: List[List[Optional[Tuple]]] = [
             [None] * size for size in group_sizes
         ]
         self._pending_slots = sum(group_sizes)
         self.counters = zero_counters()
-        assert num_groups == len(group_sizes)
 
     # ------------------------------------------------------------------
     def add(self, chunk: Chunk) -> None:
@@ -169,119 +123,41 @@ class WorkQueue:
             self._queued.append(chunk)
             self._cond.notify()
 
-    @property
-    def done(self) -> bool:
-        with self._cond:
-            return self._pending_slots == 0
-
     # ------------------------------------------------------------------
     def pull(self, slot_id) -> Optional[Chunk]:
         """The next chunk for ``slot_id``; None when all work is done.
 
-        Order of preference: queued work (counting a steal when the
-        chunk's home is another slot), then a re-split of the oldest
-        straggler past the deadline, then wait.  Returns None once every
-        item has a result.
+        Takes queued work (counting a steal when the chunk's home is
+        another slot); with nothing queued, blocks until a chunk is
+        added or the last result lands.  Returns None once every item
+        has a result.
         """
         with self._cond:
             idle_started: Optional[float] = None
-            while True:
-                chunk = self._next_locked(slot_id)
-                if chunk is not _WAIT:
-                    if idle_started is not None:
-                        self.counters["idle_time_s"] += (
-                            self._clock() - idle_started
-                        )
-                    return chunk
+            while self._pending_slots and not self._queued:
                 if idle_started is None:
                     idle_started = self._clock()
-                self._cond.wait(timeout=_IDLE_POLL_S)
-
-    def _next_locked(self, slot_id):
-        if self._pending_slots == 0:
-            self._cond.notify_all()
-            return None
-        if self._queued:
+                self._cond.wait()
+            if idle_started is not None:
+                self.counters["idle_time_s"] += self._clock() - idle_started
+            if not self._queued:
+                return None
             chunk = self._queued.popleft()
             self.counters["chunks_pulled"] += 1
             if chunk.home is not None and chunk.home != slot_id:
                 self.counters["steals"] += 1
-            return self._start(chunk, slot_id)
-        resplit = self._make_resplit(slot_id)
-        if resplit is not None:
-            return resplit
-        return _WAIT
-
-    def _start(self, chunk: Chunk, slot_id) -> Chunk:
-        chunk.started_at = self._clock()
-        chunk.puller = slot_id
-        self._in_flight[id(chunk)] = chunk
-        return chunk
-
-    def _make_resplit(self, slot_id) -> Optional[Chunk]:
-        """Duplicate the oldest over-deadline straggler's unfilled items.
-
-        Each original chunk is re-split at most once, and duplicates are
-        never re-split themselves, so duplication is bounded at 2x.
-        """
-        now = self._clock()
-        straggler: Optional[Chunk] = None
-        for chunk in self._in_flight.values():
-            if (
-                chunk.resplit_of is not None
-                or chunk.resplit_issued
-                or chunk.started_at is None
-                or now - chunk.started_at < self.steal_deadline
-            ):
-                continue
-            if straggler is None or chunk.started_at < straggler.started_at:
-                straggler = chunk
-        if straggler is None:
-            return None
-        filled = self._filled[straggler.group]
-        remaining = [
-            index
-            for index, position in enumerate(straggler.slots)
-            if not filled[position]
-        ]
-        if not remaining:
-            return None
-        straggler.resplit_issued = True
-        duplicate = Chunk(
-            engine=straggler.engine,
-            group=straggler.group,
-            slots=[straggler.slots[i] for i in remaining],
-            items=[straggler.items[i] for i in remaining],
-            home=slot_id,
-            resplit_of=straggler,
-        )
-        self.counters["resplits"] += 1
-        self.counters["chunks_pulled"] += 1
-        return self._start(duplicate, slot_id)
+            return chunk
 
     # ------------------------------------------------------------------
     def complete(self, chunk: Chunk, results: Sequence[Tuple]) -> None:
-        """Record a chunk's results (first writer wins per item)."""
+        """Record a chunk's results."""
         with self._cond:
-            self._in_flight.pop(id(chunk), None)
-            filled = self._filled[chunk.group]
             out = self.results[chunk.group]
             for position, result in zip(chunk.slots, results):
-                if not filled[position]:
-                    filled[position] = True
-                    out[position] = result
-                    self._pending_slots -= 1
-            self._cond.notify_all()
-
-
-class _Wait:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<wait>"
-
-
-_WAIT = _Wait()
+                out[position] = result
+            self._pending_slots -= len(chunk.slots)
+            if not self._pending_slots:
+                self._cond.notify_all()
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +217,12 @@ def _accumulate(backend, report: Dict[str, Any]) -> None:
 # chunking
 # ----------------------------------------------------------------------
 def _auto_chunk_size(work_size: int, num_slots: int) -> int:
-    """Items per chunk: ~DEFAULT_CHUNKS_PER_SLOT chunks per slot, capped."""
+    """Items per chunk: ~DEFAULT_CHUNKS_PER_SLOT chunks per slot, capped.
+
+    One slot has nobody to balance against: its chunk is the whole group.
+    """
+    if num_slots == 1:
+        return max(1, work_size)
     target = max(1, -(-work_size // (num_slots * DEFAULT_CHUNKS_PER_SLOT)))
     return min(MAX_CHUNK_ITEMS, target)
 
@@ -382,24 +263,21 @@ def run_plan_groups(
     executor=None,
     return_errors: bool = False,
     chunk_size: Optional[int] = None,
-    steal_deadline: Optional[float] = None,
     clock=None,
 ) -> Dict[str, Any]:
     """Execute the pending misses of several engines' plans as one queue.
 
     ``groups`` is ``[(engine, [BatchPlan, ...]), ...]``.  Each group's
     misses are flattened with cross-plan dedup (the engine's own
-    :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then —
-    when the shared backend advertises two or more pull slots — chunked
-    onto one :class:`WorkQueue` and drained by one puller thread per
-    slot.  Otherwise each group runs through the backend's legacy
-    ``run`` batch, bit-identically to the pre-scheduler behaviour.
+    :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then
+    chunked onto one :class:`WorkQueue` per backend and drained by one
+    puller per ``pull_slots`` slot.  Groups whose engines resolve to
+    different backends run one queue per backend, in order.
 
-    Returns the scheduler counter report for this invocation (all-zero
-    ``mode: "static"`` when the pull path was not engaged).  Errors obey
-    ``return_errors`` exactly like ``run_plans``: every plan is fully
-    resolved, then the first per-item error (in group, then submission
-    order) is raised.
+    Returns the scheduler counter report for this invocation.  Errors
+    obey ``return_errors`` exactly like ``run_plans``: every plan is
+    fully resolved, then the first per-item error (in group, then
+    submission order) is raised.
     """
     from repro.errors import SimulationError
 
@@ -412,55 +290,39 @@ def run_plan_groups(
                 )
 
     collected: List[Tuple[Any, Sequence[Any], List, List]] = []
+    by_backend: Dict[int, Tuple[Any, List]] = {}
     for engine, plans in groups:
         work, owners = engine._collect_pending(plans)
-        collected.append((engine, plans, work, owners))
+        entry = (engine, plans, work, owners)
+        collected.append(entry)
+        backend = engine._resolve_backend(executor, max_workers)
+        by_backend.setdefault(id(backend), (backend, []))[1].append(entry)
 
     report = zero_counters()
-    report["mode"] = "static"
-    if not collected:
-        return report
-
-    lead_engine = collected[0][0]
-    backends = {
-        id(engine._resolve_backend(executor, max_workers)): engine
-        for engine, _plans, _work, _owners in collected
-    }
-    backend = lead_engine._resolve_backend(executor, max_workers)
-    workers = max_workers if max_workers is not None else lead_engine.max_workers
-    if chunk_size is None:
-        chunk_size = getattr(lead_engine, "chunk_size", None)
-    if steal_deadline is None:
-        steal_deadline = getattr(lead_engine, "steal_deadline", None)
-
-    total_items = sum(len(work) for _e, _p, work, _o in collected)
-    slots: List = []
-    if len(backends) == 1 and total_items > 1:
-        slots = backend.pull_slots(lead_engine, max_workers=workers)
-
-    if len(slots) > 1:
-        report = _run_scheduled(
-            collected,
+    for backend, members in by_backend.values():
+        if not any(work for _e, _p, work, _o in members):
+            continue
+        lead_engine = members[0][0]
+        slots = backend.pull_slots(
+            lead_engine,
+            max_workers=(
+                max_workers if max_workers is not None
+                else lead_engine.max_workers
+            ),
+        )
+        run_report = _run_scheduled(
+            members,
             backend,
             slots,
-            chunk_size=chunk_size,
-            steal_deadline=steal_deadline,
+            chunk_size=(
+                chunk_size if chunk_size is not None
+                else getattr(lead_engine, "chunk_size", None)
+            ),
             clock=clock,
         )
-        report["mode"] = "pull"
-        _accumulate(backend, report)
-    else:
-        # Legacy path: one static backend batch per group.  Serial
-        # execution, third-party backends and single-slot pools land here.
-        for engine, _plans, work, owners in collected:
-            if not work:
-                continue
-            group_backend = engine._resolve_backend(executor, max_workers)
-            group_workers = (
-                max_workers if max_workers is not None else engine.max_workers
-            )
-            run = group_backend.run(engine, work, max_workers=group_workers)
-            engine._merge_results(work, owners, run)
+        _accumulate(backend, run_report)
+        for key in COUNTER_KEYS:
+            report[key] += run_report[key]
 
     for _engine, plans, _work, _owners in collected:
         for plan in plans:
@@ -487,16 +349,15 @@ def _run_scheduled(
     backend,
     slots: List,
     chunk_size: Optional[int],
-    steal_deadline: Optional[float],
     clock,
 ) -> Dict[str, Any]:
-    """The pull path: chunk, enqueue, drain with one puller per slot."""
+    """Chunk, enqueue, drain with one puller per slot."""
     with TRACER.span(
         "scheduler.pull", category="scheduler",
         groups=len(collected), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            collected, backend, slots, chunk_size, steal_deadline, clock,
+            collected, backend, slots, chunk_size, clock,
         )
 
 
@@ -505,16 +366,9 @@ def _run_scheduled_inner(
     backend,
     slots: List,
     chunk_size: Optional[int],
-    steal_deadline: Optional[float],
     clock,
 ) -> Dict[str, Any]:
-    group_sizes = [len(work) for _e, _p, work, _o in collected]
-    queue = WorkQueue(
-        num_groups=len(collected),
-        group_sizes=group_sizes,
-        clock=clock,
-        steal_deadline=steal_deadline,
-    )
+    queue = WorkQueue([len(work) for _e, _p, work, _o in collected], clock)
 
     per_group: List[List[Chunk]] = []
     for group, (engine, _plans, work, _owners) in enumerate(collected):
@@ -525,28 +379,32 @@ def _run_scheduled_inner(
         )
         per_group.append(_chunk_group(engine, group, work, size))
     ordered = _interleave(per_group)
-    # Home = the slot static round-robin fan-out would have assigned;
-    # a pull by any other slot is a steal.
+    # Home = the slot round-robin dealing assigns; a pull by any other
+    # slot is a steal.
     for index, chunk in enumerate(ordered):
         chunk.home = slots[index % len(slots)]
         queue.add(chunk)
 
-    pullers = [
-        threading.Thread(
-            target=_drain,
-            args=(queue, backend, slot),
-            name=f"repro-puller-{index}",
-            daemon=True,
-        )
-        for index, slot in enumerate(slots)
-    ]
-    for thread in pullers:
-        thread.start()
-    for thread in pullers:
-        thread.join()
+    if len(slots) == 1 or len(ordered) == 1:
+        # Nothing to overlap: drain on the caller's thread.
+        _drain(queue, backend, slots[0])
+    else:
+        pullers = [
+            threading.Thread(
+                target=_drain,
+                args=(queue, backend, slot),
+                name=f"repro-puller-{index}",
+                daemon=True,
+            )
+            for index, slot in enumerate(slots)
+        ]
+        for thread in pullers:
+            thread.start()
+        for thread in pullers:
+            thread.join()
 
     # Merge on the calling thread: cache writes and plan mutation stay
-    # single-threaded, exactly like the legacy path.
+    # single-threaded.
     for group, (engine, _plans, work, owners) in enumerate(collected):
         if work:
             engine._merge_results(work, owners, queue.results[group])
@@ -559,16 +417,6 @@ def _slot_lane(slot) -> str:
     if isinstance(slot, tuple):
         return "slot-" + "-".join(str(part) for part in slot)
     return f"slot-{slot}"
-
-
-def _chunk_span_name(chunk: Chunk, slot) -> str:
-    """Distinct event names per lifecycle kind, so steals and re-splits
-    are visually distinguishable in a Chrome trace."""
-    if chunk.resplit_of is not None:
-        return "scheduler.resplit"
-    if chunk.home is not None and chunk.home != slot:
-        return "scheduler.steal"
-    return "scheduler.chunk"
 
 
 def _drain(queue: WorkQueue, backend, slot) -> None:
@@ -585,8 +433,10 @@ def _drain(queue: WorkQueue, backend, slot) -> None:
         if chunk is None:
             return
         started = time.perf_counter()
+        # Steals get their own span name, so they stand out in a trace.
         with TRACER.span(
-            _chunk_span_name(chunk, slot), category="scheduler", lane=lane,
+            "scheduler.chunk" if chunk.home == slot else "scheduler.steal",
+            category="scheduler", lane=lane,
             items=len(chunk.items), group=chunk.group, home=str(chunk.home),
         ):
             try:

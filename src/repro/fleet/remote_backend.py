@@ -7,23 +7,25 @@ registered as ``"remote"``, so the whole existing measurement path —
 machines with zero changes to the tuner: the engine still splits hits
 from misses, and only the misses travel.
 
-Execution model per batch:
+Execution model: the pull scheduler (:mod:`repro.engine.scheduler`)
+drains each miss batch as chunks, one puller per slot.
 
-* the batch is sharded round-robin across the configured workers
-  (``host:port`` addresses — constructor argument, CLI ``--workers``,
-  or the ``REPRO_FLEET_WORKERS`` environment variable);
-* shards run concurrently on one client thread per worker, each over
-  one persistent :class:`~repro.fleet.daemon.DaemonLink` (the shared
-  client half of the daemon skeleton), so the handshake is paid once
-  per worker and controller rebuilds once per engine fingerprint per
+* :meth:`RemoteBackend.pull_slots` names one slot per advertised
+  capacity unit of every reachable worker (``host:port`` addresses —
+  constructor argument, CLI ``--workers``, or the
+  ``REPRO_FLEET_WORKERS`` environment variable), so a capacity-3
+  worker runs three chunks at once;
+* each chunk travels over one persistent
+  :class:`~repro.fleet.daemon.DaemonLink` per worker (the shared client
+  half of the daemon skeleton), so the handshake is paid once per
+  worker and controller rebuilds once per engine fingerprint per
   worker;
-* a shard whose worker dies mid-batch is *retried* on the surviving
-  workers, in shard-sized pieces, so one crash costs one round trip,
-  not the sweep;
+* a chunk whose worker dies mid-flight is *retried* on the surviving
+  workers, so one crash costs one round trip, not the sweep;
 * when no worker is reachable — or the engine is not remotable (mock
-  configs) — the shard falls back to inline serial execution, so
-  ``--executor remote`` degrades to ``--executor serial`` instead of
-  failing a run.
+  configs) — there is one slot and its chunks fall back to inline
+  serial execution, so ``--executor remote`` degrades to
+  ``--executor serial`` instead of failing a run.
 
 Per-item errors (invalid mappings and friends) are captured exception
 entries, exactly like every other backend; worker-side
@@ -36,12 +38,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.backends import (
     ExecutorBackend,
-    WorkItem,
     WorkResult,
     _simulate_item,
     register_backend,
@@ -56,10 +56,9 @@ WORKERS_ENV = "REPRO_FLEET_WORKERS"
 
 #: Default seconds to wait for a shard's results (the
 #: ``fleet.shard_timeout`` config knob overrides it).  Generous: a shard
-#: is many simulations; this bound only catches hung peers, not slow
-#: ones — the *scheduler's* ``engine.steal_deadline`` (seconds, much
-#: shorter) is what re-splits a slow worker's chunk onto idle peers, so
-#: this timeout now only has to catch connections that are truly wedged.
+#: is many simulations.  It is the only bound on a slow or wedged
+#: worker — the scheduler's stealing rebalances only queued chunks, so a
+#: chunk already sent to a worker waits for it up to this long.
 BATCH_TIMEOUT_S = 600.0
 
 
@@ -86,13 +85,13 @@ class RemoteBackend(ExecutorBackend):
             a sweep script can be pointed at a fleet without code
             changes.
         max_workers: Accepted for registry-constructor uniformity;
-            parallelism is one client thread per *remote* worker.
+            parallelism is one scheduler puller per worker capacity
+            unit.
         shard_timeout: Seconds to wait for one shard's results before
             declaring the connection dead (the ``fleet.shard_timeout``
-            knob); defaults to :data:`BATCH_TIMEOUT_S`.  Orthogonal to
-            the scheduler's ``engine.steal_deadline``: the deadline
-            re-splits a *slow* worker's chunk onto idle peers (seconds),
-            the timeout abandons a *wedged* connection (minutes).
+            knob); defaults to :data:`BATCH_TIMEOUT_S`.  This is the
+            only bound on a slow or wedged worker: stealing rebalances
+            only queued chunks, never one a worker is running.
     """
 
     name = "remote"
@@ -151,93 +150,26 @@ class RemoteBackend(ExecutorBackend):
         return capacities
 
     # ------------------------------------------------------------------
-    def run(self, engine, items, max_workers=None):
-        addresses = self._addresses()
-        if not items:
-            return []
-        try:
-            spec = protocol.engine_spec(engine)
-        except protocol.ProtocolError:
-            spec = None  # not remotable (mock config); run inline
-        if not addresses or spec is None:
-            self.fallback_batches += 1
-            return [_simulate_item(engine, item) for item in items]
-
-        indexed = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
-        ]
-        capacities = self._capacities(addresses)
-        if capacities:
-            # Capacity-weighted sharding: each reachable worker appears
-            # once per advertised capacity unit in the stride base, so a
-            # capacity-2 worker's single shard carries twice the items.
-            expanded = [
-                address
-                for address in addresses
-                if address in capacities
-                for _ in range(capacities[address])
-            ]
-            strides = [indexed[i :: len(expanded)] for i in range(len(expanded))]
-            by_address: Dict[str, List[Tuple]] = {}
-            for address, stride in zip(expanded, strides):
-                by_address.setdefault(address, []).extend(stride)
-            pairs = [
-                (address, sorted(shard))
-                for address, shard in by_address.items()
-                if shard
-            ]
-        else:
-            # Nothing answered the probe: keep the legacy equal
-            # sharding over every configured address, so each shard
-            # walks the usual retry-then-inline-fallback path and the
-            # failure counters stay exactly as before.
-            shards = [indexed[i :: len(addresses)] for i in range(len(addresses))]
-            pairs = [
-                (address, shard)
-                for address, shard in zip(addresses, shards)
-                if shard
-            ]
-        results: List[Optional[WorkResult]] = [None] * len(items)
-        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-            shard_outcomes = pool.map(
-                lambda pair: self._run_shard(
-                    engine, spec, pair[1], preferred=pair[0],
-                    all_addresses=addresses,
-                ),
-                pairs,
-            )
-            for outcome in shard_outcomes:
-                for position, result in outcome:
-                    results[position] = result
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
     def pull_slots(self, engine, max_workers=None):
         """One scheduler slot per advertised capacity unit per reachable
-        worker — ``(address, unit)`` tokens.  Empty (static fallback)
+        worker — ``(address, unit)`` tokens.  One inline-fallback slot
         when the engine is not remotable or no worker answers."""
         addresses = self._addresses()
-        if not addresses:
-            return []
         try:
             protocol.engine_spec(engine)
         except protocol.ProtocolError:
-            return []
+            addresses = []
         capacities = self._capacities(addresses)
-        return [
+        slots = [
             (address, unit)
             for address in addresses
             for unit in range(capacities.get(address, 0))
         ]
+        return slots or super().pull_slots(engine, max_workers)
 
     def run_chunk(self, engine, items, slot=None):
-        """Execute one scheduler chunk on the slot's worker.
-
-        Reuses the shard machinery — retry on survivors, then inline
-        serial fallback — so a worker crash mid-chunk degrades exactly
-        like a crash mid-shard.
-        """
+        """Execute one scheduler chunk as a shard on the slot's worker,
+        then on the survivors, then inline (see :meth:`_run_shard`)."""
         addresses = self._addresses()
         try:
             spec = protocol.engine_spec(engine)

@@ -197,16 +197,9 @@ class EngineConfig:
     chunk_size: Optional[int] = field(
         default=None,
         metadata=_meta(key="chunk_size", kind="optint",
-                       help="items per work-stealing scheduler chunk on "
-                            "pull-capable backends (unset: sized "
-                            "automatically from the batch and slot "
-                            "count)"),
-    )
-    steal_deadline: float = field(
-        default=5.0,
-        metadata=_meta(key="steal_deadline", kind="float",
-                       help="seconds before an idle scheduler slot "
-                            "re-splits a straggler's unfinished chunk"),
+                       help="items per work-stealing scheduler chunk "
+                            "(unset: sized automatically from the batch "
+                            "and slot count)"),
     )
 
     def __post_init__(self) -> None:
@@ -222,10 +215,6 @@ class EngineConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.steal_deadline <= 0:
-            raise ConfigError(
-                f"steal_deadline must be > 0, got {self.steal_deadline}"
             )
 
 
@@ -297,9 +286,9 @@ class FleetConfig:
         metadata=_meta(key="fleet_shard_timeout", kind="float",
                        help="seconds the remote backend waits for one "
                             "shard's results before declaring the "
-                            "connection dead (slow-but-alive workers "
-                            "are handled by the much shorter "
-                            "steal_deadline instead)"),
+                            "connection dead; the only bound on a slow "
+                            "or wedged worker (stealing rebalances only "
+                            "queued chunks)"),
     )
 
     secret: Optional[str] = field(

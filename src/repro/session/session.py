@@ -178,7 +178,6 @@ class Session:
                 max_workers=config.engine.max_workers,
                 functional=config.engine.functional,
                 chunk_size=config.engine.chunk_size,
-                steal_deadline=config.engine.steal_deadline,
             )
             self.mappings = MappingConfigurator(
                 config=self.simulator_config,

@@ -108,7 +108,6 @@ class SweepRunner:
             max_workers=session.config.engine.max_workers,
             functional=config.engine.functional,
             chunk_size=session.config.engine.chunk_size,
-            steal_deadline=session.config.engine.steal_deadline,
         )
         key = (engine.fingerprint, engine.functional)
         if key in self._engines:
@@ -267,8 +266,8 @@ class SweepRunner:
         # Phase 2: every engine group through one work-stealing queue —
         # cross-scenario duplicates simulate once, engine groups overlap
         # instead of running back to back, and fast executor slots steal
-        # the tail of slow ones' load.  (Single-slot backends fall back
-        # to one static batch per group inside run_plan_groups.)
+        # the tail of slow ones' load.  (Single-slot backends drain each
+        # group as one inline chunk.)
         from repro.engine.scheduler import run_plan_groups
 
         self._emit(

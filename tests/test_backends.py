@@ -8,6 +8,7 @@ import pytest
 from repro.engine import (
     EvalRequest,
     EvaluationEngine,
+    ExecutorBackend,
     PersistentStatsCache,
     ProcessBackend,
     SerialBackend,
@@ -18,6 +19,7 @@ from repro.engine import (
     registered_backends,
     unregister_backend,
 )
+from repro.engine.backends import simulate_layer
 from repro.errors import ConfigError
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
@@ -88,6 +90,53 @@ class TestBackendRegistry:
             assert isinstance(make_backend("process-alias"), ProcessBackend)
         finally:
             unregister_backend("process-alias")
+
+
+class TestRunChunkOnlyBackend:
+    """A third-party backend needs nothing but ``run_chunk``."""
+
+    @pytest.fixture
+    def chunk_only(self):
+        chunks = []
+
+        @register_backend("test-chunk-only")
+        class ChunkOnlyBackend(ExecutorBackend):
+            def run_chunk(self, engine, items, slot=None):
+                chunks.append(len(items))
+                return [
+                    (key, simulate_layer(
+                        engine.controller, request.layer, request.mapping,
+                        False,
+                    ))
+                    for key, request in items
+                ]
+
+        try:
+            yield chunks
+        finally:
+            unregister_backend("test-chunk-only")
+
+    def test_evaluate_many_matches_serial(self, maeri128, chunk_only):
+        reqs = _requests()
+        serial = EvaluationEngine(maeri128, executor="serial").evaluate_many(reqs)
+        engine = EvaluationEngine(maeri128, executor="test-chunk-only")
+        assert engine.evaluate_many(reqs) == serial
+        assert chunk_only == [len(reqs)]  # one slot: the batch is one chunk
+
+    def test_session_sweep_matches_serial(self, chunk_only):
+        from repro.session import Session
+        from repro.sweep import SweepPlan
+
+        with Session(executor="serial") as s:
+            serial = s.sweep(SweepPlan.matrix(s.config, models=["mlp", "lenet"]))
+        with Session(executor="test-chunk-only") as s:
+            custom = s.sweep(SweepPlan.matrix(s.config, models=["mlp", "lenet"]))
+        assert chunk_only
+        assert serial.names == custom.names
+        for name in serial.names:
+            assert [st.to_dict() for st in custom[name].layer_stats] == [
+                st.to_dict() for st in serial[name].layer_stats
+            ]
 
 
 class TestBackendParity:

@@ -296,10 +296,10 @@ class TestMetricsRegistry:
     def test_counters_with_prefix(self):
         registry = MetricsRegistry()
         registry.counter("scheduler.steals").inc(2)
-        registry.counter("scheduler.resplits").inc(1)
+        registry.counter("scheduler.chunks_pulled").inc(1)
         registry.counter("fleet.shards").inc(9)
         assert registry.counters_with_prefix("scheduler.") == {
-            "steals": 2, "resplits": 1,
+            "steals": 2, "chunks_pulled": 1,
         }
 
     def test_instrument_classes_standalone(self):

@@ -74,7 +74,7 @@ class TestSessionTracing:
         assert session.trace_path is None
         assert len(TRACER.spans()) > 0
 
-    def test_steals_and_resplits_are_distinct_span_names(self, traced):
+    def test_steals_are_a_distinct_span_name(self, traced):
         # A 2-slot thread backend over a multi-scenario sweep exercises
         # the pull loop; chunk-lifecycle spans all land in the
         # scheduler category on slot lanes.
@@ -85,7 +85,7 @@ class TestSessionTracing:
         chunk_spans = [s for s in scheduler if s["lane"].startswith("slot-")]
         assert chunk_spans
         assert {s["name"] for s in chunk_spans} <= {
-            "scheduler.chunk", "scheduler.steal", "scheduler.resplit",
+            "scheduler.chunk", "scheduler.steal",
         }
 
 

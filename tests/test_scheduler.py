@@ -2,14 +2,14 @@
 
 Three layers of guarantees:
 
-* :class:`~repro.engine.scheduler.WorkQueue` unit tests pin the steal /
-  re-split / idle-time counters *exactly* under an injectable fake
-  clock — no timing assumptions;
+* :class:`~repro.engine.scheduler.WorkQueue` unit tests pin the pull /
+  steal / idle-time counters *exactly* under an injectable fake clock —
+  no timing assumptions;
 * :func:`~repro.engine.scheduler.run_plan_groups` integration tests
   prove the pull path bit-identical to ``--executor serial`` on the
-  thread and process backends, including under injected slow workers
-  and straggler re-splits, and a GA tuning run through the pull path
-  bit-identical to a serial-engine run.
+  thread and process backends, including under injected slow workers,
+  that serial drains inline as one chunk per group, and a GA tuning run
+  through the pull path bit-identical to a serial-engine run.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from repro.engine.scheduler import (
     zero_counters,
 )
 from repro.errors import SimulationError
-from repro.stonne.config import sigma_config
-from repro.stonne.layer import FcLayer
+from repro.stonne.config import maeri_config, sigma_config
+from repro.stonne.layer import ConvLayer, FcLayer
+from repro.stonne.mapping import ConvMapping
 from repro.tuner import GATuner, MaeriFcTask
 
 
@@ -64,7 +65,7 @@ def _layers(count, width=8):
 
 class TestWorkQueue:
     def test_steal_counting_is_exact(self):
-        queue = WorkQueue(1, [3], clock=FakeClock())
+        queue = WorkQueue([3], clock=FakeClock())
         chunks = [
             _chunk([i], [(f"k{i}", None)], home=i % 2) for i in range(3)
         ]
@@ -84,58 +85,11 @@ class TestWorkQueue:
         assert queue.pull(0) is None
         assert queue.pull(1) is None
         assert queue.results[0] == [("k0", "r0"), ("k1", "r1"), ("k2", "r2")]
-        assert queue.counters["resplits"] == 0
         assert queue.counters["idle_time_s"] == 0
-
-    def test_straggler_resplit_first_writer_wins(self):
-        clock = FakeClock()
-        queue = WorkQueue(1, [4], clock=clock, steal_deadline=5.0)
-        big = _chunk([0, 1, 2], [("a", 1), ("b", 2), ("c", 3)], home=0)
-        small = _chunk([3], [("d", 4)], home=1)
-        queue.add(big)
-        queue.add(small)
-        assert queue.pull(0) is big
-        assert queue.pull(1) is small
-        queue.complete(small, [("d", "rd")])
-        # Under the deadline nothing is re-split; past it, the idle slot
-        # clones the straggler's unfilled items.
-        assert queue._make_resplit(1) is None
-        clock.advance(6.0)
-        duplicate = queue.pull(1)
-        assert duplicate.resplit_of is big
-        assert duplicate.slots == [0, 1, 2]
-        assert [key for key, _ in duplicate.items] == ["a", "b", "c"]
-        assert queue.counters["resplits"] == 1
-        # Each original re-splits at most once, and duplicates never do.
-        assert big.resplit_issued
-        assert queue._make_resplit(2) is None
-        # The duplicate finishes first; the straggler's late (identical
-        # in production, marked here) results must not overwrite.
-        queue.complete(duplicate, [("a", "ra"), ("b", "rb"), ("c", "rc")])
-        queue.complete(big, [("a", "XX"), ("b", "XX"), ("c", "XX")])
-        assert queue.results[0] == [
-            ("a", "ra"), ("b", "rb"), ("c", "rc"), ("d", "rd"),
-        ]
-        assert queue.pull(0) is None
-
-    def test_resplit_skips_already_filled_items(self):
-        clock = FakeClock()
-        queue = WorkQueue(1, [3], clock=clock, steal_deadline=5.0)
-        big = _chunk([0, 1, 2], [("a", 1), ("b", 2), ("c", 3)], home=0)
-        queue.add(big)
-        assert queue.pull(0) is big
-        # Simulate position 1 having been served already (by a racing
-        # duplicate in production): the re-split must exclude it.
-        queue._filled[0][1] = True
-        queue._pending_slots -= 1
-        clock.advance(6.0)
-        duplicate = queue.pull(1)
-        assert duplicate.slots == [0, 2]
-        assert [key for key, _ in duplicate.items] == ["a", "c"]
 
     def test_idle_time_is_exact_under_fake_clock(self):
         clock = FakeClock()
-        queue = WorkQueue(1, [1], clock=clock)
+        queue = WorkQueue([1], clock=clock)
         pulled = []
         puller = threading.Thread(target=lambda: pulled.append(queue.pull(0)))
         puller.start()
@@ -156,7 +110,7 @@ class TestWorkQueue:
         counters = zero_counters()
         assert counters["idle_time_s"] == 0.0
         assert set(counters) == {
-            "chunks_pulled", "steals", "resplits", "idle_time_s",
+            "chunks_pulled", "steals", "idle_time_s",
         }
 
 
@@ -166,6 +120,7 @@ class TestChunking:
         assert _auto_chunk_size(256, 2) == 32   # 256 / (2*4) = 32
         assert _auto_chunk_size(10_000, 2) == 32  # capped
         assert _auto_chunk_size(1, 8) == 1
+        assert _auto_chunk_size(100, 1) == 100  # one slot: whole group
 
     def test_interleave_round_robins_groups(self):
         a = [_chunk([i], [(f"a{i}", None)]) for i in range(3)]
@@ -186,12 +141,9 @@ class TestRunPlanGroups:
         engine = EvaluationEngine(config, executor="thread", max_workers=4)
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
-        assert report["mode"] == "pull"
         assert [s.to_dict() for s in plan.results] == expected
-        # 10 distinct items, auto chunk size 1 -> 10 normal pulls (plus
-        # any re-splits, which the 5 s default deadline rules out here).
+        # 10 distinct items, auto chunk size 1 -> 10 pulls.
         assert report["chunks_pulled"] == 10
-        assert report["resplits"] == 0
         assert engine.num_simulations == 10
         # The backend accumulated this run's counters.
         assert backend_counters(engine.backend)["chunks_pulled"] == 10
@@ -204,7 +156,7 @@ class TestRunPlanGroups:
         try:
             plan = engine.plan_many([EvalRequest(l) for l in layers])
             report = run_plan_groups([(engine, [plan])])
-            assert report["mode"] == "pull"
+            assert report["chunks_pulled"] == 6
             assert [s.to_dict() for s in plan.results] == expected
         finally:
             engine.backend.close()
@@ -229,7 +181,6 @@ class TestRunPlanGroups:
             report = run_plan_groups(
                 [(engine_a, [plan_a]), (engine_b, [plan_b])]
             )
-            assert report["mode"] == "pull"
             assert [s.to_dict() for s in plan_a.results] == expected_a
             assert [s.to_dict() for s in plan_b.results] == expected_b
             assert report["chunks_pulled"] == 9
@@ -243,16 +194,63 @@ class TestRunPlanGroups:
         with pytest.raises(SimulationError):
             run_plan_groups([(engine_b, [plan])])
 
-    def test_serial_backend_stays_static(self):
-        layers = _layers(4)
-        config = sigma_config()
-        expected = self._serial_reference(config, layers)
-        engine = EvaluationEngine(config, executor="serial")
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups([(engine, [plan])])
-        assert report["mode"] == "static"
-        assert report["chunks_pulled"] == 0
-        assert [s.to_dict() for s in plan.results] == expected
+    def test_serial_runs_inline_as_one_chunk_per_group(self, monkeypatch):
+        # Two engine groups, each two conv layers under three mappings:
+        # two same-layer groups per engine.
+        configs = [maeri_config(), maeri_config(ms_size=64)]
+        requests = [
+            EvalRequest(
+                ConvLayer(f"c{i}", C=2 + i, H=8, W=8, K=4, R=3, S=3),
+                ConvMapping(T_R=3, T_S=3, T_K=k),
+            )
+            for i in range(2)
+            for k in (1, 2, 4)
+        ]
+        expected = [
+            [
+                EvaluationEngine(config)
+                .evaluate(r.layer, r.mapping)
+                .to_dict()
+                for r in requests
+            ]
+            for config in configs
+        ]
+
+        batch_layers = []
+        real_batch = backends_mod.simulate_layer_batch
+
+        def counting_batch(controller, layer, mappings):
+            batch_layers.append(layer.name)
+            return real_batch(controller, layer, mappings)
+
+        threads_inside = []
+        real_chunk = backends_mod.ExecutorBackend.run_chunk
+
+        def watching_chunk(self, engine, items, slot=None):
+            threads_inside.append(threading.active_count())
+            return real_chunk(self, engine, items, slot)
+
+        monkeypatch.setattr(
+            backends_mod, "simulate_layer_batch", counting_batch
+        )
+        monkeypatch.setattr(
+            backends_mod.ExecutorBackend, "run_chunk", watching_chunk
+        )
+        engines = [
+            EvaluationEngine(config, executor="serial") for config in configs
+        ]
+        plans = [engine.plan_many(requests) for engine in engines]
+        before = threading.active_count()
+        report = run_plan_groups(
+            [(engine, [plan]) for engine, plan in zip(engines, plans)]
+        )
+
+        assert threads_inside == [before, before]  # no puller threads
+        assert report["chunks_pulled"] == 2
+        assert report["steals"] == 0
+        assert batch_layers == ["c0", "c1", "c0", "c1"]
+        for plan, want in zip(plans, expected):
+            assert [s.to_dict() for s in plan.results] == want
 
     def test_slow_worker_gets_its_tail_stolen(self, monkeypatch):
         real = backends_mod.simulate_layer
@@ -272,37 +270,12 @@ class TestRunPlanGroups:
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
         # While one slot holds fc0 for 0.3 s the other drains the rest,
-        # including chunks whose static home was the busy slot.
-        assert report["mode"] == "pull"
+        # including chunks whose home was the busy slot.
         assert report["steals"] >= 1
         assert [s.to_dict() for s in plan.results] == expected
         # Pulled results merge into the cache: re-evaluating is all hits.
         assert engine.num_simulations == 8
         engine.evaluate_many([EvalRequest(l) for l in layers])
-        assert engine.num_simulations == 8
-
-    def test_straggler_resplit_end_to_end(self, monkeypatch):
-        real = backends_mod.simulate_layer
-
-        def slow_fc0(controller, layer, mapping, functional):
-            if layer.name == "fc0":
-                time.sleep(0.5)
-            return real(controller, layer, mapping, functional)
-
-        layers = _layers(8)
-        config = sigma_config()
-        expected = self._serial_reference(config, layers)
-        monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        engine = EvaluationEngine(
-            config, executor="thread", max_workers=2,
-            chunk_size=2, steal_deadline=0.05,
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups([(engine, [plan])])
-        # The idle slot re-splits the straggler chunk [fc0, fc1] and
-        # races it; duplicated items must not double-count simulations.
-        assert report["resplits"] >= 1
-        assert [s.to_dict() for s in plan.results] == expected
         assert engine.num_simulations == 8
 
     def test_error_isolation_matches_run_plans(self, monkeypatch):
@@ -320,7 +293,7 @@ class TestRunPlanGroups:
         )
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])], return_errors=True)
-        assert report["mode"] == "pull"
+        assert report["chunks_pulled"] == 6
         assert isinstance(plan.results[3], ValueError)
         assert all(
             not isinstance(result, Exception)

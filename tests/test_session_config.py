@@ -130,6 +130,21 @@ class TestBadKeys:
         assert exit_info.value.code == 2
         assert "--speculation" in capsys.readouterr().err
 
+    def test_removed_steal_deadline_knob_rejected(self, tmp_path, capsys):
+        with pytest.raises(
+            ConfigError, match="unknown config key 'steal_deadline'"
+        ):
+            SessionConfig.resolve(env=False, steal_deadline=5.0)
+        path = _write_toml(tmp_path, "[engine]\nsteal_deadline = 5.0\n")
+        with pytest.raises(ConfigError, match="unknown key 'steal_deadline'"):
+            SessionConfig.from_file(path)
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--models", "mlp", "--steal-deadline", "1"])
+        assert exit_info.value.code == 2
+        assert "--steal-deadline" in capsys.readouterr().err
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="executor must be one of"):
             SessionConfig.resolve(env=False, executor="bogus")
