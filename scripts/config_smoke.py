@@ -14,7 +14,10 @@ CLI:
    end to end under that TOML;
 5. a TOML naming a removed knob (``[tuning] speculation``,
    ``[engine] steal_deadline``) makes ``repro run --config`` fail with
-   the key named on stderr.
+   the key named on stderr;
+6. ``repro tune alexnet fc1`` searches its 64-config space exhaustively
+   (the whole space fits the default 400-trial budget): 36 valid
+   configs explored, best mapping ``(128, 1, 1)``.
 
 Run:  PYTHONPATH=src python scripts/config_smoke.py
 Exit: 0 on success, 1 on any mismatch.
@@ -166,6 +169,12 @@ def main() -> int:
             assert proc.returncode != 0, proc.stdout
             assert key in proc.stderr, proc.stderr
             print(f"run --config rejects the removed [{section}] {key} key")
+
+        # 6. A space that fits the trial budget is searched exhaustively.
+        tuned = run_cli("tune", "alexnet", "fc1")
+        assert "explored 36 configs\n" in tuned, tuned
+        assert "best mapping: (128, 1, 1)\n" in tuned, tuned
+        print("repro tune alexnet fc1 searched its 36 valid configs")
 
     print("config smoke: OK")
     return 0

@@ -18,12 +18,12 @@ from typing import Dict, Optional, Union
 from repro.engine import EvaluationEngine
 from repro.errors import MappingError, TuningError
 from repro.mrna.mapper import MrnaMapper
+from repro.session.config import TuningConfig
 from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
-from repro.tuner.measure import MaeriConvTask, MaeriFcTask
-from repro.tuner.tuners.xgb import XGBTuner
+from repro.tuner.layer import tune_layer
 
 Layer = Union[ConvLayer, FcLayer]
 Mapping = Union[ConvMapping, FcMapping]
@@ -44,18 +44,13 @@ class MappingConfigurator:
     Args:
         config: The MAERI hardware configuration mappings must fit.
         strategy: Fallback source when a layer has no manual mapping.
-        objective: Tuning objective for the TUNED strategy
-            ("psums" — the paper's choice — or "cycles").
-        tuner_trials: Measurement budget per layer for TUNED.
-        tuner_early_stopping: Early-stopping patience for TUNED.
+        tuning: Tuner, objective, budget, early stopping and seed for
+            the TUNED strategy (its ``mapping`` field is not consulted).
     """
 
     config: SimulatorConfig
     strategy: MappingStrategy = MappingStrategy.DEFAULT
-    objective: str = "psums"
-    tuner_trials: int = 400
-    tuner_early_stopping: int = 120
-    seed: int = 0
+    tuning: TuningConfig = field(default_factory=TuningConfig)
     manual: Dict[str, Mapping] = field(default_factory=dict)
     engine: Optional[EvaluationEngine] = field(default=None, repr=False)
     _cache: Dict[tuple, Mapping] = field(default_factory=dict)
@@ -130,7 +125,8 @@ class MappingConfigurator:
         return self._tune(layer)
 
     def _tune(self, layer: Layer) -> Mapping:
-        """Run the AutoTVM module (GBT tuner, early stopping) on a layer.
+        """Run the AutoTVM module (``tuning.tuner``, early stopping) on a
+        layer.
 
         Every layer's task shares this configurator's evaluation engine,
         so tuning a layer whose shape already appeared in the network is
@@ -138,21 +134,5 @@ class MappingConfigurator:
         """
         if self.engine is None:
             self.engine = EvaluationEngine(self.config)
-        if isinstance(layer, ConvLayer):
-            task = MaeriConvTask(
-                layer, self.config, objective=self.objective, engine=self.engine
-            )
-        else:
-            task = MaeriFcTask(
-                layer, self.config, objective=self.objective, engine=self.engine
-            )
-        tuner = XGBTuner(task, seed=self.seed)
-        result = tuner.tune(
-            n_trials=self.tuner_trials,
-            early_stopping=self.tuner_early_stopping,
-        )
-        if result.best_config is None:
-            raise TuningError(
-                f"tuning found no valid mapping for layer {layer.name!r}"
-            )
-        return task.best_mapping(result.best_config)
+        mapping, _ = tune_layer(layer, self.config, self.tuning, self.engine)
+        return mapping

@@ -335,11 +335,15 @@ class TuningConfig:
     tuner: str = field(
         default="xgb",
         metadata=_meta(kind="str", choices=TUNERS,
-                       help="search strategy for repro tune"),
+                       help="search strategy for repro tune and "
+                            "mapping=\"tuned\""),
     )
     trials: int = field(
         default=400,
-        metadata=_meta(kind="int", help="measurement budget per layer"),
+        metadata=_meta(kind="int",
+                       help="measurement budget per layer; a layer whose "
+                            "whole space fits the budget is searched "
+                            "exhaustively"),
     )
     early_stopping: int = field(
         default=120,

@@ -182,10 +182,7 @@ class Session:
             self.mappings = MappingConfigurator(
                 config=self.simulator_config,
                 strategy=MappingStrategy(config.tuning.mapping),
-                objective=config.tuning.objective,
-                tuner_trials=config.tuning.trials,
-                tuner_early_stopping=config.tuning.early_stopping,
-                seed=config.tuning.seed,
+                tuning=config.tuning,
                 engine=self.engine,
             )
             self.api = StonneBifrostApi(

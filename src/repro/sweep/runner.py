@@ -133,10 +133,7 @@ class SweepRunner:
             mapper = MappingConfigurator(
                 config=sim_config,
                 strategy=MappingStrategy(tuning.mapping),
-                objective=tuning.objective,
-                tuner_trials=tuning.trials,
-                tuner_early_stopping=tuning.early_stopping,
-                seed=tuning.seed,
+                tuning=tuning,
                 engine=engine,
             )
             self._mappers[key] = mapper
@@ -413,15 +410,7 @@ class SweepRunner:
     ) -> TuneReport:
         """Tune one layer's mapping under the scenario's tuning config."""
         from repro.session.session import zoo_layers
-        from repro.stonne.layer import ConvLayer
-        from repro.tuner import (
-            GATuner,
-            GridSearchTuner,
-            MaeriConvTask,
-            MaeriFcTask,
-            RandomTuner,
-            XGBTuner,
-        )
+        from repro.tuner import tune_layer
 
         target = scenario.target
         if target is None:
@@ -433,32 +422,7 @@ class SweepRunner:
                 )
             target = layers[scenario.layer]
         tuning = scenario.config.tuning
-        if isinstance(target, ConvLayer):
-            task = MaeriConvTask(
-                target, sim_config, objective=tuning.objective, engine=engine,
-            )
-        else:
-            task = MaeriFcTask(
-                target, sim_config, objective=tuning.objective, engine=engine,
-            )
-        tuners = {
-            "grid": GridSearchTuner,
-            "random": RandomTuner,
-            "ga": GATuner,
-            "xgb": XGBTuner,
-        }
-        if tuning.tuner not in tuners:
-            raise TuningError(
-                f"tuner must be one of {sorted(tuners)}, got {tuning.tuner!r}"
-            )
-        tuner = tuners[tuning.tuner](task, seed=tuning.seed)
-        result = tuner.tune(
-            n_trials=tuning.trials,
-            early_stopping=tuning.early_stopping,
-        )
-        if result.best_config is None:
-            raise TuningError("no valid mapping found")
-        mapping = task.best_mapping(result.best_config)
+        mapping, result = tune_layer(target, sim_config, tuning, engine)
         return TuneReport(
             model=scenario.model,
             layer=target.name,

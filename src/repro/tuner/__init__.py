@@ -7,6 +7,7 @@ grid / random / genetic / gradient-boosted-tree tuners.
 """
 
 from repro.tuner.gbt import GradientBoostedTrees, RegressionTree
+from repro.tuner.layer import tune_layer
 from repro.tuner.measure import (
     INVALID_COST,
     CallableTask,
@@ -56,4 +57,5 @@ __all__ = [
     "conv_mapping_space",
     "fc_mapping_space",
     "hardware_space",
+    "tune_layer",
 ]

@@ -82,9 +82,11 @@ class ConfigSpace:
     def is_valid(self, config: Config) -> bool:
         return all(constraint(config) for constraint in self.constraints)
 
-    def valid_indices(self) -> Iterator[int]:
-        """Yield every index whose config satisfies the constraints."""
-        for index in range(self.raw_size):
+    def valid_indices(self, start: int = 0) -> Iterator[int]:
+        """Yield every index from ``start`` on whose config satisfies the
+        constraints, in index order: the one enumeration grid search and
+        exhaustive tuning both walk."""
+        for index in range(start, self.raw_size):
             if self.is_valid(self.config_at(index)):
                 yield index
 

@@ -4,11 +4,18 @@ Concrete tuners implement :meth:`propose` (a batch of config indices to
 try next) and may override :meth:`update` to learn from results.  The
 driver loop mirrors AutoTVM's: propose, measure, update, repeat until the
 trial budget or the early-stopping patience is exhausted.
+
+A space no larger than the trial budget (``raw_size <= n_trials``) is
+searched exhaustively instead: every tuner then walks the valid configs
+in index order, exactly as :class:`~repro.tuner.tuners.grid.GridSearchTuner`
+does, without calling :meth:`propose` or :meth:`update` -- a surrogate
+model or sampler cannot beat measuring the whole space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from repro.errors import TuningError
@@ -46,6 +53,7 @@ class Tuner:
         self.task = task
         self.seed = seed
         self._seen: set = set()
+        self._cursor = 0  # next raw index the in-order enumeration visits
 
     # ------------------------------------------------------------------
     # subclass interface
@@ -57,6 +65,13 @@ class Tuner:
     def update(self, indices: Sequence[int], costs: Sequence[float]) -> None:
         """Learn from a batch of measurements (default: nothing)."""
 
+    def _enumerate(self, count: int) -> List[int]:
+        """The next ``count`` valid config indices in index order."""
+        batch = list(islice(self.task.space.valid_indices(self._cursor), count))
+        if batch:
+            self._cursor = batch[-1] + 1
+        return batch
+
     # ------------------------------------------------------------------
     def tune(
         self,
@@ -65,6 +80,12 @@ class Tuner:
         records: Optional[TuningRecords] = None,
     ) -> TuningResult:
         """Run the tuning loop.
+
+        When the whole space fits the budget (``raw_size <= n_trials``)
+        the proposals are the space's valid configs in index order and
+        :meth:`propose` / :meth:`update` are never called, so every tuner
+        returns what grid search returns on that space.  Larger spaces
+        run the tuner's own search.
 
         Args:
             n_trials: Maximum number of measurements.
@@ -82,10 +103,11 @@ class Tuner:
         best_config: Optional[Config] = None
         trials_since_best = 0
         stopped_early = False
+        exhaustive = self.task.space.raw_size <= n_trials
 
         while len(records.trials) < n_trials:
             want = min(self.batch_size, n_trials - len(records.trials))
-            proposed = self.propose(want)
+            proposed = self._enumerate(want) if exhaustive else self.propose(want)
             if not proposed:
                 break  # space exhausted
             indices = [i for i in proposed if i not in self._seen]
@@ -115,7 +137,8 @@ class Tuner:
                 ):
                     stopped_early = True
                     break
-            self.update(measured, costs)
+            if not exhaustive:
+                self.update(measured, costs)
             if stopped_early:
                 break
 

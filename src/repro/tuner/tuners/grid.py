@@ -7,27 +7,13 @@ find the globally optimal and suboptimal mappings.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List
 
-from repro.tuner.measure import TuningTask
 from repro.tuner.tuners.base import Tuner
 
 
 class GridSearchTuner(Tuner):
     """Visit every valid config exactly once, in index order."""
 
-    def __init__(self, task: TuningTask, seed: int = 0) -> None:
-        super().__init__(task, seed)
-        self._iterator: Optional[Iterator[int]] = None
-
     def propose(self, count: int) -> List[int]:
-        if self._iterator is None:
-            self._iterator = self.task.space.valid_indices()
-        batch: List[int] = []
-        for index in self._iterator:
-            if index in self._seen:
-                continue
-            batch.append(index)
-            if len(batch) >= count:
-                break
-        return batch
+        return self._enumerate(count)

@@ -4,10 +4,12 @@ import pytest
 
 from repro.bifrost import MappingConfigurator, MappingStrategy
 from repro.errors import TuningError
+from repro.session import Session, TuningConfig
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
+from repro.tuner import GridSearchTuner, MaeriConvTask, XGBTuner
 
 
 @pytest.fixture
@@ -57,9 +59,7 @@ class TestTunedStrategy:
         configurator = MappingConfigurator(
             config=maeri128,
             strategy=MappingStrategy.TUNED,
-            objective="psums",
-            tuner_trials=120,
-            tuner_early_stopping=60,
+            tuning=TuningConfig(objective="psums", trials=120, early_stopping=60),
         )
         mapping = configurator.mapping_for(fc)
         mapping.validate_for(fc, maeri128.ms_size)
@@ -69,8 +69,7 @@ class TestTunedStrategy:
         configurator = MappingConfigurator(
             config=maeri128,
             strategy=MappingStrategy.TUNED,
-            tuner_trials=60,
-            tuner_early_stopping=30,
+            tuning=TuningConfig(trials=60, early_stopping=30),
         )
         first = configurator.mapping_for(fc)
         second = configurator.mapping_for(fc)
@@ -80,9 +79,9 @@ class TestTunedStrategy:
         configurator = MappingConfigurator(
             config=maeri128,
             strategy=MappingStrategy.TUNED,
-            objective="cycles",
-            tuner_trials=200,
-            tuner_early_stopping=100,
+            tuning=TuningConfig(
+                objective="cycles", trials=200, early_stopping=100
+            ),
         )
         tuned = configurator.mapping_for(fc)
         controller = MaeriController(maeri128)
@@ -90,6 +89,21 @@ class TestTunedStrategy:
             controller.run_fc(fc, tuned).cycles
             < controller.run_fc(fc, FcMapping.basic()).cycles
         )
+
+    def test_session_honours_the_configured_tuner(self, conv):
+        """``mapping="tuned"`` runs ``tuning.tuner``, not always XGB."""
+        with Session(
+            mapping="tuned", tuner="grid", trials=100, early_stopping=100
+        ) as session:
+            mapping = session.mappings.mapping_for(conv)
+            config = session.simulator_config
+        task = MaeriConvTask(conv, config)
+        grid = GridSearchTuner(task).tune(n_trials=100, early_stopping=100)
+        xgb = XGBTuner(MaeriConvTask(conv, config)).tune(
+            n_trials=100, early_stopping=100
+        )
+        assert mapping == task.best_mapping(grid.best_config)
+        assert mapping != task.best_mapping(xgb.best_config)
 
 
 class TestMrnaStrategy:

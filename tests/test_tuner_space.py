@@ -60,6 +60,14 @@ class TestConfigSpace:
         assert valid == [2, 4]
         assert space.valid_size() == 2
 
+    def test_valid_indices_resume_from_a_start_index(self):
+        space = ConfigSpace()
+        space.define_knob("a", list(range(10)))
+        space.add_constraint(lambda cfg: cfg["a"] % 3 == 0)
+        assert list(space.valid_indices(4)) == [6, 9]
+        assert list(space.valid_indices(9)) == [9]
+        assert list(space.valid_indices(10)) == []
+
 
 class TestMappingSpaces:
     @pytest.fixture

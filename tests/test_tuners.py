@@ -136,6 +136,85 @@ class TestEarlyStopping:
         assert report.num_trials > 120
 
 
+class TestExhaustiveWhenSpaceFitsBudget:
+    """A space no larger than the trial budget is enumerated, not searched."""
+
+    @pytest.mark.parametrize("tuner_class", [RandomTuner, GATuner, XGBTuner])
+    @pytest.mark.parametrize("early_stopping", [None, 12])
+    def test_every_tuner_returns_the_grid_result(
+        self, tuner_class, early_stopping
+    ):
+        grid = GridSearchTuner(quadratic_space()).tune(
+            n_trials=256, early_stopping=early_stopping
+        )
+        result = tuner_class(quadratic_space(), seed=3).tune(
+            n_trials=256, early_stopping=early_stopping
+        )
+        assert [(t.index, t.cost) for t in result.records.trials] == [
+            (t.index, t.cost) for t in grid.records.trials
+        ]
+        assert result.best_config == grid.best_config
+        assert result.best_cost == grid.best_cost
+        assert result.stopped_early == grid.stopped_early
+        assert result == grid
+
+    def test_alexnet_fc_tunes_fit_no_model_and_sample_nothing(
+        self, monkeypatch
+    ):
+        from repro.session import Session
+        from repro.tuner.gbt import GradientBoostedTrees
+        from repro.zoo import zoo_layers
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exhaustive tune must not search")
+
+        monkeypatch.setattr(GradientBoostedTrees, "fit", forbidden)
+        monkeypatch.setattr(XGBTuner, "_random_unseen", forbidden)
+        layers = {l.name: l for l in zoo_layers("alexnet")}
+        with Session() as session:
+            controller = session.engine.controller
+            for name in ("fc1", "fc2", "fc3"):
+                report = session.tune("alexnet", name)
+                task = MaeriFcTask(layers[name], session.simulator_config)
+                space = task.space
+                optimum = min(
+                    controller.estimate_fc_psums(
+                        layers[name], task.best_mapping(space.config_at(i))
+                    )
+                    for i in range(space.raw_size)
+                    if space.is_valid(space.config_at(i))
+                )
+                assert report.best_mapping == (128, 1, 1)
+                assert report.best_cost == optimum
+                assert report.num_trials == 36 == space.valid_size()
+
+    #: ``Session.tune("alexnet", layer, seed=s)`` with the default config,
+    #: as measured before exhaustive search existed: (best_mapping,
+    #: best_cost, num_trials) for seeds 0-4.  Conv spaces are far larger
+    #: than the 400-trial budget, so their tunes must not move.
+    CONV_PINS = {
+        "conv1": [((2, 8, 2, 2, 1, 1, 1, 1), 6969600.0, 144), ((4, 1, 3, 4, 1, 1, 1, 2), 7201920.0, 184), ((1, 8, 3, 1, 1, 1, 1, 5), 5111040.0, 129), ((8, 4, 3, 1, 1, 1, 1, 1), 2323200.0, 162), ((1, 8, 3, 1, 1, 1, 1, 4), 5343360.0, 180)],  # noqa: E501
+        "conv2": [((2, 5, 2, 1, 1, 1, 1, 4), 16920576.0, 191), ((2, 4, 2, 1, 1, 1, 1, 8), 30855168.0, 399), ((5, 5, 1, 4, 1, 1, 1, 1), 11197440.0, 327), ((2, 5, 2, 1, 1, 1, 1, 2), 20404224.0, 319), ((1, 1, 32, 1, 1, 1, 1, 4), 8812800.0, 234)],  # noqa: E501
+        "conv3": [((1, 2, 8, 3, 1, 1, 1, 1), 12460032.0, 163), ((1, 1, 3, 3, 1, 1, 1, 13), 38338560.0, 207), ((1, 3, 12, 1, 1, 1, 1, 2), 4792320.0, 182), ((1, 3, 8, 1, 1, 1, 1, 1), 9345024.0, 162), ((3, 3, 1, 6, 1, 1, 2, 1), 13578240.0, 283)],  # noqa: E501
+        "conv4": [((2, 1, 64, 1, 1, 1, 1, 1), 3115008.0, 144), ((2, 2, 8, 1, 1, 1, 4, 1), 10862592.0, 232), ((3, 1, 16, 1, 1, 1, 1, 2), 4792320.0, 182), ((1, 2, 8, 1, 1, 1, 1, 1), 24920064.0, 162), ((3, 3, 3, 1, 1, 1, 1, 2), 8519680.0, 179)],  # noqa: E501
+        "conv5": [((2, 2, 32, 1, 1, 1, 1, 1), 2768896.0, 144), ((1, 2, 32, 2, 1, 1, 1, 1), 3115008.0, 244), ((2, 3, 8, 1, 1, 1, 1, 2), 4259840.0, 182), ((1, 2, 4, 2, 1, 1, 4, 1), 19169280.0, 122), ((3, 3, 8, 1, 1, 1, 1, 1), 2768896.0, 400)],  # noqa: E501
+    }
+
+    @pytest.mark.parametrize("layer", sorted(CONV_PINS))
+    def test_alexnet_conv_tunes_unchanged(self, layer):
+        from repro.session import Session
+
+        with Session() as session:
+            measured = [
+                (report.best_mapping, report.best_cost, report.num_trials)
+                for report in (
+                    session.tune("alexnet", layer, seed=seed)
+                    for seed in range(5)
+                )
+            ]
+        assert measured == self.CONV_PINS[layer]
+
+
 class TestMaeriTasks:
     def test_fc_task_psums_objective(self, maeri128):
         layer = FcLayer("f", in_features=256, out_features=128)
