@@ -13,7 +13,11 @@ int64 evaluation buys on the two hot paths:
   (``estimate_conv_psums_batch`` vs its loop);
 * **mrna** — the mRNA mapper's full divisor-grid enumeration and
   scoring: the vectorized grid scored as int64 columns + argmin vs the
-  candidate-object loop on Python ints.
+  candidate-object loop on Python ints;
+* **mrna memo** — mapping the 21 distinct layers of alexnet, vgg_small
+  and transformer per hardware point (each power-of-two ``ms_size``
+  from 8 to 2048): a cold candidate memo (enumerate and price) vs a warm
+  one (price only), with identical mappings asserted.
 
 Every arm is compared for bit-identity before it is timed as a
 speedup.  At full scale the sweep batch kernel must beat the scalar
@@ -22,13 +26,16 @@ loop by >= 5x per-simulation throughput (the PR's acceptance band);
 CI.  Emits ``BENCH_kernels.json``.
 """
 
+import dataclasses
 import itertools
 import json
 import time
 
 from conftest import SMOKE, emit, scaled
 
+from repro.mrna import mapper as mrna_mapper
 from repro.mrna.mapper import MrnaMapper
+from repro.session.session import zoo_layers
 from repro.stonne.config import maeri_config
 from repro.stonne.controller import AcceleratorController
 from repro.stonne.layer import ConvLayer
@@ -43,6 +50,8 @@ SWEEP_LAYER = ConvLayer("bench_conv", C=64, H=16, W=16, K=64, R=3, S=3)
 MRNA_LAYER = ConvLayer(
     "bench_mrna", C=scaled(128, 32), H=28, W=28, K=scaled(128, 32), R=3, S=3
 )
+MEMO_MODELS = ("alexnet", "vgg_small", "transformer")
+MEMO_MS_SIZES = tuple(2 ** k for k in range(3, 12))
 
 
 def _sweep_mappings():
@@ -78,6 +87,49 @@ def _timed(fn, repeats=3):
     return best, out
 
 
+def _memo_layers():
+    distinct = {}
+    for model in MEMO_MODELS:
+        for layer in zoo_layers(model):
+            distinct.setdefault(dataclasses.replace(layer, name=""), layer)
+    return list(distinct.values())
+
+
+def _map_point(mapper, layers):
+    return [
+        mapper.map_conv(layer) if isinstance(layer, ConvLayer)
+        else mapper.map_fc(layer)
+        for layer in layers
+    ]
+
+
+def _cold(fn, *args):
+    """``fn(*args)`` with an empty mRNA candidate memo."""
+    mrna_mapper._conv_candidates.cache_clear()
+    mrna_mapper._fc_candidates.cache_clear()
+    return fn(*args)
+
+
+def _run_memo():
+    """Mean per-point seconds with a cold and a warm memo (best of 3)."""
+    layers = _memo_layers()
+    cold_s = warm_s = 0.0
+    identical = True
+    for ms_size in MEMO_MS_SIZES:
+        mapper = MrnaMapper(maeri_config(ms_size=ms_size))
+        point_cold_s, cold = _timed(lambda: _cold(_map_point, mapper, layers))
+        point_warm_s, warm = _timed(lambda: _map_point(mapper, layers))
+        cold_s += point_cold_s
+        warm_s += point_warm_s
+        identical = identical and cold == warm
+    return {
+        "memo_layers": len(layers),
+        "memo_cold_point_s": cold_s / len(MEMO_MS_SIZES),
+        "memo_warm_point_s": warm_s / len(MEMO_MS_SIZES),
+        "memo_identical": identical,
+    }
+
+
 def _run():
     controller = MaeriController(maeri_config(ms_size=MS_SIZE))
     mappings = _sweep_mappings()
@@ -109,7 +161,7 @@ def _run():
         lambda: mapper._score_conv_scalar(MRNA_LAYER)
     )
     mrna_batch_s, mrna_batch = _timed(
-        lambda: mapper._score_conv_batch(MRNA_LAYER)
+        lambda: _cold(mapper._score_conv_batch, MRNA_LAYER)
     )
 
     return {
@@ -125,6 +177,7 @@ def _run():
             mrna_scalar.mapping == mrna_batch.mapping
             and mrna_scalar.estimated_cycles == mrna_batch.estimated_cycles
         ),
+        **_run_memo(),
     }
 
 
@@ -133,6 +186,7 @@ def test_batch_kernels(benchmark, results_dir):
     sweep_speedup = out["scalar_s"] / out["batch_s"]
     psum_speedup = out["psum_scalar_s"] / out["psum_batch_s"]
     mrna_speedup = out["mrna_scalar_s"] / out["mrna_batch_s"]
+    memo_speedup = out["memo_cold_point_s"] / out["memo_warm_point_s"]
     record = {
         "benchmark": "kernels",
         "smoke": SMOKE,
@@ -149,10 +203,15 @@ def test_batch_kernels(benchmark, results_dir):
         "mrna_scalar_s": round(out["mrna_scalar_s"], 4),
         "mrna_batch_s": round(out["mrna_batch_s"], 4),
         "mrna_speedup": round(mrna_speedup, 2),
+        "mrna_memo_layers": out["memo_layers"],
+        "mrna_memo_cold_point_s": round(out["memo_cold_point_s"], 5),
+        "mrna_memo_warm_point_s": round(out["memo_warm_point_s"], 5),
+        "mrna_memo_speedup": round(memo_speedup, 2),
         "bit_identical": (
             out["sweep_identical"]
             and out["psum_identical"]
             and out["mrna_identical"]
+            and out["memo_identical"]
         ),
     }
     (results_dir / "BENCH_kernels.json").write_text(
@@ -168,6 +227,11 @@ def test_batch_kernels(benchmark, results_dir):
         f"{out['psum_batch_s']:>10.3f}{psum_speedup:>8.1f}x",
         f"{'mrna score':<12}{out['mrna_scalar_s']:>10.3f}"
         f"{out['mrna_batch_s']:>10.3f}{mrna_speedup:>8.1f}x",
+        f"mRNA per hardware point ({out['memo_layers']} layers, mean of "
+        f"{len(MEMO_MS_SIZES)} ms_size values): "
+        f"{out['memo_cold_point_s'] * 1e3:.2f} ms cold memo -> "
+        f"{out['memo_warm_point_s'] * 1e3:.2f} ms warm memo "
+        f"({memo_speedup:.1f}x)",
         f"per-simulation throughput: {SWEEP / out['scalar_s']:,.0f}/s scalar "
         f"-> {SWEEP / out['batch_s']:,.0f}/s batch",
     ]
@@ -177,6 +241,7 @@ def test_batch_kernels(benchmark, results_dir):
     assert out["sweep_identical"]
     assert out["psum_identical"]
     assert out["mrna_identical"]
+    assert out["memo_identical"]
     if not SMOKE:
         assert sweep_speedup >= 5.0, f"sweep speedup only {sweep_speedup:.2f}x"
         assert mrna_speedup >= 2.0, f"mrna speedup only {mrna_speedup:.2f}x"

@@ -9,6 +9,10 @@ workload and asserts the contract:
   mappings injected mid-batch (per-item error isolation);
 * the closed-form psum proxy and the mRNA mapper's batch scorer agree
   exactly with their scalar counterparts;
+* the mRNA mapper maps every distinct alexnet, vgg_small and
+  transformer layer at 9 power-of-two ``ms_size`` values x 3 bandwidth
+  pairs exactly like its scalar scan, once with a cold candidate memo
+  and once with a warm one (per-point times are printed);
 * the batch sweep beats the scalar loop by >= 3x wall-clock even at
   this scale (best-of-3 timing).
 
@@ -26,6 +30,8 @@ import time
 SWEEP = 1024
 MS_SIZE = 128
 MIN_SPEEDUP = 3.0
+MRNA_MODELS = ("alexnet", "vgg_small", "transformer")
+MRNA_BANDWIDTHS = ((1, 1), (8, 64), (256, 16))
 
 
 def _canon(results):
@@ -49,6 +55,59 @@ def _best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _mrna_memo_leg() -> int:
+    """Cold-memo and warm-memo mRNA scores against the scalar scan."""
+    import dataclasses
+
+    from repro.mrna import mapper as mrna_mapper
+    from repro.session.session import zoo_layers
+    from repro.stonne.config import maeri_config
+    from repro.stonne.layer import ConvLayer
+
+    distinct = {}
+    for model in MRNA_MODELS:
+        for layer in zoo_layers(model):
+            distinct.setdefault(dataclasses.replace(layer, name=""), layer)
+    layers = list(distinct.values())
+
+    def score(mapper, layer, scalar=False):
+        conv = isinstance(layer, ConvLayer)
+        if scalar:
+            return (mapper._score_conv_scalar if conv else mapper._score_fc_scalar)(layer)
+        return (mapper.score_conv if conv else mapper.score_fc)(layer)
+
+    timings = {"cold": [], "warm": []}
+    for ms_size in (2 ** k for k in range(3, 12)):
+        for dn_bw, rn_bw in MRNA_BANDWIDTHS:
+            mapper = mrna_mapper.MrnaMapper(
+                maeri_config(ms_size=ms_size, dn_bw=dn_bw, rn_bw=rn_bw)
+            )
+            reference = [score(mapper, layer, scalar=True) for layer in layers]
+            for memo in ("cold", "warm"):
+                if memo == "cold":
+                    mrna_mapper._conv_candidates.cache_clear()
+                    mrna_mapper._fc_candidates.cache_clear()
+                start = time.perf_counter()
+                scored = [score(mapper, layer) for layer in layers]
+                timings[memo].append(time.perf_counter() - start)
+                if scored != reference:
+                    print(
+                        f"FAIL: mRNA {memo}-memo scores diverged from the "
+                        f"scalar scan at ms_size={ms_size}, dn_bw={dn_bw}, "
+                        f"rn_bw={rn_bw}",
+                        file=sys.stderr,
+                    )
+                    return 1
+    for memo, times in timings.items():
+        times.sort()
+        print(
+            f"mRNA {len(layers)} layers/point, {memo} memo: "
+            f"p50 {times[len(times) // 2] * 1e3:.2f} ms, "
+            f"max {times[-1] * 1e3:.2f} ms over {len(times)} points"
+        )
+    return 0
 
 
 def main() -> int:
@@ -103,6 +162,8 @@ def main() -> int:
     ):
         print("FAIL: mRNA batch scorer diverged from the scalar scan",
               file=sys.stderr)
+        return 1
+    if _mrna_memo_leg():
         return 1
 
     scalar_s = _best_of(

@@ -1,9 +1,15 @@
 """Tests for the mRNA analytical mapper."""
 
-import pytest
+import dataclasses
+import itertools
 
-from repro.errors import TuningError
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.errors import LayerError, TuningError
 from repro.mrna import MaeriAnalyticalModel, MrnaMapper
+from repro.mrna import mapper as mrna_mapper
+from repro.session.session import zoo_layers
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
@@ -98,3 +104,156 @@ class TestMapper:
         mapper = MrnaMapper(maeri_config(ms_size=8))
         mapping = mapper.map_conv(conv)
         assert mapping.multipliers_used <= 8
+
+
+# ----------------------------------------------------------------------
+# The candidate memo: capacity enumerates, bandwidth prices
+# ----------------------------------------------------------------------
+def _clear_memo():
+    mrna_mapper._conv_candidates.cache_clear()
+    mrna_mapper._fc_candidates.cache_clear()
+
+
+def _mapper_at(ms_size, dn_bw, rn_bw):
+    config = maeri_config(dn_bw=dn_bw, rn_bw=rn_bw)
+    # A config admits only power-of-two arrays; the enumerator takes any
+    # capacity, and other capacities make ``ms // prefix`` a non-divisor
+    # limit far more often.
+    object.__setattr__(config, "ms_size", ms_size)
+    return MrnaMapper(config)
+
+
+def _score(mapper, layer):
+    if isinstance(layer, ConvLayer):
+        return mapper.score_conv(layer)
+    return mapper.score_fc(layer)
+
+
+def _scalar_score(mapper, layer):
+    if isinstance(layer, ConvLayer):
+        return mapper._score_conv_scalar(layer)
+    return mapper._score_fc_scalar(layer)
+
+
+@st.composite
+def _conv_layers(draw):
+    groups = draw(st.sampled_from([1, 2, 4]))
+    try:
+        return ConvLayer(
+            "drawn",
+            C=groups * draw(st.integers(1, 8)),
+            H=draw(st.integers(1, 16)),
+            W=draw(st.integers(1, 16)),
+            K=groups * draw(st.integers(1, 8)),
+            R=draw(st.integers(1, 5)),
+            S=draw(st.integers(1, 5)),
+            stride_h=draw(st.integers(1, 3)),
+            stride_w=draw(st.integers(1, 3)),
+            pad_h=draw(st.integers(0, 2)),
+            pad_w=draw(st.integers(0, 2)),
+            G=groups,
+            N=draw(st.integers(1, 3)),
+            dil_h=draw(st.integers(1, 2)),
+            dil_w=draw(st.integers(1, 2)),
+        )
+    except LayerError:
+        assume(False)
+
+
+_fc_layers = st.builds(
+    FcLayer,
+    name=st.just("drawn"),
+    in_features=st.integers(1, 600),
+    out_features=st.integers(1, 600),
+    batch=st.integers(1, 4),
+)
+_ms_sizes = st.one_of(
+    st.sampled_from([2 ** k for k in range(3, 11)]), st.integers(1, 300)
+)
+_bandwidths = st.tuples(
+    st.sampled_from([2 ** k for k in range(9)]),
+    st.sampled_from([2 ** k for k in range(9)]),
+)
+
+
+def _nested_loop_grid(levels, ms):
+    """The mapper's divisor loops written out as plain recursion: each
+    level takes the divisors of its bound up to the remaining capacity,
+    then that cap itself when it is not a divisor."""
+    if not levels:
+        return [()]
+    bound, rest = levels[0], levels[1:]
+    cap = min(bound, ms)
+    options = [d for d in range(1, cap + 1) if bound % d == 0]
+    if options[-1] != cap:
+        options.append(cap)
+    return [
+        (value,) + tail
+        for value in options
+        for tail in _nested_loop_grid(rest, ms // value)
+    ]
+
+
+class TestCandidateMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        levels=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+        ms_size=_ms_sizes,
+    )
+    def test_tile_grid_is_the_nested_loop_order(self, levels, ms_size):
+        grid = mrna_mapper._tile_grid(levels, ms_size)
+        assert grid.shape[1] == len(levels)
+        assert [tuple(row) for row in grid.tolist()] == _nested_loop_grid(
+            levels, ms_size
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layer=st.one_of(_conv_layers(), _fc_layers),
+        ms_size=_ms_sizes,
+        first=_bandwidths,
+        second=_bandwidths,
+    )
+    def test_memo_scores_equal_the_scalar_scan(self, layer, ms_size, first, second):
+        """Warm-memo scores equal the Python-int scan, whatever the name
+        or call order: pricing at A then B equals a cold score at B."""
+        _clear_memo()
+        cold = _score(_mapper_at(ms_size, *second), layer)
+        _score(_mapper_at(ms_size, *first), layer)
+        renamed = dataclasses.replace(layer, name="renamed")
+        for dn_bw, rn_bw in (first, second):
+            mapper = _mapper_at(ms_size, dn_bw, rn_bw)
+            assert mapper.model.fits_int64(layer)
+            reference = _scalar_score(mapper, layer)
+            for scored in (_score(mapper, layer), _score(mapper, renamed)):
+                assert scored.mapping == reference.mapping
+                assert type(scored.estimated_cycles) is int
+                assert scored.estimated_cycles == reference.estimated_cycles
+        assert _score(_mapper_at(ms_size, *second), layer) == cold
+
+    def test_alexnet_conv1_winner_moves_with_bandwidth(self):
+        """One memo entry, seven winners: bandwidth never leaks into it."""
+        conv1 = next(l for l in zoo_layers("alexnet") if l.name == "conv1")
+        bandwidths = (1, 8, 64, 512)
+        _clear_memo()
+        winners = {}
+        for dn_bw, rn_bw in itertools.product(bandwidths, bandwidths):
+            mapper = MrnaMapper(maeri_config(ms_size=256, dn_bw=dn_bw, rn_bw=rn_bw))
+            choice = mapper.score_conv(conv1)
+            assert choice == mapper._score_conv_scalar(conv1)
+            winners[dn_bw, rn_bw] = choice.mapping
+        assert len(set(winners.values())) == 7
+        assert mrna_mapper._conv_candidates.cache_info().currsize == 1
+
+    def test_memo_arrays_are_read_only(self, mapper, conv, fc):
+        mapper.score_conv(conv)
+        mapper.score_fc(fc)
+        ms_size = mapper.config.ms_size
+        for candidates in (
+            mrna_mapper._conv_candidates(dataclasses.replace(conv, name=""), ms_size),
+            mrna_mapper._fc_candidates(dataclasses.replace(fc, name=""), ms_size),
+        ):
+            for array in candidates:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
