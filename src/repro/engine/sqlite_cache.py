@@ -27,6 +27,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Hashable, Optional, Tuple, Union
 
@@ -113,13 +114,34 @@ class SqliteStatsCache(StatsCache):
         self._conn = sqlite3.connect(
             str(self.path), timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal()
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(_SCHEMA)
         self._migrate_schema()
         self._conn.execute(_ACCESS_INDEX)
         self._conn.commit()
         self._closed = False
+
+    def _enable_wal(self) -> None:
+        """Switch the file to WAL mode, waiting out a concurrent opener.
+
+        Switching a new file upgrades this connection's read lock to a
+        write lock, and SQLite fails a contended upgrade at once
+        ("database is locked") instead of calling the busy handler, as
+        waiting could deadlock.  So two processes opening one fresh file
+        together could fail here.  The mode is persistent, so the loser
+        retries until the winner's switch lands, bounded by the busy
+        timeout.
+        """
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     def _migrate_schema(self) -> None:
         """Add ``accessed_at`` to databases from before eviction existed.

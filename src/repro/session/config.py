@@ -503,30 +503,39 @@ _SECTION_TYPES = (
 )
 
 
-def field_specs() -> List[FieldSpec]:
+def _field_spec(section: str, f) -> FieldSpec:
+    meta = f.metadata
+    key = meta.get("key") or f.name
+    return FieldSpec(
+        section=section,
+        name=f.name,
+        key=key,
+        kind=meta.get("kind", "str"),
+        help=meta.get("help", ""),
+        choices=meta.get("choices"),
+        env=meta.get("env") or (ENV_PREFIX + key.upper()),
+        cli=meta.get("cli", True),
+        metavar=meta.get("metavar"),
+    )
+
+
+#: Every configuration knob in declaration order, built once at import:
+#: the sections are frozen dataclasses, so their metadata cannot change.
+_FIELD_SPECS: Tuple[FieldSpec, ...] = tuple(
+    _field_spec(section, f)
+    for section, section_type in _SECTION_TYPES
+    for f in fields(section_type)
+)
+_SPECS_BY_KEY: Dict[str, FieldSpec] = {spec.key: spec for spec in _FIELD_SPECS}
+_SPECS_BY_FIELD: Dict[Tuple[str, str], FieldSpec] = {
+    (spec.section, spec.name): spec for spec in _FIELD_SPECS
+}
+_SECTION_NAMES = tuple(section for section, _ in _SECTION_TYPES)
+
+
+def field_specs() -> Tuple[FieldSpec, ...]:
     """Every configuration knob, in declaration order."""
-    specs: List[FieldSpec] = []
-    for section_name, section_type in _SECTION_TYPES:
-        for f in fields(section_type):
-            meta = f.metadata
-            key = meta.get("key") or f.name
-            specs.append(
-                FieldSpec(
-                    section=section_name,
-                    name=f.name,
-                    key=key,
-                    kind=meta.get("kind", "str"),
-                    help=meta.get("help", ""),
-                    choices=meta.get("choices"),
-                    env=meta.get("env") or (ENV_PREFIX + key.upper()),
-                    cli=meta.get("cli", True),
-                    metavar=meta.get("metavar"),
-                )
-            )
-    return specs
-
-
-_SPECS_BY_KEY: Dict[str, FieldSpec] = {spec.key: spec for spec in field_specs()}
+    return _FIELD_SPECS
 
 
 def known_keys() -> List[str]:
@@ -560,10 +569,10 @@ class SessionConfig:
     # ------------------------------------------------------------------
     def to_flat(self) -> Dict[str, Any]:
         """The config as one flat ``{key: value}`` mapping."""
-        flat: Dict[str, Any] = {}
-        for spec in field_specs():
-            flat[spec.key] = getattr(getattr(self, spec.section), spec.name)
-        return flat
+        return {
+            spec.key: getattr(getattr(self, spec.section), spec.name)
+            for spec in _FIELD_SPECS
+        }
 
     def with_overrides(self, **overrides: Any) -> "SessionConfig":
         """A copy with flat-key overrides applied (unknown keys raise)."""
@@ -593,7 +602,7 @@ class SessionConfig:
         """Nested plain-type dict; round-trips through :meth:`from_dict`
         (and therefore through ``repro config show --json``)."""
         data: Dict[str, Dict[str, Any]] = {}
-        for spec in field_specs():
+        for spec in _FIELD_SPECS:
             value = getattr(getattr(self, spec.section), spec.name)
             if spec.kind == "workers":
                 value = list(value)
@@ -612,15 +621,11 @@ class SessionConfig:
                 f"config data must be a mapping of sections, got {type(data).__name__}"
             )
         flat: Dict[str, Any] = {}
-        section_fields = {
-            section: {f.name for f in fields(section_type)}
-            for section, section_type in _SECTION_TYPES
-        }
         for section, values in data.items():
-            if section not in section_fields:
+            if section not in _SECTION_NAMES:
                 raise ConfigError(
                     f"unknown config section {section!r}; expected one of "
-                    f"{sorted(section_fields)}"
+                    f"{sorted(_SECTION_NAMES)}"
                 )
             if not isinstance(values, Mapping):
                 raise ConfigError(
@@ -628,15 +633,13 @@ class SessionConfig:
                     f"got {type(values).__name__}"
                 )
             for name, value in values.items():
-                if name not in section_fields[section]:
+                spec = _SPECS_BY_FIELD.get((section, name))
+                if spec is None:
+                    expected = sorted(n for s, n in _SPECS_BY_FIELD if s == section)
                     raise ConfigError(
                         f"unknown key {name!r} in config section {section!r}; "
-                        f"expected one of {sorted(section_fields[section])}"
+                        f"expected one of {expected}"
                     )
-                spec = next(
-                    s for s in _SPECS_BY_KEY.values()
-                    if s.section == section and s.name == name
-                )
                 flat[spec.key] = value
         return self.with_overrides(**flat)
 
@@ -724,17 +727,8 @@ class SessionConfig:
         profiles selectable via ``--profile``.
         """
         lines: List[str] = []
-        for section, _ in _SECTION_TYPES:
-            lines.append(f"[{section}]")
-            for spec in field_specs():
-                if spec.section != section:
-                    continue
-                value = getattr(getattr(self, section), spec.name)
-                if value is None:
-                    lines.append(f"# {spec.name} = (unset)")
-                else:
-                    lines.append(f"{spec.name} = {_toml_value(value)}")
-            lines.append("")
+        for section, values in self.to_dict().items():
+            lines += _toml_table(section, values)
         if profiles:
             lines.append(render_profiles_toml(profiles))
         return "\n".join(lines)
@@ -795,6 +789,18 @@ def _toml_value(value: Any) -> str:
     return json.dumps(value)
 
 
+def _toml_table(header: str, values: Mapping[str, Any]) -> List[str]:
+    """One ``[header]`` table's lines; unset values become comments
+    (TOML has no null)."""
+    lines = [f"[{header}]"]
+    for key, value in values.items():
+        if value is None:
+            lines.append(f"# {key} = (unset)")
+        else:
+            lines.append(f"{key} = {_toml_value(value)}")
+    return lines + [""]
+
+
 def _toml_key(name: str) -> str:
     return name if _BARE_KEY.match(name) else json.dumps(name)
 
@@ -807,13 +813,9 @@ def render_profiles_toml(
     lines: List[str] = []
     for name, overlay in profiles.items():
         for section, values in overlay.items():
-            lines.append(f"[{PROFILE_SECTION}.{_toml_key(name)}.{section}]")
-            for key, value in values.items():
-                if value is None:
-                    lines.append(f"# {key} = (unset)")
-                else:
-                    lines.append(f"{key} = {_toml_value(value)}")
-            lines.append("")
+            lines += _toml_table(
+                f"{PROFILE_SECTION}.{_toml_key(name)}.{section}", values
+            )
     return "\n".join(lines)
 
 
@@ -907,7 +909,7 @@ def env_overrides(
     """The flat overrides present in the environment (coerced)."""
     source = os.environ if environ is None else environ
     overrides: Dict[str, Any] = {}
-    for spec in field_specs():
+    for spec in _FIELD_SPECS:
         raw = source.get(spec.env)
         if raw is None or raw == "":
             continue
@@ -938,7 +940,7 @@ def add_config_arguments(parser) -> None:
         "--profile", metavar="NAME", default=None,
         help="named [profile.NAME] overlay from the --config file, "
              "merged over its base sections (env and flags still win)")
-    for spec in field_specs():
+    for spec in _FIELD_SPECS:
         if not spec.cli:
             continue
         kwargs: Dict[str, Any] = {

@@ -200,10 +200,44 @@ def test_two_processes_share_one_sqlite_cache(tmp_path):
         )
         for mine, theirs in (("alpha", "beta"), ("beta", "alpha"))
     ]
-    for proc in procs:
-        out, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, f"writer failed: {err}\n{out}"
-        assert json.loads(out)["seen"] == int(count)
+    # Collect both writers before asserting on either: when one fails,
+    # the other usually just times out waiting for its records, and the
+    # failure message must show the writer that actually broke.
+    results = [(proc,) + proc.communicate(timeout=60) for proc in procs]
+    report = "\n".join(
+        f"writer {i}: exit {proc.returncode}\n"
+        f"  stdout: {out!r}\n  stderr: {err!r}"
+        for i, (proc, out, err) in enumerate(results)
+    )
+    for proc, out, err in results:
+        assert proc.returncode == 0, f"writer failed:\n{report}"
+        assert json.loads(out)["seen"] == int(count), report
+
+
+def test_open_waits_out_a_concurrent_writer_on_a_fresh_file(tmp_path):
+    """Switching a new file to WAL mode upgrades a read lock to a write
+    lock, and SQLite fails that upgrade at once ("database is locked"),
+    without the busy timeout, while another connection holds the write
+    lock.  Two processes opening one fresh file together hit exactly
+    this; the open must wait for the other writer instead."""
+    import sqlite3
+    import threading
+
+    path = tmp_path / "fresh.sqlite"
+    other = sqlite3.connect(
+        str(path), isolation_level=None, check_same_thread=False
+    )
+    other.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, other.execute, ("COMMIT",))
+    release.start()
+    try:
+        with SqliteStatsCache(path) as cache:
+            cache.put(KEY, _stats())
+            mode = cache._conn.execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "wal"
+    finally:
+        release.join()
+        other.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,11 @@ the bit-identical guarantee that a file-built session measures exactly
 what an explicit-kwargs session does.
 """
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.session import (
@@ -46,6 +48,19 @@ class TestDefaults:
     def test_every_field_has_env_name(self):
         for spec in field_specs():
             assert spec.env.startswith("REPRO_")
+
+    def test_field_spec_table_is_built_once_in_declaration_order(self):
+        from repro.session.config import _SECTION_TYPES
+
+        assert field_specs() is field_specs()
+        reference = [
+            (section, f.name, f.metadata.get("key") or f.name)
+            for section, section_type in _SECTION_TYPES
+            for f in dataclasses.fields(section_type)
+        ]
+        assert [
+            (spec.section, spec.name, spec.key) for spec in field_specs()
+        ] == reference
 
 
 class TestFileLayer:
@@ -229,13 +244,31 @@ trials = 11
         assert SessionConfig.resolve().engine.executor == "thread"
 
 
+#: The dse sweep axes, plus keys whose flat spelling is not the field
+#: name (``cache_max_entries`` is ``cache.max_entries``).
+_DSE_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "arch": st.sampled_from(["maeri", "sigma", "tpu", "magma"]),
+    "ms_size": st.sampled_from([2 ** k for k in range(3, 12)]),
+    "dn_bw": st.sampled_from([2 ** k for k in range(11)]),
+    "rn_bw": st.sampled_from([2 ** k for k in range(11)]),
+    "sparsity_ratio": st.floats(0.0, 1.0, exclude_max=True),
+    "ms_rows": st.sampled_from([2 ** k for k in range(2, 6)]),
+    "ms_cols": st.sampled_from([2 ** k for k in range(2, 6)]),
+    "cache_max_entries": st.integers(1, 1 << 20),
+    "chunk_size": st.none() | st.integers(1, 64),
+})
+
+
 class TestRoundTrips:
-    def test_dict_round_trip(self):
+    @given(overrides=_DSE_OVERRIDES)
+    @settings(max_examples=60, deadline=None)
+    def test_dict_round_trip(self, overrides):
         cfg = SessionConfig.resolve(
             env=False, executor="process", cache_path="x.sqlite",
             cache_max_rows=10, workers="a:1,b:2", seed=9,
-        )
+        ).with_overrides(**overrides)
         assert SessionConfig.from_dict(cfg.to_dict()) == cfg
+        assert SessionConfig().with_overrides(**cfg.to_flat()) == cfg
 
     def test_json_round_trip(self):
         cfg = SessionConfig.resolve(env=False, arch="tpu", ms_rows=8, ms_cols=8)

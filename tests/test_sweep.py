@@ -72,6 +72,18 @@ class TestSweepPlan:
             from_strings.scenarios[0].config
             == from_ints.scenarios[0].config
         )
+        # A dotted axis labels its cell with the flat key and the
+        # coerced value, exactly like the flat spelling.
+        dotted = SweepPlan.matrix(
+            CFG, models=["mlp"], axes={"cache.max_entries": ["512"]}
+        )
+        flat = SweepPlan.matrix(
+            CFG, models=["mlp"], axes={"cache_max_entries": [512]}
+        )
+        assert dotted.scenarios[0].name == "mlp/cache_max_entries=512"
+        assert dotted.scenarios[0].overrides == (("cache_max_entries", 512),)
+        assert dotted.scenarios[0] == flat.scenarios[0]
+        assert dotted.scenarios[0].config.cache.max_entries == 512
 
     def test_profile_overlay_applies(self):
         plan = SweepPlan.matrix(
