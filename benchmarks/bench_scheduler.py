@@ -19,9 +19,9 @@ layers.  It times three arms over identical work:
 * **serial** — one slot, no scheduling (also the bit-identity reference
   and the "total busy time" used for the utilization estimate);
 * **static** — one ``run_plan_groups`` call per engine group on a
-  4-worker process pool: each group barriers before the next starts,
+  4-worker process backend: each group barriers before the next starts,
   the historical static fan-out's schedule;
-* **pull** — ``run_plan_groups`` over all groups on the same pool;
+* **pull** — ``run_plan_groups`` over all groups on the same workers;
 * **thread** — ``run_plan_groups`` on a 4-worker *thread* pool.  The
   historical claim that threads "help little" dated from the pure-Python
   cycle models holding the GIL; with blocking waits and numpy batch
@@ -35,15 +35,14 @@ Emits ``BENCH_scheduler.json`` with the wall times, the utilization
 estimates and the scheduler counters.
 
 The straggler latency is injected by wrapping
-``repro.engine.backends.simulate_layer`` *before* the process pool
-forks, so the workers inherit it; the speedup band is asserted only
+``repro.engine.backends.simulate_layer`` *before* the process backend
+forks its workers, so they inherit it; the speedup band is asserted only
 where that inheritance holds (fork start method, i.e. Linux).
 """
 
 import json
 import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from conftest import SMOKE, emit, scaled
 
@@ -125,7 +124,7 @@ def _static_arm(backend):
 
 
 def _pull_arm(backend):
-    """All groups through one pull queue on the same pool."""
+    """All groups through one pull queue on the same backend."""
     engines = _engines(backend)
     start = time.perf_counter()
     groups = []
@@ -141,10 +140,12 @@ def _pull_arm(backend):
 
 
 def _warm_pool(backend):
-    """Fork the pool and build every worker's controllers before timing.
+    """Start the workers and build every worker's controllers before
+    timing.
 
-    One concurrent ``run_chunk`` per slot keeps every worker busy, so
-    the pool spawns all of them.
+    ``pull_slots`` starts one worker process per slot, and one
+    ``run_chunk`` per slot reaches each of them (slot ``i`` always runs
+    on worker ``i``).
     """
     for engine in _engines(backend):
         slots = backend.pull_slots(engine, max_workers=WORKERS)
@@ -153,13 +154,8 @@ def _warm_pool(backend):
                                        out_features=8)))
             for i in range(2 * WORKERS)
         ]
-        with ThreadPoolExecutor(max_workers=len(slots)) as threads:
-            list(threads.map(
-                lambda slot: backend.run_chunk(
-                    engine, items[slot::len(slots)], slot=slot
-                ),
-                slots,
-            ))
+        for slot in slots:
+            backend.run_chunk(engine, items[slot::len(slots)], slot=slot)
 
 
 def _run():
@@ -228,7 +224,7 @@ def test_scheduler_saturation(benchmark, results_dir):
     lines = [
         f"{len(GROUP_SIZES)} engine groups x {1 + LIGHT_LAYERS} layers "
         f"({items} items), 1 straggler/group at {SLOW_S:.1f}s, "
-        f"process pool x{WORKERS}",
+        f"process workers x{WORKERS}",
         f"{'':<10}{'wall s':>10}{'utilization':>13}",
         f"{'serial':<10}{out['serial_s']:>10.3f}{'':>13}",
         f"{'static':<10}{out['static_s']:>10.3f}{util_static:>12.0%}",
@@ -247,8 +243,8 @@ def test_scheduler_saturation(benchmark, results_dir):
     assert out["static_stats"] == out["serial_stats"]
     assert out["pull_stats"] == out["serial_stats"]
     assert out["thread_stats"] == out["serial_stats"]
-    # The straggler injection only reaches pool workers where the pool
-    # forks (Linux); without it there is no skew to reclaim.
+    # The straggler injection reaches the workers only where they are
+    # forked (Linux); without it there is no skew to reclaim.
     if not SMOKE and multiprocessing.get_start_method() == "fork":
         assert speedup >= 1.5, f"pull speedup only {speedup:.2f}x"
         assert util_pull > util_static

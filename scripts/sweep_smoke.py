@@ -10,12 +10,17 @@ executor, then proves the two sweep guarantees end to end:
    zero delta and exits 0 under `--fail-on-regression 0`, and a
    doctored regression trips the gate with exit 3.
 
+A last, in-process leg SIGKILLs one process-backend worker between two
+sweeps of one session and asserts the second sweep is bit-identical to
+a serial sweep: a dead worker is respawned, never a broken session.
+
 Run:  PYTHONPATH=src python scripts/sweep_smoke.py
 Exit: 0 on success, 1 on any mismatch.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -51,6 +56,41 @@ def run_cli(*argv, expect=0):
             f"(expected {expect})\n{proc.stdout}{proc.stderr}"
         )
     return proc.stdout
+
+
+def layer_stats(report):
+    return {
+        name: [stats.to_dict() for stats in report[name].layer_stats]
+        for name in report.names
+    }
+
+
+def killed_worker_leg() -> None:
+    from repro.session import Session
+    from repro.sweep import SweepPlan
+
+    def plan(session):
+        return SweepPlan.matrix(
+            session.config, models=["mlp", "lenet"],
+            axes={"ms_size": [64, 256]},
+        )
+
+    with Session(executor="process", max_workers=2) as session:
+        session.sweep(SweepPlan.matrix(session.config, models=["mlp"]))
+        victim = session.engine.backend._workers[0].process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        after = session.sweep(plan(session))
+    assert after.counters["num_simulations"] > 0, after.counters
+    with Session(executor="serial") as session:
+        serial = session.sweep(plan(session))
+    assert layer_stats(after) == layer_stats(serial), (
+        "sweep after a killed worker differs from serial"
+    )
+    print(
+        f"SIGKILLed worker pid {victim.pid}: next sweep "
+        f"({after.counters['num_simulations']} simulations) == serial"
+    )
 
 
 def main() -> int:
@@ -96,6 +136,9 @@ def main() -> int:
             "--fail-on-regression", "5", expect=3,
         )
         print("doctored regression trips --fail-on-regression with exit 3")
+
+    # 4. A killed worker costs nothing: the next sweep equals serial.
+    killed_worker_leg()
 
     print("sweep smoke: OK")
     return 0

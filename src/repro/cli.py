@@ -606,7 +606,7 @@ scenario matrices:
   One config file can hold named profiles ([profile.edge],
   [profile.cloud]); `repro sweep` expands models x profiles x axis
   overrides and executes the whole matrix in one session — shared
-  layers simulate once and a process pool or fleet sees one wide
+  layers simulate once and the process workers or fleet see one wide
   batch instead of many small ones:
       repro sweep --config m.toml --profiles edge,cloud \\
           --models mlp,lenet --axis architecture.ms_size=64,128 \\

@@ -12,12 +12,16 @@ mirrors the controller registry (:mod:`repro.stonne.controller`):
   (:func:`simulate_chunk`), and numpy releases the GIL inside its array
   loops, so grouped chunks genuinely overlap across threads; only
   singleton scalar simulations still serialize on the GIL;
-* :class:`ProcessBackend` — a process pool.  Controllers are pure
-  functions of (config, params, layer, mapping) and every piece
-  pickles cleanly, so workers rebuild the controller once per process,
-  simulate their chunk (grouped through the same batch kernels), and
-  ship ``(key, stats)`` pairs back for the parent to merge into its
-  :class:`~repro.engine.cache.StatsCache`.
+* :class:`ProcessBackend` — one worker process per pull slot, each on
+  its own pipe (slot = worker = pipe).  Controllers are pure functions
+  of (config, params, layer, mapping) and every piece pickles cleanly,
+  so workers rebuild the controller once per process, simulate their
+  chunk (grouped through the same batch kernels), and ship
+  ``(key, stats)`` pairs back for the parent to merge into its
+  :class:`~repro.engine.cache.StatsCache`.  Workers start with the
+  platform's default start method; a dead worker is respawned before
+  its slot's next chunk, and one that dies mid-chunk fails that chunk
+  with a typed :class:`~repro.errors.SimulationError`.
 
 Every backend runs work through :meth:`ExecutorBackend.run_chunk`, one
 scheduler chunk at a time, on the slots its
@@ -33,8 +37,9 @@ cannot poison a generation of tuner proposals.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
 from typing import (
     Callable,
     ClassVar,
@@ -48,7 +53,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 #: One unit of backend work: (cache key or None, EvalRequest).
 WorkItem = Tuple[Optional[Hashable], "EvalRequest"]  # noqa: F821
@@ -80,7 +85,7 @@ class ExecutorBackend:
         """Slot identities for the pull scheduler (at least one).
 
         Each slot is an opaque token naming one concurrent execution
-        lane (a pool worker, a fleet capacity unit).  The scheduler
+        lane (a worker process, a fleet capacity unit).  The scheduler
         spawns one puller per slot, or drains on the caller's thread
         when there is only one (the default).
         """
@@ -138,7 +143,7 @@ class ExecutorBackend:
         return registry
 
     def close(self) -> None:
-        """Release pooled resources (idempotent; no-op by default)."""
+        """Release worker resources (idempotent; no-op by default)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -149,8 +154,8 @@ def simulate_layer(controller, layer, mapping, functional: bool):
     ``functional``) on an already-built controller.
 
     This is the single definition of "simulate" shared by the engine's
-    in-process path and the process-pool workers, so the two can never
-    drift apart.  Outputs of the functional datapath are discarded —
+    in-process path and the process backend's workers, so the two can
+    never drift apart.  Outputs of the functional datapath are discarded —
     they never affect stats.
     """
     import numpy as np
@@ -282,7 +287,8 @@ class SerialBackend(ExecutorBackend):
 
     One slot, so the scheduler runs each group as one inline chunk and
     same-layer groups still collapse into batch-kernel calls: the serial
-    default benefits from vectorization exactly like the pooled backends.
+    default benefits from vectorization exactly like the parallel
+    backends.
     """
 
     name = "serial"
@@ -318,13 +324,13 @@ _WORKER_CONTROLLERS: Dict[str, object] = {}
 
 
 def _process_chunk(spec: Tuple, chunk: List[Tuple]) -> List[Tuple]:
-    """Worker entry point: simulate one chunk of (position, key, layer,
-    mapping) items under the controller described by ``spec``.
+    """Simulate one chunk of (position, key, layer, mapping) items under
+    the controller described by ``spec``.
 
     Runs in the worker process.  Same-layer items group into one batch
     kernel call (:func:`simulate_chunk`).  Returns (position, key,
     stats-or-error) triples; errors are captured so a bad mapping never
-    kills the pool.
+    kills the worker.
     """
     fingerprint, controller_cls, config, params, functional = spec
     controller = _WORKER_CONTROLLERS.get(fingerprint)
@@ -340,41 +346,111 @@ def _process_chunk(spec: Tuple, chunk: List[Tuple]) -> List[Tuple]:
     ]
 
 
+#: Seconds a worker gets to exit (after the sentinel, or after its pipe
+#: broke) before it is terminated.
+_JOIN_TIMEOUT_S = 5.0
+
+
+def _worker_loop(conn) -> None:
+    """Worker process body: answer ``(spec, chunk)`` messages on ``conn``
+    with :func:`_process_chunk`'s triples until the ``None`` sentinel
+    (or until the parent is gone)."""
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        try:
+            reply = _process_chunk(*message)
+        except Exception as exc:  # re-raised in the parent's run_chunk
+            reply = exc
+        conn.send(reply)
+
+
+class _Worker:
+    """One slot's worker process, the parent's end of its pipe, and the
+    lock that serializes round trips on it."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.start()
+
+    def start(self) -> None:
+        context = multiprocessing.get_context()
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=_worker_loop, args=(child,), daemon=True
+        )
+        self.process.start()
+        child.close()
+
+    def reap(self, timeout: float) -> Optional[int]:
+        """Wait up to ``timeout`` for the process to exit, terminate it if
+        it has not, and return its exit code."""
+        self.process.join(timeout)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        return self.process.exitcode
+
+    def stop(self) -> None:
+        try:
+            self.conn.send(None)
+        except OSError:  # already dead
+            pass
+        self.reap(_JOIN_TIMEOUT_S)
+        self.conn.close()
+
+
 class ProcessBackend(ExecutorBackend):
-    """Process-pooled execution for CPU-bound sweeps.
+    """Process-parallel execution for CPU-bound sweeps: one worker
+    process per pull slot, each on its own pipe.
 
     Processes sidestep the GIL entirely, which made this the only real
     fan-out for the historical pure-Python models; with chunks grouped
     into numpy batch kernels the thread backend competes again, but
     processes still win when chunks degenerate to singleton scalar
-    simulations.  Each scheduler chunk is one pool task: the worker
-    simulates it with a per-process cached controller, and the parent
-    merges the returned ``(key, stats)`` pairs into its cache.
+    simulations.
 
-    The pool is created lazily by the first multi-slot
-    :meth:`pull_slots`, reused across batches (spawn cost is paid once
-    per backend), recreated when the requested width changes, and
-    released by :meth:`close`.  A single-worker backend has no pool and
-    runs inline.
+    Slot ``i`` is worker ``i`` is pipe ``i`` (``slot=None`` is worker 0).
+    :meth:`run_chunk` sends the chunk down its slot's pipe and blocks
+    for the reply; the worker simulates it with a per-process cached
+    controller (:func:`_process_chunk`) and the parent merges the
+    returned ``(key, stats)`` pairs into its cache.  A per-worker lock
+    serializes callers sharing a slot, so a steal is a chunk run by a
+    different process.
+
+    The first multi-slot :meth:`pull_slots` starts the workers with the
+    platform's default start method (fork on Linux, so workers inherit
+    the parent's module state); they are reused across batches,
+    restarted when the requested width changes, and stopped by
+    :meth:`close`.  A worker found dead is respawned before its slot's
+    next chunk; one that dies mid-chunk fails exactly that chunk with a
+    :class:`~repro.errors.SimulationError` naming the slot and exit
+    code.  A single-worker backend starts no process and runs inline.
     """
 
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_width = 0
+        self._workers: List[_Worker] = []
+        #: Guards every change to the worker processes.
+        self._lock = threading.Lock()
 
     def pull_slots(self, engine, max_workers=None):
         workers = _default_workers(max_workers or self.max_workers)
-        if workers > 1 and (self._pool is None or self._pool_width != workers):
-            self.close()
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._pool_width = workers
+        with self._lock:
+            if workers > 1 and len(self._workers) != workers:
+                self._stop_workers()
+                self._workers = [_Worker() for _ in range(workers)]
         return list(range(workers))
 
     def run_chunk(self, engine, items, slot=None):
-        if self._pool is None:
+        workers = self._workers
+        if not workers:
             return super().run_chunk(engine, items, slot)
         spec = (
             engine.fingerprint,
@@ -387,18 +463,43 @@ class ProcessBackend(ExecutorBackend):
             (position, key, request.layer, request.mapping)
             for position, (key, request) in enumerate(items)
         ]
+        worker = workers[slot or 0]
+        with worker.lock:
+            if not worker.process.is_alive():
+                with self._lock:
+                    worker.reap(0)
+                    worker.conn.close()
+                    worker.start()
+            try:
+                worker.conn.send((spec, chunk))
+                reply = worker.conn.recv()
+            except (EOFError, OSError):
+                code = worker.reap(_JOIN_TIMEOUT_S)
+                raise SimulationError(
+                    f"process worker for slot {slot or 0} died (exit code "
+                    f"{code}) while running a {len(items)}-item chunk"
+                ) from None
+            except BaseException:
+                # An interrupted round trip leaves a reply in flight that
+                # the slot's next chunk would read as its own: retire the
+                # worker so that chunk gets a fresh one.
+                worker.reap(0)
+                raise
+        if isinstance(reply, Exception):
+            raise reply
         results: List[WorkResult] = [None] * len(items)  # type: ignore
-        for position, key, payload in self._pool.submit(
-            _process_chunk, spec, chunk
-        ).result():
+        for position, key, payload in reply:
             results[position] = (key, payload)
         return results
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_width = 0
+        with self._lock:
+            self._stop_workers()
+
+    def _stop_workers(self) -> None:
+        for worker in self._workers:
+            worker.stop()
+        self._workers = []
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ overview.  The key design points:
   even when they were produced by a different layer of the same shape.
 * **Pluggable batching.**  ``evaluate_many`` splits a batch into cache
   hits and misses and hands the misses to an executor backend
-  (:mod:`repro.engine.backends`): serial, thread-pooled, or
-  process-pooled.  Batch-internal duplicates simulate once.  Worker
+  (:mod:`repro.engine.backends`): serial, threaded, or one worker
+  process per slot.  Batch-internal duplicates simulate once.  Worker
   threads lazily build their own controller (controllers keep internal
   tallies, e.g. the accumulation buffer's write counters, which must
   not race); worker processes return ``(key, stats)`` pairs that merge

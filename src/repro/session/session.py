@@ -464,7 +464,7 @@ class Session:
         """Execute a :class:`~repro.sweep.SweepPlan` across scenarios.
 
         All scenarios run against this session's resources — one stats
-        cache, one executor backend (process pool / fleet), one engine
+        cache, one executor backend (process workers / fleet), one engine
         per distinct hardware configuration — and their pending
         evaluations are flattened into shared engine batches, so layers
         shared between scenarios simulate exactly once and the executor

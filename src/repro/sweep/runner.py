@@ -10,13 +10,14 @@ that share a hardware configuration into one
 * cross-scenario key dedup — a layer shared by several scenarios (two
   profiles of the same model, two models with a common shape) simulates
   exactly once;
-* tier saturation — the process pool / fleet sees the union of every
+* tier saturation — the process workers / fleet see the union of every
   scenario's misses as a single wide batch instead of one small batch
   per run.
 
 Resource sharing is strict: every engine the sweep materializes uses the
 driving session's stats cache and executor backend, so a shared
-``.sqlite`` cache path and one process pool serve the whole matrix.
+``.sqlite`` cache path and one set of process workers serve the whole
+matrix.
 Engines are keyed by their config fingerprint — scenarios that differ
 only in non-hardware knobs (tuning budget, cache bounds, executor hints)
 reuse one engine and therefore one key space.

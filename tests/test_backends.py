@@ -2,9 +2,13 @@
 measurement, and GA determinism after vectorization."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+import repro.engine.backends as backends_mod
 from repro.engine import (
     EvalRequest,
     EvaluationEngine,
@@ -20,7 +24,7 @@ from repro.engine import (
     unregister_backend,
 )
 from repro.engine.backends import simulate_layer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
 from repro.stonne.mapping import ConvMapping
@@ -243,6 +247,149 @@ class TestBackendParity:
         )
         session.engine.close()
         assert session.engine._override_backends == {}
+
+
+#: Test patches of ``simulate_layer`` reach the workers only by fork
+#: inheritance.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers inherit module patches only under fork",
+)
+
+
+def _fc_requests(prefix, count):
+    return [
+        EvalRequest(
+            FcLayer(f"{prefix}{i}", in_features=16 + i, out_features=8)
+        )
+        for i in range(count)
+    ]
+
+
+def _new_live_children(before):
+    return [
+        p for p in multiprocessing.active_children()
+        if p.pid not in before and p.is_alive()
+    ]
+
+
+class TestProcessWorkers:
+    """One worker process per slot on its own pipe; a dead worker costs
+    at most the chunk it was running."""
+
+    def test_killed_idle_worker_is_respawned(self, maeri128):
+        before = {p.pid for p in multiprocessing.active_children()}
+        fresh = _fc_requests("fresh", 6)
+        serial = EvaluationEngine(maeri128).evaluate_many(fresh)
+        engine = EvaluationEngine(maeri128, executor="process", max_workers=2)
+        backend = engine.backend
+        try:
+            engine.evaluate_many(_requests())
+            victim = backend._workers[0].process
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            assert engine.evaluate_many(fresh) == serial
+            # Slot 0 itself serves again, from a new process.
+            item = (None, _fc_requests("again", 1)[0])
+            [(_, stats)] = backend.run_chunk(engine, [item], slot=0)
+            assert stats == EvaluationEngine(maeri128).evaluate(item[1].layer)
+            assert backend._workers[0].process.pid != victim.pid
+        finally:
+            engine.close()
+        assert _new_live_children(before) == []
+
+    @fork_only
+    def test_worker_death_fails_only_its_chunk(self, maeri128, monkeypatch):
+        real = backends_mod.simulate_layer
+
+        def dies_on_marker(controller, layer, mapping, functional):
+            if layer.name == "boom":
+                os._exit(3)
+            return real(controller, layer, mapping, functional)
+
+        monkeypatch.setattr(backends_mod, "simulate_layer", dies_on_marker)
+        before = {p.pid for p in multiprocessing.active_children()}
+        reqs = _fc_requests("a", 6)
+        reqs[2] = EvalRequest(FcLayer("boom", in_features=64, out_features=8))
+        serial = EvaluationEngine(maeri128)
+        engine = EvaluationEngine(
+            maeri128, executor="process", max_workers=2, chunk_size=2
+        )
+        try:
+            outcomes = engine.evaluate_many(reqs, return_errors=True)
+            # Chunks are [a0, a1], [boom, a3], [a4, a5].
+            for index in (2, 3):
+                assert isinstance(outcomes[index], SimulationError)
+                assert "exit code 3" in str(outcomes[index])
+                assert "slot" in str(outcomes[index])
+            for index in (0, 1, 4, 5):
+                assert outcomes[index] == serial.evaluate(reqs[index].layer)
+            fresh = _fc_requests("b", 6)
+            assert engine.evaluate_many(fresh) == serial.evaluate_many(fresh)
+        finally:
+            engine.close()
+        assert _new_live_children(before) == []
+
+    def test_interrupted_round_trip_never_leaks_its_reply(self, maeri128):
+        class InterruptsFirstRecv:
+            def __init__(self, conn):
+                self.conn = conn
+                self.interrupted = False
+
+            def send(self, message):
+                self.conn.send(message)
+
+            def recv(self):
+                if not self.interrupted:
+                    self.interrupted = True
+                    raise KeyboardInterrupt
+                return self.conn.recv()
+
+            def close(self):
+                self.conn.close()
+
+        backend = ProcessBackend(max_workers=2)
+        engine = EvaluationEngine(maeri128, executor=backend)
+        try:
+            backend.pull_slots(engine)
+            worker = backend._workers[0]
+            worker.conn = InterruptsFirstRecv(worker.conn)
+            first, second = _fc_requests("i", 2)
+            with pytest.raises(KeyboardInterrupt):
+                backend.run_chunk(engine, [(None, first)], slot=0)
+            [(_, stats)] = backend.run_chunk(engine, [(None, second)], slot=0)
+            assert stats == EvaluationEngine(maeri128).evaluate(second.layer)
+        finally:
+            backend.close()
+
+    @fork_only
+    def test_slot_is_one_process(self, maeri128, monkeypatch):
+        real = backends_mod.simulate_layer
+
+        def stamps_pid(controller, layer, mapping, functional):
+            stats = real(controller, layer, mapping, functional)
+            return stats.clone(layer_name=str(os.getpid()))
+
+        monkeypatch.setattr(backends_mod, "simulate_layer", stamps_pid)
+        backend = ProcessBackend(max_workers=2)
+        engine = EvaluationEngine(maeri128, executor=backend)
+        try:
+            assert backend.pull_slots(engine) == [0, 1]
+
+            def pids(slot):
+                found = set()
+                for request in _fc_requests(f"s{slot}.", 3):
+                    [(_, stats)] = backend.run_chunk(
+                        engine, [(None, request)], slot=slot
+                    )
+                    found.add(int(stats.layer_name))
+                return found
+
+            slot0, slot1 = pids(0), pids(1)
+            assert len(slot0) == 1 and len(slot1) == 1 and slot0 != slot1
+            assert slot0 | slot1 == {w.process.pid for w in backend._workers}
+        finally:
+            backend.close()
 
 
 class TestPersistentCache:

@@ -54,12 +54,12 @@ class TestLifecycle:
 
     def test_close_shuts_down_process_pool(self):
         # The leak regression: a `with Session` block must not leave
-        # ProcessPoolExecutor workers behind (ISSUE 4 satellite).
+        # process-backend workers behind.
         before = {p.pid for p in multiprocessing.active_children()}
         with Session(executor="process", max_workers=2) as s:
             s.run("mlp")
-            assert s.engine.backend._pool is not None  # pool actually used
-        assert s.engine.backend._pool is None
+            assert s.engine.backend._workers  # workers actually started
+        assert s.engine.backend._workers == []
         leaked = [
             p for p in multiprocessing.active_children()
             if p.pid not in before and p.is_alive()
@@ -89,7 +89,7 @@ class TestLifecycle:
                 s.run("mlp")
                 raise RuntimeError("boom")
         assert s.closed
-        assert s.engine.backend._pool is None
+        assert s.engine.backend._workers == []
 
 
 class TestRun:
