@@ -22,9 +22,16 @@ import os
 import tempfile
 import time
 
+import pytest
+
 from conftest import SMOKE, emit, scaled
 
-from repro.engine import EvaluationEngine, PersistentStatsCache, StatsCache
+from repro.engine import (
+    EvaluationEngine,
+    SqliteStatsCache,
+    StatsCache,
+    make_stats_cache,
+)
 from repro.stonne.config import maeri_config
 from repro.stonne.layer import ConvLayer
 from repro.tuner.measure import MaeriConvTask
@@ -174,35 +181,42 @@ def test_backend_sweep_process_vs_serial(benchmark, results_dir):
         assert speedup > 1.0, f"process backend slower ({speedup:.2f}x)"
 
 
-def test_persistent_cache_warm_start(benchmark, results_dir):
+@pytest.mark.parametrize("suffix", [".jsonl", ".sqlite"])
+def test_persistent_cache_warm_start(benchmark, results_dir, suffix):
     """A second engine pointed at the same cache path resumes warm:
-    >= 90% cache hits on the identical sweep, zero new simulations."""
+    >= 90% cache hits on the identical sweep, zero new simulations —
+    on both persistent tiers ``make_stats_cache`` dispatches to."""
 
     def _run():
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "stats-cache.jsonl")
-            cold_cache = PersistentStatsCache(path)
+            path = os.path.join(tmp, "stats-cache" + suffix)
+            cold_cache = make_stats_cache(path)
             cold = _ga_sweep("serial", cache=cold_cache)
             cold_cache.close()
-            warm_cache = PersistentStatsCache(path)
+            warm_cache = make_stats_cache(path)
             warm = _ga_sweep("serial", cache=warm_cache)
-            warm["warm_entries"] = warm_cache.warm_entries
+            warm["records"] = (
+                warm_cache.disk_entries()
+                if isinstance(warm_cache, SqliteStatsCache)
+                else warm_cache.warm_entries
+            )
             warm_cache.close()
         return cold, warm
 
     cold, warm = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = cold["elapsed"] / warm["elapsed"]
+    tier = suffix.lstrip(".")
     lines = [
         f"identical GA sweep twice, second engine instance reopens the "
-        f"JSONL spill ({warm['warm_entries']} warm records)",
+        f"{tier} cache ({warm['records']} records on disk)",
         f"{'':<16}{'wall s':>10}{'simulations':>13}{'hit rate':>10}",
-        f"{'cold':<16}{cold['elapsed']:>10.3f}{cold['simulations']:>13,}"
-        f"{cold['hit_rate']:>10.1%}",
-        f"{'warm':<16}{warm['elapsed']:>10.3f}{warm['simulations']:>13,}"
-        f"{warm['hit_rate']:>10.1%}",
+        f"{tier + ' cold':<16}{cold['elapsed']:>10.3f}"
+        f"{cold['simulations']:>13,}{cold['hit_rate']:>10.1%}",
+        f"{tier + ' warm':<16}{warm['elapsed']:>10.3f}"
+        f"{warm['simulations']:>13,}{warm['hit_rate']:>10.1%}",
         f"warm-start speedup: {speedup:.1f}x",
     ]
-    emit(results_dir, "engine_warm_start", "\n".join(lines))
+    emit(results_dir, f"engine_warm_start_{tier}", "\n".join(lines))
 
     assert warm["best_costs"] == cold["best_costs"]
     assert warm["simulations"] == 0  # everything served from disk

@@ -10,9 +10,14 @@ executor, then proves the two sweep guarantees end to end:
    zero delta and exits 0 under `--fail-on-regression 0`, and a
    doctored regression trips the gate with exit 3.
 
-A last, in-process leg SIGKILLs one process-backend worker between two
-sweeps of one session and asserts the second sweep is bit-identical to
-a serial sweep: a dead worker is respawned, never a broken session.
+Two in-process legs follow.  One sweeps on the process executor into a
+fresh ``.sqlite`` cache, reopens the file in a new session and sweeps
+again: the second sweep simulates nothing, equals a serial sweep, and
+the file holds exactly one row per simulated key (each merge is written
+as one transaction).  The last SIGKILLs one process-backend worker
+between two sweeps of one session and asserts the second sweep is
+bit-identical to a serial sweep: a dead worker is respawned, never a
+broken session.
 
 Run:  PYTHONPATH=src python scripts/sweep_smoke.py
 Exit: 0 on success, 1 on any mismatch.
@@ -63,6 +68,38 @@ def layer_stats(report):
         name: [stats.to_dict() for stats in report[name].layer_stats]
         for name in report.names
     }
+
+
+def sqlite_cache_leg(tmp: str) -> None:
+    from repro.session import Session
+    from repro.sweep import SweepPlan
+
+    def plan(session):
+        return SweepPlan.matrix(
+            session.config, models=["mlp", "lenet"],
+            axes={"arch": ["maeri", "sigma", "tpu"]},
+        )
+
+    path = str(Path(tmp) / "sweep.sqlite")
+    with Session(executor="process", max_workers=2,
+                 cache_path=path) as session:
+        cold = session.sweep(plan(session))
+    simulated = cold.counters["num_simulations"]
+    assert simulated > 0, cold.counters
+    with Session(cache_path=path) as session:
+        warm = session.sweep(plan(session))
+        rows = session.engine.cache.disk_entries()
+    assert warm.counters["num_simulations"] == 0, warm.counters
+    assert rows == simulated, (rows, simulated)
+    with Session(executor="serial") as session:
+        serial = session.sweep(plan(session))
+    assert layer_stats(warm) == layer_stats(serial), (
+        "sweep from a reopened sqlite cache differs from serial"
+    )
+    print(
+        f"sqlite cache: {simulated} simulations on --executor process, "
+        f"{rows} rows; reopened sweep ran 0 simulations and == serial"
+    )
 
 
 def killed_worker_leg() -> None:
@@ -137,7 +174,10 @@ def main() -> int:
         )
         print("doctored regression trips --fail-on-regression with exit 3")
 
-    # 4. A killed worker costs nothing: the next sweep equals serial.
+        # 4. A process sweep into SQLite warm-starts a fresh session.
+        sqlite_cache_leg(tmp)
+
+    # 5. A killed worker costs nothing: the next sweep equals serial.
     killed_worker_leg()
 
     print("sweep smoke: OK")

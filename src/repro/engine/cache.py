@@ -24,7 +24,7 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.obs.trace import TRACER
 from repro.stonne.stats import SimulationStats
@@ -82,6 +82,18 @@ class StatsCache:
                     TRACER.instant(
                         "cache.evict", category="cache",
                         tier="memory", count=evicted)
+
+    def put_many(
+        self, items: Iterable[Tuple[Hashable, SimulationStats]]
+    ) -> None:
+        """Store every ``(key, stats)`` pair, in order, as ``put`` would.
+
+        The engine hands each merge's results over in one call, so a
+        tier with a costly write (the SQLite tier's commit) can batch
+        them; this default is a plain loop.
+        """
+        for key, stats in items:
+            self.put(key, stats)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -477,7 +477,8 @@ class EvaluationEngine:
         owners: Sequence[List[Tuple[BatchPlan, int]]],
         run: Sequence[Tuple[Optional[Hashable], object]],
     ) -> None:
-        """Merge executed work back into the cache and the owning plans.
+        """Merge executed work back into the cache (one ``put_many``) and
+        the owning plans.
 
         Single-threaded by design (cache writes and plan mutation never
         race); counts each distinct successful item as one simulation
@@ -485,6 +486,7 @@ class EvaluationEngine:
         deterministic.
         """
         simulated = 0
+        puts: List[Tuple[Hashable, SimulationStats]] = []
         for slot, result in enumerate(run):
             key, payload = result if result is not None else (work[slot][0], None)
             if payload is None:
@@ -497,7 +499,7 @@ class EvaluationEngine:
             else:
                 simulated += 1
                 if self.cache_enabled and key is not None:
-                    self.cache.put(key, payload)
+                    puts.append((key, payload))
                 for index, (plan, position) in enumerate(owners[slot]):
                     stats = payload
                     if index > 0:
@@ -508,6 +510,12 @@ class EvaluationEngine:
                             plan.requests[position].layer.name
                         )
                     plan._record(position, key, stats)
+        if puts:
+            # One call per merge: the SQLite tier commits it as one
+            # transaction instead of one per simulated layer.
+            with TRACER.span("cache.put_many", category="cache",
+                             items=len(puts)):
+                self.cache.put_many(puts)
         with self._counter_lock:
             self.num_simulations += simulated
 

@@ -29,7 +29,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, StatsCache, _freeze
 from repro.obs.trace import TRACER
@@ -48,6 +48,13 @@ CREATE TABLE IF NOT EXISTS stats (
 
 _ACCESS_INDEX = (
     "CREATE INDEX IF NOT EXISTS stats_accessed_at ON stats (accessed_at)"
+)
+
+#: One row write: the record plus the next stamp of the shared logical
+#: clock (see :meth:`SqliteStatsCache._touch`).
+_INSERT = (
+    "INSERT OR REPLACE INTO stats (key, stats, accessed_at) "
+    "VALUES (?, ?, (SELECT COALESCE(MAX(accessed_at), 0) + 1 FROM stats))"
 )
 
 
@@ -73,8 +80,10 @@ class SqliteStatsCache(StatsCache):
     The in-memory LRU is a per-process L1; the database is the shared
     tier.  ``get`` consults L1 first and falls through to the database on
     a miss, so inserts from *other* processes become visible mid-sweep
-    without any refresh protocol.  ``put`` writes both tiers and commits
-    immediately — one simulation result is one durable transaction.
+    without any refresh protocol.  ``put_many`` writes a batch to both
+    tiers and commits it once — one engine merge (every result of one
+    scheduler call for one engine) is one durable transaction; ``put``
+    is a batch of one.
 
     The shared tier grows without bound by default; ``max_rows`` caps it
     with LRU eviction: with a cap set, every get and put stamps the
@@ -216,24 +225,51 @@ class SqliteStatsCache(StatsCache):
             return stats.clone()
 
     def put(self, key: Hashable, stats: SimulationStats) -> None:
-        """Write both tiers; the database commit makes the record visible
-        to every other process sharing the file immediately."""
+        """Write both tiers, as a batch of one (see :meth:`put_many`)."""
+        self.put_many(((key, stats),))
+
+    def put_many(
+        self, items: Iterable[Tuple[Hashable, SimulationStats]]
+    ) -> None:
+        """Write a batch to both tiers in one database transaction.
+
+        Rows go in in order, each stamped and (when capped) evicting its
+        overflow exactly as a loop of single puts would; only the commit
+        is shared.  So one engine merge is one transaction: other
+        processes see the whole batch at once or, after a crash before
+        the commit, none of it.  A failed batch is rolled back, leaving
+        both tiers and the counters as they were.
+        """
+        items = list(items)
+        rows = [
+            (encode_key(key), json.dumps(stats.to_dict(), default=str))
+            for key, stats in items
+        ]
         with self._lock:
-            self._records[key] = stats.clone()
-            self._records.move_to_end(key)
+            evicted = 0
+            try:
+                for row in rows:
+                    self._conn.execute(_INSERT, row)
+                    evicted += self._evict_overflow()
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
+            for key, stats in items:
+                self._records[key] = stats.clone()
+                self._records.move_to_end(key)
             while len(self._records) > self.max_entries:
                 self._records.popitem(last=False)
-            self._conn.execute(
-                "INSERT OR REPLACE INTO stats (key, stats, accessed_at) "
-                "VALUES (?, ?, (SELECT COALESCE(MAX(accessed_at), 0) + 1 "
-                "FROM stats))",
-                (encode_key(key), json.dumps(stats.to_dict(), default=str)),
-            )
-            self._evict_overflow()
-            self._conn.commit()
+            if evicted:
+                self.evictions += evicted
+                if TRACER.enabled:
+                    TRACER.instant(
+                        "cache.evict", category="cache",
+                        tier="sqlite", count=evicted)
 
-    def _evict_overflow(self) -> None:
-        """Delete least-recently-accessed rows past ``max_rows``.
+    def _evict_overflow(self) -> int:
+        """Delete least-recently-accessed rows past ``max_rows``; returns
+        how many went.
 
         Called under the lock with a transaction open.  The fresh write
         carries the newest stamp, so it can never evict itself; ties on
@@ -241,22 +277,18 @@ class SqliteStatsCache(StatsCache):
         oldest insert first.
         """
         if self.max_rows is None:
-            return
+            return 0
         count = self._conn.execute("SELECT COUNT(*) FROM stats").fetchone()[0]
         overflow = count - self.max_rows
         if overflow <= 0:
-            return
+            return 0
         self._conn.execute(
             "DELETE FROM stats WHERE key IN ("
             "SELECT key FROM stats ORDER BY accessed_at ASC, rowid ASC "
             "LIMIT ?)",
             (overflow,),
         )
-        self.evictions += overflow
-        if TRACER.enabled:
-            TRACER.instant(
-                "cache.evict", category="cache",
-                tier="sqlite", count=overflow)
+        return overflow
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Hashable) -> bool:

@@ -163,6 +163,7 @@ class FleetWorker(DaemonServer):
             # kernel call (same path as the engine backends).
             with self._controller_lock:
                 payloads = simulate_chunk(controller, pairs, functional)
+            puts = []
             for (slot, pos, key, _, _), payload in zip(pending, payloads):
                 if isinstance(payload, Exception):
                     entries[slot] = {
@@ -171,9 +172,11 @@ class FleetWorker(DaemonServer):
                         "error_type": type(payload).__name__,
                     }
                 else:
-                    if self.cache is not None and key is not None:
-                        self.cache.put(key, payload)
+                    if key is not None:
+                        puts.append((key, payload))
                     entries[slot] = {"pos": pos, "stats": payload.to_dict()}
+            if self.cache is not None and puts:
+                self.cache.put_many(puts)
         self.batches_served += 1
         self.items_served += len(entries)
         timing = {

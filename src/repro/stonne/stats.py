@@ -104,17 +104,23 @@ class SimulationStats:
     def clone(self, layer_name: Optional[str] = None) -> "SimulationStats":
         """An independent copy (nested records included), optionally renamed.
 
-        Cheaper than ``copy.deepcopy`` by an order of magnitude, which
-        matters on the engine cache's hit path.  Built on
-        :func:`dataclasses.replace` so fields added later are copied
-        without this method needing to know about them.
+        The engine cache copies on every get and put, so this copies
+        ``__dict__`` directly instead of going through ``__init__`` (as
+        :func:`dataclasses.replace` does, at about three times the
+        cost).  Fields added later, subclass fields included, are still
+        copied without this method needing to know about them; only the
+        two mutable members get fresh objects.
         """
-        return replace(
-            self,
-            layer_name=self.layer_name if layer_name is None else layer_name,
-            traffic=replace(self.traffic),
-            phase_cycles=dict(self.phase_cycles),
-        )
+        copy = object.__new__(self.__class__)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        traffic = object.__new__(self.traffic.__class__)
+        traffic.__dict__.update(self.traffic.__dict__)
+        state["traffic"] = traffic
+        state["phase_cycles"] = dict(self.phase_cycles)
+        if layer_name is not None:
+            state["layer_name"] = layer_name
+        return copy
 
     def repeated(self, count: int, layer_name: Optional[str] = None) -> "SimulationStats":
         """Stats for ``count`` back-to-back runs of this exact simulation.

@@ -8,11 +8,14 @@ open) cannot do.
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     EvaluationEngine,
@@ -21,6 +24,7 @@ from repro.engine import (
     StatsCache,
     make_stats_cache,
 )
+from repro.engine.sqlite_cache import encode_key
 from repro.stonne.config import maeri_config
 from repro.stonne.layer import ConvLayer
 from repro.stonne.mapping import ConvMapping
@@ -451,3 +455,151 @@ class TestSqliteEviction:
         cache.close()
         assert stamps[json.dumps(list(_key(0)))] > stamps[
             json.dumps(list(_key(1)))]
+
+
+# ----------------------------------------------------------------------
+# batched writes (one transaction per put_many)
+# ----------------------------------------------------------------------
+class _ExitBeforeCommit:
+    """Connection proxy for a forked writer: dies at COMMIT, after every
+    insert of the batch has run (exit 8 if they had not)."""
+
+    def __init__(self, conn, expect_rows):
+        self._conn = conn
+        self._expect_rows = expect_rows
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def commit(self):
+        count = self._conn.execute("SELECT COUNT(*) FROM stats").fetchone()[0]
+        os._exit(9 if count == self._expect_rows else 8)
+
+
+class _FailingInserts:
+    """Connection proxy: every INSERT after the first ``after`` raises."""
+
+    def __init__(self, conn, after):
+        self._conn = conn
+        self._left = after
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def execute(self, sql, *args):
+        if sql.startswith("INSERT"):
+            if self._left == 0:
+                raise sqlite3.OperationalError("disk I/O error (injected)")
+            self._left -= 1
+        return self._conn.execute(sql, *args)
+
+
+def _rows(path):
+    """Every row of a cache file, in LRU order, stamps included."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute(
+            "SELECT key, stats, accessed_at FROM stats "
+            "ORDER BY accessed_at, rowid").fetchall()
+    finally:
+        conn.close()
+
+
+class TestPutMany:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("crash", [True, False])
+    def test_batch_is_atomic_across_a_writer_crash(self, tmp_path, crash):
+        path = tmp_path / "atomic.sqlite"
+        with SqliteStatsCache(path) as cache:
+            for i in range(3):
+                cache.put(_key(i), _stats(cycles=i + 1))
+        batch = [(_key(i), _stats(cycles=i + 1)) for i in range(3, 8)]
+        pid = os.fork()
+        if pid == 0:  # the writer; never returns into pytest
+            code = 0
+            try:
+                writer = SqliteStatsCache(path)
+                if crash:
+                    writer._conn = _ExitBeforeCommit(writer._conn, 8)
+                writer.put_many(batch)
+                writer.close()
+            except BaseException:
+                code = 1
+            os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == (9 if crash else 0)
+        with SqliteStatsCache(path, max_entries=1) as reader:
+            assert reader.disk_entries() == (3 if crash else 8)
+            seen = [reader.get(key) is not None for key, _ in batch]
+        assert seen == [not crash] * len(batch)
+
+    def test_failed_batch_rolls_back_and_the_next_commits(self, tmp_path):
+        path = tmp_path / "rollback.sqlite"
+        cache = SqliteStatsCache(path, max_rows=4)
+        cache.put_many([(_key(i), _stats(cycles=i + 1)) for i in range(3)])
+        before = _rows(path)
+        batch = [(_key(i), _stats(cycles=i + 1)) for i in range(3, 7)]
+        real = cache._conn
+        cache._conn = _FailingInserts(real, after=2)
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            cache.put_many(batch)
+        cache._conn = real
+        assert not real.in_transaction
+        assert cache.disk_entries() == 3
+        assert _rows(path) == before
+        assert cache.evictions == 0
+        assert all(key not in cache._records for key, _ in batch)
+        cache.put_many(batch)
+        assert not real.in_transaction
+        assert cache.disk_entries() == 4
+        assert cache.evictions == 3
+        assert [row[0] for row in _rows(path)] == [
+            encode_key(key) for key, _ in batch]
+        cache.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(1, 9)),
+                     max_size=8),
+            min_size=1, max_size=3),
+        max_rows=st.one_of(st.none(), st.integers(1, 5)),
+        max_entries=st.integers(1, 4),
+    )
+    def test_equivalent_to_a_put_loop(self, batches, max_rows, max_entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            many = SqliteStatsCache(os.path.join(tmp, "many.sqlite"),
+                                    max_entries=max_entries,
+                                    max_rows=max_rows)
+            loop = SqliteStatsCache(os.path.join(tmp, "loop.sqlite"),
+                                    max_entries=max_entries,
+                                    max_rows=max_rows)
+            for batch in batches:
+                items = [(_key(k), _stats(cycles=c)) for k, c in batch]
+                many.put_many(items)
+                for key, stats in items:
+                    loop.put(key, stats)
+            assert _rows(many.path) == _rows(loop.path)
+            assert many.evictions == loop.evictions
+            assert list(many._records.items()) == list(loop._records.items())
+            many.close()
+            loop.close()
+
+    def test_sweep_commits_once_per_engine_group(self, tmp_path):
+        from repro.session import Session
+        from repro.sweep import SweepPlan
+
+        archs = ["maeri", "sigma", "tpu"]
+        with Session(executor="process", max_workers=2,
+                     cache_path=str(tmp_path / "sweep.sqlite")) as session:
+            plan = SweepPlan.matrix(
+                session.config, models=["mlp", "lenet", "alexnet"],
+                axes={"arch": archs})
+            assert len(plan.scenarios) == 9
+            statements = []
+            session.engine.cache._conn.set_trace_callback(statements.append)
+            report = session.sweep(plan)
+            session.engine.cache._conn.set_trace_callback(None)
+        commits = [s for s in statements if s.strip().upper() == "COMMIT"]
+        assert report.counters["num_simulations"] > len(archs)
+        assert 1 <= len(commits) <= len(archs), statements

@@ -224,6 +224,36 @@ class TestWorkerDaemon:
         finally:
             server.close()
 
+    def test_worker_writes_each_batch_to_its_cache_at_once(self):
+        class RecordingCache(StatsCache):
+            def __init__(self):
+                super().__init__()
+                self.batches = []
+
+            def put_many(self, items):
+                items = list(items)
+                self.batches.append([key for key, _ in items])
+                super().put_many(items)
+
+        cache = RecordingCache()
+        server, _ = start_worker(cache=cache)
+        try:
+            engine = EvaluationEngine(CONFIG, cache_enabled=False)
+            backend = RemoteBackend(workers=[server.address])
+            items = [
+                (("k0",), EvalRequest(_conv(0), ConvMapping(T_R=3))),
+                (("bad",), EvalRequest(_conv(1), ConvMapping(T_K=512))),
+                (("k2",), EvalRequest(_conv(2), ConvMapping(T_K=2))),
+            ]
+            results = backend.run_chunk(engine, items)
+            backend.close()
+        finally:
+            server.close()
+        assert [key for key, _ in results] == [("k0",), ("bad",), ("k2",)]
+        assert isinstance(results[1][1], MappingError)
+        assert cache.batches == [[("k0",), ("k2",)]]
+        assert cache.get(("k0",)).to_dict() == results[0][1].to_dict()
+
 
 class TestRemoteParity:
     def test_remote_matches_serial_bit_for_bit(self):

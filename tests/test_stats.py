@@ -1,5 +1,7 @@
 """Tests for SimulationStats and aggregation."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.stonne.stats import SimulationStats, TrafficBreakdown, combine_stats
@@ -44,6 +46,52 @@ class TestSimulationStats:
     def test_energy_area_reserved(self):
         stats = make_stats()
         assert stats.energy is None and stats.area is None
+
+
+class TestClone:
+    """``clone`` is the copy every cache get and put makes."""
+
+    def full(self):
+        stats = make_stats(name="conv1", cycles=900)
+        stats.energy = 12.5
+        stats.area = 3.25
+        return stats
+
+    def test_copy_is_equal_and_shares_no_mutable_member(self):
+        original = self.full()
+        copy = original.clone()
+        assert copy == original
+        assert type(copy) is SimulationStats
+        assert copy.traffic.psums_reduced == 10
+        assert copy.phase_cycles == {"fill": 10, "steady": 890}
+        assert copy.traffic is not original.traffic
+        assert copy.phase_cycles is not original.phase_cycles
+        copy.traffic.outputs_written += 1
+        copy.phase_cycles["drain"] = 5
+        copy.cycles += 1
+        assert original == self.full()
+
+    def test_rename_changes_only_the_layer_name(self):
+        original = self.full()
+        renamed = original.clone(layer_name="conv2")
+        assert renamed.layer_name == "conv2"
+        assert original.layer_name == "conv1"
+        renamed.layer_name = "conv1"
+        assert renamed == original
+        assert renamed.clone() == original
+
+    def test_subclass_fields_survive(self):
+        @dataclass
+        class TaggedStats(SimulationStats):
+            tag: str = "none"
+
+        original = TaggedStats(**vars(self.full()), tag="hot")
+        copy = original.clone(layer_name="x")
+        assert type(copy) is TaggedStats
+        assert copy.tag == "hot"
+        assert copy.energy == 12.5
+        copy.layer_name = original.layer_name
+        assert copy == original
 
 
 class TestTrafficBreakdown:
