@@ -8,7 +8,9 @@ Proves the harness's three properties end to end:
 2. cross-check: the fixed-seed batch is bit-identical across the
    serial, thread and process executors (exit 0), covering all four
    controllers plus the curated modern workloads (transformer,
-   depthwise/dilated/grouped/NHWC conv);
+   depthwise/dilated/grouped/NHWC conv); the thread and process legs
+   pull more chunks than serial's one per engine group, so they compare
+   the pooled path, not the inline one;
 3. shrink-on-failure: an artificially injected per-executor divergence
    is caught by the library-level cross-check, shrunk to a minimal
    reproducing layer stack, written as a repro TOML, and the reloaded
@@ -63,12 +65,22 @@ def main() -> int:
     print("fuzz --fuzz 8 --seed 7: deterministic, bit-identical across "
           "serial/thread/process, all four controllers covered")
 
-    # 3. Injected divergence: caught, shrunk, re-emitted, replayable.
     from repro import fuzz
     from repro.session.config import SessionConfig
     from repro.zoo import register_model, zoo_layers
 
+    # The same batch through the library: serial pulls one chunk per
+    # engine group; the pooled legs must split groups across slots.
     base = SessionConfig.resolve(env=False, max_workers=2)
+    result = fuzz.cross_check(fuzz.generate_plan(8, 7, base), base=base)
+    assert result.ok, result.divergent
+    pulled = result.chunks_pulled
+    for executor in ("thread", "process"):
+        assert pulled[executor] > pulled["serial"], pulled
+    print(f"chunks pulled: serial {pulled['serial']} (one per group), "
+          f"thread {pulled['thread']}, process {pulled['process']}")
+
+    # 3. Injected divergence: caught, shrunk, re-emitted, replayable.
     plan = fuzz.generate_plan(8, 11, base)
     victim = plan.scenarios[-1]
     layers = zoo_layers(victim.model)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Observability smoke test: spans for every local tier + cheap off-mode.
 
-Runs a 2-scenario sweep over the process executor (2 workers, so the
-pull scheduler engages) with tracing enabled and asserts:
+Runs a 2-scenario sweep over the process executor (2 workers and a
+chunk size of 1, so every group goes through the pull scheduler's
+slots) with tracing enabled and asserts:
 
 * the trace file is valid Chrome trace-event JSON *and* carries the
   lossless ``reproTrace`` section;
@@ -36,7 +37,7 @@ REQUIRED_TIERS = {"session", "sweep", "engine", "scheduler", "cache"}
 
 SWEEP_ARGS = [
     "sweep", "--models", "mlp,lenet",
-    "--executor", "process", "--max-workers", "2",
+    "--executor", "process", "--max-workers", "2", "--chunk-size", "1",
 ]
 
 

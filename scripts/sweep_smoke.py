@@ -11,13 +11,16 @@ executor, then proves the two sweep guarantees end to end:
    doctored regression trips the gate with exit 3.
 
 Two in-process legs follow.  One sweeps on the process executor into a
-fresh ``.sqlite`` cache, reopens the file in a new session and sweeps
-again: the second sweep simulates nothing, equals a serial sweep, and
-the file holds exactly one row per simulated key (each merge is written
-as one transaction).  The last SIGKILLs one process-backend worker
-between two sweeps of one session and asserts the second sweep is
-bit-identical to a serial sweep: a dead worker is respawned, never a
-broken session.
+fresh ``.sqlite`` cache with automatic chunking: every engine group is
+small, so each runs as one chunk on the caller's thread, no worker
+process starts, and the sweep equals a serial sweep.  It then reopens
+the file in a new session and sweeps again: the second sweep simulates
+nothing, equals a serial sweep, and the file holds exactly one row per
+simulated key (each merge is written as one transaction).  The last
+pins a chunk size so every group reaches the workers, SIGKILLs one
+worker between two sweeps of one session and asserts the second sweep
+is bit-identical to a serial sweep and ran on a respawned worker: a
+dead worker is respawned, never a broken session.
 
 Run:  PYTHONPATH=src python scripts/sweep_smoke.py
 Exit: 0 on success, 1 on any mismatch.
@@ -84,8 +87,18 @@ def sqlite_cache_leg(tmp: str) -> None:
     with Session(executor="process", max_workers=2,
                  cache_path=path) as session:
         cold = session.sweep(plan(session))
+        workers = session.engine.backend._workers
+    assert workers == [], "small groups started process workers"
     simulated = cold.counters["num_simulations"]
     assert simulated > 0, cold.counters
+    # One engine per architecture; each group with misses is one inline
+    # chunk.
+    groups = {
+        cold[name].architecture for name in cold.names
+        if cold[name].counters["unique_misses"]
+    }
+    pulled = cold.counters["scheduler"]["chunks_pulled"]
+    assert pulled == len(groups), (pulled, sorted(groups))
     with Session(cache_path=path) as session:
         warm = session.sweep(plan(session))
         rows = session.engine.cache.disk_entries()
@@ -93,11 +106,15 @@ def sqlite_cache_leg(tmp: str) -> None:
     assert rows == simulated, (rows, simulated)
     with Session(executor="serial") as session:
         serial = session.sweep(plan(session))
+    assert layer_stats(cold) == layer_stats(serial), (
+        "inline sweep on the process executor differs from serial"
+    )
     assert layer_stats(warm) == layer_stats(serial), (
         "sweep from a reopened sqlite cache differs from serial"
     )
     print(
-        f"sqlite cache: {simulated} simulations on --executor process, "
+        f"sqlite cache: {simulated} simulations on --executor process in "
+        f"{pulled} inline chunks, no worker started, == serial; "
         f"{rows} rows; reopened sweep ran 0 simulations and == serial"
     )
 
@@ -112,13 +129,18 @@ def killed_worker_leg() -> None:
             axes={"ms_size": [64, 256]},
         )
 
-    with Session(executor="process", max_workers=2) as session:
+    # An explicit chunk size sends every group, however small, to the
+    # workers (automatic chunking would run these groups inline).
+    with Session(executor="process", max_workers=2,
+                 chunk_size=1) as session:
         session.sweep(SweepPlan.matrix(session.config, models=["mlp"]))
         victim = session.engine.backend._workers[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join()
         after = session.sweep(plan(session))
+        respawned = session.engine.backend._workers[0].process.pid
     assert after.counters["num_simulations"] > 0, after.counters
+    assert respawned != victim.pid, "slot 0 was not respawned"
     with Session(executor="serial") as session:
         serial = session.sweep(plan(session))
     assert layer_stats(after) == layer_stats(serial), (
@@ -126,7 +148,8 @@ def killed_worker_leg() -> None:
     )
     print(
         f"SIGKILLed worker pid {victim.pid}: next sweep "
-        f"({after.counters['num_simulations']} simulations) == serial"
+        f"({after.counters['num_simulations']} simulations) ran on "
+        f"respawned pid {respawned} and == serial"
     )
 
 
@@ -174,7 +197,8 @@ def main() -> int:
         )
         print("doctored regression trips --fail-on-regression with exit 3")
 
-        # 4. A process sweep into SQLite warm-starts a fresh session.
+        # 4. A process sweep into SQLite runs its small groups inline,
+        # and the file warm-starts a fresh session.
         sqlite_cache_leg(tmp)
 
     # 5. A killed worker costs nothing: the next sweep equals serial.

@@ -26,7 +26,14 @@ mirrors the controller registry (:mod:`repro.stonne.controller`):
 Every backend runs work through :meth:`ExecutorBackend.run_chunk`, one
 scheduler chunk at a time, on the slots its
 :meth:`~ExecutorBackend.pull_slots` names
-(:mod:`repro.engine.scheduler`).
+(:mod:`repro.engine.scheduler`).  The thread and process backends set
+:attr:`~ExecutorBackend.slots_share_host`: under automatic chunking a
+group of at most ``MAX_CHUNK_ITEMS`` misses runs as one chunk on the
+caller's thread, in-process, and only larger groups reach the slots.
+On a 2-vCPU host the 2-worker process pool lost to serial on every
+cold case measured: one 33-item group took 3.8–9.4 ms against 1.0 ms,
+one 256-item group 14–30 ms against 5.4–7.3 ms, and a ``functional``
+9-scenario sweep still ran slower pooled than serial.
 
 Backends receive work as ``(key, EvalRequest)`` pairs — ``key`` is the
 content-addressed cache key (``None`` when caching is off) — and return
@@ -80,6 +87,12 @@ class ExecutorBackend:
 
     #: Registry key; subclasses must override.
     name: ClassVar[str] = ""
+
+    #: True when every slot runs on this host's CPUs (threads, local
+    #: worker processes).  Under automatic chunking the scheduler then
+    #: runs a group that fits one chunk on the caller's thread instead of
+    #: sending it to a slot (:mod:`repro.engine.scheduler`).
+    slots_share_host: ClassVar[bool] = False
 
     def pull_slots(self, engine, max_workers: Optional[int] = None) -> List:
         """Slot identities for the pull scheduler (at least one).
@@ -302,10 +315,13 @@ class ThreadBackend(ExecutorBackend):
     (cycle-model tallies must not race).  Chunks run grouped into numpy
     batch kernels (:func:`simulate_chunk`) whose array math releases the
     GIL, so thread slots overlap; ``benchmarks/bench_scheduler.py``
-    measures it.
+    measures it.  Under automatic chunking a group that fits one chunk
+    (``MAX_CHUNK_ITEMS``) runs on the caller's thread and starts no
+    puller.
     """
 
     name = "thread"
+    slots_share_host = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
@@ -408,11 +424,12 @@ class ProcessBackend(ExecutorBackend):
     """Process-parallel execution for CPU-bound sweeps: one worker
     process per pull slot, each on its own pipe.
 
-    Processes sidestep the GIL entirely, which made this the only real
-    fan-out for the historical pure-Python models; with chunks grouped
-    into numpy batch kernels the thread backend competes again, but
-    processes still win when chunks degenerate to singleton scalar
-    simulations.
+    Processes sidestep the GIL, but every chunk pays a pickle and pipe
+    round trip, which outweighs a few batch-kernel simulations.  So
+    under automatic chunking a group that fits one chunk
+    (``MAX_CHUNK_ITEMS``) runs on the caller's thread, in-process, and
+    only larger groups reach the workers; an explicit ``chunk_size``
+    sends every group through them.
 
     Slot ``i`` is worker ``i`` is pipe ``i`` (``slot=None`` is worker 0).
     :meth:`run_chunk` sends the chunk down its slot's pipe and blocks
@@ -424,15 +441,18 @@ class ProcessBackend(ExecutorBackend):
 
     The first multi-slot :meth:`pull_slots` starts the workers with the
     platform's default start method (fork on Linux, so workers inherit
-    the parent's module state); they are reused across batches,
-    restarted when the requested width changes, and stopped by
-    :meth:`close`.  A worker found dead is respawned before its slot's
-    next chunk; one that dies mid-chunk fails exactly that chunk with a
+    the parent's module state); the scheduler calls it only when some
+    group is pooled, so a run of small groups forks nothing.  Workers
+    are reused across batches, restarted when the requested width
+    changes, and stopped by :meth:`close`.  A worker found dead is
+    respawned before its slot's next chunk; one that dies mid-chunk
+    fails exactly that chunk with a
     :class:`~repro.errors.SimulationError` naming the slot and exit
     code.  A single-worker backend starts no process and runs inline.
     """
 
     name = "process"
+    slots_share_host = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers

@@ -16,6 +16,20 @@ caller's thread with no puller threads, and its automatic chunk size is
 the whole group, so a serial run makes exactly one batch-kernel call per
 same-layer group.
 
+Small groups run inline too.  On a backend whose slots share this host's
+CPUs (``slots_share_host``: threads, local worker processes), a group
+with at most :data:`MAX_CHUNK_ITEMS` pending items is one chunk run on
+the caller's thread through the in-process
+:meth:`~repro.engine.backends.ExecutorBackend.run_chunk`, never through
+a slot: a pipe round trip or a thread hand-off costs more than the
+batch kernels it would offload.  Larger groups are chunked and pulled as
+above while the caller's thread runs its inline groups, and
+``pull_slots`` (which starts worker processes) is called only when some
+group is pooled.  The rule applies only to automatic chunking; an
+explicit ``chunk_size`` always pools.  Inline chunks count as pulls
+(never as steals) and get the same span and latency bookkeeping, on the
+caller's lane.
+
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
 no matter which slot runs a chunk.  Counters (pulls, steals, idle time)
@@ -37,11 +51,13 @@ single-group special case.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.engine.backends import ExecutorBackend
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 
@@ -50,7 +66,8 @@ from repro.obs.trace import TRACER
 DEFAULT_CHUNKS_PER_SLOT = 4
 
 #: ... without ever exceeding this many items per chunk (bounds the
-#: latency of a steal).
+#: latency of a steal).  Under automatic chunking on a host-local
+#: backend, a group this small runs inline as one chunk.
 MAX_CHUNK_ITEMS = 32
 
 #: Every counter the scheduler reports (and accumulates per backend).
@@ -303,17 +320,14 @@ def run_plan_groups(
         if not any(work for _e, _p, work, _o in members):
             continue
         lead_engine = members[0][0]
-        slots = backend.pull_slots(
+        run_report = _run_scheduled(
+            members,
+            backend,
             lead_engine,
             max_workers=(
                 max_workers if max_workers is not None
                 else lead_engine.max_workers
             ),
-        )
-        run_report = _run_scheduled(
-            members,
-            backend,
-            slots,
             chunk_size=(
                 chunk_size if chunk_size is not None
                 else getattr(lead_engine, "chunk_size", None)
@@ -347,17 +361,36 @@ def _first_error(collected) -> Optional[Exception]:
 def _run_scheduled(
     collected,
     backend,
-    slots: List,
+    lead_engine,
+    max_workers: Optional[int],
     chunk_size: Optional[int],
     clock,
 ) -> Dict[str, Any]:
-    """Chunk, enqueue, drain with one puller per slot."""
+    """Split inline from pooled groups, then chunk, enqueue and drain."""
+    if chunk_size is not None and chunk_size < 1:
+        chunk_size = None
+    inline = set()
+    if chunk_size is None and getattr(backend, "slots_share_host", False):
+        inline = {
+            group
+            for group, (_e, _p, work, _o) in enumerate(collected)
+            if len(work) <= MAX_CHUNK_ITEMS
+        }
+    pooled = any(
+        work and group not in inline
+        for group, (_e, _p, work, _o) in enumerate(collected)
+    )
+    slots = (
+        backend.pull_slots(lead_engine, max_workers=max_workers)
+        if pooled
+        else []
+    )
     with TRACER.span(
         "scheduler.pull", category="scheduler",
         groups=len(collected), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            collected, backend, slots, chunk_size, clock,
+            collected, backend, slots, inline, chunk_size, clock,
         )
 
 
@@ -365,18 +398,21 @@ def _run_scheduled_inner(
     collected,
     backend,
     slots: List,
+    inline,
     chunk_size: Optional[int],
     clock,
 ) -> Dict[str, Any]:
     queue = WorkQueue([len(work) for _e, _p, work, _o in collected], clock)
 
+    inline_chunks: List[Chunk] = []
     per_group: List[List[Chunk]] = []
     for group, (engine, _plans, work, _owners) in enumerate(collected):
-        size = (
-            chunk_size
-            if chunk_size is not None and chunk_size >= 1
-            else _auto_chunk_size(len(work), len(slots))
-        )
+        if not work:
+            continue
+        if group in inline:
+            inline_chunks.extend(_chunk_group(engine, group, work, len(work)))
+            continue
+        size = chunk_size or _auto_chunk_size(len(work), len(slots))
         per_group.append(_chunk_group(engine, group, work, size))
     ordered = _interleave(per_group)
     # Home = the slot round-robin dealing assigns; a pull by any other
@@ -385,10 +421,8 @@ def _run_scheduled_inner(
         chunk.home = slots[index % len(slots)]
         queue.add(chunk)
 
-    if len(slots) == 1 or len(ordered) == 1:
-        # Nothing to overlap: drain on the caller's thread.
-        _drain(queue, backend, slots[0])
-    else:
+    pullers = []
+    if len(ordered) > 1 and len(slots) > 1:
         pullers = [
             threading.Thread(
                 target=_drain,
@@ -400,8 +434,19 @@ def _run_scheduled_inner(
         ]
         for thread in pullers:
             thread.start()
-        for thread in pullers:
-            thread.join()
+    # Inline groups run on the caller's thread, in-process, while any
+    # pullers drain the pooled ones — and before a caller-thread drain,
+    # which blocks until every item, inline ones included, has a result.
+    latency = _chunk_latency(backend)
+    run_inline = functools.partial(ExecutorBackend.run_chunk, backend)
+    for chunk in inline_chunks:
+        _execute(queue, chunk, run_inline, None, None, latency)
+    if ordered and not pullers:
+        # Nothing to overlap: drain on the caller's thread.
+        _drain(queue, backend, slots[0])
+    for thread in pullers:
+        thread.join()
+    queue.counters["chunks_pulled"] += len(inline_chunks)
 
     # Merge on the calling thread: cache writes and plan mutation stay
     # single-threaded.
@@ -419,32 +464,40 @@ def _slot_lane(slot) -> str:
     return f"slot-{slot}"
 
 
+def _chunk_latency(backend):
+    """The backend's chunk-latency histogram (None without a registry)."""
+    registry = backend_metrics(backend)
+    if registry is None:
+        return None
+    return registry.histogram(SCHEDULER_METRIC_PREFIX + "chunk_latency_s")
+
+
 def _drain(queue: WorkQueue, backend, slot) -> None:
     """One puller: pull, execute, complete, until the queue is done."""
     lane = _slot_lane(slot)
-    registry = backend_metrics(backend)
-    latency = (
-        registry.histogram(SCHEDULER_METRIC_PREFIX + "chunk_latency_s")
-        if registry is not None
-        else None
-    )
+    latency = _chunk_latency(backend)
     while True:
         chunk = queue.pull(slot)
         if chunk is None:
             return
-        started = time.perf_counter()
-        # Steals get their own span name, so they stand out in a trace.
-        with TRACER.span(
-            "scheduler.chunk" if chunk.home == slot else "scheduler.steal",
-            category="scheduler", lane=lane,
-            items=len(chunk.items), group=chunk.group, home=str(chunk.home),
-        ):
-            try:
-                results = backend.run_chunk(
-                    chunk.engine, chunk.items, slot=slot
-                )
-            except Exception as exc:  # infrastructure failure: fail items
-                results = [(key, exc) for key, _request in chunk.items]
-        if latency is not None:
-            latency.observe(time.perf_counter() - started)
-        queue.complete(chunk, results)
+        _execute(queue, chunk, backend.run_chunk, slot, lane, latency)
+
+
+def _execute(queue: WorkQueue, chunk: Chunk, run_chunk, slot,
+             lane: Optional[str], latency) -> None:
+    """Run one chunk through ``run_chunk`` on ``slot`` and complete it;
+    an infrastructure failure fails the chunk's items."""
+    started = time.perf_counter()
+    # Steals get their own span name, so they stand out in a trace.
+    with TRACER.span(
+        "scheduler.chunk" if chunk.home == slot else "scheduler.steal",
+        category="scheduler", lane=lane,
+        items=len(chunk.items), group=chunk.group, home=str(chunk.home),
+    ):
+        try:
+            results = run_chunk(chunk.engine, chunk.items, slot=slot)
+        except Exception as exc:  # infrastructure failure: fail items
+            results = [(key, exc) for key, _request in chunk.items]
+    if latency is not None:
+        latency.observe(time.perf_counter() - started)
+    queue.complete(chunk, results)

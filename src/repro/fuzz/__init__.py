@@ -230,6 +230,8 @@ class CrossCheckResult:
     executors: Tuple[str, ...]
     #: scenario name -> {executor: digest}
     digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
+    #: executor -> scheduler chunks its sweep pulled
+    chunks_pulled: Dict[str, int] = field(default_factory=dict)
 
     @property
     def divergent(self) -> List[str]:
@@ -265,6 +267,11 @@ def cross_check(
     exists to catch.  Digests cover the full
     :meth:`~repro.stonne.stats.SimulationStats.to_dict` of every layer,
     so a single off-by-one in any counter of any layer flags the cell.
+
+    Serial runs each engine group as one chunk.  Every other executor
+    runs with a chunk size (the base config's, else 1): generated groups
+    are small, and under automatic chunking a local pool would run them
+    inline, comparing the serial path with itself.
     """
     from repro.session import Session
 
@@ -275,9 +282,15 @@ def cross_check(
             executors.append("remote")
     result = CrossCheckResult(executors=tuple(executors))
     for executor in executors:
-        config = base.with_overrides(executor=executor)
+        overrides: Dict[str, Any] = {"executor": executor}
+        if executor != "serial":
+            overrides["chunk_size"] = base.engine.chunk_size or 1
+        config = base.with_overrides(**overrides)
         with Session(config) as session:
             report = session.sweep(plan)
+        result.chunks_pulled[executor] = (
+            report.counters["scheduler"]["chunks_pulled"]
+        )
         for scenario_result in report.scenarios:
             stats_dicts = [
                 stats.to_dict() for stats in scenario_result.report.layer_stats

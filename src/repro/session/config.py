@@ -199,7 +199,10 @@ class EngineConfig:
         metadata=_meta(key="chunk_size", kind="optint",
                        help="items per work-stealing scheduler chunk "
                             "(unset: sized automatically from the batch "
-                            "and slot count)"),
+                            "and slot count, and on thread/process pools "
+                            "a group of at most 32 misses runs inline as "
+                            "one chunk; set it to send every group "
+                            "through the pool)"),
     )
 
     def __post_init__(self) -> None:

@@ -265,7 +265,8 @@ class SweepRunner:
         # cross-scenario duplicates simulate once, engine groups overlap
         # instead of running back to back, and fast executor slots steal
         # the tail of slow ones' load.  (Single-slot backends drain each
-        # group as one inline chunk.)
+        # group as one inline chunk, and so do thread and process pools
+        # for groups that fit one chunk.)
         from repro.engine.scheduler import run_plan_groups
 
         self._emit(

@@ -281,7 +281,10 @@ class TestProcessWorkers:
         before = {p.pid for p in multiprocessing.active_children()}
         fresh = _fc_requests("fresh", 6)
         serial = EvaluationEngine(maeri128).evaluate_many(fresh)
-        engine = EvaluationEngine(maeri128, executor="process", max_workers=2)
+        # An explicit chunk size sends the small batches to the workers.
+        engine = EvaluationEngine(
+            maeri128, executor="process", max_workers=2, chunk_size=1
+        )
         backend = engine.backend
         try:
             engine.evaluate_many(_requests())

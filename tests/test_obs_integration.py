@@ -76,9 +76,10 @@ class TestSessionTracing:
 
     def test_steals_are_a_distinct_span_name(self, traced):
         # A 2-slot thread backend over a multi-scenario sweep exercises
-        # the pull loop; chunk-lifecycle spans all land in the
-        # scheduler category on slot lanes.
-        with Session(executor="thread", max_workers=2) as session:
+        # the pull loop (chunk size 1: no group fits inline); chunk-
+        # lifecycle spans all land in the scheduler category on slot lanes.
+        with Session(executor="thread", max_workers=2,
+                     chunk_size=1) as session:
             plan = SweepPlan.matrix(session.config, models=["mlp", "lenet"])
             session.sweep(plan)
         scheduler = [s for s in TRACER.spans() if s["cat"] == "scheduler"]
@@ -205,8 +206,9 @@ class TestReportMetrics:
     def test_scheduler_counters_via_registry(self):
         # Satellite: the duck-typed scheduler_counters probing is gone;
         # backend_counters reads the metrics registry and keeps the
-        # legacy dict shape.
-        with Session(executor="thread", max_workers=2) as session:
+        # legacy dict shape.  Chunk size 1 keeps the chunks on the pool.
+        with Session(executor="thread", max_workers=2,
+                     chunk_size=1) as session:
             plan = SweepPlan.matrix(session.config, models=["mlp", "lenet"])
             session.sweep(plan)
             counters = backend_counters(session.engine.backend)

@@ -14,6 +14,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -21,8 +22,9 @@ import pytest
 
 import repro.engine.backends as backends_mod
 from repro.engine import EvalRequest, EvaluationEngine, evaluation_key
-from repro.engine.backends import ThreadBackend
+from repro.engine.backends import ProcessBackend, ThreadBackend
 from repro.engine.scheduler import (
+    MAX_CHUNK_ITEMS,
     Chunk,
     WorkQueue,
     _auto_chunk_size,
@@ -32,6 +34,7 @@ from repro.engine.scheduler import (
     zero_counters,
 )
 from repro.errors import SimulationError
+from repro.obs.trace import TRACER
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.mapping import ConvMapping
@@ -138,11 +141,13 @@ class TestRunPlanGroups:
         layers = _layers(10)
         config = sigma_config()
         expected = self._serial_reference(config, layers)
-        engine = EvaluationEngine(config, executor="thread", max_workers=4)
+        engine = EvaluationEngine(
+            config, executor="thread", max_workers=4, chunk_size=1
+        )
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
         assert [s.to_dict() for s in plan.results] == expected
-        # 10 distinct items, auto chunk size 1 -> 10 pulls.
+        # 10 distinct items, chunk size 1 -> 10 pulls.
         assert report["chunks_pulled"] == 10
         assert engine.num_simulations == 10
         # The backend accumulated this run's counters.
@@ -152,7 +157,9 @@ class TestRunPlanGroups:
         layers = _layers(6)
         config = sigma_config()
         expected = self._serial_reference(config, layers)
-        engine = EvaluationEngine(config, executor="process", max_workers=2)
+        engine = EvaluationEngine(
+            config, executor="process", max_workers=2, chunk_size=1
+        )
         try:
             plan = engine.plan_many([EvalRequest(l) for l in layers])
             report = run_plan_groups([(engine, [plan])])
@@ -171,10 +178,10 @@ class TestRunPlanGroups:
         expected_b = self._serial_reference(config_b, layers_b)
         try:
             engine_a = EvaluationEngine(
-                config_a, executor=backend, max_workers=4
+                config_a, executor=backend, max_workers=4, chunk_size=1
             )
             engine_b = EvaluationEngine(
-                config_b, executor=backend, max_workers=4
+                config_b, executor=backend, max_workers=4, chunk_size=1
             )
             plan_a = engine_a.plan_many([EvalRequest(l) for l in layers_a])
             plan_b = engine_b.plan_many([EvalRequest(l) for l in layers_b])
@@ -289,7 +296,7 @@ class TestRunPlanGroups:
         layers = _layers(6)
         monkeypatch.setattr(backends_mod, "simulate_layer", failing_fc3)
         engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
+            sigma_config(), executor="thread", max_workers=2, chunk_size=1
         )
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])], return_errors=True)
@@ -301,7 +308,7 @@ class TestRunPlanGroups:
         )
         # Without return_errors the first error propagates.
         engine_b = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
+            sigma_config(), executor="thread", max_workers=2, chunk_size=1
         )
         plan_b = engine_b.plan_many([EvalRequest(l) for l in layers])
         with pytest.raises(ValueError, match="injected failure"):
@@ -327,6 +334,155 @@ class TestRunPlanGroups:
         assert [t.cost for t in result.records.trials] == [
             t.cost for t in baseline.records.trials
         ]
+
+
+def _serial_stats(config, layers):
+    engine = EvaluationEngine(config)
+    return [s.to_dict() for s in engine.evaluate_many(
+        [EvalRequest(l) for l in layers]
+    )]
+
+
+def _small_groups(backend):
+    """Three engine groups on ``backend``: 5 misses, exactly
+    MAX_CHUNK_ITEMS misses, and one whose layers are all cache hits."""
+    configs = [sigma_config(), sigma_config(ms_size=64), sigma_config(ms_size=32)]
+    layer_sets = [_layers(5), _layers(MAX_CHUNK_ITEMS, width=16), _layers(3)]
+    engines = [EvaluationEngine(c, executor=backend) for c in configs]
+    for layer in layer_sets[2]:
+        engines[2].evaluate(layer)  # warm: this group has no pending work
+    plans = [
+        engine.plan_many([EvalRequest(l) for l in layers])
+        for engine, layers in zip(engines, layer_sets)
+    ]
+    expected = [_serial_stats(c, l) for c, l in zip(configs, layer_sets)]
+    return [(e, [p]) for e, p in zip(engines, plans)], plans, expected
+
+
+def _new_children(before):
+    return [
+        p for p in multiprocessing.active_children() if p.pid not in before
+    ]
+
+
+class TestInlineSmallGroups:
+    """Under automatic chunking, a host-local pool runs each group of at
+    most MAX_CHUNK_ITEMS misses as one chunk on the caller's thread."""
+
+    def test_process_small_groups_never_reach_a_worker(self, monkeypatch):
+        sent = []
+        real = ProcessBackend.run_chunk
+
+        def watching(self, engine, items, slot=None):
+            sent.append(len(items))
+            return real(self, engine, items, slot)
+
+        monkeypatch.setattr(ProcessBackend, "run_chunk", watching)
+        before = {p.pid for p in multiprocessing.active_children()}
+        backend = ProcessBackend(max_workers=2)
+        try:
+            groups, plans, expected = _small_groups(backend)
+            report = run_plan_groups(groups)
+            for plan, want in zip(plans, expected):
+                assert [s.to_dict() for s in plan.results] == want
+            assert report["chunks_pulled"] == 2  # the two non-empty groups
+            assert report["steals"] == 0
+            assert backend._workers == []
+            assert _new_children(before) == []
+            assert sent == []  # no chunk went down a pipe
+        finally:
+            backend.close()
+
+    def test_thread_small_groups_start_no_puller(self, monkeypatch):
+        backend = ThreadBackend(max_workers=2)
+        groups, plans, expected = _small_groups(backend)
+        threads_inside = []
+        real_chunk = backends_mod.ExecutorBackend.run_chunk
+
+        def watching_chunk(self, engine, items, slot=None):
+            threads_inside.append(threading.active_count())
+            return real_chunk(self, engine, items, slot)
+
+        monkeypatch.setattr(
+            backends_mod.ExecutorBackend, "run_chunk", watching_chunk
+        )
+        before = threading.active_count()
+        report = run_plan_groups(groups)
+        for plan, want in zip(plans, expected):
+            assert [s.to_dict() for s in plan.results] == want
+        assert threads_inside == [before, before]
+        assert report["chunks_pulled"] == 2
+        assert report["steals"] == 0
+
+    def test_inline_chunks_are_observed_like_pulled_ones(self):
+        backend = ThreadBackend(max_workers=2)
+        groups, _plans, _expected = _small_groups(backend)
+        TRACER.enable()
+        try:
+            run_plan_groups(groups)
+            spans = [s for s in TRACER.spans() if s["cat"] == "scheduler"]
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        chunks = [s for s in spans if s["name"] != "scheduler.pull"]
+        assert [s["name"] for s in chunks] == ["scheduler.chunk"] * 2
+        assert {s["lane"] for s in chunks} == {threading.current_thread().name}
+        registry = backend.metrics
+        assert registry.get("scheduler.chunk_latency_s").count == 2
+        assert backend_counters(backend)["chunks_pulled"] == 2
+
+    def test_group_past_one_chunk_still_fans_out(self):
+        config = sigma_config()
+        big = _layers(MAX_CHUNK_ITEMS + 1)
+        small = _layers(5, width=16)
+        small_config = sigma_config(ms_size=64)
+        backend = ProcessBackend(max_workers=2)
+        engine = EvaluationEngine(config, executor=backend)
+        small_engine = EvaluationEngine(small_config, executor=backend)
+        TRACER.enable()
+        try:
+            plan = engine.plan_many([EvalRequest(l) for l in big])
+            small_plan = small_engine.plan_many(
+                [EvalRequest(l) for l in small]
+            )
+            report = run_plan_groups(
+                [(engine, [plan]), (small_engine, [small_plan])]
+            )
+            spans = [
+                s for s in TRACER.spans()
+                if s["name"] in ("scheduler.chunk", "scheduler.steal")
+            ]
+            assert len(backend._workers) == 2
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+            backend.close()
+        assert [s.to_dict() for s in plan.results] == _serial_stats(config, big)
+        assert [s.to_dict() for s in small_plan.results] == _serial_stats(
+            small_config, small
+        )
+        pooled = _auto_chunk_size(len(big), 2)
+        assert report["chunks_pulled"] == -(-len(big) // pooled) + 1
+        homes = {s["args"]["home"] for s in spans if s["args"]["group"] == 0}
+        assert homes == {"0", "1"}  # dealt across both slots
+        [inline] = [s for s in spans if s["args"]["group"] == 1]
+        assert inline["lane"] == threading.current_thread().name
+
+    def test_explicit_chunk_size_keeps_every_group_pooled(self):
+        layers = _layers(6)
+        config = sigma_config()
+        backend = ProcessBackend(max_workers=2)
+        engine = EvaluationEngine(config, executor=backend)
+        try:
+            plan = engine.plan_many([EvalRequest(l) for l in layers])
+            report = run_plan_groups([(engine, [plan])], chunk_size=1)
+            assert len(backend._workers) == 2
+        finally:
+            backend.close()
+        assert report["chunks_pulled"] == 6
+        assert [s.to_dict() for s in plan.results] == _serial_stats(
+            config, layers
+        )
 
 
 class _DuckCache:
