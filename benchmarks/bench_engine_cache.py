@@ -126,7 +126,7 @@ SWEEP_LAYERS = [
 SWEEP_TRIALS = scaled(200, 40)
 
 
-def _ga_sweep(executor: str, cache=None):
+def _ga_sweep(executor: str, cache=None, chunk_size=None):
     """GA-tune every sweep layer (cycles objective, exact datapath)
     through one engine on the named executor backend."""
     engine = EvaluationEngine(
@@ -135,6 +135,7 @@ def _ga_sweep(executor: str, cache=None):
         functional=True,
         executor=executor,
         max_workers=min(4, os.cpu_count() or 1),
+        chunk_size=chunk_size,
     )
     best_costs = []
     start = time.perf_counter()
@@ -156,12 +157,14 @@ def test_backend_sweep_process_vs_serial(benchmark, results_dir):
 
     The cycle models are numpy batch kernels, so what a worker can win
     is the exact datapath each simulation executes (``functional``);
-    against it stand a pickle and pipe round trip per chunk, and under
-    automatic chunking a tuner generation that fits one chunk
-    (``MAX_CHUNK_ITEMS``) never leaves the caller's thread at all."""
+    against it stands a pickle and pipe round trip per chunk.  Under
+    automatic chunking a process pool runs every group on the caller's
+    thread, so the process arm sets a chunk size: 4, what automatic
+    sizing dealt a full 32-member GA generation over two slots before
+    host-local pools ran inline."""
 
     def _run():
-        return _ga_sweep("serial"), _ga_sweep("process")
+        return _ga_sweep("serial"), _ga_sweep("process", chunk_size=4)
 
     serial, process = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = serial["elapsed"] / process["elapsed"]

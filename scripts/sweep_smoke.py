@@ -11,9 +11,8 @@ executor, then proves the two sweep guarantees end to end:
    doctored regression trips the gate with exit 3.
 
 Two in-process legs follow.  One sweeps on the process executor into a
-fresh ``.sqlite`` cache with automatic chunking: every engine group is
-small, so each runs as one chunk on the caller's thread, no worker
-process starts, and the sweep equals a serial sweep.  It then reopens
+fresh ``.sqlite`` cache with automatic chunking: each engine group
+runs as one chunk on the caller's thread, no worker process starts, and the sweep equals a serial sweep.  It then reopens
 the file in a new session and sweeps again: the second sweep simulates
 nothing, equals a serial sweep, and the file holds exactly one row per
 simulated key (each merge is written as one transaction).  The last
@@ -88,7 +87,7 @@ def sqlite_cache_leg(tmp: str) -> None:
                  cache_path=path) as session:
         cold = session.sweep(plan(session))
         workers = session.engine.backend._workers
-    assert workers == [], "small groups started process workers"
+    assert workers == [], "automatic chunking started process workers"
     simulated = cold.counters["num_simulations"]
     assert simulated > 0, cold.counters
     # One engine per architecture; each group with misses is one inline
@@ -129,7 +128,7 @@ def killed_worker_leg() -> None:
             axes={"ms_size": [64, 256]},
         )
 
-    # An explicit chunk size sends every group, however small, to the
+    # An explicit chunk size sends every group to the
     # workers (automatic chunking would run these groups inline).
     with Session(executor="process", max_workers=2,
                  chunk_size=1) as session:
@@ -197,7 +196,7 @@ def main() -> int:
         )
         print("doctored regression trips --fail-on-regression with exit 3")
 
-        # 4. A process sweep into SQLite runs its small groups inline,
+        # 4. A process sweep into SQLite runs its groups inline,
         # and the file warm-starts a fresh session.
         sqlite_cache_leg(tmp)
 

@@ -687,9 +687,12 @@ saturation scheduling:
   group.  A worker started with --fleet-capacity N advertises N pull
   slots, so it runs N chunks at once.
   Tune the queue with --chunk-size (items per pull, default auto).
-  With auto sizing, thread and process pools run a group of at most
-  32 misses inline as one chunk, without a round trip to a slot; an
-  explicit --chunk-size sends every group through the pool.
+  With auto sizing, thread and process pools run every group inline
+  as one chunk on the caller's thread, like serial: on a 2-vCPU host a
+  round trip to a local slot cost more than the simulations it moved.
+  An explicit --chunk-size sends every group through the pool, and
+  only then does --executor process keep a simulation that crashes
+  its interpreter out of the calling process.
   Stealing never moves a chunk a slot is already running:
   --fleet-shard-timeout is the only bound on a slow or wedged worker.
   Results stay bit-identical to --executor serial; per-run pull/steal

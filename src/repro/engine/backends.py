@@ -27,13 +27,13 @@ Every backend runs work through :meth:`ExecutorBackend.run_chunk`, one
 scheduler chunk at a time, on the slots its
 :meth:`~ExecutorBackend.pull_slots` names
 (:mod:`repro.engine.scheduler`).  The thread and process backends set
-:attr:`~ExecutorBackend.slots_share_host`: under automatic chunking a
-group of at most ``MAX_CHUNK_ITEMS`` misses runs as one chunk on the
-caller's thread, in-process, and only larger groups reach the slots.
-On a 2-vCPU host the 2-worker process pool lost to serial on every
-cold case measured: one 33-item group took 3.8–9.4 ms against 1.0 ms,
-one 256-item group 14–30 ms against 5.4–7.3 ms, and a ``functional``
-9-scenario sweep still ran slower pooled than serial.
+:attr:`~ExecutorBackend.slots_share_host`: under automatic chunking
+every group runs as one chunk on the caller's thread, in-process, and
+only an explicit ``chunk_size`` reaches the slots.  On a 2-vCPU host
+the 2-worker process pool lost to serial on every cold case measured:
+one 33-item group took 3.8–9.4 ms against 1.0 ms, one 256-item group
+14–30 ms against 5.4–7.3 ms, and a ``functional`` 9-scenario sweep
+still ran slower pooled than serial.
 
 Backends receive work as ``(key, EvalRequest)`` pairs — ``key`` is the
 content-addressed cache key (``None`` when caching is off) — and return
@@ -90,7 +90,7 @@ class ExecutorBackend:
 
     #: True when every slot runs on this host's CPUs (threads, local
     #: worker processes).  Under automatic chunking the scheduler then
-    #: runs a group that fits one chunk on the caller's thread instead of
+    #: runs every group as one chunk on the caller's thread instead of
     #: sending it to a slot (:mod:`repro.engine.scheduler`).
     slots_share_host: ClassVar[bool] = False
 
@@ -315,9 +315,9 @@ class ThreadBackend(ExecutorBackend):
     (cycle-model tallies must not race).  Chunks run grouped into numpy
     batch kernels (:func:`simulate_chunk`) whose array math releases the
     GIL, so thread slots overlap; ``benchmarks/bench_scheduler.py``
-    measures it.  Under automatic chunking a group that fits one chunk
-    (``MAX_CHUNK_ITEMS``) runs on the caller's thread and starts no
-    puller.
+    measures it with an explicit ``chunk_size``.  Under automatic
+    chunking every group runs as one chunk on the caller's thread and
+    no puller starts.
     """
 
     name = "thread"
@@ -425,11 +425,12 @@ class ProcessBackend(ExecutorBackend):
     process per pull slot, each on its own pipe.
 
     Processes sidestep the GIL, but every chunk pays a pickle and pipe
-    round trip, which outweighs a few batch-kernel simulations.  So
-    under automatic chunking a group that fits one chunk
-    (``MAX_CHUNK_ITEMS``) runs on the caller's thread, in-process, and
-    only larger groups reach the workers; an explicit ``chunk_size``
-    sends every group through them.
+    round trip, which on a 2-vCPU host outweighed the batch kernels at
+    every group size measured.  So under automatic chunking every group
+    runs as one chunk on the caller's thread, in-process, and no worker
+    starts; only an explicit ``chunk_size`` sends groups through the
+    workers.  That also means only an explicit ``chunk_size`` isolates
+    the caller from a simulation that kills its interpreter.
 
     Slot ``i`` is worker ``i`` is pipe ``i`` (``slot=None`` is worker 0).
     :meth:`run_chunk` sends the chunk down its slot's pipe and blocks
@@ -441,8 +442,9 @@ class ProcessBackend(ExecutorBackend):
 
     The first multi-slot :meth:`pull_slots` starts the workers with the
     platform's default start method (fork on Linux, so workers inherit
-    the parent's module state); the scheduler calls it only when some
-    group is pooled, so a run of small groups forks nothing.  Workers
+    the parent's module state); the scheduler calls it only under an
+    explicit ``chunk_size``, so an automatically chunked run forks
+    nothing.  Workers
     are reused across batches, restarted when the requested width
     changes, and stopped by :meth:`close`.  A worker found dead is
     respawned before its slot's next chunk; one that dies mid-chunk

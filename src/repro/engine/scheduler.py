@@ -16,19 +16,16 @@ caller's thread with no puller threads, and its automatic chunk size is
 the whole group, so a serial run makes exactly one batch-kernel call per
 same-layer group.
 
-Small groups run inline too.  On a backend whose slots share this host's
-CPUs (``slots_share_host``: threads, local worker processes), a group
-with at most :data:`MAX_CHUNK_ITEMS` pending items is one chunk run on
-the caller's thread through the in-process
-:meth:`~repro.engine.backends.ExecutorBackend.run_chunk`, never through
-a slot: a pipe round trip or a thread hand-off costs more than the
-batch kernels it would offload.  Larger groups are chunked and pulled as
-above while the caller's thread runs its inline groups, and
-``pull_slots`` (which starts worker processes) is called only when some
-group is pooled.  The rule applies only to automatic chunking; an
-explicit ``chunk_size`` always pools.  Inline chunks count as pulls
-(never as steals) and get the same span and latency bookkeeping, on the
-caller's lane.
+Host-local pools run inline too.  On a backend whose slots share this
+host's CPUs (``slots_share_host``: threads, local worker processes),
+automatic chunking takes the one-slot path above: every group is one
+chunk run on the caller's thread through the in-process
+:meth:`~repro.engine.backends.ExecutorBackend.run_chunk`, and
+``pull_slots`` (which starts worker processes) is never called.  On a
+2-vCPU host a pipe round trip or thread hand-off per chunk cost more
+than the batch kernels it offloaded at every group size measured
+(ROADMAP item 6).  An explicit ``chunk_size`` pools every group, and it
+is what keeps a process worker's crash from reaching the caller.
 
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
@@ -66,8 +63,7 @@ from repro.obs.trace import TRACER
 DEFAULT_CHUNKS_PER_SLOT = 4
 
 #: ... without ever exceeding this many items per chunk (bounds the
-#: latency of a steal).  Under automatic chunking on a host-local
-#: backend, a group this small runs inline as one chunk.
+#: latency of a steal).
 MAX_CHUNK_ITEMS = 32
 
 #: Every counter the scheduler reports (and accumulates per backend).
@@ -366,52 +362,37 @@ def _run_scheduled(
     chunk_size: Optional[int],
     clock,
 ) -> Dict[str, Any]:
-    """Split inline from pooled groups, then chunk, enqueue and drain."""
+    """Chunk, enqueue, drain with one puller per slot."""
     if chunk_size is not None and chunk_size < 1:
         chunk_size = None
-    inline = set()
     if chunk_size is None and getattr(backend, "slots_share_host", False):
-        inline = {
-            group
-            for group, (_e, _p, work, _o) in enumerate(collected)
-            if len(work) <= MAX_CHUNK_ITEMS
-        }
-    pooled = any(
-        work and group not in inline
-        for group, (_e, _p, work, _o) in enumerate(collected)
-    )
-    slots = (
-        backend.pull_slots(lead_engine, max_workers=max_workers)
-        if pooled
-        else []
-    )
+        # One slot, the caller's, running chunks in-process.
+        slots = [None]
+        run_chunk = functools.partial(ExecutorBackend.run_chunk, backend)
+    else:
+        slots = backend.pull_slots(lead_engine, max_workers=max_workers)
+        run_chunk = backend.run_chunk
     with TRACER.span(
         "scheduler.pull", category="scheduler",
         groups=len(collected), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            collected, backend, slots, inline, chunk_size, clock,
+            collected, backend, run_chunk, slots, chunk_size, clock,
         )
 
 
 def _run_scheduled_inner(
     collected,
     backend,
+    run_chunk,
     slots: List,
-    inline,
     chunk_size: Optional[int],
     clock,
 ) -> Dict[str, Any]:
     queue = WorkQueue([len(work) for _e, _p, work, _o in collected], clock)
 
-    inline_chunks: List[Chunk] = []
     per_group: List[List[Chunk]] = []
     for group, (engine, _plans, work, _owners) in enumerate(collected):
-        if not work:
-            continue
-        if group in inline:
-            inline_chunks.extend(_chunk_group(engine, group, work, len(work)))
-            continue
         size = chunk_size or _auto_chunk_size(len(work), len(slots))
         per_group.append(_chunk_group(engine, group, work, size))
     ordered = _interleave(per_group)
@@ -421,12 +402,14 @@ def _run_scheduled_inner(
         chunk.home = slots[index % len(slots)]
         queue.add(chunk)
 
-    pullers = []
-    if len(ordered) > 1 and len(slots) > 1:
+    if len(slots) == 1 or len(ordered) == 1:
+        # Nothing to overlap: drain on the caller's thread.
+        _drain(queue, backend, run_chunk, slots[0])
+    else:
         pullers = [
             threading.Thread(
                 target=_drain,
-                args=(queue, backend, slot),
+                args=(queue, backend, run_chunk, slot),
                 name=f"repro-puller-{index}",
                 daemon=True,
             )
@@ -434,19 +417,8 @@ def _run_scheduled_inner(
         ]
         for thread in pullers:
             thread.start()
-    # Inline groups run on the caller's thread, in-process, while any
-    # pullers drain the pooled ones — and before a caller-thread drain,
-    # which blocks until every item, inline ones included, has a result.
-    latency = _chunk_latency(backend)
-    run_inline = functools.partial(ExecutorBackend.run_chunk, backend)
-    for chunk in inline_chunks:
-        _execute(queue, chunk, run_inline, None, None, latency)
-    if ordered and not pullers:
-        # Nothing to overlap: drain on the caller's thread.
-        _drain(queue, backend, slots[0])
-    for thread in pullers:
-        thread.join()
-    queue.counters["chunks_pulled"] += len(inline_chunks)
+        for thread in pullers:
+            thread.join()
 
     # Merge on the calling thread: cache writes and plan mutation stay
     # single-threaded.
@@ -457,47 +429,40 @@ def _run_scheduled_inner(
     return dict(queue.counters)
 
 
-def _slot_lane(slot) -> str:
-    """A trace lane per backend slot (remote tokens flattened)."""
+def _slot_lane(slot) -> Optional[str]:
+    """A trace lane per backend slot (remote tokens flattened); the
+    caller's slot (``None``) traces on the caller's own lane."""
+    if slot is None:
+        return None
     if isinstance(slot, tuple):
         return "slot-" + "-".join(str(part) for part in slot)
     return f"slot-{slot}"
 
 
-def _chunk_latency(backend):
-    """The backend's chunk-latency histogram (None without a registry)."""
-    registry = backend_metrics(backend)
-    if registry is None:
-        return None
-    return registry.histogram(SCHEDULER_METRIC_PREFIX + "chunk_latency_s")
-
-
-def _drain(queue: WorkQueue, backend, slot) -> None:
+def _drain(queue: WorkQueue, backend, run_chunk, slot) -> None:
     """One puller: pull, execute, complete, until the queue is done."""
     lane = _slot_lane(slot)
-    latency = _chunk_latency(backend)
+    registry = backend_metrics(backend)
+    latency = (
+        registry.histogram(SCHEDULER_METRIC_PREFIX + "chunk_latency_s")
+        if registry is not None
+        else None
+    )
     while True:
         chunk = queue.pull(slot)
         if chunk is None:
             return
-        _execute(queue, chunk, backend.run_chunk, slot, lane, latency)
-
-
-def _execute(queue: WorkQueue, chunk: Chunk, run_chunk, slot,
-             lane: Optional[str], latency) -> None:
-    """Run one chunk through ``run_chunk`` on ``slot`` and complete it;
-    an infrastructure failure fails the chunk's items."""
-    started = time.perf_counter()
-    # Steals get their own span name, so they stand out in a trace.
-    with TRACER.span(
-        "scheduler.chunk" if chunk.home == slot else "scheduler.steal",
-        category="scheduler", lane=lane,
-        items=len(chunk.items), group=chunk.group, home=str(chunk.home),
-    ):
-        try:
-            results = run_chunk(chunk.engine, chunk.items, slot=slot)
-        except Exception as exc:  # infrastructure failure: fail items
-            results = [(key, exc) for key, _request in chunk.items]
-    if latency is not None:
-        latency.observe(time.perf_counter() - started)
-    queue.complete(chunk, results)
+        started = time.perf_counter()
+        # Steals get their own span name, so they stand out in a trace.
+        with TRACER.span(
+            "scheduler.chunk" if chunk.home == slot else "scheduler.steal",
+            category="scheduler", lane=lane,
+            items=len(chunk.items), group=chunk.group, home=str(chunk.home),
+        ):
+            try:
+                results = run_chunk(chunk.engine, chunk.items, slot=slot)
+            except Exception as exc:  # infrastructure failure: fail items
+                results = [(key, exc) for key, _request in chunk.items]
+        if latency is not None:
+            latency.observe(time.perf_counter() - started)
+        queue.complete(chunk, results)

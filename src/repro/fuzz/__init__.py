@@ -268,11 +268,12 @@ def cross_check(
     :meth:`~repro.stonne.stats.SimulationStats.to_dict` of every layer,
     so a single off-by-one in any counter of any layer flags the cell.
 
-    Serial runs each engine group as one chunk.  Every other executor
-    runs with a chunk size (the base config's, else 1): generated groups
-    are small, and under automatic chunking a local pool would run them
-    inline, comparing the serial path with itself.
+    Thread and process run with a chunk size (the base config's, else
+    1): under automatic chunking a host-local pool runs every group
+    inline, which would compare the serial path with itself.  Remote
+    keeps its automatic chunking, as its users get it.
     """
+    from repro.engine.backends import backend_class
     from repro.session import Session
 
     base = base if base is not None else SessionConfig()
@@ -283,7 +284,7 @@ def cross_check(
     result = CrossCheckResult(executors=tuple(executors))
     for executor in executors:
         overrides: Dict[str, Any] = {"executor": executor}
-        if executor != "serial":
+        if backend_class(executor).slots_share_host:
             overrides["chunk_size"] = base.engine.chunk_size or 1
         config = base.with_overrides(**overrides)
         with Session(config) as session:

@@ -199,10 +199,10 @@ class EngineConfig:
         metadata=_meta(key="chunk_size", kind="optint",
                        help="items per work-stealing scheduler chunk "
                             "(unset: sized automatically from the batch "
-                            "and slot count, and on thread/process pools "
-                            "a group of at most 32 misses runs inline as "
-                            "one chunk; set it to send every group "
-                            "through the pool)"),
+                            "and slot count, except that thread/process "
+                            "pools run every group inline as one chunk; "
+                            "set it to send every group through the "
+                            "pool, which process isolation needs)"),
     )
 
     def __post_init__(self) -> None:

@@ -266,7 +266,7 @@ class SweepRunner:
         # instead of running back to back, and fast executor slots steal
         # the tail of slow ones' load.  (Single-slot backends drain each
         # group as one inline chunk, and so do thread and process pools
-        # for groups that fit one chunk.)
+        # unless a chunk size is set.)
         from repro.engine.scheduler import run_plan_groups
 
         self._emit(

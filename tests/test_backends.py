@@ -281,7 +281,7 @@ class TestProcessWorkers:
         before = {p.pid for p in multiprocessing.active_children()}
         fresh = _fc_requests("fresh", 6)
         serial = EvaluationEngine(maeri128).evaluate_many(fresh)
-        # An explicit chunk size sends the small batches to the workers.
+        # An explicit chunk size sends the batches to the workers.
         engine = EvaluationEngine(
             maeri128, executor="process", max_workers=2, chunk_size=1
         )

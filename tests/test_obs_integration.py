@@ -76,7 +76,7 @@ class TestSessionTracing:
 
     def test_steals_are_a_distinct_span_name(self, traced):
         # A 2-slot thread backend over a multi-scenario sweep exercises
-        # the pull loop (chunk size 1: no group fits inline); chunk-
+        # the pull loop (chunk size 1: no group runs inline); chunk-
         # lifecycle spans all land in the scheduler category on slot lanes.
         with Session(executor="thread", max_workers=2,
                      chunk_size=1) as session:

@@ -343,11 +343,14 @@ def _serial_stats(config, layers):
     )]
 
 
-def _small_groups(backend):
-    """Three engine groups on ``backend``: 5 misses, exactly
-    MAX_CHUNK_ITEMS misses, and one whose layers are all cache hits."""
+def _auto_groups(backend):
+    """Three engine groups on ``backend``: 5 misses, one past
+    MAX_CHUNK_ITEMS (which a pool would split), and one whose layers are
+    all cache hits."""
     configs = [sigma_config(), sigma_config(ms_size=64), sigma_config(ms_size=32)]
-    layer_sets = [_layers(5), _layers(MAX_CHUNK_ITEMS, width=16), _layers(3)]
+    layer_sets = [
+        _layers(5), _layers(MAX_CHUNK_ITEMS + 1, width=16), _layers(3),
+    ]
     engines = [EvaluationEngine(c, executor=backend) for c in configs]
     for layer in layer_sets[2]:
         engines[2].evaluate(layer)  # warm: this group has no pending work
@@ -365,11 +368,11 @@ def _new_children(before):
     ]
 
 
-class TestInlineSmallGroups:
-    """Under automatic chunking, a host-local pool runs each group of at
-    most MAX_CHUNK_ITEMS misses as one chunk on the caller's thread."""
+class TestHostLocalPoolsRunInline:
+    """Under automatic chunking, a host-local pool runs every engine
+    group as one chunk on the caller's thread, like a one-slot backend."""
 
-    def test_process_small_groups_never_reach_a_worker(self, monkeypatch):
+    def test_process_groups_never_reach_a_worker(self, monkeypatch):
         sent = []
         real = ProcessBackend.run_chunk
 
@@ -381,7 +384,7 @@ class TestInlineSmallGroups:
         before = {p.pid for p in multiprocessing.active_children()}
         backend = ProcessBackend(max_workers=2)
         try:
-            groups, plans, expected = _small_groups(backend)
+            groups, plans, expected = _auto_groups(backend)
             report = run_plan_groups(groups)
             for plan, want in zip(plans, expected):
                 assert [s.to_dict() for s in plan.results] == want
@@ -393,14 +396,14 @@ class TestInlineSmallGroups:
         finally:
             backend.close()
 
-    def test_thread_small_groups_start_no_puller(self, monkeypatch):
+    def test_thread_groups_start_no_puller(self, monkeypatch):
         backend = ThreadBackend(max_workers=2)
-        groups, plans, expected = _small_groups(backend)
-        threads_inside = []
+        groups, plans, expected = _auto_groups(backend)
+        chunks_seen = []
         real_chunk = backends_mod.ExecutorBackend.run_chunk
 
         def watching_chunk(self, engine, items, slot=None):
-            threads_inside.append(threading.active_count())
+            chunks_seen.append((len(items), threading.active_count()))
             return real_chunk(self, engine, items, slot)
 
         monkeypatch.setattr(
@@ -410,16 +413,23 @@ class TestInlineSmallGroups:
         report = run_plan_groups(groups)
         for plan, want in zip(plans, expected):
             assert [s.to_dict() for s in plan.results] == want
-        assert threads_inside == [before, before]
+        # One whole-group chunk each, with no extra thread alive.
+        assert chunks_seen == [(5, before), (MAX_CHUNK_ITEMS + 1, before)]
         assert report["chunks_pulled"] == 2
         assert report["steals"] == 0
 
     def test_inline_chunks_are_observed_like_pulled_ones(self):
         backend = ThreadBackend(max_workers=2)
-        groups, _plans, _expected = _small_groups(backend)
+        groups, _plans, _expected = _auto_groups(backend)
+        clock = FakeClock()
+
+        def ticking():
+            clock.advance(1.0)  # any wait in a pull would count as idle
+            return clock()
+
         TRACER.enable()
         try:
-            run_plan_groups(groups)
+            report = run_plan_groups(groups, clock=ticking)
             spans = [s for s in TRACER.spans() if s["cat"] == "scheduler"]
         finally:
             TRACER.disable()
@@ -430,43 +440,8 @@ class TestInlineSmallGroups:
         registry = backend.metrics
         assert registry.get("scheduler.chunk_latency_s").count == 2
         assert backend_counters(backend)["chunks_pulled"] == 2
-
-    def test_group_past_one_chunk_still_fans_out(self):
-        config = sigma_config()
-        big = _layers(MAX_CHUNK_ITEMS + 1)
-        small = _layers(5, width=16)
-        small_config = sigma_config(ms_size=64)
-        backend = ProcessBackend(max_workers=2)
-        engine = EvaluationEngine(config, executor=backend)
-        small_engine = EvaluationEngine(small_config, executor=backend)
-        TRACER.enable()
-        try:
-            plan = engine.plan_many([EvalRequest(l) for l in big])
-            small_plan = small_engine.plan_many(
-                [EvalRequest(l) for l in small]
-            )
-            report = run_plan_groups(
-                [(engine, [plan]), (small_engine, [small_plan])]
-            )
-            spans = [
-                s for s in TRACER.spans()
-                if s["name"] in ("scheduler.chunk", "scheduler.steal")
-            ]
-            assert len(backend._workers) == 2
-        finally:
-            TRACER.disable()
-            TRACER.clear()
-            backend.close()
-        assert [s.to_dict() for s in plan.results] == _serial_stats(config, big)
-        assert [s.to_dict() for s in small_plan.results] == _serial_stats(
-            small_config, small
-        )
-        pooled = _auto_chunk_size(len(big), 2)
-        assert report["chunks_pulled"] == -(-len(big) // pooled) + 1
-        homes = {s["args"]["home"] for s in spans if s["args"]["group"] == 0}
-        assert homes == {"0", "1"}  # dealt across both slots
-        [inline] = [s for s in spans if s["args"]["group"] == 1]
-        assert inline["lane"] == threading.current_thread().name
+        # The caller is the only slot and never waits on itself.
+        assert report["idle_time_s"] == 0.0
 
     def test_explicit_chunk_size_keeps_every_group_pooled(self):
         layers = _layers(6)

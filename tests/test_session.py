@@ -56,7 +56,7 @@ class TestLifecycle:
         # The leak regression: a `with Session` block must not leave
         # process-backend workers behind.
         before = {p.pid for p in multiprocessing.active_children()}
-        # An explicit chunk size sends even mlp's small group to the pool.
+        # An explicit chunk size sends mlp's group to the pool.
         with Session(executor="process", max_workers=2, chunk_size=1) as s:
             s.run("mlp")
             assert s.engine.backend._workers  # workers actually started
