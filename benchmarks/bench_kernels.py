@@ -35,7 +35,7 @@ from conftest import SMOKE, emit, scaled
 
 from repro.mrna import mapper as mrna_mapper
 from repro.mrna.mapper import MrnaMapper
-from repro.session.session import zoo_layers
+from repro.zoo import zoo_layers
 from repro.stonne.config import maeri_config
 from repro.stonne.controller import AcceleratorController
 from repro.stonne.layer import ConvLayer

@@ -62,7 +62,7 @@ def _mrna_memo_leg() -> int:
     import dataclasses
 
     from repro.mrna import mapper as mrna_mapper
-    from repro.session.session import zoo_layers
+    from repro.zoo import zoo_layers
     from repro.stonne.config import maeri_config
     from repro.stonne.layer import ConvLayer
 

@@ -29,14 +29,13 @@ strategies reach them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.bifrost.mapping_config import MappingConfigurator
-from repro.engine import EvaluationEngine, make_stats_cache
+from repro.engine import EvaluationEngine
 from repro.errors import LayerError, SimulationError
 from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
@@ -58,72 +57,23 @@ class StonneBifrostApi:
     Stats lookups route through the session's evaluation engine, so a
     repeated shape in one graph skips the cycle model — the functional
     datapath (the im2col GEMM that produces real outputs) still executes
-    for every call.
-
-    Args:
-        executor: Executor backend name
-            ("serial"/"thread"/"process"/"remote") or instance for the
-            session engine's batched evaluations.
-        workers: Fleet worker addresses (``host:port``) for the remote
-            backend.  Setting this implies ``executor="remote"`` unless
-            an explicit executor is named.
-        cache_path: When set, the engine's stats cache persists to this
-            file (dispatched by extension through
-            :func:`~repro.engine.make_stats_cache`: ``.sqlite`` selects
-            the shared WAL tier concurrent processes share mid-sweep,
-            anything else the JSONL spill), so sessions resume warm
-            across processes.
-        max_workers: Pool width for the engine's executor backend.
+    for every call.  A :class:`repro.session.Session` passes its engine
+    as ``_engine``; without one the endpoint builds a serial engine over
+    a private stats cache.
     """
 
     config: SimulatorConfig
     mappings: MappingConfigurator
     params: CycleModelParams = DEFAULT_PARAMS
     stats: List[SimulationStats] = field(default_factory=list)
-    executor: Optional[str] = None
-    cache_path: Optional[str] = None
-    max_workers: Optional[int] = None
-    workers: Optional[List[str]] = None
     _layer_counter: Dict[str, int] = field(default_factory=dict)
     _engine: Optional[EvaluationEngine] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # One engine per session, shared with the mapping configurator so
         # tuner simulations and run_layers populate the same stats cache.
-        self._owned_cache = None  # persistent tier built here, closed here
         if self._engine is None:
-            if (
-                self.executor is not None
-                or self.cache_path is not None
-                or self.max_workers is not None
-                or self.workers is not None
-            ):
-                warnings.warn(
-                    "passing executor=/cache_path=/max_workers=/workers= to "
-                    "StonneBifrostApi is deprecated; configure a "
-                    "repro.session.Session (its .api is a fully wired "
-                    "endpoint) or pass a prebuilt engine via _engine=",
-                    DeprecationWarning,
-                    stacklevel=3,  # caller -> dataclass __init__ -> here
-                )
-            cache = (
-                make_stats_cache(self.cache_path)
-                if self.cache_path is not None
-                else None
-            )
-            self._owned_cache = cache
-            from repro.fleet.remote_backend import resolve_executor
-
-            executor = resolve_executor(
-                self.executor, self.workers, self.max_workers
-            )
-            self._engine = EvaluationEngine(
-                self.config,
-                self.params,
-                cache=cache,
-                executor=executor,
-                max_workers=self.max_workers,
-            )
+            self._engine = EvaluationEngine(self.config, self.params)
         if self.mappings.engine is None:
             self.mappings.engine = self._engine
 
@@ -136,23 +86,8 @@ class StonneBifrostApi:
         return self._engine
 
     def close(self) -> None:
-        """Release every resource this endpoint owns (idempotent).
-
-        Closes the owning :class:`repro.session.Session` when there is
-        one (the ``make_session`` shim path), so executor pools *and*
-        persistent cache tiers (SQLite connections, JSONL spills) are
-        torn down; endpoints constructed directly close their engine
-        plus any cache they built from ``cache_path=``.
-        """
-        session = getattr(self, "_session", None)
-        if session is not None:
-            session.close()
-            return
-        if self._engine is not None:
-            self._engine.close()
-        cache = getattr(self, "_owned_cache", None)
-        if cache is not None:
-            cache.close()
+        """Release the engine's executor pools (idempotent)."""
+        self.engine.close()
 
     def __enter__(self) -> "StonneBifrostApi":
         return self

@@ -4,11 +4,9 @@ This is the surface Listing 1 shows: hand Bifrost a model and an input,
 get the model output back, with conv2d/dense layers transparently executed
 on the simulated accelerator and everything else on the CPU.
 
-Sessions are owned by :class:`repro.session.Session` these days —
-``make_session`` survives as a deprecation shim forwarding there, and
-the ``run_*`` helpers accept either a :class:`Session` or its
-:class:`~repro.bifrost.api.StonneBifrostApi` endpoint.  New code should
-prefer::
+Sessions are owned by :class:`repro.session.Session`; the ``run_*``
+helpers accept either a :class:`Session` or its
+:class:`~repro.bifrost.api.StonneBifrostApi` endpoint.  Typical use::
 
     with Session.from_file("repro.toml") as s:
         report = s.run(model, input_batch)
@@ -16,19 +14,15 @@ prefer::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.bifrost.api import StonneBifrostApi
-from repro.bifrost.mapping_config import MappingConfigurator, MappingStrategy
 from repro.bifrost.strategies import install_session, uninstall_session
 from repro.ir.graph import Graph
 from repro.runtime.executor import GraphExecutor, make_offload_policy
-from repro.stonne.config import SimulatorConfig
-from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.stats import SimulationStats, combine_stats
 
 
@@ -60,65 +54,6 @@ def _as_api(session) -> StonneBifrostApi:
     return session.api if hasattr(session, "api") else session
 
 
-def make_session(
-    config: SimulatorConfig,
-    mapping_strategy: Union[MappingStrategy, str] = MappingStrategy.DEFAULT,
-    objective: str = "psums",
-    params: CycleModelParams = DEFAULT_PARAMS,
-    tuner_trials: int = 400,
-    tuner_early_stopping: int = 120,
-    executor: Optional[str] = None,
-    cache_path: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    workers: Optional[List[str]] = None,
-) -> StonneBifrostApi:
-    """Deprecated: build a Bifrost session the pre-``repro.session`` way.
-
-    .. deprecated::
-        Use :class:`repro.session.Session` — it accepts the same options
-        as one typed :class:`~repro.session.SessionConfig`, adds
-        file/env layering, and tears everything down deterministically::
-
-            with Session(executor="process", cache_path="stats.sqlite") as s:
-                report = s.run("alexnet")
-
-    This shim forwards to :class:`~repro.session.Session` (hermetically:
-    the environment layer is skipped, preserving the old semantics) and
-    returns the session's :class:`StonneBifrostApi` endpoint, which
-    behaves exactly as before.
-    """
-    warnings.warn(
-        "make_session is deprecated; use repro.session.Session "
-        "(e.g. `with Session(executor=..., cache_path=...) as s:`)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import Session, SessionConfig
-
-    session_config = SessionConfig.resolve(
-        env=False,
-        mapping=MappingStrategy(mapping_strategy).value,
-        objective=objective,
-        trials=tuner_trials,
-        early_stopping=tuner_early_stopping,
-        executor=executor,
-        cache_path=cache_path,
-        max_workers=max_workers,
-        workers=tuple(workers) if workers else (),
-    )
-    session = Session(session_config, simulator_config=config, params=params)
-    api = session.api
-    # Preserve the informational fields legacy callers could inspect,
-    # and keep the owning session reachable so api.close() tears down
-    # the cache tier and pools the session built.
-    api.executor = executor
-    api.cache_path = cache_path
-    api.max_workers = max_workers
-    api.workers = list(workers) if workers else None
-    api._session = session
-    return api
-
-
 def _annotate_layer_names(graph: Graph) -> None:
     """Give offloaded nodes their IR names so stats are attributable."""
     for node in graph.op_nodes():
@@ -130,31 +65,15 @@ def run_graph(
     graph: Graph,
     feeds: Dict[str, np.ndarray],
     session: StonneBifrostApi,
-    executor: Optional[str] = None,
 ) -> BifrostRunResult:
     """Execute ``graph`` with conv2d/dense offloaded to ``session``.
 
     The session (a :class:`repro.session.Session` or its API endpoint)
     is installed as the "stonne" target for the duration of the call and
     uninstalled afterwards, so parallel CPU-only execution elsewhere is
-    unaffected.  ``executor`` overrides the session engine's backend for
-    the call — deprecated: configure the executor on
-    :class:`~repro.session.SessionConfig` instead.
+    unaffected.
     """
     session = _as_api(session)
-    engine = session.engine
-    previous_backend = engine.backend
-    if executor is not None:
-        warnings.warn(
-            "run_graph(executor=...) is deprecated; set the executor on "
-            "the session's SessionConfig (engine section) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        # Resolved before any global state changes so an unknown backend
-        # name fails cleanly; cached on the engine, so repeated calls
-        # reuse one pool and engine.close() shuts it down.
-        engine.backend = engine._resolve_backend(executor, engine.max_workers)
     _annotate_layer_names(graph)
     session.reset_stats()
     install_session(session)
@@ -163,7 +82,6 @@ def run_graph(
         outputs = graph_executor.run(feeds)
     finally:
         uninstall_session()
-        engine.backend = previous_backend
     return BifrostRunResult(outputs=outputs, layer_stats=list(session.stats))
 
 
@@ -186,11 +104,7 @@ def run_torch_stonne(
     return run_graph(graph, {first_input: np.asarray(input_batch)}, session)
 
 
-def run_layers(
-    layers,
-    session: StonneBifrostApi,
-    executor: Optional[str] = None,
-) -> List[SimulationStats]:
+def run_layers(layers, session: StonneBifrostApi) -> List[SimulationStats]:
     """Simulate bare layer descriptors (no tensors), for benchmarking.
 
     Accepts :class:`~repro.stonne.layer.ConvLayer` /
@@ -199,20 +113,10 @@ def run_layers(
     The whole batch is submitted to the session engine's
     :meth:`~repro.engine.EvaluationEngine.evaluate_many` — repeated
     shapes are served from the stats cache instead of re-simulated.
-    ``executor`` overrides the engine's backend for this batch —
-    deprecated: configure the executor on the session's
-    :class:`~repro.session.SessionConfig` instead.
     """
     from repro.engine import EvalRequest
     from repro.stonne.layer import ConvLayer, FcLayer
 
-    if executor is not None:
-        warnings.warn(
-            "run_layers(executor=...) is deprecated; set the executor on "
-            "the session's SessionConfig (engine section) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     session = _as_api(session)
     engine = session.engine
     requests: List[EvalRequest] = []
@@ -225,6 +129,6 @@ def run_layers(
             session.mappings.mapping_for(layer) if engine.requires_mapping else None
         )
         requests.append(EvalRequest(layer=layer, mapping=mapping))
-    results = engine.evaluate_many(requests, executor=executor)
+    results = engine.evaluate_many(requests)
     session.stats.extend(results)
     return results

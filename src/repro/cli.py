@@ -144,7 +144,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.session import Session, config_from_args, zoo_layers
+    from repro.session import Session, config_from_args
+    from repro.zoo import zoo_layers
 
     config = config_from_args(args)
     layers = {layer.name: layer for layer in zoo_layers(args.model)}

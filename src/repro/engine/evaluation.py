@@ -246,7 +246,7 @@ class EvaluationEngine:
             :class:`~repro.engine.backends.ExecutorBackend` instance.
             ``None`` keeps the historical default — threads when
             ``max_workers`` asks for parallelism, inline otherwise.
-        max_workers: Default pool width for :meth:`evaluate_many`.
+        max_workers: Pool width of the executor backend.
         chunk_size: Items per scheduler chunk
             (:mod:`repro.engine.scheduler`); ``None`` sizes chunks
             automatically from the batch and slot count.
@@ -279,8 +279,6 @@ class EvaluationEngine:
         )
         self._counter_lock = threading.Lock()
         self._thread_local = threading.local()
-        #: Per-call override backends, keyed by (executor name, width).
-        self._override_backends: dict = {}
 
     # ------------------------------------------------------------------
     @property
@@ -348,30 +346,6 @@ class EvaluationEngine:
 
     def evaluate_request(self, request: EvalRequest) -> SimulationStats:
         return self.evaluate(request.layer, request.mapping)
-
-    def _resolve_backend(
-        self,
-        executor: Union[str, ExecutorBackend, None],
-        max_workers: Optional[int],
-    ) -> ExecutorBackend:
-        """The backend one ``evaluate_many`` call should use.
-
-        An explicit ``executor`` wins; an explicit ``max_workers`` keeps
-        the historical behaviour (threads above 1, inline otherwise);
-        everything else uses the engine's configured backend.  Override
-        backends are cached per (name, width) so repeated calls reuse
-        one pool, and :meth:`close` shuts them all down.
-        """
-        if executor is None and max_workers is None:
-            return self.backend
-        if isinstance(executor, ExecutorBackend):
-            return executor  # caller-owned; the caller closes it
-        key = (executor, max_workers)
-        backend = self._override_backends.get(key)
-        if backend is None:
-            backend = make_backend(executor, max_workers)
-            self._override_backends[key] = backend
-        return backend
 
     def plan_many(
         self, requests: Iterable[Union[EvalRequest, Layer]]
@@ -522,8 +496,6 @@ class EvaluationEngine:
     def run_plans(
         self,
         plans: Sequence[BatchPlan],
-        max_workers: Optional[int] = None,
-        executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
     ) -> dict:
         """Execute the pending misses of one or more plans as one batch.
@@ -558,17 +530,12 @@ class EvaluationEngine:
             pending=sum(plan.num_pending for plan in plans),
         ):
             return run_plan_groups(
-                [(self, plans)],
-                max_workers=max_workers,
-                executor=executor,
-                return_errors=return_errors,
+                [(self, plans)], return_errors=return_errors
             )
 
     def evaluate_many(
         self,
         requests: Iterable[Union[EvalRequest, Layer]],
-        max_workers: Optional[int] = None,
-        executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
     ) -> List[SimulationStats]:
         """Evaluate a batch, preserving order.
@@ -576,8 +543,7 @@ class EvaluationEngine:
         Bare layers are accepted as shorthand for mapping-less requests.
         The batch is split into cache hits and misses; misses — deduped,
         so a key appearing twice in one batch simulates once — run on the
-        executor backend (the engine's, or a per-call override via
-        ``executor``/``max_workers``) and merge back into the cache.
+        engine's executor backend and merge back into the cache.
         Internally this is a single-plan sweep batch:
         :meth:`plan_many` followed by :meth:`run_plans`, the same path
         multi-scenario sweeps use.
@@ -589,12 +555,7 @@ class EvaluationEngine:
         plan = self.plan_many(requests)
         if not plan.requests:
             return []
-        self.run_plans(
-            [plan],
-            max_workers=max_workers,
-            executor=executor,
-            return_errors=return_errors,
-        )
+        self.run_plans([plan], return_errors=return_errors)
         return plan.results
 
     # ------------------------------------------------------------------
@@ -619,9 +580,5 @@ class EvaluationEngine:
         }
 
     def close(self) -> None:
-        """Release backend pools (worker threads/processes), if any —
-        the engine's own backend plus any cached per-call overrides."""
+        """Release the backend's pools (worker threads/processes), if any."""
         self.backend.close()
-        for backend in self._override_backends.values():
-            backend.close()
-        self._override_backends.clear()

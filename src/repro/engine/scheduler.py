@@ -272,8 +272,6 @@ def _interleave(per_group: List[List[Chunk]]) -> List[Chunk]:
 # ----------------------------------------------------------------------
 def run_plan_groups(
     groups: Sequence[Tuple[Any, Sequence[Any]]],
-    max_workers: Optional[int] = None,
-    executor=None,
     return_errors: bool = False,
     chunk_size: Optional[int] = None,
     clock=None,
@@ -284,8 +282,11 @@ def run_plan_groups(
     misses are flattened with cross-plan dedup (the engine's own
     :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then
     chunked onto one :class:`WorkQueue` per backend and drained by one
-    puller per ``pull_slots`` slot.  Groups whose engines resolve to
-    different backends run one queue per backend, in order.
+    puller per ``pull_slots`` slot.  Each group runs on its engine's
+    ``backend``; groups sharing a backend share one queue, sized by the
+    first such engine's ``max_workers`` and ``chunk_size`` (an explicit
+    ``chunk_size`` argument wins).  Backends run one after another, in
+    order.
 
     Returns the scheduler counter report for this invocation.  Errors
     obey ``return_errors`` exactly like ``run_plans``: every plan is
@@ -308,7 +309,7 @@ def run_plan_groups(
         work, owners = engine._collect_pending(plans)
         entry = (engine, plans, work, owners)
         collected.append(entry)
-        backend = engine._resolve_backend(executor, max_workers)
+        backend = engine.backend
         by_backend.setdefault(id(backend), (backend, []))[1].append(entry)
 
     report = zero_counters()
@@ -320,10 +321,6 @@ def run_plan_groups(
             members,
             backend,
             lead_engine,
-            max_workers=(
-                max_workers if max_workers is not None
-                else lead_engine.max_workers
-            ),
             chunk_size=(
                 chunk_size if chunk_size is not None
                 else getattr(lead_engine, "chunk_size", None)
@@ -358,7 +355,6 @@ def _run_scheduled(
     collected,
     backend,
     lead_engine,
-    max_workers: Optional[int],
     chunk_size: Optional[int],
     clock,
 ) -> Dict[str, Any]:
@@ -370,7 +366,9 @@ def _run_scheduled(
         slots = [None]
         run_chunk = functools.partial(ExecutorBackend.run_chunk, backend)
     else:
-        slots = backend.pull_slots(lead_engine, max_workers=max_workers)
+        slots = backend.pull_slots(
+            lead_engine, max_workers=lead_engine.max_workers
+        )
         run_chunk = backend.run_chunk
     with TRACER.span(
         "scheduler.pull", category="scheduler",

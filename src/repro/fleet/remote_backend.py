@@ -346,8 +346,8 @@ def resolve_executor(
 
     A non-empty ``workers`` list (or comma-separated string) implies the
     remote backend unless a *different* executor is explicitly named —
-    the single rule shared by the CLI's ``--workers`` flag and
-    ``make_session(workers=...)``, so the two can never diverge.
+    the single rule behind both the ``workers`` config key and the
+    CLI's ``--workers`` flag.
     """
     if workers and executor in (None, "remote"):
         return RemoteBackend(

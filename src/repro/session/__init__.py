@@ -23,10 +23,6 @@ fleet client, packed-func registration), exposes ``run`` / ``run_graph``
 :class:`RunReport` / :class:`TuneReport` / :class:`CompareReport`
 objects with ``to_json``/``from_json``, and guarantees deterministic
 teardown via ``close()`` / the context-manager protocol.
-
-The legacy entry points (``make_session``, ``run_layers`` with
-``executor=``, ``StonneBifrostApi(executor=...)``) keep working as
-deprecation shims that forward here.
 """
 
 from repro.session.config import (
@@ -49,11 +45,11 @@ from repro.session.config import (
     render_profiles_toml,
 )
 from repro.session.reports import CompareReport, RunReport, TuneReport
-from repro.session.session import Session, ZOO_MODELS, zoo_layers
+from repro.session.session import Session
+from repro.zoo import zoo_layers
 
 __all__ = [
     "ARCHITECTURES",
-    "ZOO_MODELS",
     "ArchitectureConfig",
     "CacheConfig",
     "CompareReport",

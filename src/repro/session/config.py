@@ -1,9 +1,7 @@
 """The one typed configuration object behind every entry point.
 
-Three PRs of growth scattered the measurement stack's knobs —
-``executor=``, ``cache_path=``, ``workers=``, architecture fields,
-tuner options — across ``make_session``, ``StonneBifrostApi``,
-``TuningTask``, the fleet worker and ~20 CLI flags.
+The measurement stack's knobs — ``executor=``, ``cache_path=``,
+``workers=``, architecture fields, tuner options — live in one place:
 :class:`SessionConfig` gathers them into six frozen sections
 (:class:`ArchitectureConfig`, :class:`EngineConfig`,
 :class:`CacheConfig`, :class:`FleetConfig`, :class:`TuningConfig`,

@@ -1,13 +1,12 @@
 """The Session facade: one object that owns the whole measurement stack.
 
-The paper's Bifrost frontend is "one API, seven steps" (§V); three PRs
-of growth scattered that API across ``make_session``, engine kwargs,
-fleet flags and tuner options.  :class:`Session` restores the single
-surface: build it from a :class:`~repro.session.config.SessionConfig`
-(or any of that class's layers), use it as a context manager, and every
-resource — the :class:`~repro.engine.EvaluationEngine`, the cache
-tiers, the fleet client, the packed-func registration — is created in
-one place and torn down deterministically by :meth:`close`.
+The paper's Bifrost frontend is "one API, seven steps" (§V), and
+:class:`Session` is that single surface: build it from a
+:class:`~repro.session.config.SessionConfig` (or any of that class's
+layers), use it as a context manager, and every resource — the
+:class:`~repro.engine.EvaluationEngine`, the cache tiers, the fleet
+client, the packed-func registration — is created in one place and
+torn down deterministically by :meth:`close`.
 
 Typical use::
 
@@ -43,18 +42,7 @@ from repro.errors import ReproError, TuningError
 from repro.obs.trace import TRACER
 from repro.session.config import SessionConfig
 from repro.session.reports import CompareReport, RunReport, TuneReport
-
-#: The classic paper models (compat export).  The authoritative model
-#: list is the zoo registry — :func:`repro.zoo.zoo_models` — which also
-#: carries the modern workloads and any user/fuzz registrations.
-ZOO_MODELS = ("alexnet", "lenet", "vgg_small", "mlp")
-
-
-def zoo_layers(model: str) -> List:
-    """Layer descriptors of a zoo model (delegates to :mod:`repro.zoo`)."""
-    from repro.zoo import zoo_layers as registry_layers
-
-    return registry_layers(model)
+from repro.zoo import zoo_layers
 
 
 class Session:
@@ -65,9 +53,9 @@ class Session:
             built from ``overrides`` (kwargs layer) over the ``REPRO_*``
             environment over defaults.
         simulator_config: A prebuilt (validated) hardware config that
-            bypasses the architecture section — the adapter path used by
-            the legacy ``make_session`` shim and by tests that hand-roll
-            :class:`~repro.stonne.config.SimulatorConfig` objects.
+            bypasses the architecture section, for callers that
+            hand-roll :class:`~repro.stonne.config.SimulatorConfig`
+            objects.
         params: Cycle-model calibration constants.
         **overrides: Flat config keys (see
             :func:`repro.session.config.known_keys`) overriding

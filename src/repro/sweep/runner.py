@@ -194,7 +194,7 @@ class SweepRunner:
         self, plan: SweepPlan, resume: Optional[SweepReport] = None
     ) -> SweepReport:
         from repro.engine import EvalRequest
-        from repro.session.session import zoo_layers
+        from repro.zoo import zoo_layers
 
         started = time.perf_counter()
         tier_baseline = self._tier_counters()
@@ -411,7 +411,7 @@ class SweepRunner:
         self, scenario: Scenario, engine, sim_config
     ) -> TuneReport:
         """Tune one layer's mapping under the scenario's tuning config."""
-        from repro.session.session import zoo_layers
+        from repro.zoo import zoo_layers
         from repro.tuner import tune_layer
 
         target = scenario.target
@@ -443,7 +443,7 @@ class SweepRunner:
     ) -> CompareReport:
         """Default vs AutoTVM vs mRNA mappings (the Figure 12 view)."""
         from repro.mrna import MrnaMapper
-        from repro.session.session import zoo_layers
+        from repro.zoo import zoo_layers
         from repro.stonne.layer import ConvLayer
         from repro.stonne.mapping import ConvMapping, FcMapping
         from repro.tuner import GridSearchTuner, MaeriConvTask, MaeriFcTask

@@ -11,8 +11,9 @@ pin the statistics side of the lift.
 import numpy as np
 import pytest
 
-from repro.bifrost import make_session, run_layers
+from repro.bifrost import run_layers
 from repro.engine import EvaluationEngine, evaluation_key
+from repro.session import Session
 from repro.stonne.config import (
     maeri_config,
     sigma_config,
@@ -128,11 +129,10 @@ class TestControllerBatchExpansion:
 
 class TestFacadeBatch:
     def test_run_layers_accepts_batched_descriptors(self):
-        session = make_session(maeri_config())
-        stats = run_layers([_conv(1), _conv(2), _fc(2)], session)
+        with Session(simulator_config=maeri_config()) as session:
+            stats = run_layers([_conv(1), _conv(2), _fc(2)], session)
         assert stats[1].cycles == 2 * stats[0].cycles
         assert stats[2].macs == _fc(2).macs
-        session.engine.close()
 
     def test_api_conv2d_batch_outputs_and_stats(self):
         """The real batches the functional datapath computes now get
@@ -142,12 +142,15 @@ class TestFacadeBatch:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(3, 4, 8, 8))
         weights = rng.normal(size=(2, 4, 3, 3))
-        session = make_session(maeri_config())
-        out = session.conv2d_nchw(data, weights, layer_name="b.conv")
-        ref = conv_ref(data, weights)
-        np.testing.assert_allclose(out, ref, rtol=1e-9)
-        single_session = make_session(maeri_config())
-        single_session.conv2d_nchw(data[:1], weights, layer_name="b.conv")
-        assert session.stats[0].cycles == 3 * single_session.stats[0].cycles
-        session.engine.close()
-        single_session.engine.close()
+        with Session(simulator_config=maeri_config()) as session, Session(
+            simulator_config=maeri_config()
+        ) as single_session:
+            out = session.api.conv2d_nchw(data, weights, layer_name="b.conv")
+            ref = conv_ref(data, weights)
+            np.testing.assert_allclose(out, ref, rtol=1e-9)
+            single_session.api.conv2d_nchw(
+                data[:1], weights, layer_name="b.conv"
+            )
+            assert session.api.stats[0].cycles == (
+                3 * single_session.api.stats[0].cycles
+            )

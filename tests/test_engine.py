@@ -134,9 +134,9 @@ class TestBatchEvaluation:
             for i in range(6)
         ] + [EvalRequest(FcLayer("f", in_features=32, out_features=16))]
         sequential = EvaluationEngine(maeri128).evaluate_many(requests)
-        parallel = EvaluationEngine(maeri128).evaluate_many(
-            requests, max_workers=4
-        )
+        parallel_engine = EvaluationEngine(maeri128, max_workers=4)
+        parallel = parallel_engine.evaluate_many(requests)
+        parallel_engine.close()
         assert sequential == parallel
         assert [s.layer_name for s in parallel] == [
             r.layer.name for r in requests

@@ -255,10 +255,25 @@ class TestWorkerDaemon:
         assert cache.get(("k0",)).to_dict() == results[0][1].to_dict()
 
 
+def _hold_first_batches(workers, timeout=10.0):
+    """Make each worker's first batch wait until every worker has
+    received one, so one fast worker cannot drain the whole queue."""
+    arrived = [threading.Event() for _ in workers]
+    for index, worker in enumerate(workers):
+        def execute_batch(message, index=index, original=worker.execute_batch):
+            arrived[index].set()
+            for event in arrived:
+                event.wait(timeout)
+            return original(message)
+
+        worker.execute_batch = execute_batch
+
+
 class TestRemoteParity:
     def test_remote_matches_serial_bit_for_bit(self):
         w1, _ = start_worker()
         w2, _ = start_worker()
+        _hold_first_batches([w1, w2])
         try:
             requests = _requests()
             remote_engine = EvaluationEngine(
@@ -433,15 +448,14 @@ class TestRegistryAndSession:
         backend.close()
 
     def test_make_session_with_workers_uses_remote_backend(self, worker):
-        from repro.bifrost import make_session
+        from repro.session import Session
 
-        session = make_session(CONFIG, workers=[worker.address])
-        assert isinstance(session.engine.backend, RemoteBackend)
-        layer = _conv()
-        stats = session.engine.evaluate_many([EvalRequest(layer, ConvMapping())])
+        with Session(simulator_config=CONFIG, workers=[worker.address]) as s:
+            assert isinstance(s.engine.backend, RemoteBackend)
+            layer = _conv()
+            stats = s.engine.evaluate_many([EvalRequest(layer, ConvMapping())])
         assert stats[0].cycles > 0
         assert worker.items_served == 1
-        session.engine.close()
 
     def test_tuned_best_cost_remote_equals_serial(self, worker):
         """The acceptance criterion: a GA tune through the remote backend

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.errors import LayerError, TuningError
 from repro.mrna import MaeriAnalyticalModel, MrnaMapper
 from repro.mrna import mapper as mrna_mapper
-from repro.session.session import zoo_layers
+from repro.zoo import zoo_layers
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController

@@ -8,8 +8,9 @@ without executing the full benchmark harness.
 
 import pytest
 
-from repro.bifrost import make_session, run_layers
+from repro.bifrost import run_layers
 from repro.mrna import MrnaMapper
+from repro.session import Session
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
@@ -171,7 +172,7 @@ class TestFig12AndTable6Shape:
 class TestEndToEndAlexNetSubset:
     def test_run_layers_with_mrna_session(self):
         """Whole-pipeline smoke: AlexNet FC stack under the mRNA strategy."""
-        session = make_session(maeri_config(), mapping_strategy="mrna")
-        stats = run_layers(alexnet_fc_layers(), session)
+        with Session(simulator_config=maeri_config(), mapping="mrna") as s:
+            stats = run_layers(alexnet_fc_layers(), s)
         assert len(stats) == 3
         assert all(s.cycles > 0 for s in stats)

@@ -1,14 +1,14 @@
 """Tests for the Session facade: lifecycle, reports, legacy parity, leaks.
 
 The acceptance bar for the redesign: Session-built runs are bit-identical
-to the pre-redesign code paths (`make_session` + `run_layers`, engine-built
-tuning) for run, tune (fixed seed) and compare, and teardown is
-deterministic — no lingering executor pools after a ``with`` block.
+to the direct code paths (a hand-built ``StonneBifrostApi`` endpoint with
+``run_layers``/``run_graph``, engine-built tuning) for run, tune (fixed
+seed) and compare, and teardown is deterministic — no lingering executor
+pools after a ``with`` block.
 """
 
 import json
 import multiprocessing
-import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +24,15 @@ from repro.session import (
 )
 
 
-def _legacy_session(*args, **kwargs):
-    """make_session without the (expected) deprecation noise."""
-    from repro.bifrost.runner import make_session
+def _direct_api(strategy):
+    """An offload endpoint built without a Session: the endpoint builds
+    its own serial engine over a private stats cache."""
+    from repro.bifrost import MappingConfigurator, StonneBifrostApi
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return make_session(*args, **kwargs)
+    config = SessionConfig().build_simulator_config()[0]
+    return StonneBifrostApi(
+        config, MappingConfigurator(config, strategy=strategy)
+    )
 
 
 class TestLifecycle:
@@ -118,13 +120,11 @@ class TestRun:
                 s.run("resnet")
 
     def test_run_matches_legacy_make_session_path(self):
-        # Bit-identical to the pre-redesign path on two models.
+        # Bit-identical to a directly built endpoint on two models.
+        from repro.bifrost.runner import run_layers
+
         for model in ("mlp", "lenet"):
-            legacy = _legacy_session(
-                SessionConfig().build_simulator_config()[0],
-                mapping_strategy="mrna",
-            )
-            from repro.bifrost.runner import run_layers
+            legacy = _direct_api("mrna")
 
             legacy_stats = run_layers(zoo_layers(model), legacy)
             legacy.close()
@@ -168,10 +168,7 @@ class TestRun:
         from repro.models import lenet_graph
 
         feed = {"data": np.ones((1, 1, 28, 28))}
-        legacy = _legacy_session(
-            SessionConfig().build_simulator_config()[0],
-            mapping_strategy="mrna",
-        )
+        legacy = _direct_api("mrna")
         legacy_result = run_graph(lenet_graph(), feed, legacy)
         legacy.close()
         with Session(mapping="mrna") as s:
