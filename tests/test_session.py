@@ -125,7 +125,6 @@ class TestRun:
 
         for model in ("mlp", "lenet"):
             legacy = _direct_api("mrna")
-
             legacy_stats = run_layers(zoo_layers(model), legacy)
             legacy.close()
             with Session(mapping="mrna") as s:
