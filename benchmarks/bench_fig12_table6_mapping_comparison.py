@@ -92,7 +92,7 @@ def test_fig12_and_table6(benchmark, results_dir):
         assert row.cycles["mRNA"] <= row.cycles["AutoTVM"] <= row.cycles["default"]
     # Paper: conv 20%, fc 67%.  Our mRNA stand-in optimizes the true cycle
     # model, so its margin over psum-guided tuning is wider than the
-    # paper's (documented in EXPERIMENTS.md); the qualitative shape —
+    # paper's; the qualitative shape —
     # mRNA wins everywhere, and by far more on FC than conv — must hold.
     assert 0.05 <= conv_saving <= 0.60, f"conv saving {conv_saving:.2%}"
     assert 0.50 <= fc_saving <= 0.95, f"fc saving {fc_saving:.2%}"

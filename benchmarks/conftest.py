@@ -1,12 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation (see DESIGN.md §4 for the index).  Each bench:
+Each ``bench_fig*``/``bench_table*`` file regenerates the table or
+figure of the paper's evaluation that its name gives; the rest are
+ablations and tooling rows.  Each bench:
 
 * computes the paper's rows/series from the simulator,
 * prints them (visible with ``pytest benchmarks/ --benchmark-only -s``),
-* writes them to ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md,
-* asserts the *shape* bands recorded in EXPERIMENTS.md, and
+* writes them to the git-ignored ``benchmarks/results/<name>.txt``,
+* asserts the paper's *shape* bands, written in the bench itself, and
 * times the whole harness through the ``benchmark`` fixture.
 """
 

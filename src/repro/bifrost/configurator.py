@@ -142,7 +142,7 @@ class SimulatorConfigurator:
         if self.sparsity_ratio:
             raise ConfigError(
                 f"sparsity_ratio={self.sparsity_ratio} is only supported by "
-                "SIGMA; the TPU runs dense workloads"
+                "SIGMA and MAGMA; the TPU runs dense workloads"
             )
 
         return SimulatorConfig(

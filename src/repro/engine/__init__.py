@@ -105,7 +105,6 @@ from repro.engine.evaluation import (
 from repro.engine.scheduler import (
     WorkQueue,
     backend_counters,
-    backend_metrics,
     run_plan_groups,
 )
 from repro.engine.sqlite_cache import SqliteStatsCache
@@ -123,7 +122,6 @@ __all__ = [
     "ThreadBackend",
     "WorkQueue",
     "backend_counters",
-    "backend_metrics",
     "evaluation_key",
     "fingerprint_config",
     "make_backend",

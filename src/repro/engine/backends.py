@@ -127,12 +127,9 @@ class ExecutorBackend:
         grouping the chunk's same-layer items through the controller's
         batch kernels (:func:`simulate_chunk`).
         """
-        local = getattr(engine, "_local_controller", None)
-        if local is None:  # duck-typed engines without the controller seam
-            return [_simulate_item(engine, item) for item in items]
         pairs = [(request.layer, request.mapping) for _, request in items]
         payloads = simulate_chunk(
-            local(), pairs, getattr(engine, "functional", False)
+            engine._local_controller(), pairs, engine.functional
         )
         return [(key, payload) for (key, _), payload in zip(items, payloads)]
 
@@ -218,30 +215,16 @@ def simulate_layer_batch(controller, layer, mappings) -> List:
     cannot hold), and the mapping-free fabrics run it once and copy the
     result, so a batch returns exactly what the per-item scalar calls
     would.  A GEMM carries no mapping, so its ``n`` items are ``n``
-    copies of one ``run_gemm``.  Duck-typed controllers without the
-    batch surface fall back to a scalar loop — batching is an
-    optimization, never a requirement.
+    copies of one ``run_gemm``.
     """
-    from repro.stonne.controller import AcceleratorController, _lowered_gemm_batch
+    from repro.stonne.controller import _lowered_gemm_batch
     from repro.stonne.layer import ConvLayer, FcLayer
 
     if isinstance(layer, ConvLayer):
-        batch = getattr(controller, "run_conv_batch", None)
-        if batch is not None:
-            return batch(layer, mappings)
-    elif isinstance(layer, FcLayer):
-        batch = getattr(controller, "run_fc_batch", None)
-        if batch is not None:
-            return batch(layer, mappings)
-    elif isinstance(controller, AcceleratorController):
-        return _lowered_gemm_batch(controller, layer, mappings)
-    results: List = []
-    for mapping in mappings:
-        try:
-            results.append(simulate_layer(controller, layer, mapping, False))
-        except Exception as exc:
-            results.append(exc)
-    return results
+        return controller.run_conv_batch(layer, mappings)
+    if isinstance(layer, FcLayer):
+        return controller.run_fc_batch(layer, mappings)
+    return _lowered_gemm_batch(controller, layer, mappings)
 
 
 def simulate_chunk(controller, pairs, functional: bool) -> List:
@@ -251,11 +234,10 @@ def simulate_chunk(controller, pairs, functional: bool) -> List:
     The chunk-grouping rule: pairs sharing a layer (dataclass equality —
     the engine's structural dedup already collapses same-shape duplicates
     at plan time) form one group, and each multi-item group is simulated
-    by a single controller batch-kernel call.  Singleton groups,
-    unhashable duck-typed layers and functional mode go through the
-    scalar :func:`simulate_layer` seam one at a time, preserving its
-    exact behaviour (including test monkeypatching) where batching buys
-    nothing.
+    by a single controller batch-kernel call.  Singleton groups and
+    functional mode go through the scalar :func:`simulate_layer` seam one
+    at a time, preserving its exact behaviour (including test
+    monkeypatching) where batching buys nothing.
     """
     groups: Dict = {}
     singles: List[int] = []
@@ -263,10 +245,7 @@ def simulate_chunk(controller, pairs, functional: bool) -> List:
         singles = list(range(len(pairs)))
     else:
         for index, (layer, _) in enumerate(pairs):
-            try:
-                groups.setdefault(layer, []).append(index)
-            except TypeError:  # unhashable duck-typed layer
-                singles.append(index)
+            groups.setdefault(layer, []).append(index)
     results: List = [None] * len(pairs)
     for layer, indices in groups.items():
         if len(indices) == 1:
@@ -536,6 +515,11 @@ def register_backend(
     """Class decorator registering an executor backend under ``name``."""
 
     def decorator(cls: Type[ExecutorBackend]) -> Type[ExecutorBackend]:
+        if not (isinstance(cls, type) and issubclass(cls, ExecutorBackend)):
+            raise ConfigError(
+                f"executor backend {name!r} must subclass ExecutorBackend, "
+                f"got {cls!r}"
+            )
         existing = _REGISTRY.get(name)
         if existing is not None and existing is not cls:
             raise ConfigError(

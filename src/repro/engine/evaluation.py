@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
+from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import AcceleratorController, make_controller
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
@@ -48,30 +49,20 @@ Mapping = Union[ConvMapping, FcMapping]
 
 
 def fingerprint_config(
-    config, params: CycleModelParams, controller_cls: Optional[type] = None
+    config: SimulatorConfig, params: CycleModelParams, controller_cls: type
 ) -> str:
-    """Digest of a (SimulatorConfig, CycleModelParams[, controller]) triple.
+    """Digest of a (SimulatorConfig, CycleModelParams, controller) triple.
 
-    Canonical JSON over sorted keys, hashed; any object with ``to_dict``
-    (or plain attributes) works, so mock configs fingerprint too.  The
-    controller class is part of the digest so hot-swapped registrations
-    (same ``controller_type``, different model) never share cache entries.
+    Canonical JSON over sorted keys (the config's ``to_dict``), hashed.
+    The controller class is part of the digest so hot-swapped
+    registrations (same ``controller_type``, different model) never share
+    cache entries.
     """
-    if hasattr(config, "to_dict"):
-        config_dict = config.to_dict()
-    else:  # mock / duck-typed configs
-        config_dict = {
-            k: str(v) for k, v in vars(config).items() if not k.startswith("_")
-        }
     payload = json.dumps(
         {
-            "config": config_dict,
+            "config": config.to_dict(),
             "params": asdict(params),
-            "controller": (
-                f"{controller_cls.__module__}.{controller_cls.__qualname__}"
-                if controller_cls is not None
-                else None
-            ),
+            "controller": f"{controller_cls.__module__}.{controller_cls.__qualname__}",
         },
         sort_keys=True,
         default=str,
@@ -94,24 +85,14 @@ def _layer_field_names(cls: type) -> Tuple[str, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _layer_key_cached(layer) -> Tuple:
-    return tuple(getattr(layer, name) for name in _layer_field_names(type(layer)))
-
-
 def _layer_key(layer: Layer) -> Tuple:
     """Structural identity of a layer: every field except its name.
 
-    Memoized on the layer itself — the built-in layers are frozen,
-    hashable dataclasses, and a tuner batch keys the same few layer
-    objects thousands of times.  Unhashable duck-typed layers fall back
-    to direct reflection.
+    Memoized on the layer itself — the layers are frozen, hashable
+    dataclasses, and a tuner batch keys the same few layer objects
+    thousands of times.
     """
-    try:
-        return _layer_key_cached(layer)
-    except TypeError:
-        return tuple(
-            getattr(layer, f.name) for f in fields(layer) if f.name != "name"
-        )
+    return tuple(getattr(layer, name) for name in _layer_field_names(type(layer)))
 
 
 def evaluation_key(
@@ -254,7 +235,7 @@ class EvaluationEngine:
 
     def __init__(
         self,
-        config,
+        config: SimulatorConfig,
         params: CycleModelParams = DEFAULT_PARAMS,
         cache: Optional[StatsCache] = None,
         cache_enabled: bool = True,

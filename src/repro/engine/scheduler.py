@@ -23,9 +23,10 @@ chunk run on the caller's thread through the in-process
 :meth:`~repro.engine.backends.ExecutorBackend.run_chunk`, and
 ``pull_slots`` (which starts worker processes) is never called.  On a
 2-vCPU host a pipe round trip or thread hand-off per chunk cost more
-than the batch kernels it offloaded at every group size measured
-(ROADMAP item 6).  An explicit ``chunk_size`` pools every group, and it
-is what keeps a process worker's crash from reaching the caller.
+than the batch kernels it offloaded at every group size measured, so a
+pool only pays where crash isolation is wanted.  An explicit
+``chunk_size`` pools every group, and it is what keeps a process
+worker's crash from reaching the caller.
 
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
@@ -55,7 +56,6 @@ from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.backends import ExecutorBackend
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 
 #: Auto chunk sizing: aim for this many chunks per slot per group (load
@@ -180,25 +180,6 @@ class WorkQueue:
 SCHEDULER_METRIC_PREFIX = "scheduler."
 
 
-def backend_metrics(backend) -> Optional[MetricsRegistry]:
-    """The backend's metrics registry, attaching one on first use.
-
-    :class:`~repro.engine.backends.ExecutorBackend` exposes a lazily
-    created ``metrics`` property; duck-typed third-party backends get a
-    registry set as a plain attribute.  Returns None only for
-    ``__slots__`` objects that cannot carry one.
-    """
-    registry = getattr(backend, "metrics", None)
-    if isinstance(registry, MetricsRegistry):
-        return registry
-    registry = MetricsRegistry()
-    try:
-        backend.metrics = registry
-    except AttributeError:
-        return None
-    return registry
-
-
 def backend_counters(backend) -> Dict[str, Any]:
     """Cumulative scheduler counters of a backend (zeros if never used).
 
@@ -207,19 +188,15 @@ def backend_counters(backend) -> Dict[str, Any]:
     this is the plain-dict view reports and the CLI print.
     """
     out = zero_counters()
-    registry = getattr(backend, "metrics", None)
-    if isinstance(registry, MetricsRegistry):
-        recorded = registry.counters_with_prefix(SCHEDULER_METRIC_PREFIX)
-        for key in COUNTER_KEYS:
-            if key in recorded:
-                out[key] = recorded[key]
+    recorded = backend.metrics.counters_with_prefix(SCHEDULER_METRIC_PREFIX)
+    for key in COUNTER_KEYS:
+        if key in recorded:
+            out[key] = recorded[key]
     return out
 
 
-def _accumulate(backend, report: Dict[str, Any]) -> None:
-    registry = backend_metrics(backend)
-    if registry is None:  # __slots__ backends cannot carry a registry
-        return
+def _accumulate(backend: ExecutorBackend, report: Dict[str, Any]) -> None:
+    registry = backend.metrics
     for key in COUNTER_KEYS:
         value = report.get(key, 0)
         if value:
@@ -323,7 +300,7 @@ def run_plan_groups(
             lead_engine,
             chunk_size=(
                 chunk_size if chunk_size is not None
-                else getattr(lead_engine, "chunk_size", None)
+                else lead_engine.chunk_size
             ),
             clock=clock,
         )
@@ -361,7 +338,7 @@ def _run_scheduled(
     """Chunk, enqueue, drain with one puller per slot."""
     if chunk_size is not None and chunk_size < 1:
         chunk_size = None
-    if chunk_size is None and getattr(backend, "slots_share_host", False):
+    if chunk_size is None and backend.slots_share_host:
         # One slot, the caller's, running chunks in-process.
         slots = [None]
         run_chunk = functools.partial(ExecutorBackend.run_chunk, backend)
@@ -440,11 +417,8 @@ def _slot_lane(slot) -> Optional[str]:
 def _drain(queue: WorkQueue, backend, run_chunk, slot) -> None:
     """One puller: pull, execute, complete, until the queue is done."""
     lane = _slot_lane(slot)
-    registry = backend_metrics(backend)
-    latency = (
-        registry.histogram(SCHEDULER_METRIC_PREFIX + "chunk_latency_s")
-        if registry is not None
-        else None
+    latency = backend.metrics.histogram(
+        SCHEDULER_METRIC_PREFIX + "chunk_latency_s"
     )
     while True:
         chunk = queue.pull(slot)
@@ -461,6 +435,5 @@ def _drain(queue: WorkQueue, backend, run_chunk, slot) -> None:
                 results = run_chunk(chunk.engine, chunk.items, slot=slot)
             except Exception as exc:  # infrastructure failure: fail items
                 results = [(key, exc) for key, _request in chunk.items]
-        if latency is not None:
-            latency.observe(time.perf_counter() - started)
+        latency.observe(time.perf_counter() - started)
         queue.complete(chunk, results)

@@ -219,17 +219,8 @@ def engine_spec(engine) -> Dict[str, Any]:
     """The serializable description a worker needs to rebuild ``engine``'s
     controller: config, params, controller type and the fingerprint the
     rebuild must reproduce.
-
-    Raises :class:`ProtocolError` for engines whose config cannot cross
-    the wire (duck-typed mocks without ``to_dict``) — callers treat that
-    as "not remotable" and fall back to local execution.
     """
     config = engine.config
-    if not hasattr(config, "to_dict"):
-        raise ProtocolError(
-            f"engine config {type(config).__name__} has no to_dict(); "
-            f"only real SimulatorConfigs can be shipped to fleet workers"
-        )
     return {
         "fingerprint": engine.fingerprint,
         "controller_type": str(

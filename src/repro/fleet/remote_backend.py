@@ -22,9 +22,8 @@ drains each miss batch as chunks, one puller per slot.
   worker;
 * a chunk whose worker dies mid-flight is *retried* on the surviving
   workers, so one crash costs one round trip, not the sweep;
-* when no worker is reachable — or the engine is not remotable (mock
-  configs) — there is one slot and its chunks fall back to inline
-  serial execution, so ``--executor remote`` degrades to
+* when no worker is reachable there is one slot and its chunks fall
+  back to inline serial execution, so ``--executor remote`` degrades to
   ``--executor serial`` instead of failing a run.
 
 Per-item errors (invalid mappings and friends) are captured exception
@@ -153,12 +152,8 @@ class RemoteBackend(ExecutorBackend):
     def pull_slots(self, engine, max_workers=None):
         """One scheduler slot per advertised capacity unit per reachable
         worker — ``(address, unit)`` tokens.  One inline-fallback slot
-        when the engine is not remotable or no worker answers."""
+        when no worker answers."""
         addresses = self._addresses()
-        try:
-            protocol.engine_spec(engine)
-        except protocol.ProtocolError:
-            addresses = []
         capacities = self._capacities(addresses)
         slots = [
             (address, unit)
@@ -171,13 +166,10 @@ class RemoteBackend(ExecutorBackend):
         """Execute one scheduler chunk as a shard on the slot's worker,
         then on the survivors, then inline (see :meth:`_run_shard`)."""
         addresses = self._addresses()
-        try:
-            spec = protocol.engine_spec(engine)
-        except protocol.ProtocolError:
-            spec = None
-        if not addresses or spec is None:
+        if not addresses:
             self.fallback_batches += 1
             return [_simulate_item(engine, item) for item in items]
+        spec = protocol.engine_spec(engine)
         indexed = [
             (position, key, request.layer, request.mapping)
             for position, (key, request) in enumerate(items)

@@ -1,12 +1,10 @@
 """Typed metrics registry: counters, gauges, histograms.
 
-The registry replaces the duck-typed ``backend.scheduler_counters``
-dict that used to be getattr-probed off executor backends: producers
-get-or-create named instruments (`counter` / `gauge` / `histogram`),
-consumers take a point-in-time :meth:`MetricsRegistry.snapshot` that
-serialises straight into report JSON.  All instruments are
-thread-safe — scheduler puller threads and fleet shard threads write
-concurrently.
+Producers get-or-create named instruments (`counter` / `gauge` /
+`histogram`); consumers take a point-in-time
+:meth:`MetricsRegistry.snapshot` that serialises straight into report
+JSON.  All instruments are thread-safe — scheduler puller threads and
+fleet shard threads write concurrently.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ Public surface:
 * workloads — :class:`ConvLayer`, :class:`FcLayer`, :class:`GemmLayer`
   (paper Table II);
 * mappings — :class:`ConvMapping`, :class:`FcMapping` (paper Tables IV/V);
-* execution — :class:`Stonne` returning :class:`SimulationStats`.
+* execution — :func:`make_controller` resolving a config to its
+  registered :class:`AcceleratorController`, whose ``run_conv`` /
+  ``run_fc`` / ``run_gemm`` return :class:`SimulationStats`.
 """
 
 from repro.stonne.config import (
@@ -46,7 +48,6 @@ from repro.stonne.mapping import (
 from repro.stonne.maeri import MaeriController
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.sigma import SigmaController
-from repro.stonne.simulator import SimulationResult, Stonne
 from repro.stonne.sparsity import BitmapTensor, measured_sparsity, prune_to_sparsity
 from repro.stonne.stats import SimulationStats, TrafficBreakdown, combine_stats
 from repro.stonne.tpu import TpuController
@@ -78,10 +79,8 @@ __all__ = [
     "MsNetworkType",
     "ReduceNetworkType",
     "SigmaController",
-    "SimulationResult",
     "SimulationStats",
     "SimulatorConfig",
-    "Stonne",
     "TpuController",
     "TrafficBreakdown",
     "ceil_div",

@@ -4,8 +4,8 @@ Every simulated architecture implements :class:`AcceleratorController` —
 a uniform ``run_conv`` / ``run_fc`` / ``run_gemm`` /
 ``estimate_conv_psums`` / ``estimate_fc_psums`` / ``supports`` surface —
 and registers itself under its :class:`~repro.stonne.config.ControllerType`
-with :func:`register_controller`.  Dispatch sites (the :class:`Stonne`
-facade, the Bifrost API and runners, the tuner tasks) resolve a config to
+with :func:`register_controller`.  Dispatch sites (the evaluation
+engine, the Bifrost API and runners, the tuner tasks) resolve a config to
 its controller with a single :func:`make_controller` call instead of
 duplicated ``if controller_type is ...`` chains, so adding an
 architecture is one registration, not four edited call sites.
@@ -298,6 +298,11 @@ def register_controller(
     key = _key(controller_type)
 
     def decorator(cls: Type[AcceleratorController]) -> Type[AcceleratorController]:
+        if not (isinstance(cls, type) and issubclass(cls, AcceleratorController)):
+            raise ConfigError(
+                f"controller for {key!r} must subclass AcceleratorController, "
+                f"got {cls!r}"
+            )
         existing = _REGISTRY.get(key)
         if existing is not None and existing is not cls:
             raise ConfigError(
@@ -356,11 +361,7 @@ def controller_class(controller_type: ControllerKey) -> Type[AcceleratorControll
 def make_controller(
     config, params: CycleModelParams = DEFAULT_PARAMS
 ) -> AcceleratorController:
-    """Instantiate the controller for ``config.controller_type``.
-
-    ``config`` only needs a ``controller_type`` attribute plus whatever
-    the resolved controller's constructor reads, so mock configs work.
-    """
+    """Instantiate the controller for ``config.controller_type``."""
     return controller_class(config.controller_type)(config, params)
 
 

@@ -1,43 +1,22 @@
-"""The STONNE facade: one entry point over the registered controllers.
+"""The exact functional datapath behind every simulated conv2d.
 
-:class:`Stonne` mirrors how Bifrost drives STONNE (§V): create an
-instance per layer execution, configure it with an architecture and a
-mapping, load the layer, run, and read back outputs and statistics.  The
-architecture-specific cycle model is resolved through the controller
-registry (:mod:`repro.stonne.controller`), so the facade contains no
-per-architecture branching.
-
-The functional datapath is mapping-invariant — a mapping changes *when*
-each MAC happens, never its value — so outputs are produced by an exact
-im2col GEMM while the cycle/psum accounting follows the mapping.  The test
-suite verifies functional outputs against the :mod:`repro.topi` reference
-implementations for every architecture, which is the correctness check
-Bifrost performs through TVM.
+The datapath is mapping-invariant — a mapping changes *when* each MAC
+happens, never its value — so outputs are produced by an exact im2col
+GEMM while the cycle/psum accounting (the registered controllers of
+:mod:`repro.stonne.controller`) follows the mapping.  The Bifrost API
+(:mod:`repro.bifrost.api`) pairs the two for every offloaded layer, and
+the test suite verifies its outputs against the :mod:`repro.topi`
+reference implementations for every architecture, which is the
+correctness check Bifrost performs through TVM.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from repro.errors import SimulationError, UnsupportedLayerError
-from repro.stonne.config import SimulatorConfig
-from repro.stonne.controller import AcceleratorController, make_controller
-from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
-from repro.stonne.mapping import ConvMapping, FcMapping
-from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.stats import SimulationStats
+from repro.errors import SimulationError
+from repro.stonne.layer import ConvLayer
 from repro.topi.conv2d import im2col_nchw
-
-
-@dataclass
-class SimulationResult:
-    """Output tensor plus the statistics of the simulated execution."""
-
-    output: Optional[np.ndarray]
-    stats: SimulationStats
 
 
 def _im2col(data: np.ndarray, layer: ConvLayer) -> np.ndarray:
@@ -105,93 +84,3 @@ def _conv_via_gemm(
             n, k_per_g, p, q
         )
     return out
-
-
-class Stonne:
-    """A configured simulator instance (one per layer execution, like STONNE).
-
-    Args:
-        config: Validated hardware configuration; its ``controller_type``
-            is resolved through the controller registry.
-        params: Cycle-model calibration constants (tests/ablations only).
-    """
-
-    def __init__(
-        self,
-        config: SimulatorConfig,
-        params: CycleModelParams = DEFAULT_PARAMS,
-    ) -> None:
-        self.config = config
-        self.params = params
-        self.controller: AcceleratorController = make_controller(config, params)
-
-    # ------------------------------------------------------------------
-    def run_conv2d(
-        self,
-        layer: ConvLayer,
-        mapping: Optional[ConvMapping] = None,
-        data: Optional[np.ndarray] = None,
-        weights: Optional[np.ndarray] = None,
-    ) -> SimulationResult:
-        """Simulate a conv2d layer; optionally compute its output.
-
-        Architectures that consume a ``mapping`` (MAERI) fall back to the
-        basic all-ones mapping, like Bifrost's default; the rest ignore
-        it — their dataflow is fixed or controller-generated.
-        """
-        stats = self.controller.run_conv(layer, mapping)
-
-        output = None
-        if data is not None:
-            if weights is None:
-                raise SimulationError("conv2d needs weights when data is given")
-            data = np.asarray(data, dtype=np.float64)
-            if data.ndim != 4 or data.shape[0] != layer.N:
-                raise UnsupportedLayerError(
-                    f"conv2d input batch {data.shape} does not match the "
-                    f"simulated layer's N={layer.N}; STONNE runs one batch "
-                    "element per simulation — split the batch first"
-                )
-            output = _conv_via_gemm(
-                data,
-                np.asarray(weights, dtype=np.float64),
-                layer,
-            )
-        return SimulationResult(output=output, stats=stats)
-
-    def run_dense(
-        self,
-        layer: FcLayer,
-        mapping: Optional[FcMapping] = None,
-        data: Optional[np.ndarray] = None,
-        weights: Optional[np.ndarray] = None,
-    ) -> SimulationResult:
-        """Simulate a dense layer; optionally compute its output.
-
-        ``data`` is (batch, in_features); ``weights`` is
-        (out_features, in_features), PyTorch's ``nn.Linear`` convention.
-        """
-        stats = self.controller.run_fc(layer, mapping)
-
-        output = None
-        if data is not None:
-            if weights is None:
-                raise SimulationError("dense needs weights when data is given")
-            data = np.asarray(data, dtype=np.float64)
-            weights = np.asarray(weights, dtype=np.float64)
-            if data.shape != (layer.batch, layer.in_features):
-                raise SimulationError(
-                    f"dense input shape {data.shape} does not match layer "
-                    f"({layer.batch},{layer.in_features})"
-                )
-            if weights.shape != (layer.out_features, layer.in_features):
-                raise SimulationError(
-                    f"dense weight shape {weights.shape} does not match layer "
-                    f"({layer.out_features},{layer.in_features})"
-                )
-            output = data @ weights.T
-        return SimulationResult(output=output, stats=stats)
-
-    def run_gemm(self, gemm: GemmLayer) -> SimulationResult:
-        """Simulate a raw GEMM (architectures that support the workload)."""
-        return SimulationResult(output=None, stats=self.controller.run_gemm(gemm))

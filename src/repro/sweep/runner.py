@@ -398,10 +398,7 @@ class SweepRunner:
             },
             "scheduler": dict(counters.get("scheduler", {})),
         }
-        backend = self.session.engine.backend
-        registry = getattr(backend, "metrics", None)
-        if registry is not None and hasattr(registry, "snapshot"):
-            metrics["backend"] = registry.snapshot()
+        metrics["backend"] = self.session.engine.backend.metrics.snapshot()
         return metrics
 
     # ------------------------------------------------------------------

@@ -81,11 +81,6 @@ class TuningTask:
         _check_objective(objective)
         self.space = space
         self.objective = objective
-        # Adapter: a repro.session.Session (or a StonneBifrostApi) is
-        # accepted wherever an engine is — tasks always measure through
-        # the session's engine, so its stats cache serves every tier.
-        if engine is not None and not isinstance(engine, EvaluationEngine):
-            engine = getattr(engine, "engine", engine)
         self.engine = engine
         self.num_measurements = 0
         self._local_sims = 0

@@ -1,4 +1,7 @@
-"""Modern workloads the paper's experiment matrix lacks (ROADMAP item 4).
+"""Modern workloads the paper's experiment matrix lacks.
+
+The paper evaluates classic CNNs and MLPs only; these entries exercise
+the cycle models on the layer shapes newer networks are built from.
 
 A transformer encoder block, depthwise-separable and grouped
 convolutions, and dilated plus NHWC-layout conv variants — each
@@ -12,7 +15,7 @@ Everything is expressed with the existing layer descriptors:
   ``(seq, d_head) @ (d_head, seq)`` GEMM *is* a dense layer with
   ``batch=seq``), and the FFN expand/contract pair.  Dense works on all
   four controllers (MAERI included, which refuses raw ``GemmLayer``).
-* The conv variants exercise the descriptor axes PR 10 added: ``G``
+* The conv variants exercise the layer descriptor's extra axes: ``G``
   (groups / depthwise), ``dil_h``/``dil_w`` (dilation), ``layout``
   (NHWC emulation around the NCHW functional core).
 """

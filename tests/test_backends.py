@@ -85,6 +85,15 @@ class TestBackendRegistry:
         with pytest.raises(ConfigError, match="already registered"):
             register_backend("serial")(ThreadBackend)
 
+    def test_non_backend_class_rejected(self):
+        class NotABackend:
+            def run_chunk(self, engine, items, slot=None):
+                return []
+
+        with pytest.raises(ConfigError, match="must subclass ExecutorBackend"):
+            register_backend("test-not-a-backend")(NotABackend)
+        assert "test-not-a-backend" not in registered_backends()
+
     def test_alias_registration_keeps_original_name(self):
         """Registering a built-in under a second name must not corrupt
         the name engines report through counters()."""

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import test_cycle_model_golden as golden
 
-from repro.engine.backends import simulate_chunk, simulate_layer_batch
+from repro.engine.backends import simulate_chunk
 from repro.stonne.config import (
     magma_config,
     maeri_config,
@@ -398,12 +398,3 @@ class TestSimulateChunk:
         )
         scalar = [controller.run_gemm(layer) for _ in range(4)]
         assert _canon(chunk) == _canon(scalar)
-
-    def test_duck_typed_controller_falls_back(self):
-        class Duck:
-            def run_conv(self, layer, mapping=None):
-                return ("conv", layer.name, mapping)
-
-        layer = ConvLayer("d", C=2, H=4, W=4, K=2, R=1, S=1)
-        out = simulate_layer_batch(Duck(), layer, [None, ConvMapping()])
-        assert out == [("conv", "d", None), ("conv", "d", ConvMapping())]

@@ -1,9 +1,10 @@
-"""Controller registry: parity with legacy direct dispatch + extensibility."""
+"""Controller registry: parity with direct construction + extensibility."""
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.errors import ConfigError, UnsupportedLayerError
 from repro.stonne.config import (
     ControllerType,
@@ -25,7 +26,6 @@ from repro.stonne.maeri import MaeriController
 from repro.stonne.magma import MagmaController
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.sigma import SigmaController
-from repro.stonne.simulator import Stonne
 from repro.stonne.stats import SimulationStats
 from repro.stonne.tpu import TpuController
 
@@ -61,7 +61,8 @@ class TestRegistryResolution:
 
 
 class TestLegacyParity:
-    """The registry path must be bit-identical to direct construction."""
+    """The registry path, and the evaluation engine that dispatches
+    through it, must be bit-identical to direct construction."""
 
     @pytest.mark.parametrize("config,legacy_cls", ALL_CONFIGS)
     def test_conv_stats_identical(self, config, legacy_cls):
@@ -71,10 +72,10 @@ class TestLegacyParity:
         via_registry = make_controller(config).run_conv(
             CONV, mapping if legacy_cls is MaeriController else None
         )
-        via_facade = Stonne(config).run_conv2d(
-            CONV, mapping=mapping if legacy_cls is MaeriController else None
-        ).stats
-        assert legacy == via_registry == via_facade
+        via_engine = EvaluationEngine(config).evaluate(
+            CONV, mapping if legacy_cls is MaeriController else None
+        )
+        assert legacy == via_registry == via_engine
 
     @pytest.mark.parametrize("config,legacy_cls", ALL_CONFIGS)
     def test_fc_stats_identical(self, config, legacy_cls):
@@ -84,10 +85,10 @@ class TestLegacyParity:
         via_registry = make_controller(config).run_fc(
             FC, mapping if legacy_cls is MaeriController else None
         )
-        via_facade = Stonne(config).run_dense(
-            FC, mapping=mapping if legacy_cls is MaeriController else None
-        ).stats
-        assert legacy == via_registry == via_facade
+        via_engine = EvaluationEngine(config).evaluate(
+            FC, mapping if legacy_cls is MaeriController else None
+        )
+        assert legacy == via_registry == via_engine
 
     @pytest.mark.parametrize("config,legacy_cls", ALL_CONFIGS)
     def test_gemm_stats_identical_or_unsupported(self, config, legacy_cls):
@@ -96,11 +97,11 @@ class TestLegacyParity:
             with pytest.raises(UnsupportedLayerError):
                 controller.run_gemm(GEMM)
             with pytest.raises(UnsupportedLayerError):
-                Stonne(config).run_gemm(GEMM)
+                EvaluationEngine(config).evaluate(GEMM)
             return
         legacy = legacy_cls(config).run_gemm(GEMM)
         assert legacy == make_controller(config).run_gemm(GEMM)
-        assert legacy == Stonne(config).run_gemm(GEMM).stats
+        assert legacy == EvaluationEngine(config).evaluate(GEMM)
 
 
 class TestCapabilities:
@@ -157,12 +158,20 @@ class TestFifthController:
         stats = make_controller(config).run_conv(CONV)
         assert stats.controller == "MOCK"
         assert stats.cycles == CONV.macs
-        # The facade dispatches to it too, with zero facade edits.
-        assert Stonne(config).run_conv2d(CONV).stats.cycles == CONV.macs
 
     def test_duplicate_registration_rejected(self, mock_registered):
         with pytest.raises(ConfigError, match="already registered"):
             register_controller("MOCK")(MaeriController)
+
+    def test_non_controller_class_rejected(self):
+        class NotAController:
+            def run_conv(self, layer, mapping=None):
+                return None
+
+        with pytest.raises(ConfigError, match="must subclass AcceleratorController"):
+            register_controller("NOT_A_SUBCLASS")(NotAController)
+        with pytest.raises(ConfigError, match="no controller registered"):
+            controller_class("NOT_A_SUBCLASS")
 
     def test_unregister_removes(self):
         register_controller("MOCK")(MockController)

@@ -11,9 +11,11 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.errors import LayerError
+from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer
-from repro.stonne.simulator import Stonne, _conv_via_gemm
+from repro.stonne.simulator import _conv_via_gemm
 from repro.topi import conv2d_direct_nchw
 from repro.topi.layout import (
     nchw_to_nhwc,
@@ -98,15 +100,19 @@ class TestFunctionalParity:
         assert got.shape == (1, layer.P, layer.Q, layer.K)
 
     def test_simulator_runs_dilated_layer_end_to_end(self, rng, maeri128):
+        """A functional engine simulates the dilated layer (cycle model
+        plus datapath), and the datapath it runs matches the reference."""
         layer = _layer(stride=2, dil=2, pad=2)
         data = rng.normal(size=(1, layer.C, layer.H, layer.W))
         weights = rng.normal(size=(layer.K, layer.C, 3, 3))
-        result = Stonne(maeri128).run_conv2d(layer, data=data, weights=weights)
+        stats = EvaluationEngine(maeri128, functional=True).evaluate(layer)
         want = conv2d_direct_nchw(
             data, weights, strides=(2, 2), padding=(2, 2), dilation=(2, 2)
         )
-        np.testing.assert_allclose(result.output, want, rtol=1e-9)
-        assert result.stats.cycles > 0
+        np.testing.assert_allclose(
+            _conv_via_gemm(data, weights, layer), want, rtol=1e-9
+        )
+        assert stats.cycles > 0
 
 
 class TestCycleModelsSeeDilation:
@@ -115,21 +121,24 @@ class TestCycleModelsSeeDilation:
         """The cycle models consume P/Q, so dilation (without padding to
         compensate) must change the simulated work, not just the output."""
         config = request.getfixturevalue(fixture)
-        plain = Stonne(config).run_conv2d(_layer(1, 1, 0)).stats
-        dilated = Stonne(config).run_conv2d(_layer(1, 2, 0)).stats
+        controller = make_controller(config)
+        plain = controller.run_conv(_layer(1, 1, 0))
+        dilated = controller.run_conv(_layer(1, 2, 0))
         assert dilated.cycles != plain.cycles
         assert dilated.psums < plain.psums  # fewer output pixels
 
     def test_padding_compensated_dilation_matches_same_shape_work(self, maeri128):
         """pad == dilation keeps P/Q equal to the plain 3x3 case, and the
         cycle model (which never reads the taps' positions) agrees."""
-        plain = Stonne(maeri128).run_conv2d(_layer(1, 1, 1)).stats
-        dilated = Stonne(maeri128).run_conv2d(_layer(1, 2, 2)).stats
+        controller = make_controller(maeri128)
+        plain = controller.run_conv(_layer(1, 1, 1))
+        dilated = controller.run_conv(_layer(1, 2, 2))
         assert dilated.cycles == plain.cycles
 
     def test_layout_never_changes_stats(self, sigma128):
         """Layout is a functional-datapath concern; the simulated loop
         nest is identical, so stats must be too."""
-        nchw = Stonne(sigma128).run_conv2d(_layer(2, 2, 1)).stats
-        nhwc = Stonne(sigma128).run_conv2d(_layer(2, 2, 1, layout="NHWC")).stats
+        controller = make_controller(sigma128)
+        nchw = controller.run_conv(_layer(2, 2, 1))
+        nhwc = controller.run_conv(_layer(2, 2, 1, layout="NHWC"))
         assert nchw.to_dict() == nhwc.to_dict()

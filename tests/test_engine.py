@@ -4,11 +4,11 @@ import pytest
 
 from repro.engine import EvalRequest, EvaluationEngine, StatsCache, evaluation_key
 from repro.errors import SimulationError
-from repro.stonne.config import maeri_config, sigma_config, tpu_config
+from repro.stonne.config import magma_config, maeri_config, sigma_config, tpu_config
+from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.params import CycleModelParams
-from repro.stonne.simulator import Stonne
 from repro.tuner.measure import MaeriConvTask
 from repro.tuner.tuners.ga import GATuner
 
@@ -34,11 +34,12 @@ class TestCacheCorrectness:
         assert engine.num_simulations == 1 and engine.num_evaluations == 2
 
     def test_results_match_uncached_facade(self, maeri128, conv):
+        """A cache hit equals a fresh, uncached controller run."""
         engine = EvaluationEngine(maeri128)
         mapping = ConvMapping(T_R=3, T_S=3)
         engine.evaluate(conv, mapping)  # prime
         cached = engine.evaluate(conv, mapping)  # hit
-        assert cached == Stonne(maeri128).run_conv2d(conv, mapping=mapping).stats
+        assert cached == make_controller(maeri128).run_conv(conv, mapping)
 
     def test_hit_is_mutation_isolated(self, maeri128, conv):
         engine = EvaluationEngine(maeri128)
@@ -95,6 +96,39 @@ class TestCacheCorrectness:
         engine = EvaluationEngine(maeri128)
         with pytest.raises(SimulationError, match="ConvLayer/FcLayer/GemmLayer"):
             engine.evaluate("not a layer")
+
+
+class TestCacheIdentity:
+    """Cache keys are persisted (SQLite, JSONL, fleet workers), so they
+    must not move when code around them changes: these literals were
+    computed before the key code was last edited."""
+
+    @pytest.mark.parametrize(
+        "make_config,fingerprint",
+        [
+            (maeri_config,
+             "6d704f345415f57ed7bf2ae621d4779280950f8730ee4f9b5d755f68bd1b4e6b"),
+            (sigma_config,
+             "cc06de9b2651521ba39f71f7af4cfe6416661283b0559914a8e35cd28c7e1822"),
+            (tpu_config,
+             "b01a20f64861048783db111f9dd6a2a7591c800f084fa068b8b917cf0a5f8936"),
+            (magma_config,
+             "02d5a4910841484db8cf461357b08374551fe6214a03369e6341a21a3cf631bc"),
+        ],
+        ids=["maeri", "sigma", "tpu", "magma"],
+    )
+    def test_default_config_fingerprints_are_pinned(self, make_config, fingerprint):
+        assert EvaluationEngine(make_config()).fingerprint == fingerprint
+
+    def test_evaluation_keys_are_pinned(self, conv, fc):
+        assert evaluation_key("fp", conv, ConvMapping(T_R=3, T_S=3)) == (
+            "fp", "ConvLayer",
+            (4, 10, 10, 8, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, "NCHW"),
+            "ConvMapping", (3, 3, 1, 1, 1, 1, 1, 1),
+        )
+        assert evaluation_key("fp", fc, None) == (
+            "fp", "FcLayer", (64, 32, 1), None, None,
+        )
 
 
 class TestCacheBounds:

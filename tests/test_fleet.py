@@ -129,15 +129,6 @@ class TestStructuralWire:
         )
         assert isinstance(exc, SimulationError)
 
-    def test_engine_spec_rejects_mock_configs(self):
-        class Mock:
-            controller_type = CONFIG.controller_type
-
-        engine = EvaluationEngine(CONFIG)
-        engine.config = Mock()  # duck-typed, no to_dict
-        with pytest.raises(protocol.ProtocolError, match="to_dict"):
-            protocol.engine_spec(engine)
-
     def test_rebuild_controller_verifies_fingerprint(self):
         engine = EvaluationEngine(CONFIG)
         spec = protocol.engine_spec(engine)
@@ -404,28 +395,6 @@ class TestFailover:
         results = engine.evaluate_many(_requests(2))
         assert all(r.cycles > 0 for r in results)
         assert backend.fallback_batches == 1
-        engine.close()
-
-    def test_mock_config_not_remotable_falls_back(self, worker):
-        class MockConfig:
-            """Duck-typed config: simulates locally, has no to_dict."""
-
-            def __init__(self, real):
-                object.__setattr__(self, "_real", real)
-
-            def __getattr__(self, name):
-                if name == "to_dict":
-                    raise AttributeError(name)
-                return getattr(self._real, name)
-
-        backend = RemoteBackend(workers=[worker.address])
-        engine = EvaluationEngine(
-            MockConfig(CONFIG), cache=StatsCache(), executor=backend
-        )
-        results = engine.evaluate_many(_requests(2))
-        assert all(r.cycles > 0 for r in results)
-        assert backend.fallback_batches == 1
-        assert worker.batches_served == 0
         engine.close()
 
 

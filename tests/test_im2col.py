@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import UnsupportedLayerError
+from repro.bifrost import MappingConfigurator, StonneBifrostApi
+from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer
-from repro.stonne.simulator import Stonne, _conv_via_gemm, _im2col
+from repro.stonne.simulator import _conv_via_gemm, _im2col
 from repro.topi import conv2d_nchw
 
 
@@ -93,10 +94,19 @@ class TestBatchedConv:
                 rtol=1e-9,
             )
 
-    def test_simulator_rejects_batch_mismatch_clearly(self, rng, maeri128):
-        """N>1 through the facade fails loudly instead of truncating."""
-        layer = ConvLayer("c", C=3, H=8, W=8, K=4, R=3, S=3)
+    def test_api_simulates_every_batch_element(self, rng, maeri128):
+        """An N=2 input through the Bifrost API is neither truncated nor
+        rejected: every element is computed, and the stats are the
+        batch-N layer's (two sequential N=1 simulations)."""
         data = rng.normal(size=(2, 3, 8, 8))
         weights = rng.normal(size=(4, 3, 3, 3))
-        with pytest.raises(UnsupportedLayerError, match="batch"):
-            Stonne(maeri128).run_conv2d(layer, data=data, weights=weights)
+        api = StonneBifrostApi(
+            config=maeri128, mappings=MappingConfigurator(config=maeri128)
+        )
+        out = api.conv2d_nchw(data, weights, layer_name="c")
+        np.testing.assert_allclose(out, conv2d_nchw(data, weights), rtol=1e-9)
+        controller = make_controller(maeri128)
+        layer = ConvLayer("c", C=3, H=8, W=8, K=4, R=3, S=3, N=2)
+        assert api.stats == [controller.run_conv(layer)]
+        single = controller.run_conv(ConvLayer("c", C=3, H=8, W=8, K=4, R=3, S=3))
+        assert api.stats[0].cycles == 2 * single.cycles

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bifrost import MappingConfigurator, StonneBifrostApi
+from repro.engine import EvaluationEngine
 from repro.errors import ConfigError
 from repro.stonne import (
     ControllerType,
-    FcLayer,
     GemmLayer,
     MagmaController,
-    Stonne,
     magma_config,
     sigma_config,
 )
@@ -85,24 +85,26 @@ class TestCycles:
 
 class TestFacadeIntegration:
     def test_stonne_dispatches_gemm(self, gemm):
-        result = Stonne(magma_config(sparsity_ratio=50)).run_gemm(gemm)
-        assert result.stats.controller == "MAGMA_SPARSE_DENSE"
+        stats = EvaluationEngine(magma_config(sparsity_ratio=50)).evaluate(gemm)
+        assert stats.controller == "MAGMA_SPARSE_DENSE"
 
     def test_fc_functional_output_exact(self, rng):
-        layer = FcLayer("f", in_features=64, out_features=32)
+        config = magma_config()
+        api = StonneBifrostApi(
+            config=config, mappings=MappingConfigurator(config=config)
+        )
         data = rng.normal(size=(1, 64))
         weights = rng.normal(size=(32, 64))
-        result = Stonne(magma_config()).run_dense(layer, data=data, weights=weights)
-        np.testing.assert_allclose(result.output, dense_ref(data, weights), rtol=1e-10)
+        output = api.dense(data, weights)
+        np.testing.assert_allclose(output, dense_ref(data, weights), rtol=1e-10)
+        assert api.stats[0].controller == "MAGMA_SPARSE_DENSE"
 
     def test_conv_lowered_via_im2col(self):
         layer = ConvLayer("c", C=8, H=10, W=10, K=16, R=3, S=3)
-        stats = Stonne(magma_config()).run_conv2d(layer).stats
+        stats = MagmaController(magma_config()).run_conv(layer)
         assert stats.macs == layer.macs
 
     def test_bifrost_api_prunes_for_magma(self, rng):
-        from repro.bifrost import MappingConfigurator, StonneBifrostApi
-
         config = magma_config(sparsity_ratio=100)
         api = StonneBifrostApi(
             config=config, mappings=MappingConfigurator(config=config)

@@ -27,8 +27,38 @@ from repro.models import (
 )
 from repro.runtime import compile_graph
 from repro.stonne.config import maeri_config
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping
+
+
+def _graph_layers(graph):
+    """The ConvLayer/FcLayer of every conv2d/dense node, derived only from
+    the node's input and weight tensor types and its attrs."""
+    layers = []
+    for node in graph.op_nodes():
+        if node.op_name not in ("conv2d", "dense"):
+            continue
+        data, weight = (graph.nodes[i].ttype.shape for i in node.inputs[:2])
+        if node.op_name == "dense":
+            layers.append(FcLayer(
+                node.name, in_features=data[1], out_features=weight[0],
+                batch=data[0],
+            ))
+            continue
+        attrs = node.attrs
+        assert attrs["data_layout"] == "NCHW"
+        assert attrs["kernel_layout"] == "KCRS"
+        n, c, h, w = data
+        k, _, r, s = weight
+        layers.append(ConvLayer(
+            node.name, C=c, H=h, W=w, K=k, R=r, S=s,
+            stride_h=attrs["strides"][0], stride_w=attrs["strides"][1],
+            pad_h=attrs["padding"][0], pad_w=attrs["padding"][1],
+            G=attrs["groups"], N=n,
+            dil_h=attrs["dilation"][0], dil_w=attrs["dilation"][1],
+        ))
+    return layers
 
 
 class TestAlexNet:
@@ -59,6 +89,15 @@ class TestAlexNet:
         assert len(fc_nodes) == 3
         out = graph.nodes[graph.output_ids[0]]
         assert out.ttype.shape == (1, 1000)
+        # Geometry, names included: each hand-written descriptor list is
+        # exactly what its graph's conv2d/dense nodes describe.
+        for model_graph, descriptors in (
+            (graph, alexnet_layers()),
+            (lenet_graph(), lenet_conv_layers() + lenet_fc_layers()),
+            (vgg_small_graph(), vgg_small_conv_layers() + vgg_small_fc_layers()),
+            (mlp_graph(16, (8, 4), 3), mlp_fc_layers(16, (8, 4), 3)),
+        ):
+            assert _graph_layers(model_graph) == descriptors
 
     @pytest.mark.slow
     def test_graph_executes(self, rng):
@@ -119,8 +158,6 @@ class TestReporting:
 
     def test_stats_table_and_json(self):
         controller = MaeriController(maeri_config())
-        from repro.stonne.layer import ConvLayer
-
         stats = controller.run_conv(
             ConvLayer("c", C=4, H=8, W=8, K=8, R=3, S=3),
             ConvMapping(T_R=3, T_S=3, T_C=4),

@@ -279,21 +279,6 @@ class TestSessionConstruction:
             assert any("rounded up" in c for c in s.corrections)
             assert s.simulator_config.ms_size == 128
 
-    def test_tuning_task_accepts_session(self):
-        # TuningTask is an adapter over the session: passing the Session
-        # (or its api) where an engine is expected measures through the
-        # session engine.
-        from repro.tuner import MaeriFcTask
-
-        layer = {l.name: l for l in zoo_layers("mlp")}["fc1"]
-        with Session() as s:
-            task = MaeriFcTask(layer, s.simulator_config,
-                               objective="cycles", engine=s)
-            assert task.engine is s.engine
-            task_api = MaeriFcTask(layer, s.simulator_config,
-                                   objective="cycles", engine=s.api)
-            assert task_api.engine is s.engine
-
     def test_counters_snapshot(self):
         with Session() as s:
             s.run("mlp")
