@@ -11,14 +11,15 @@ from conftest import emit
 from repro.mrna import MrnaMapper
 from repro.stonne.config import maeri_config
 from repro.stonne.maeri import MaeriController
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
+from repro.zoo import zoo_layers
 
 BANDWIDTHS = [8, 16, 32, 64, 128]
 
 
 def _sweep():
-    conv = alexnet_conv_layers()[2]
-    fc = alexnet_fc_layers()[0]
+    alexnet = {l.name: l for l in zoo_layers("alexnet")}
+    conv = alexnet["conv3"]
+    fc = alexnet["fc1"]
     base = maeri_config()
     mapper = MrnaMapper(base)
     conv_mapping = mapper.map_conv(conv)

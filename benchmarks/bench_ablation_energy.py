@@ -9,12 +9,12 @@ performance-vs-efficiency trade-off the paper's §VIII preamble motivates.
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.stonne.config import maeri_config
 from repro.stonne.energy import estimate_energy
 from repro.stonne.layer import ConvLayer
 from repro.stonne.maeri import MaeriController
 from repro.tuner import GridSearchTuner, MaeriConvTask, MaeriFcTask
+from repro.zoo import zoo_layers
 
 CONFIG = maeri_config()
 
@@ -32,7 +32,8 @@ def _optimum(layer, objective):
 def _run():
     controller = MaeriController(CONFIG)
     rows = []
-    for layer in [alexnet_conv_layers()[2], alexnet_fc_layers()[0]]:
+    alexnet = {l.name: l for l in zoo_layers("alexnet")}
+    for layer in [alexnet["conv3"], alexnet["fc1"]]:
         is_conv = isinstance(layer, ConvLayer)
         run = controller.run_conv if is_conv else controller.run_fc
         for objective in ("cycles", "energy"):

@@ -12,9 +12,9 @@ import numpy as np
 from conftest import emit
 from scipy import stats as scipy_stats
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.stonne.config import maeri_config
 from repro.tuner import GridSearchTuner, MaeriConvTask, MaeriFcTask
+from repro.zoo import zoo_layers
 
 
 def _collect(task_cls, layer, **kwargs):
@@ -36,9 +36,10 @@ def _collect(task_cls, layer, **kwargs):
 
 
 def _run():
-    conv = _collect(MaeriConvTask, alexnet_conv_layers()[2],
+    alexnet = {l.name: l for l in zoo_layers("alexnet")}
+    conv = _collect(MaeriConvTask, alexnet["conv3"],
                     max_options_per_tile=4)
-    fc = _collect(MaeriFcTask, alexnet_fc_layers()[0])
+    fc = _collect(MaeriFcTask, alexnet["fc1"])
     return {"conv3": conv, "fc1": fc}
 
 

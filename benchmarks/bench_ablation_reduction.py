@@ -9,15 +9,18 @@ quantifies that on LeNet (small) and AlexNet (large) layers.
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers, lenet_conv_layers
 from repro.mrna import MrnaMapper
 from repro.stonne.config import ReduceNetworkType, maeri_config
+from repro.stonne.layer import ConvLayer
 from repro.stonne.maeri import MaeriController
+from repro.zoo import zoo_layers
 
 
 def _run():
     rows = []
-    for layer in [*lenet_conv_layers(), *alexnet_conv_layers()[:2]]:
+    lenet_convs = [l for l in zoo_layers("lenet") if isinstance(l, ConvLayer)]
+    alexnet = {l.name: l for l in zoo_layers("alexnet")}
+    for layer in [*lenet_convs, alexnet["conv1"], alexnet["conv2"]]:
         base = maeri_config()
         mapping = MrnaMapper(base).map_conv(layer)
         cycles = {}

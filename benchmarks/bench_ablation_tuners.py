@@ -9,7 +9,6 @@ exhaustive optimum.
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers
 from repro.stonne.config import maeri_config
 from repro.tuner import (
     GATuner,
@@ -18,13 +17,15 @@ from repro.tuner import (
     RandomTuner,
     XGBTuner,
 )
+from repro.zoo import zoo_layers
 
 BUDGET = 160
 
 
 def _make_task():
+    conv3 = {l.name: l for l in zoo_layers("alexnet")}["conv3"]
     return MaeriConvTask(
-        alexnet_conv_layers()[2], maeri_config(), objective="cycles",
+        conv3, maeri_config(), objective="cycles",
         max_options_per_tile=5,
     )
 

@@ -7,13 +7,13 @@ same network across all three simulated architectures at equal PE count
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.mrna import MrnaMapper
 from repro.stonne.config import maeri_config, sigma_config, tpu_config
 from repro.stonne.layer import ConvLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.sigma import SigmaController
 from repro.stonne.tpu import TpuController
+from repro.zoo import zoo_layers
 
 
 def _run():
@@ -24,7 +24,7 @@ def _run():
     tpu = TpuController(tpu_config(ms_rows=16, ms_cols=8))  # 128 PEs
 
     rows = []
-    for layer in alexnet_conv_layers() + alexnet_fc_layers():
+    for layer in zoo_layers("alexnet"):
         if isinstance(layer, ConvLayer):
             maeri_cycles = maeri.run_conv(layer, mapper.map_conv(layer)).cycles
             sigma_cycles = sigma.run_conv(layer).cycles

@@ -9,16 +9,17 @@ reports.
 
 from conftest import emit
 
-from repro.models import alexnet_fc_layers
 from repro.stonne.config import magma_config, sigma_config
+from repro.stonne.layer import FcLayer
 from repro.stonne.magma import MagmaController
 from repro.stonne.sigma import SigmaController
+from repro.zoo import zoo_layers
 
 SPARSITIES = [0, 25, 50, 75, 90]
 
 
 def _run():
-    layers = alexnet_fc_layers()
+    layers = [l for l in zoo_layers("alexnet") if isinstance(l, FcLayer)]
     rows = []
     for sparsity in SPARSITIES:
         sigma = SigmaController(sigma_config(sparsity_ratio=sparsity))

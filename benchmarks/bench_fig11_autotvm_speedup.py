@@ -14,12 +14,12 @@ and the gap is exactly 1.0.
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.stonne.config import maeri_config
-from repro.stonne.layer import ConvLayer
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.tuner import GridSearchTuner, MaeriConvTask, MaeriFcTask, XGBTuner
+from repro.zoo import zoo_layers
 
 CONFIG = maeri_config()
 
@@ -55,12 +55,13 @@ def tune_layer(layer):
 def _run():
     controller = MaeriController(CONFIG)
     rows = []
-    for layer in alexnet_conv_layers():
+    layers = zoo_layers("alexnet")
+    for layer in [l for l in layers if isinstance(l, ConvLayer)]:
         tuned, gap = tune_layer(layer)
         basic_cycles = controller.run_conv(layer, ConvMapping.basic()).cycles
         tuned_cycles = controller.run_conv(layer, tuned).cycles
         rows.append(("conv", layer.name, basic_cycles, tuned_cycles, gap, tuned))
-    for layer in alexnet_fc_layers():
+    for layer in [l for l in layers if isinstance(l, FcLayer)]:
         tuned, gap = tune_layer(layer)
         basic_cycles = controller.run_fc(layer, FcMapping.basic()).cycles
         tuned_cycles = controller.run_fc(layer, tuned).cycles

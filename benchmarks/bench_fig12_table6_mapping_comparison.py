@@ -12,13 +12,13 @@ balanced and vary per layer.
 from conftest import emit
 
 from repro.bifrost.reporting import LayerComparison, comparison_table
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.mrna import MrnaMapper
 from repro.stonne.config import maeri_config
 from repro.stonne.layer import ConvLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.tuner import GridSearchTuner, MaeriConvTask, MaeriFcTask
+from repro.zoo import zoo_layers
 
 CONFIG = maeri_config()
 
@@ -40,7 +40,7 @@ def _run():
     mapper = MrnaMapper(CONFIG)
     comparisons = []
     table6 = []
-    for layer in alexnet_conv_layers() + alexnet_fc_layers():
+    for layer in zoo_layers("alexnet"):
         is_conv = isinstance(layer, ConvLayer)
         tuned = autotvm_mapping(layer)
         mrna = mapper.map_conv(layer) if is_conv else mapper.map_fc(layer)

@@ -6,19 +6,21 @@ fewer cycles (Fig. 9a) and the fully connected layers 54% fewer (Fig. 9b).
 
 from conftest import emit
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.stonne.config import sigma_config
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.sigma import SigmaController
+from repro.zoo import zoo_layers
 
 
 def _sweep():
     dense = SigmaController(sigma_config(sparsity_ratio=0))
     sparse = SigmaController(sigma_config(sparsity_ratio=50))
     rows = []
-    for layer in alexnet_conv_layers():
+    layers = zoo_layers("alexnet")
+    for layer in [l for l in layers if isinstance(l, ConvLayer)]:
         rows.append(("conv", layer.name,
                      dense.run_conv(layer).cycles, sparse.run_conv(layer).cycles))
-    for layer in alexnet_fc_layers():
+    for layer in [l for l in layers if isinstance(l, FcLayer)]:
         rows.append(("fc", layer.name,
                      dense.run_fc(layer).cycles, sparse.run_fc(layer).cycles))
     return rows

@@ -9,13 +9,16 @@ explore before committing to a pruning ratio.
 Run:  python examples/alexnet_sigma_sparsity.py
 """
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.stonne.config import sigma_config
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.sigma import SigmaController
+from repro.zoo import zoo_layers
 
 SPARSITIES = [0, 25, 50, 75, 90]
 
-layers = alexnet_conv_layers() + alexnet_fc_layers()
+layers = zoo_layers("alexnet")
+convs = [l for l in layers if isinstance(l, ConvLayer)]
+fcs = [l for l in layers if isinstance(l, FcLayer)]
 results = {}
 for sparsity in SPARSITIES:
     controller = SigmaController(sigma_config(sparsity_ratio=sparsity))
@@ -42,11 +45,11 @@ base = results[0]
 for sparsity in SPARSITIES[1:]:
     conv_saving = sum(
         1 - results[sparsity][l.name] / base[l.name]
-        for l in alexnet_conv_layers()
+        for l in convs
     ) / 5
     fc_saving = sum(
         1 - results[sparsity][l.name] / base[l.name]
-        for l in alexnet_fc_layers()
+        for l in fcs
     ) / 3
     print(
         f"sparsity {sparsity:>2}%: conv layers save {conv_saving:5.1%}, "

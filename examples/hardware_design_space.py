@@ -9,12 +9,12 @@ deployment asks.
 Run:  python examples/hardware_design_space.py
 """
 
-from repro.models import lenet_conv_layers, lenet_fc_layers
 from repro.session import Session
 from repro.tuner import CallableTask, GridSearchTuner, hardware_space
+from repro.zoo import zoo_layers
 
 CYCLE_BUDGET = 60_000
-LAYERS = [*lenet_conv_layers(), *lenet_fc_layers()]
+LAYERS = zoo_layers("lenet")
 
 
 def total_cycles(hw) -> int:

@@ -8,19 +8,20 @@ then simulates each and prints the cycle comparison of Figure 12.
 Run:  python examples/maeri_mapping_tuning.py
 """
 
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.mrna import MrnaMapper
 from repro.stonne.config import maeri_config
 from repro.stonne.layer import ConvLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.tuner import MaeriConvTask, MaeriFcTask, XGBTuner
+from repro.zoo import zoo_layers
 
 config = maeri_config()  # MAERI, 128 multipliers
 controller = MaeriController(config)
 mapper = MrnaMapper(config)
 
-for layer in [alexnet_conv_layers()[2], alexnet_fc_layers()[0]]:
+alexnet = {l.name: l for l in zoo_layers("alexnet")}
+for layer in [alexnet["conv3"], alexnet["fc1"]]:
     is_conv = isinstance(layer, ConvLayer)
     print(f"== {layer.describe()}")
 

@@ -1,9 +1,8 @@
 """Package metadata for the ``repro`` library and its ``repro`` command.
 
 This file is the only packaging metadata (there is no pyproject.toml).
-It also keeps ``pip install -e .`` working without the ``wheel``
-package, through the ``setup.py develop`` fallback.  The version is read
-from ``src/repro/version.py`` without importing the package.
+The version is read from ``src/repro/version.py`` without importing the
+package.
 """
 
 import re

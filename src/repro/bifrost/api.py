@@ -155,18 +155,14 @@ class StonneBifrostApi:
             raise LayerError(
                 f"conv2d expects 4-D tensors, got {data.shape} and {weights.shape}"
             )
-        n, c, h, w = data.shape
-        k, c_per_g, r, s = weights.shape
-        layer = ConvLayer(
-            name=self._layer_name(layer_name),
-            C=c, H=h, W=w, K=k, R=r, S=s,
-            stride_h=int(strides[0]), stride_w=int(strides[1]),
-            pad_h=int(padding[0]), pad_w=int(padding[1]),
-            G=groups, N=n,
+        layer = ConvLayer.from_nchw(
+            self._layer_name(layer_name), data.shape, weights.shape,
+            strides, padding, groups, dilation=(1, 1),
         )
-        if c_per_g != c // groups:
+        if weights.shape[1] != layer.C // groups:
             raise LayerError(
-                f"weight channels {c_per_g} != C/groups = {c // groups}"
+                f"weight channels {weights.shape[1]} != C/groups = "
+                f"{layer.C // groups}"
             )
         weights = self._maybe_prune(weights)
         stats = self._evaluate(layer)
@@ -219,11 +215,8 @@ class StonneBifrostApi:
                 f"dense weight shape {weights.shape} does not match input "
                 f"features {data.shape[1]}"
             )
-        layer = FcLayer(
-            name=self._layer_name(layer_name),
-            in_features=data.shape[1],
-            out_features=weights.shape[0],
-            batch=data.shape[0],
+        layer = FcLayer.from_shapes(
+            self._layer_name(layer_name), data.shape, weights.shape
         )
         weights = self._maybe_prune(np.asarray(weights, dtype=np.float64))
         stats = self._evaluate(layer)

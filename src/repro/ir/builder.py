@@ -7,7 +7,7 @@ which is how the model zoo (:mod:`repro.models`) defines networks.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -17,11 +17,16 @@ from repro.ir.tensor_type import TensorType
 
 
 class GraphBuilder:
-    """Builds a single-input, single-output feed-forward graph."""
+    """Builds a single-input, single-output feed-forward graph.
+
+    Nodes are typed as they are added, but parameter values are drawn
+    only in :meth:`build`; until then each const holds a zero-stride
+    placeholder, so the unbuilt :attr:`graph` allocates no weights.
+    """
 
     def __init__(self, name: str, input_shape: Tuple[int, ...]) -> None:
         self.graph = Graph(name)
-        self._rng = np.random.default_rng(0)
+        self._draws: List[tuple] = []  # (node id, placeholder, dist, args)
         self._current = self.graph.add_input("data", TensorType(input_shape))
         self._layer_index = 0
 
@@ -31,10 +36,15 @@ class GraphBuilder:
         """Node id the next layer will consume."""
         return self._current
 
-    def _param(self, name: str, shape: Tuple[int, ...], scale: float = 0.05) -> int:
-        """A deterministic random parameter (seeded builder RNG)."""
-        value = self._rng.normal(0.0, scale, size=shape)
-        return self.graph.add_const(name, value)
+    def _param(
+        self, name: str, shape: Tuple[int, ...], dist: str = "normal",
+        args: Tuple[float, float] = (0.0, 0.05),
+    ) -> int:
+        """A parameter const that :meth:`build` fills with
+        ``rng.<dist>(*args)`` from the seeded builder RNG."""
+        node_id = self.graph.add_const(name, np.broadcast_to(0.0, shape))
+        self._draws.append((node_id, self.graph.params[node_id], dist, args))
+        return node_id
 
     def _advance(self, node_id: int) -> "GraphBuilder":
         self._current = node_id
@@ -110,11 +120,11 @@ class GraphBuilder:
         assert in_type is not None
         channels = in_type.shape[1]
         layer = name or f"bn{self._layer_index}"
-        rng = self._rng
-        gamma = self.graph.add_const(f"{layer}.gamma", rng.uniform(0.5, 1.5, channels))
-        beta = self.graph.add_const(f"{layer}.beta", rng.normal(0, 0.1, channels))
-        mean = self.graph.add_const(f"{layer}.mean", rng.normal(0, 0.1, channels))
-        var = self.graph.add_const(f"{layer}.var", rng.uniform(0.5, 1.5, channels))
+        shape = (channels,)
+        gamma = self._param(f"{layer}.gamma", shape, "uniform", (0.5, 1.5))
+        beta = self._param(f"{layer}.beta", shape, "normal", (0.0, 0.1))
+        mean = self._param(f"{layer}.mean", shape, "normal", (0.0, 0.1))
+        var = self._param(f"{layer}.var", shape, "uniform", (0.5, 1.5))
         node = self.graph.add_op(
             "batch_norm",
             [self._current, gamma, beta, mean, var],
@@ -173,6 +183,15 @@ class GraphBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> Graph:
-        """Finalize and return the graph (validates + infers shapes)."""
+        """Draw the parameters in declaration order, then finalize and
+        return the graph (validates + infers shapes).  A placeholder the
+        caller replaced keeps the caller's value, but its draw is still
+        taken, so every other parameter's value stays the same."""
+        rng = np.random.default_rng(0)
+        for node_id, placeholder, dist, args in self._draws:
+            value = getattr(rng, dist)(*args, size=placeholder.shape)
+            if self.graph.params[node_id] is placeholder:
+                self.graph.params[node_id] = value
+        self._draws.clear()
         self.graph.set_outputs([self._current])
         return self.graph.finalize()

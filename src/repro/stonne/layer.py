@@ -81,6 +81,22 @@ class ConvLayer:
                 f"for layer {self.name!r}"
             )
 
+    @classmethod
+    def from_nchw(
+        cls, name: str, data_shape, weight_shape, strides, padding,
+        groups: int, dilation,
+    ) -> "ConvLayer":
+        """The workload of an NCHW-data, KCRS-weight convolution."""
+        n, c, h, w = data_shape
+        k, _, r, s = weight_shape
+        return cls(
+            name, C=c, H=h, W=w, K=k, R=r, S=s,
+            stride_h=int(strides[0]), stride_w=int(strides[1]),
+            pad_h=int(padding[0]), pad_w=int(padding[1]),
+            G=groups, N=n,
+            dil_h=int(dilation[0]), dil_w=int(dilation[1]),
+        )
+
     @property
     def eff_R(self) -> int:
         """Effective (dilated) filter rows: ``(R-1)*dil_h + 1``."""
@@ -163,6 +179,15 @@ class FcLayer:
     in_features: int
     out_features: int
     batch: int = 1
+
+    @classmethod
+    def from_shapes(cls, name: str, data_shape, weight_shape) -> "FcLayer":
+        """The workload of a dense layer: ``(batch, in)`` data against
+        ``(out, in)`` weights."""
+        return cls(
+            name, in_features=data_shape[1], out_features=weight_shape[0],
+            batch=data_shape[0],
+        )
 
     def __post_init__(self) -> None:
         _check_positive("in_features", self.in_features)

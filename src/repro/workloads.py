@@ -1,46 +1,23 @@
-"""Canonical benchmark workloads used across the evaluation.
-
-Centralizes the exact layer parameters the benchmarks reference so every
-bench and test agrees on them.
-"""
+"""The Figure 10 workload: one small convolution and the multiplier
+counts it is swept over, shared by the Fig. 10 bench and its tests."""
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
+from repro.stonne.layer import ConvLayer
 
 
 def fig10_conv() -> ConvLayer:
     """The small convolution of Figure 10.
 
-    The paper specifies a 1x2x10x10 NCHW input with random data; the
-    filter shape is unspecified, so we fix K=8 filters of 3x3 (stride 1,
-    no padding) and document the choice in DESIGN.md.
+    The paper specifies a 1x2x10x10 NCHW input with random data but not
+    the filter shape; this reproduction fixes K=8 filters of 3x3 (stride
+    1, no padding), giving an 8x8 output per filter.
     """
     return ConvLayer("fig10", C=2, H=10, W=10, K=8, R=3, S=3)
-
-
-def tiny_conv() -> ConvLayer:
-    """A minimal conv workload for unit tests."""
-    return ConvLayer("tiny_conv", C=2, H=6, W=6, K=4, R=3, S=3)
-
-
-def tiny_fc() -> FcLayer:
-    """A minimal dense workload for unit tests."""
-    return FcLayer("tiny_fc", in_features=32, out_features=16)
-
-
-def medium_gemm() -> GemmLayer:
-    """A mid-size GEMM for SIGMA/TPU tests."""
-    return GemmLayer("medium_gemm", M=64, K=256, N=32)
 
 
 def multiplier_sweep() -> List[int]:
     """The multiplier counts Figure 10 sweeps."""
     return [8, 16, 32, 64, 128]
-
-
-def sparsity_sweep() -> List[int]:
-    """The sparsity levels of Figure 9 (percent)."""
-    return [0, 50]

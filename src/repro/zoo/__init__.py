@@ -21,14 +21,17 @@ Register your own::
     def my_net():
         return [ConvLayer("c1", C=3, H=32, W=32, K=8, R=3, S=3), ...]
 
-Factories are called fresh on every :func:`zoo_layers` lookup and must
-return a non-empty list of layer descriptors (``ConvLayer`` /
-``FcLayer`` / ``GemmLayer``).
+A factory must return a non-empty list of layer descriptors
+(``ConvLayer`` / ``FcLayer`` / ``GemmLayer``).  It runs once per
+registration, on the first :func:`zoo_layers` lookup; every lookup
+returns a fresh list of those (immutable) descriptors.  Re-registering
+with ``replace=True`` runs the new factory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -43,13 +46,17 @@ class ZooEntry:
     description: str = ""
     tags: Tuple[str, ...] = ()
 
-    def layers(self) -> List:
-        layers = list(self.factory())
+    @cached_property
+    def _layers(self) -> Tuple:
+        layers = tuple(self.factory())
         if not layers:
             raise ReproError(
                 f"zoo model {self.name!r} produced no layers"
             )
         return layers
+
+    def layers(self) -> List:
+        return list(self._layers)
 
 
 _REGISTRY: Dict[str, ZooEntry] = {}
@@ -142,25 +149,25 @@ def _ensure_builtin_models() -> None:
 
     register_model(
         "alexnet",
-        lambda: classic.alexnet_conv_layers() + classic.alexnet_fc_layers(),
+        lambda: classic.graph_layers(classic.alexnet_builder().graph),
         description="AlexNet conv+fc stack (paper Table II)",
         tags=("classic", "cnn"),
     )
     register_model(
         "lenet",
-        lambda: classic.lenet_conv_layers() + classic.lenet_fc_layers(),
+        lambda: classic.graph_layers(classic.lenet_builder().graph),
         description="LeNet-5 conv+fc stack",
         tags=("classic", "cnn"),
     )
     register_model(
         "vgg_small",
-        lambda: classic.vgg_small_conv_layers() + classic.vgg_small_fc_layers(),
+        lambda: classic.graph_layers(classic.vgg_small_builder().graph),
         description="Reduced VGG conv+fc stack",
         tags=("classic", "cnn"),
     )
     register_model(
         "mlp",
-        lambda: classic.mlp_fc_layers(),
+        lambda: classic.graph_layers(classic.mlp_builder().graph),
         description="3-layer MLP (dense only)",
         tags=("classic", "mlp"),
     )

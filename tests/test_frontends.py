@@ -45,6 +45,29 @@ class TestNativeFrontend:
         data = np.array([[1.0, 2.0, 3.0, 4.0]])
         np.testing.assert_allclose(compile_graph(graph)(data), data)
 
+    def test_override_keeps_the_next_layers_weights(self):
+        """An explicit weight replaces only its own parameter: the random
+        layer after it gets the weights it gets without the override."""
+
+        def spec(first):
+            return {
+                "input_shape": [1, 4],
+                "layers": [
+                    {"op": "dense", "units": 4, "name": "first", **first},
+                    {"op": "dense", "units": 3, "name": "second"},
+                ],
+            }
+
+        def params(graph):
+            return {graph.nodes[i].name: v for i, v in graph.params.items()}
+
+        plain = params(from_native(spec({})))
+        overridden = params(from_native(spec({"weight": np.eye(4)})))
+        np.testing.assert_array_equal(overridden["first.weight"], np.eye(4))
+        assert not np.array_equal(plain["first.weight"], np.eye(4))
+        for name in ("first.bias", "second.weight", "second.bias"):
+            np.testing.assert_array_equal(overridden[name], plain[name])
+
     def test_weight_shape_mismatch(self):
         spec = {
             "input_shape": [1, 4],

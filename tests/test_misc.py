@@ -4,14 +4,7 @@ import pytest
 
 import repro
 from repro import errors
-from repro.workloads import (
-    fig10_conv,
-    medium_gemm,
-    multiplier_sweep,
-    sparsity_sweep,
-    tiny_conv,
-    tiny_fc,
-)
+from repro.workloads import fig10_conv, multiplier_sweep
 
 
 class TestErrorsHierarchy:
@@ -44,14 +37,8 @@ class TestWorkloads:
         assert (layer.N, layer.C, layer.H, layer.W) == (1, 2, 10, 10)
         assert (layer.K, layer.R, layer.S) == (8, 3, 3)  # documented choice
 
-    def test_tiny_workloads_fit_smallest_array(self):
-        assert tiny_conv().macs > 0
-        assert tiny_fc().macs > 0
-        assert medium_gemm().macs == 64 * 256 * 32
-
     def test_sweeps_match_paper(self):
         assert multiplier_sweep() == [8, 16, 32, 64, 128]
-        assert sparsity_sweep() == [0, 50]
 
 
 class TestPackageSurface:

@@ -1,5 +1,8 @@
 """Tests for the model zoo and the reporting helpers."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,17 +15,12 @@ from repro.bifrost.reporting import (
     stats_to_json,
 )
 from repro.models import (
-    alexnet_conv_layers,
-    alexnet_fc_layers,
+    alexnet_builder,
     alexnet_graph,
-    alexnet_layers,
-    lenet_conv_layers,
-    lenet_fc_layers,
+    graph_layers,
     lenet_graph,
-    mlp_fc_layers,
+    mlp_builder,
     mlp_graph,
-    vgg_small_conv_layers,
-    vgg_small_fc_layers,
     vgg_small_graph,
 )
 from repro.runtime import compile_graph
@@ -30,40 +28,68 @@ from repro.stonne.config import maeri_config
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping
+from repro.zoo import zoo_layers
 
 
-def _graph_layers(graph):
-    """The ConvLayer/FcLayer of every conv2d/dense node, derived only from
-    the node's input and weight tensor types and its attrs."""
-    layers = []
-    for node in graph.op_nodes():
-        if node.op_name not in ("conv2d", "dense"):
-            continue
-        data, weight = (graph.nodes[i].ttype.shape for i in node.inputs[:2])
-        if node.op_name == "dense":
-            layers.append(FcLayer(
-                node.name, in_features=data[1], out_features=weight[0],
-                batch=data[0],
-            ))
-            continue
-        attrs = node.attrs
-        assert attrs["data_layout"] == "NCHW"
-        assert attrs["kernel_layout"] == "KCRS"
-        n, c, h, w = data
-        k, _, r, s = weight
-        layers.append(ConvLayer(
-            node.name, C=c, H=h, W=w, K=k, R=r, S=s,
-            stride_h=attrs["strides"][0], stride_w=attrs["strides"][1],
-            pad_h=attrs["padding"][0], pad_w=attrs["padding"][1],
-            G=attrs["groups"], N=n,
-            dil_h=attrs["dilation"][0], dil_w=attrs["dilation"][1],
-        ))
-    return layers
+def _split(model):
+    """A zoo model's conv and FC descriptors, each in graph order."""
+    layers = zoo_layers(model)
+    return (
+        [l for l in layers if isinstance(l, ConvLayer)],
+        [l for l in layers if isinstance(l, FcLayer)],
+    )
+
+
+#: The hand-written descriptor lists the classic zoo entries served before
+#: they were derived from the model graphs, frozen as literals.
+FROZEN_DESCRIPTORS = {
+    "alexnet": [
+        ConvLayer("conv1", C=3, H=224, W=224, K=64, R=11, S=11,
+                  stride_h=4, stride_w=4, pad_h=2, pad_w=2),
+        ConvLayer("conv2", C=64, H=27, W=27, K=192, R=5, S=5,
+                  pad_h=2, pad_w=2),
+        ConvLayer("conv3", C=192, H=13, W=13, K=384, R=3, S=3,
+                  pad_h=1, pad_w=1),
+        ConvLayer("conv4", C=384, H=13, W=13, K=256, R=3, S=3,
+                  pad_h=1, pad_w=1),
+        ConvLayer("conv5", C=256, H=13, W=13, K=256, R=3, S=3,
+                  pad_h=1, pad_w=1),
+        FcLayer("fc1", in_features=9216, out_features=4096),
+        FcLayer("fc2", in_features=4096, out_features=4096),
+        FcLayer("fc3", in_features=4096, out_features=1000),
+    ],
+    "lenet": [
+        ConvLayer("conv1", C=1, H=28, W=28, K=6, R=5, S=5, pad_h=2, pad_w=2),
+        ConvLayer("conv2", C=6, H=14, W=14, K=16, R=5, S=5),
+        FcLayer("fc1", in_features=400, out_features=120),
+        FcLayer("fc2", in_features=120, out_features=84),
+        FcLayer("fc3", in_features=84, out_features=10),
+    ],
+    "vgg_small": [
+        ConvLayer(name, C=c, H=hw, W=hw, K=k, R=3, S=3, pad_h=1, pad_w=1)
+        for name, c, hw, k in (
+            ("conv1", 3, 64, 64),
+            ("conv2", 64, 32, 128),
+            ("conv3", 128, 16, 256),
+            ("conv4", 256, 16, 256),
+            ("conv5", 256, 8, 512),
+            ("conv6", 512, 8, 512),
+        )
+    ] + [
+        FcLayer("fc1", in_features=512 * 4 * 4, out_features=1024),
+        FcLayer("fc2", in_features=1024, out_features=100),
+    ],
+    "mlp": [
+        FcLayer("fc1", in_features=784, out_features=256),
+        FcLayer("fc2", in_features=256, out_features=128),
+        FcLayer("fc3", in_features=128, out_features=10),
+    ],
+}
 
 
 class TestAlexNet:
     def test_conv_descriptors_match_paper_dimensions(self):
-        convs = alexnet_conv_layers()
+        convs, _ = _split("alexnet")
         assert [c.name for c in convs] == [f"conv{i}" for i in range(1, 6)]
         conv1 = convs[0]
         assert (conv1.P, conv1.Q) == (55, 55)
@@ -71,13 +97,13 @@ class TestAlexNet:
         assert convs[1].H == 27 and convs[2].H == 13
 
     def test_fc_descriptors_match_paper(self):
-        fcs = alexnet_fc_layers()
+        _, fcs = _split("alexnet")
         assert [(f.in_features, f.out_features) for f in fcs] == [
             (9216, 4096), (4096, 4096), (4096, 1000),
         ]
 
     def test_layers_order(self):
-        layers = alexnet_layers()
+        layers = zoo_layers("alexnet")
         assert len(layers) == 8
         assert layers[0].name == "conv1" and layers[-1].name == "fc3"
 
@@ -89,15 +115,15 @@ class TestAlexNet:
         assert len(fc_nodes) == 3
         out = graph.nodes[graph.output_ids[0]]
         assert out.ttype.shape == (1, 1000)
-        # Geometry, names included: each hand-written descriptor list is
-        # exactly what its graph's conv2d/dense nodes describe.
-        for model_graph, descriptors in (
-            (graph, alexnet_layers()),
-            (lenet_graph(), lenet_conv_layers() + lenet_fc_layers()),
-            (vgg_small_graph(), vgg_small_conv_layers() + vgg_small_fc_layers()),
-            (mlp_graph(16, (8, 4), 3), mlp_fc_layers(16, (8, 4), 3)),
-        ):
-            assert _graph_layers(model_graph) == descriptors
+        # Geometry, names included: each classic's descriptors, derived
+        # from its graph, equal the frozen hand-written lists.
+        for name, descriptors in FROZEN_DESCRIPTORS.items():
+            assert zoo_layers(name) == descriptors, name
+        assert graph_layers(mlp_builder(16, (8, 4), 3).graph) == [
+            FcLayer("fc1", in_features=16, out_features=8),
+            FcLayer("fc2", in_features=8, out_features=4),
+            FcLayer("fc3", in_features=4, out_features=3),
+        ]
 
     @pytest.mark.slow
     def test_graph_executes(self, rng):
@@ -108,18 +134,62 @@ class TestAlexNet:
         assert np.isfinite(out).all()
 
 
+def _params_digest(graph):
+    """sha256 over every parameter (name, shape, dtype, bytes) in node-id
+    order, then the graph dump; first 16 hex digits."""
+    digest = hashlib.sha256()
+    for node_id in sorted(graph.params):
+        value = graph.params[node_id]
+        digest.update(graph.nodes[node_id].name.encode())
+        digest.update(str(value.shape).encode())
+        digest.update(str(value.dtype).encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    digest.update(graph.describe().encode())
+    return digest.hexdigest()[:16]
+
+
+class TestDeferredDraws:
+    """The builder draws weights only in ``build()``, in declaration order,
+    so built graphs keep the weights drawn when each layer was added."""
+
+    @pytest.mark.parametrize("make_graph, expected", [
+        (lenet_graph, "3713965899f3e1e6"),
+        (vgg_small_graph, "9aa551069b94bac4"),
+        (mlp_graph, "54f9d926690db8ba"),
+    ])
+    def test_built_params_unchanged(self, make_graph, expected):
+        assert _params_digest(make_graph()) == expected
+
+    @pytest.mark.slow
+    def test_alexnet_params_unchanged(self):
+        assert _params_digest(alexnet_graph()) == "281cd95d485be787"
+
+    def test_descriptors_draw_no_weights(self):
+        # Drawing AlexNet's float64 weights allocates about 500 MB.
+        tracemalloc.start()
+        try:
+            layers = graph_layers(alexnet_builder().graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(layers) == 8
+        assert peak < 5 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 class TestOtherModels:
     def test_lenet_descriptors_and_graph(self, rng):
         graph = lenet_graph()
         out = compile_graph(graph, apply_passes=False)(rng.normal(size=(1, 1, 28, 28)))
         assert out.shape == (1, 10)
-        assert len(lenet_conv_layers()) == 2
-        assert lenet_fc_layers()[0].in_features == 400
+        convs, fcs = _split("lenet")
+        assert len(convs) == 2
+        assert fcs[0].in_features == 400
 
     def test_vgg_small_descriptors_consistent(self):
         graph = vgg_small_graph()
-        assert len(graph.op_nodes("conv2d")) == len(vgg_small_conv_layers())
-        assert len(graph.op_nodes("dense")) == len(vgg_small_fc_layers())
+        convs, fcs = _split("vgg_small")
+        assert len(graph.op_nodes("conv2d")) == len(convs)
+        assert len(graph.op_nodes("dense")) == len(fcs)
 
     def test_vgg_small_executes_with_bn_folding(self, rng):
         graph = vgg_small_graph(num_classes=10)
@@ -133,7 +203,7 @@ class TestOtherModels:
         graph = mlp_graph(16, (8, 4), 3)
         out = compile_graph(graph, apply_passes=False)(rng.normal(size=(1, 16)))
         assert out.shape == (1, 3)
-        layers = mlp_fc_layers(16, (8, 4), 3)
+        layers = graph_layers(mlp_builder(16, (8, 4), 3).graph)
         assert [(l.in_features, l.out_features) for l in layers] == [
             (16, 8), (8, 4), (4, 3),
         ]

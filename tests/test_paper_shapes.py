@@ -12,12 +12,18 @@ from repro.bifrost import run_layers
 from repro.mrna import MrnaMapper
 from repro.session import Session
 from repro.stonne.config import maeri_config, sigma_config
+from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.sigma import SigmaController
-from repro.models import alexnet_conv_layers, alexnet_fc_layers
 from repro.tuner import GridSearchTuner, MaeriFcTask
 from repro.workloads import fig10_conv, multiplier_sweep
+from repro.zoo import zoo_layers
+
+
+def _alexnet(kind):
+    """AlexNet's conv or FC descriptors (``kind``), in graph order."""
+    return [l for l in zoo_layers("alexnet") if isinstance(l, kind)]
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +35,7 @@ class TestFig9Shape:
     """SIGMA at 50% sparsity: conv about 44% fewer cycles, FC about 54%."""
 
     def test_conv_band(self):
-        layers = alexnet_conv_layers()
+        layers = _alexnet(ConvLayer)
         dense = SigmaController(sigma_config(sparsity_ratio=0))
         sparse = SigmaController(sigma_config(sparsity_ratio=50))
         savings = [
@@ -40,7 +46,7 @@ class TestFig9Shape:
         assert 0.35 <= mean <= 0.50, f"conv sparsity saving {mean:.2%}"
 
     def test_fc_band(self):
-        layers = alexnet_fc_layers()
+        layers = _alexnet(FcLayer)
         dense = SigmaController(sigma_config(sparsity_ratio=0))
         sparse = SigmaController(sigma_config(sparsity_ratio=50))
         savings = [
@@ -51,8 +57,8 @@ class TestFig9Shape:
         assert 0.48 <= mean <= 0.62, f"fc sparsity saving {mean:.2%}"
 
     def test_fc_saves_more_than_conv(self):
-        conv = alexnet_conv_layers()[2]
-        fc = alexnet_fc_layers()[0]
+        conv = _alexnet(ConvLayer)[2]
+        fc = _alexnet(FcLayer)[0]
         dense = SigmaController(sigma_config(sparsity_ratio=0))
         sparse = SigmaController(sigma_config(sparsity_ratio=50))
         conv_saving = 1 - sparse.run_conv(conv).cycles / dense.run_conv(conv).cycles
@@ -97,7 +103,7 @@ class TestFig11Shape:
     def test_fc_speedup_band(self, controller):
         """Paper: ~11x average for the fully connected layers."""
         speedups = []
-        for layer in alexnet_fc_layers():
+        for layer in _alexnet(FcLayer):
             basic = controller.run_fc(layer, FcMapping.basic()).cycles
             tuned = controller.run_fc(layer, FcMapping(T_S=128, T_K=1)).cycles
             speedups.append(basic / tuned)
@@ -108,7 +114,7 @@ class TestFig11Shape:
         """Paper: ~51x average (max 77x) for the conv layers."""
         mapper_cfg = maeri_config()
         speedups = []
-        for layer in alexnet_conv_layers():
+        for layer in _alexnet(ConvLayer):
             task_best = None
             # psum-optimal structured mapping: maximize spatial reduction
             from repro.tuner import MaeriConvTask, GridSearchTuner
@@ -130,7 +136,7 @@ class TestFig12AndTable6Shape:
     def test_fc_psum_optimum_is_skewed_and_layer_invariant(self):
         config = maeri_config()
         chosen = []
-        for layer in alexnet_fc_layers():
+        for layer in _alexnet(FcLayer):
             task = MaeriFcTask(layer, config, objective="psums")
             result = GridSearchTuner(task).tune(n_trials=20000)
             chosen.append(task.best_mapping(result.best_config).as_tuple())
@@ -141,7 +147,7 @@ class TestFig12AndTable6Shape:
 
     def test_mrna_beats_autotvm_on_fc(self, controller):
         mapper = MrnaMapper(maeri_config())
-        for layer in alexnet_fc_layers():
+        for layer in _alexnet(FcLayer):
             autotvm_cycles = controller.run_fc(
                 layer, FcMapping(T_S=128, T_K=1)
             ).cycles
@@ -151,7 +157,7 @@ class TestFig12AndTable6Shape:
 
     def test_mrna_mappings_vary_per_fc_layer(self):
         mapper = MrnaMapper(maeri_config())
-        tuples = [mapper.map_fc(l).as_tuple() for l in alexnet_fc_layers()]
+        tuples = [mapper.map_fc(l).as_tuple() for l in _alexnet(FcLayer)]
         assert len(set(tuples)) >= 2
 
     def test_mrna_modestly_better_on_conv(self, controller):
@@ -159,7 +165,7 @@ class TestFig12AndTable6Shape:
         from repro.tuner import MaeriConvTask
 
         mapper = MrnaMapper(maeri_config())
-        layer = alexnet_conv_layers()[2]  # conv3
+        layer = _alexnet(ConvLayer)[2]  # conv3
         task = MaeriConvTask(layer, maeri_config(), objective="psums",
                              max_options_per_tile=4)
         result = GridSearchTuner(task).tune(n_trials=4000)
@@ -173,6 +179,6 @@ class TestEndToEndAlexNetSubset:
     def test_run_layers_with_mrna_session(self):
         """Whole-pipeline smoke: AlexNet FC stack under the mRNA strategy."""
         with Session(simulator_config=maeri_config(), mapping="mrna") as s:
-            stats = run_layers(alexnet_fc_layers(), s)
+            stats = run_layers(_alexnet(FcLayer), s)
         assert len(stats) == 3
         assert all(s.cycles > 0 for s in stats)

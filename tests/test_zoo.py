@@ -72,6 +72,29 @@ class TestRegistry:
         with pytest.raises(ReproError, match="no layers"):
             zoo_layers(scratch_model)
 
+    def test_factory_runs_once_per_registration(self, scratch_model):
+        calls = []
+
+        def factory(name):
+            calls.append(name)
+            return [FcLayer(name, 4, 4)]
+
+        register_model(scratch_model, lambda: factory("a"))
+        assert zoo_layers(scratch_model) == zoo_layers(scratch_model)
+        assert calls == ["a"]
+        register_model(scratch_model, lambda: factory("b"), replace=True)
+        assert zoo_layers(scratch_model)[0].name == "b"
+        assert zoo_layers(scratch_model)[0].name == "b"
+        assert calls == ["a", "b"]
+
+    def test_empty_factory_raises_on_every_lookup(self, scratch_model):
+        calls = []
+        register_model(scratch_model, lambda: calls.append(1) or [])
+        for _ in range(2):
+            with pytest.raises(ReproError, match="no layers"):
+                zoo_layers(scratch_model)
+        assert len(calls) == 2
+
     def test_factories_return_fresh_lists(self):
         first = zoo_layers("mlp")
         second = zoo_layers("mlp")
