@@ -21,18 +21,16 @@ def _collect(task_cls, layer, **kwargs):
     config = maeri_config()
     psums_task = task_cls(layer, config, objective="psums", **kwargs)
     cycles_task = task_cls(layer, config, objective="cycles", **kwargs)
-    pairs = []
-    for index in psums_task.space.valid_indices():
-        cfg = psums_task.space.config_at(index)
-        pairs.append(
-            (psums_task.evaluate(cfg), cycles_task.evaluate(cfg))
-        )
-    psums = np.array([p for p, _ in pairs])
-    cycles = np.array([c for _, c in pairs])
+    configs = [
+        psums_task.space.config_at(index)
+        for index in psums_task.space.valid_indices()
+    ]
+    psums = np.array(psums_task.evaluate_batch(configs))
+    cycles = np.array(cycles_task.evaluate_batch(configs))
     rho = scipy_stats.spearmanr(psums, cycles).statistic
     psum_opt_cycles = cycles[int(np.argmin(psums))]
     cycle_opt = cycles.min()
-    return rho, psum_opt_cycles, cycle_opt, len(pairs)
+    return rho, psum_opt_cycles, cycle_opt, len(configs)
 
 
 def _run():

@@ -1,12 +1,18 @@
 #!/usr/bin/env python
 """Distributed smoke test: two real worker daemons vs serial execution.
 
-Spawns two ``repro worker`` processes on ephemeral localhost ports, runs
-a small GA tune through ``--executor remote`` against them, runs the
-identical tune with ``--executor serial``, and asserts the two report
-the *same best mapping and best cost* — the fleet tier is an execution
-detail, never an approximation.  Exits non-zero on any divergence, so
-CI can gate on it.
+Spawns two ``repro worker`` processes on ephemeral localhost ports and
+runs two legs against them:
+
+* a small GA tune through ``--executor remote``, which must report the
+  *same best mapping and best cost* as the identical tune with
+  ``--executor serial``;
+* LeNet's IR graph through a ``Session`` on ``executor="remote"``, whose
+  one-layer-at-a-time evaluations must be served by the daemons and
+  give the same per-layer cycles as a serial session.
+
+The fleet tier is an execution detail, never an approximation.  Exits
+non-zero on any divergence, so CI can gate on it.
 
 Usage: PYTHONPATH=src python scripts/distributed_smoke.py
 """
@@ -69,6 +75,32 @@ def _tune(env: dict, extra: list) -> list:
     )
 
 
+def _graph_cycles(addresses: list) -> tuple:
+    """Per-layer cycles of LeNet's graph on a serial session and on a
+    remote one, plus the remote backend's shard and fallback counts."""
+    import numpy as np
+
+    from repro.models import lenet_graph
+    from repro.session import Session
+
+    feeds = {"data": np.random.default_rng(0).standard_normal((1, 1, 28, 28))}
+
+    def cycles(session) -> list:
+        report = session.run_graph(lenet_graph(), feeds)
+        return [stats.cycles for stats in report.layer_stats]
+
+    with Session(arch="maeri", mapping="mrna") as session:
+        serial = cycles(session)
+    with Session(
+        arch="maeri", mapping="mrna", executor="remote", workers=addresses,
+    ) as session:
+        remote = cycles(session)
+        backend = session.engine.backend
+        shards = backend.metrics.counters_with_prefix("fleet.shards.")
+        fallbacks = backend.fallback_batches
+    return serial, remote, shards, fallbacks
+
+
 def main() -> int:
     env = _env()
     workers = []
@@ -79,6 +111,9 @@ def main() -> int:
         serial, _ = _tune(env, ["--executor", "serial"])
         remote, fleet = _tune(
             env, ["--executor", "remote", "--workers", addresses]
+        )
+        graph_serial, graph_remote, shards, graph_fallbacks = _graph_cycles(
+            [address for _, address in workers]
         )
     finally:
         for proc, _ in workers:
@@ -99,8 +134,17 @@ def main() -> int:
         print(f"FAIL: fleet did not serve the run cleanly: {fleet}",
               file=sys.stderr)
         return 1
-    print("OK: remote 2-worker tune is bit-identical to serial "
-          "(workers served, no fallback)")
+    print(f"graph serial: {graph_serial}")
+    print(f"graph remote: {graph_remote}  shards {shards}, "
+          f"{graph_fallbacks} fallback batches")
+    if not graph_serial or graph_serial != graph_remote:
+        print("FAIL: remote graph run diverged from serial", file=sys.stderr)
+        return 1
+    if sum(shards.values()) == 0 or graph_fallbacks:
+        print("FAIL: the daemons did not serve the graph run", file=sys.stderr)
+        return 1
+    print("OK: remote 2-worker tune and LeNet graph run are bit-identical "
+          "to serial (workers served, no fallback)")
     return 0
 
 

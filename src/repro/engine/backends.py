@@ -163,10 +163,10 @@ def simulate_layer(controller, layer, mapping, functional: bool):
     """Run one cycle-model simulation (plus the exact datapath when
     ``functional``) on an already-built controller.
 
-    This is the single definition of "simulate" shared by the engine's
-    in-process path and the process backend's workers, so the two can
-    never drift apart.  Outputs of the functional datapath are discarded —
-    they never affect stats.
+    This is the single definition of "simulate": :func:`simulate_chunk`
+    runs every singleton group and every functional item through it, in
+    every backend's slots alike.  Outputs of the functional datapath are
+    discarded — they never affect stats.
     """
     import numpy as np
 
@@ -263,15 +263,6 @@ def simulate_chunk(controller, pairs, functional: bool) -> List:
         except Exception as exc:
             results[index] = exc
     return results
-
-
-def _simulate_item(engine, item: WorkItem) -> WorkResult:
-    """Run one simulation in the calling thread, capturing errors."""
-    key, request = item
-    try:
-        return key, engine._simulate(request.layer, request.mapping)
-    except Exception as exc:  # per-item isolation, re-raised by callers
-        return key, exc
 
 
 class SerialBackend(ExecutorBackend):
@@ -409,7 +400,10 @@ class ProcessBackend(ExecutorBackend):
     runs as one chunk on the caller's thread, in-process, and no worker
     starts; only an explicit ``chunk_size`` sends groups through the
     workers.  That also means only an explicit ``chunk_size`` isolates
-    the caller from a simulation that kills its interpreter.
+    the caller from a simulation that kills its interpreter.  A single
+    ``EvaluationEngine.evaluate`` is a one-request batch and follows the
+    same rule: inline under automatic chunking, on a worker under an
+    explicit ``chunk_size``.
 
     Slot ``i`` is worker ``i`` is pipe ``i`` (``slot=None`` is worker 0).
     :meth:`run_chunk` sends the chunk down its slot's pipe and blocks

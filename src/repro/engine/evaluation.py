@@ -13,14 +13,16 @@ overview.  The key design points:
   :class:`~repro.stonne.stats.SimulationStats` with ``layer_name``
   rewritten to the requesting layer's name, so records stay attributable
   even when they were produced by a different layer of the same shape.
-* **Pluggable batching.**  ``evaluate_many`` splits a batch into cache
-  hits and misses and hands the misses to an executor backend
-  (:mod:`repro.engine.backends`): serial, threaded, or one worker
-  process per slot.  Batch-internal duplicates simulate once.  Worker
-  threads lazily build their own controller (controllers keep internal
-  tallies, e.g. the accumulation buffer's write counters, which must
-  not race); worker processes return ``(key, stats)`` pairs that merge
-  into the parent cache.
+* **One evaluation path.**  ``evaluate_many`` splits a batch into cache
+  hits and misses and hands the misses to the pull scheduler
+  (:mod:`repro.engine.scheduler`), which runs them on an executor
+  backend (:mod:`repro.engine.backends`): serial, threaded, one worker
+  process per slot, or a fleet.  ``evaluate`` is a one-request batch,
+  so a single evaluation takes the same path.  Batch-internal
+  duplicates simulate once.  Worker threads lazily build their own
+  controller (controllers keep internal tallies, e.g. the accumulation
+  buffer's write counters, which must not race); worker processes
+  return ``(key, stats)`` pairs that merge into the parent cache.
 """
 
 from __future__ import annotations
@@ -214,7 +216,11 @@ class EvaluationEngine:
         params: Cycle-model calibration constants.
         cache: A shared :class:`StatsCache`; a private one is created
             when omitted.  Sharing a cache across engines is safe — the
-            config/params fingerprint is part of every key.
+            config/params fingerprint is part of every key.  Any object
+            serves whose ``get`` and ``put_many`` match the
+            :class:`StatsCache` ones: those two are the engine's whole
+            cache seam (:meth:`counters` also reads ``hits``,
+            ``misses``, ``hit_rate`` and ``len``).
         cache_enabled: When False every evaluation simulates (the cache
             is neither consulted nor populated); counters still track.
         functional: When True every *simulation* also executes the exact
@@ -286,47 +292,13 @@ class EvaluationEngine:
         return controller
 
     # ------------------------------------------------------------------
-    def _simulate(self, layer: Layer, mapping: Optional[Mapping]) -> SimulationStats:
-        from repro.engine.backends import simulate_layer
-
-        return simulate_layer(
-            self._local_controller(), layer, mapping, self.functional
-        )
-
-    # ------------------------------------------------------------------
     def evaluate(
         self, layer: Layer, mapping: Optional[Mapping] = None
     ) -> SimulationStats:
-        """Stats for simulating ``layer`` (cache-first, then simulate)."""
-        if not isinstance(layer, (ConvLayer, FcLayer, GemmLayer)):
-            raise SimulationError(
-                f"EvaluationEngine expects ConvLayer/FcLayer/GemmLayer, "
-                f"got {type(layer).__name__}"
-            )
-        with self._counter_lock:
-            self.num_evaluations += 1
-        if not self.cache_enabled:
-            stats = self._simulate(layer, mapping)
-            with self._counter_lock:
-                self.num_simulations += 1
-            return stats
-
-        key = evaluation_key(self._fingerprint, layer, mapping)
-        cached = self.cache.get(key)
-        if cached is not None:
-            # Attribute a copy rather than renaming in place: the
-            # built-in tiers return private copies, but a duck-typed
-            # cache may hand back its stored record, and mutating that
-            # would rename every earlier hit of the same key.
-            return cached.clone(layer_name=layer.name)
-        stats = self._simulate(layer, mapping)
-        with self._counter_lock:
-            self.num_simulations += 1
-        self.cache.put(key, stats)
-        return stats
-
-    def evaluate_request(self, request: EvalRequest) -> SimulationStats:
-        return self.evaluate(request.layer, request.mapping)
+        """Stats for simulating ``layer``: a one-request
+        :meth:`evaluate_many`, so it takes the same cache-first path and
+        runs a miss on the engine's executor backend like any batch."""
+        return self.evaluate_many([EvalRequest(layer, mapping)])[0]
 
     def plan_many(
         self, requests: Iterable[Union[EvalRequest, Layer]]

@@ -22,9 +22,12 @@ drains each miss batch as chunks, one puller per slot.
   worker;
 * a chunk whose worker dies mid-flight is *retried* on the surviving
   workers, so one crash costs one round trip, not the sweep;
-* when no worker is reachable there is one slot and its chunks fall
-  back to inline serial execution, so ``--executor remote`` degrades to
-  ``--executor serial`` instead of failing a run.
+* when no worker is reachable there is one slot and its chunks run
+  inline through :meth:`ExecutorBackend.run_chunk
+  <repro.engine.backends.ExecutorBackend.run_chunk>` — the serial
+  backend's own path, same-layer batch kernels included — so
+  ``--executor remote`` degrades to ``--executor serial`` instead of
+  failing a run.  Items a worker drops or garbles run the same way.
 
 Per-item errors (invalid mappings and friends) are captured exception
 entries, exactly like every other backend; worker-side
@@ -37,12 +40,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.engine.backends import (
     ExecutorBackend,
+    WorkItem,
     WorkResult,
-    _simulate_item,
     register_backend,
 )
 from repro.fleet import protocol
@@ -168,37 +171,32 @@ class RemoteBackend(ExecutorBackend):
         addresses = self._addresses()
         if not addresses:
             self.fallback_batches += 1
-            return [_simulate_item(engine, item) for item in items]
-        spec = protocol.engine_spec(engine)
-        indexed = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
-        ]
+            return ExecutorBackend.run_chunk(self, engine, items)
         preferred = slot[0] if isinstance(slot, tuple) else addresses[0]
-        results: List[Optional[WorkResult]] = [None] * len(items)
-        for position, result in self._run_shard(
-            engine, spec, indexed, preferred=preferred, all_addresses=addresses
-        ):
-            results[position] = result
-        return results  # type: ignore[return-value]
+        return self._run_shard(
+            engine, items, preferred=preferred, all_addresses=addresses
+        )
 
     # ------------------------------------------------------------------
     def _run_shard(
         self,
         engine,
-        spec: dict,
-        shard: List[Tuple],
+        items: Sequence[WorkItem],
         preferred: str,
         all_addresses: List[str],
-    ) -> List[Tuple[int, WorkResult]]:
+    ) -> List[WorkResult]:
         """Execute one shard: preferred worker, then survivors, then inline.
 
-        Returns (position, (key, stats-or-exception)) pairs.
+        Returns ``(key, stats-or-exception)`` pairs in submission order.
         """
-        by_pos = {position: (key, layer, mapping)
-                  for position, key, layer, mapping in shard}
+        shard = [
+            (position, key, request.layer, request.mapping)
+            for position, (key, request) in enumerate(items)
+        ]
         candidates = [preferred] + [a for a in all_addresses if a != preferred]
-        message = protocol.evaluate_batch_message(spec, shard)
+        message = protocol.evaluate_batch_message(
+            protocol.engine_spec(engine), shard
+        )
         registry = self.metrics
         with TRACER.span(
             "fleet.shard", category="fleet",
@@ -223,23 +221,12 @@ class RemoteBackend(ExecutorBackend):
                 registry.counter(f"fleet.shards.{address}").inc()
                 registry.counter(f"fleet.items.{address}").inc(len(shard))
                 self._record_worker_timing(address, response, registry)
-                return self._decode_results(engine, response, by_pos)
+                return self._decode_results(engine, response, items)
             span.set(fallback=True)
         # No worker produced results: inline serial fallback.
         self.fallback_batches += 1
         registry.counter("fleet.fallback_batches").inc()
-        return [
-            (
-                position,
-                _simulate_item(
-                    engine,
-                    (key, _Request(layer, mapping)),
-                ),
-            )
-            for position, (key, layer, mapping) in (
-                (p, by_pos[p]) for p in sorted(by_pos)
-            )
-        ]
+        return ExecutorBackend.run_chunk(self, engine, items)
 
     def _record_worker_timing(self, address, response, registry) -> None:
         """Absorb a worker's self-reported ``timing`` (optional key).
@@ -272,38 +259,43 @@ class RemoteBackend(ExecutorBackend):
                 attrs=dict(timing, address=address),
             )
 
-    @staticmethod
-    def _decode_results(engine, response: dict, by_pos: dict):
+    def _decode_results(
+        self, engine, response: dict, items: Sequence[WorkItem]
+    ) -> List[WorkResult]:
         from repro.stonne.stats import SimulationStats
 
-        out: List[Tuple[int, WorkResult]] = []
-        seen = set()
+        results: List[Optional[WorkResult]] = [None] * len(items)
         for entry in response.get("items", []):
             position = entry.get("pos")
-            if position not in by_pos or position in seen:
+            if (
+                not isinstance(position, int)
+                or not 0 <= position < len(items)
+                or results[position] is not None
+            ):
                 continue  # unknown or duplicate position: ignore
-            key = by_pos[position][0]
+            key = items[position][0]
             if "stats" in entry:
                 try:
                     stats = SimulationStats.from_dict(entry["stats"])
                 except (KeyError, TypeError, ValueError):
                     continue  # undecodable entry: leave it for the
                     # inline remainder pass below (skewed peer)
-                seen.add(position)
-                out.append((position, (key, stats)))
+                results[position] = (key, stats)
             else:
-                seen.add(position)
-                out.append(
-                    (position, (key, protocol.exception_from_wire(entry)))
-                )
+                results[position] = (key, protocol.exception_from_wire(entry))
         # A worker that dropped items (foreign/buggy peer) still owes the
-        # engine answers: simulate the remainder inline.
-        for position in sorted(set(by_pos) - seen):
-            key, layer, mapping = by_pos[position]
-            out.append(
-                (position, _simulate_item(engine, (key, _Request(layer, mapping))))
+        # engine answers: run the remainder inline, as one chunk.
+        missing = [
+            position for position, result in enumerate(results)
+            if result is None
+        ]
+        if missing:
+            inline = ExecutorBackend.run_chunk(
+                self, engine, [items[position] for position in missing]
             )
-        return out
+            for position, result in zip(missing, inline):
+                results[position] = result
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     def ping(self) -> Dict[str, bool]:
@@ -349,13 +341,3 @@ def resolve_executor(
             secret=secret,
         )
     return executor
-
-
-class _Request:
-    """Minimal EvalRequest stand-in for inline fallback simulation."""
-
-    __slots__ = ("layer", "mapping")
-
-    def __init__(self, layer, mapping) -> None:
-        self.layer = layer
-        self.mapping = mapping

@@ -439,6 +439,7 @@ class SweepRunner:
         self, scenario: Scenario, engine, sim_config
     ) -> CompareReport:
         """Default vs AutoTVM vs mRNA mappings (the Figure 12 view)."""
+        from repro.engine import EvalRequest
         from repro.mrna import MrnaMapper
         from repro.zoo import zoo_layers
         from repro.stonne.layer import ConvLayer
@@ -447,8 +448,9 @@ class SweepRunner:
 
         mapper = MrnaMapper(sim_config)
         schemes = ("default", "AutoTVM", "mRNA")
-        rows: List[Dict[str, Any]] = []
-        for layer in zoo_layers(scenario.model):
+        layers = zoo_layers(scenario.model)
+        requests: List[EvalRequest] = []
+        for layer in layers:
             is_conv = isinstance(layer, ConvLayer)
             if is_conv:
                 task = MaeriConvTask(
@@ -464,12 +466,21 @@ class SweepRunner:
             )
             mrna = mapper.map_conv(layer) if is_conv else mapper.map_fc(layer)
             basic = ConvMapping.basic() if is_conv else FcMapping.basic()
-            cycles = {
-                "default": engine.evaluate(layer, basic).cycles,
-                "AutoTVM": engine.evaluate(layer, tuned).cycles,
-                "mRNA": engine.evaluate(layer, mrna).cycles,
+            requests.extend(
+                EvalRequest(layer, mapping) for mapping in (basic, tuned, mrna)
+            )
+        # One batch for every layer's three mappings, in scheme order.
+        stats = engine.evaluate_many(requests)
+        rows: List[Dict[str, Any]] = [
+            {
+                "layer": layer.name,
+                "cycles": {
+                    scheme: stats[3 * index + offset].cycles
+                    for offset, scheme in enumerate(schemes)
+                },
             }
-            rows.append({"layer": layer.name, "cycles": cycles})
+            for index, layer in enumerate(layers)
+        ]
         return CompareReport(
             model=scenario.model, schemes=schemes, rows=rows
         )

@@ -55,16 +55,18 @@ class MeasureResult:
 class TuningTask:
     """A search problem: a config space plus an evaluation function.
 
-    Subclasses implement :meth:`evaluate`.  Costs are minimized; invalid
-    configs return :data:`INVALID_COST` so tuners can skip them without
+    Subclasses implement :meth:`evaluate_batch`; :meth:`measure_batch`
+    is the one measurement path.  Costs are minimized; invalid configs
+    return :data:`INVALID_COST` so tuners can skip them without
     special-casing exceptions.
 
     Tasks that route evaluations through an
     :class:`~repro.engine.EvaluationEngine` are *cache-aware*:
-    :attr:`num_measurements` counts every :meth:`measure` call while
-    :attr:`num_simulations` counts only the evaluations that actually ran
-    a cycle-model simulation (cache misses), so benchmarks can report
-    real simulation savings.
+    :attr:`num_measurements` counts every config index
+    :meth:`measure_batch` is asked for, while :attr:`num_simulations`
+    counts only the evaluations that actually ran a cycle-model
+    simulation (cache misses), so benchmarks can report real simulation
+    savings.
 
     Tasks also memoize at the *cost* level: :meth:`measure_batch` keys a
     config-index -> :class:`MeasureResult` memo, so a revisited index
@@ -95,52 +97,10 @@ class TuningTask:
             return self.engine.num_simulations - self._engine_sim_baseline
         return self._local_sims
 
-    def evaluate(self, config: Config) -> float:
-        raise NotImplementedError
-
     def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
         """Costs for a batch of *valid* configs, isolating per-config
-        mapping failures as :data:`INVALID_COST`.
-
-        The default runs :meth:`evaluate` per config; engine-backed tasks
-        override this to submit the whole batch to
-        :meth:`~repro.engine.EvaluationEngine.evaluate_many`, which is
-        what lets a process backend fan a tuner generation out.
-        """
-        costs: List[float] = []
-        for config in configs:
-            try:
-                costs.append(self.evaluate(config))
-                if self.engine is None:
-                    self._local_sims += 1
-            except MappingError:
-                costs.append(INVALID_COST)
-        return costs
-
-    def measure(self, config: Config, index: Optional[int] = None) -> MeasureResult:
-        """Evaluate one config, recording the measurement count.
-
-        With ``index`` the result is memoized, and revisits are served
-        from the memo without touching the space or the engine.
-        """
-        self.num_measurements += 1
-        if index is not None and index in self._cost_memo:
-            return self._cost_memo[index]
-        if not self.space.is_valid(config):
-            result = MeasureResult(config=config, cost=INVALID_COST,
-                                   objective=self.objective)
-        else:
-            try:
-                cost = self.evaluate(config)
-                if self.engine is None:
-                    self._local_sims += 1
-            except MappingError:
-                cost = INVALID_COST
-            result = MeasureResult(config=config, cost=cost,
-                                   objective=self.objective)
-        if index is not None:
-            self._cost_memo[index] = result
-        return result
+        mapping failures as :data:`INVALID_COST`."""
+        raise NotImplementedError
 
     def measure_batch(self, indices: Sequence[int]) -> List[MeasureResult]:
         """Measure a whole generation of config indices at once.
@@ -192,8 +152,8 @@ class _MaeriLayerTask(TuningTask):
     """Shared machinery of the MAERI conv/FC tuning tasks.
 
     Subclasses provide :meth:`best_mapping` (config -> mapping) and
-    :meth:`_estimate_psums`; everything else — single and batched
-    evaluation, cost-from-stats — is identical for both workloads.
+    :meth:`_estimate_psums_batch`; everything else — batched evaluation,
+    cost-from-stats — is identical for both workloads.
     """
 
     def __init__(self, layer, space, objective, engine) -> None:
@@ -202,9 +162,6 @@ class _MaeriLayerTask(TuningTask):
         self.controller = self.engine.controller
 
     def best_mapping(self, config: Config):
-        raise NotImplementedError
-
-    def _estimate_psums(self, mapping) -> int:
         raise NotImplementedError
 
     def _estimate_psums_batch(self, mappings: Sequence) -> List:
@@ -218,12 +175,6 @@ class _MaeriLayerTask(TuningTask):
 
             return estimate_energy(stats).total
         return float(stats.cycles)
-
-    def evaluate(self, config: Config) -> float:
-        mapping = self.best_mapping(config)
-        if self.objective == "psums":
-            return float(self._estimate_psums(mapping))
-        return self._cost_from_stats(self.engine.evaluate(self.layer, mapping))
 
     def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
         """Batch evaluation: one ``evaluate_many`` per generation.
@@ -294,9 +245,6 @@ class MaeriConvTask(_MaeriLayerTask):
     def best_mapping(self, config: Config):
         return config_to_conv_mapping(config)
 
-    def _estimate_psums(self, mapping) -> int:
-        return self.controller.estimate_conv_psums(self.layer, mapping)
-
     def _estimate_psums_batch(self, mappings: Sequence) -> List:
         return self.controller.estimate_conv_psums_batch(self.layer, mappings)
 
@@ -322,20 +270,31 @@ class MaeriFcTask(_MaeriLayerTask):
     def best_mapping(self, config: Config):
         return config_to_fc_mapping(config)
 
-    def _estimate_psums(self, mapping) -> int:
-        return self.controller.estimate_fc_psums(self.layer, mapping)
-
     def _estimate_psums_batch(self, mappings: Sequence) -> List:
         return self.controller.estimate_fc_psums_batch(self.layer, mappings)
 
 
 class CallableTask(TuningTask):
-    """Wrap an arbitrary cost function as a task (used by hardware search
-    and the test suite)."""
+    """Wrap an arbitrary ``config -> cost`` function as a task, such as
+    the hardware design-space search in
+    ``examples/hardware_design_space.py``.
+
+    ``fn`` runs once per config.  A :class:`~repro.errors.MappingError`
+    prices the config at :data:`INVALID_COST`; every other call counts
+    as one simulation.
+    """
 
     def __init__(self, space: ConfigSpace, fn, objective: str = "cycles") -> None:
         super().__init__(space, objective)
         self._fn = fn
 
-    def evaluate(self, config: Config) -> float:
-        return float(self._fn(config))
+    def evaluate_batch(self, configs: Sequence[Config]) -> List[float]:
+        costs: List[float] = []
+        for config in configs:
+            try:
+                costs.append(float(self._fn(config)))
+            except MappingError:
+                costs.append(INVALID_COST)
+                continue
+            self._local_sims += 1
+        return costs

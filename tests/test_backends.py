@@ -24,13 +24,14 @@ from repro.engine import (
     unregister_backend,
 )
 from repro.engine.backends import simulate_layer
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, MappingError, SimulationError
 from repro.stonne.config import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
+from repro.stonne.maeri import MaeriController
 from repro.stonne.mapping import ConvMapping
 from repro.stonne.stats import SimulationStats
-from repro.tuner.measure import CallableTask, MaeriConvTask
-from repro.tuner.space import ConfigSpace
+from repro.tuner.measure import INVALID_COST, CallableTask, MaeriConvTask
+from repro.tuner.space import ConfigSpace, config_to_conv_mapping
 from repro.tuner.tuners.ga import GATuner
 
 
@@ -385,6 +386,44 @@ class TestProcessWorkers:
         finally:
             backend.close()
 
+    @fork_only
+    def test_single_evaluate_follows_the_chunking_rule(
+        self, maeri128, monkeypatch
+    ):
+        real = backends_mod.simulate_layer
+
+        def stamps_pid(controller, layer, mapping, functional):
+            stats = real(controller, layer, mapping, functional)
+            return stats.clone(layer_name=str(os.getpid()))
+
+        monkeypatch.setattr(backends_mod, "simulate_layer", stamps_pid)
+        layer = ConvLayer("c", C=4, H=10, W=10, K=8, R=3, S=3)
+        mapping = ConvMapping(T_R=3, T_S=3)
+        serial = EvaluationEngine(maeri128).evaluate(layer, mapping)
+        before = {p.pid for p in multiprocessing.active_children()}
+        # An explicit chunk size: the one request runs on a worker.
+        engine = EvaluationEngine(
+            maeri128, executor="process", max_workers=2, chunk_size=1
+        )
+        try:
+            stats = engine.evaluate(layer, mapping)
+            worker_pids = {w.process.pid for w in engine.backend._workers}
+            assert int(stats.layer_name) in worker_pids
+            assert int(stats.layer_name) != os.getpid()
+            assert stats.cycles == serial.cycles
+        finally:
+            engine.close()
+        # Automatic chunking: inline on the caller, no worker starts.
+        engine = EvaluationEngine(maeri128, executor="process", max_workers=2)
+        try:
+            stats = engine.evaluate(layer, mapping)
+            assert int(stats.layer_name) == os.getpid()
+            assert stats.cycles == serial.cycles
+            assert engine.backend._workers == []
+            assert _new_live_children(before) == []
+        finally:
+            engine.close()
+
 
 class TestPersistentCache:
     def test_round_trip(self, tmp_path, maeri128):
@@ -485,17 +524,32 @@ class TestPersistentCache:
 
 
 class TestBatchedMeasurement:
-    def test_measure_batch_matches_measure(self, maeri128):
+    def test_measure_batch_matches_direct_controller(self, maeri128):
         layer = ConvLayer("c", C=8, H=12, W=12, K=8, R=3, S=3)
-        serial_task = MaeriConvTask(layer, maeri128, objective="cycles")
-        batched_task = MaeriConvTask(layer, maeri128, objective="cycles")
-        indices = list(range(24))
-        singles = [
-            serial_task.measure(serial_task.space.config_at(i)) for i in indices
-        ]
-        batched = batched_task.measure_batch(indices)
-        assert [r.cost for r in batched] == [r.cost for r in singles]
-        assert batched_task.num_measurements == len(indices)
+        task = MaeriConvTask(layer, maeri128, objective="cycles")
+        # 24 indices spread over the space, so some configs are invalid.
+        step = task.space.raw_size // 24
+        indices = list(range(0, task.space.raw_size, step))[:24]
+        batched = task.measure_batch(indices)
+        # The reference shares no code with the task: the scalar cycle
+        # model on a fresh controller, or INVALID_COST.
+        controller = MaeriController(maeri128)
+        expected = []
+        for index in indices:
+            config = task.space.config_at(index)
+            if not task.space.is_valid(config):
+                expected.append(INVALID_COST)
+                continue
+            try:
+                expected.append(float(controller.run_conv(
+                    layer, config_to_conv_mapping(config)
+                ).cycles))
+            except MappingError:
+                expected.append(INVALID_COST)
+        assert any(cost != INVALID_COST for cost in expected)
+        assert INVALID_COST in expected
+        assert [r.cost for r in batched] == expected
+        assert task.num_measurements == len(indices)
 
     def test_cost_memo_skips_revisits(self):
         calls = []

@@ -231,6 +231,5 @@ class TestCacheAwareTuning:
         space = ConfigSpace()
         space.define_knob("x", [1, 2, 3, 4])
         task = CallableTask(space, lambda cfg: float(cfg["x"]))
-        for i in range(4):
-            task.measure(space.config_at(i))
+        task.measure_batch(list(range(4)))
         assert task.num_simulations == 4

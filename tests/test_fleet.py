@@ -356,6 +356,53 @@ class _VanishingServer:
         self._listener.close()
 
 
+class _DroppingServer(_VanishingServer):
+    """A rogue peer: answers every batch with a results frame that holds
+    no items, so every item it was sent is dropped."""
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn:
+                try:
+                    protocol.send_message(
+                        conn, protocol.hello_message([], pid=0)
+                    )
+                    while True:
+                        message = protocol.recv_message(conn)
+                        if message is None or message.get("type") == "bye":
+                            break
+                        protocol.send_message(
+                            conn, {"type": "results", "items": []}
+                        )
+                except (OSError, protocol.ProtocolError):
+                    pass
+
+
+def _count_batch_calls(monkeypatch):
+    """Record the mapping count of every ``simulate_layer_batch`` call."""
+    import repro.engine.backends as backends_mod
+
+    calls = []
+    real = backends_mod.simulate_layer_batch
+
+    def counting(controller, layer, mappings):
+        calls.append(len(mappings))
+        return real(controller, layer, mappings)
+
+    monkeypatch.setattr(backends_mod, "simulate_layer_batch", counting)
+    return calls
+
+
+_SAME_LAYER = [
+    EvalRequest(_conv(), mapping)
+    for mapping in (ConvMapping(T_R=3), ConvMapping(T_K=2), ConvMapping(T_C=2))
+]
+
+
 class TestFailover:
     def test_crash_mid_batch_retries_on_survivor(self):
         rogue = _VanishingServer()
@@ -397,6 +444,44 @@ class TestFailover:
         assert backend.fallback_batches == 1
         engine.close()
 
+    def test_single_evaluate_falls_back_to_serial(self):
+        backend = RemoteBackend(workers=["127.0.0.1:1"])
+        engine = EvaluationEngine(CONFIG, cache=StatsCache(), executor=backend)
+        serial = EvaluationEngine(CONFIG, cache=StatsCache(), executor="serial")
+        layer, mapping = _conv(), ConvMapping(T_R=3, T_S=3)
+        assert engine.evaluate(layer, mapping) == serial.evaluate(layer, mapping)
+        assert backend.fallback_batches == 1
+        engine.close()
+
+    def test_fallback_chunk_batches_a_repeated_layer(self, monkeypatch):
+        serial = EvaluationEngine(CONFIG, cache=StatsCache(), executor="serial")
+        expected = _stats_dicts(serial.evaluate_many(_SAME_LAYER))
+        calls = _count_batch_calls(monkeypatch)
+        backend = RemoteBackend(workers=["127.0.0.1:1"])
+        engine = EvaluationEngine(CONFIG, cache=StatsCache(), executor=backend)
+        assert _stats_dicts(engine.evaluate_many(_SAME_LAYER)) == expected
+        assert calls == [len(_SAME_LAYER)]  # one batch-kernel call
+        assert backend.fallback_batches == 1
+        engine.close()
+
+    def test_dropped_items_run_inline_as_one_chunk(self, monkeypatch):
+        serial = EvaluationEngine(CONFIG, cache=StatsCache(), executor="serial")
+        expected = _stats_dicts(serial.evaluate_many(_SAME_LAYER))
+        calls = _count_batch_calls(monkeypatch)
+        rogue = _DroppingServer()
+        try:
+            backend = RemoteBackend(workers=[rogue.address])
+            engine = EvaluationEngine(
+                CONFIG, cache=StatsCache(), executor=backend
+            )
+            assert _stats_dicts(engine.evaluate_many(_SAME_LAYER)) == expected
+            assert calls == [len(_SAME_LAYER)]
+            # The worker answered, so this is no whole-shard fallback.
+            assert backend.fallback_batches == 0
+            engine.close()
+        finally:
+            rogue.close()
+
 
 class TestRegistryAndSession:
     def test_remote_is_registered(self):
@@ -425,6 +510,31 @@ class TestRegistryAndSession:
             stats = s.engine.evaluate_many([EvalRequest(layer, ConvMapping())])
         assert stats[0].cycles > 0
         assert worker.items_served == 1
+
+    def test_graph_run_is_served_by_the_fleet(self, worker):
+        """Single evaluations (one per offloaded layer) travel the wire."""
+        import numpy as np
+
+        from repro.models import lenet_graph
+        from repro.session import Session
+
+        feeds = {"data": np.random.default_rng(0).standard_normal((1, 1, 28, 28))}
+        with Session(arch="maeri", mapping="mrna") as s:
+            serial = s.run_graph(lenet_graph(), feeds)
+        with Session(
+            arch="maeri", mapping="mrna", executor="remote",
+            workers=[worker.address],
+        ) as s:
+            remote = s.run_graph(lenet_graph(), feeds)
+            counters = s.engine.backend.metrics.counters_with_prefix(
+                "fleet.shards."
+            )
+            assert s.engine.backend.fallback_batches == 0
+        assert counters.get(worker.address, 0) > 0
+        assert [st.cycles for st in remote.layer_stats] == [
+            st.cycles for st in serial.layer_stats
+        ]
+        assert len(remote.layer_stats) == 5
 
     def test_tuned_best_cost_remote_equals_serial(self, worker):
         """The acceptance criterion: a GA tune through the remote backend

@@ -352,8 +352,11 @@ def _auto_groups(backend):
         _layers(5), _layers(MAX_CHUNK_ITEMS + 1, width=16), _layers(3),
     ]
     engines = [EvaluationEngine(c, executor=backend) for c in configs]
+    # Warm the last group's cache through a serial engine, so that this
+    # group has no pending work and ``backend`` observes no warm-up chunk.
+    warm = EvaluationEngine(configs[2], cache=engines[2].cache)
     for layer in layer_sets[2]:
-        engines[2].evaluate(layer)  # warm: this group has no pending work
+        warm.evaluate(layer)
     plans = [
         engine.plan_many([EvalRequest(l) for l in layers])
         for engine, layers in zip(engines, layer_sets)
@@ -479,6 +482,10 @@ class _DuckCache:
 
     def put(self, key, stats) -> None:
         self.store[key] = stats
+
+    def put_many(self, items) -> None:
+        for key, stats in items:
+            self.put(key, stats)
 
     def __contains__(self, key) -> bool:
         return key in self.store
