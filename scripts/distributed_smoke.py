@@ -1,15 +1,21 @@
 #!/usr/bin/env python
 """Distributed smoke test: two real worker daemons vs serial execution.
 
-Spawns two ``repro worker`` processes on ephemeral localhost ports and
-runs two legs against them:
+Spawns two ``repro worker`` processes on ephemeral localhost ports, both
+with ``--cache-path`` on one temporary SQLite file, and runs three legs
+against them:
 
 * a small GA tune through ``--executor remote``, which must report the
   *same best mapping and best cost* as the identical tune with
   ``--executor serial``;
 * LeNet's IR graph through a ``Session`` on ``executor="remote"``, whose
-  one-layer-at-a-time evaluations must be served by the daemons and
-  give the same per-layer cycles as a serial session.
+  one-layer-at-a-time evaluations must be served by *both* daemons and
+  give the same per-layer cycles as a serial session;
+* the same graph through a second, fresh remote ``Session`` that lists
+  the workers in reverse order: its client cache is empty, so its
+  layers travel again, each to the *other* worker, and must be answered
+  from the workers' shared cache (``fleet.cache_hits.*`` > 0) with the
+  same cycles.
 
 The fleet tier is an execution detail, never an approximation.  Exits
 non-zero on any divergence, so CI can gate on it.
@@ -24,6 +30,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 
 TUNE_ARGS = [
     "tune", "lenet", "conv1",
@@ -39,9 +46,12 @@ def _env() -> dict:
     return env
 
 
-def _spawn_worker(env: dict) -> tuple:
+def _spawn_worker(env: dict, cache_path: str) -> tuple:
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0"],
+        [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--listen", "127.0.0.1:0", "--cache-path", cache_path,
+        ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -76,8 +86,9 @@ def _tune(env: dict, extra: list) -> list:
 
 
 def _graph_cycles(addresses: list) -> tuple:
-    """Per-layer cycles of LeNet's graph on a serial session and on a
-    remote one, plus the remote backend's shard and fallback counts."""
+    """Per-layer cycles of LeNet's graph on a serial session, and, for
+    each of two fresh remote sessions in turn, its cycles plus the
+    remote backend's shard, worker-cache-hit and fallback counts."""
     import numpy as np
 
     from repro.models import lenet_graph
@@ -91,38 +102,50 @@ def _graph_cycles(addresses: list) -> tuple:
 
     with Session(arch="maeri", mapping="mrna") as session:
         serial = cycles(session)
-    with Session(
-        arch="maeri", mapping="mrna", executor="remote", workers=addresses,
-    ) as session:
-        remote = cycles(session)
-        backend = session.engine.backend
-        shards = backend.metrics.counters_with_prefix("fleet.shards.")
-        fallbacks = backend.fallback_batches
-    return serial, remote, shards, fallbacks
+    remote = []
+    # Reversed for the second session, so each layer reaches the worker
+    # that did not simulate it: its hits come through the shared file.
+    for workers in (addresses, addresses[::-1]):
+        with Session(
+            arch="maeri", mapping="mrna", executor="remote",
+            workers=workers,
+        ) as session:
+            leg_cycles = cycles(session)
+            backend = session.engine.backend
+            metrics = backend.metrics
+            remote.append((
+                leg_cycles,
+                metrics.counters_with_prefix("fleet.shards."),
+                metrics.counters_with_prefix("fleet.cache_hits."),
+                backend.fallback_batches,
+            ))
+    return serial, remote
 
 
 def main() -> int:
     env = _env()
     workers = []
-    try:
-        workers = [_spawn_worker(env) for _ in range(2)]
-        addresses = ",".join(address for _, address in workers)
-        print(f"workers: {addresses}")
-        serial, _ = _tune(env, ["--executor", "serial"])
-        remote, fleet = _tune(
-            env, ["--executor", "remote", "--workers", addresses]
-        )
-        graph_serial, graph_remote, shards, graph_fallbacks = _graph_cycles(
-            [address for _, address in workers]
-        )
-    finally:
-        for proc, _ in workers:
-            proc.send_signal(signal.SIGINT)
-        for proc, _ in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_path = os.path.join(tmp, "fleet.sqlite")
+        try:
+            workers = [_spawn_worker(env, cache_path) for _ in range(2)]
+            addresses = ",".join(address for _, address in workers)
+            print(f"workers: {addresses} (shared cache {cache_path})")
+            serial, _ = _tune(env, ["--executor", "serial"])
+            remote, fleet = _tune(
+                env, ["--executor", "remote", "--workers", addresses]
+            )
+            graph_serial, graph_legs = _graph_cycles(
+                [address for _, address in workers]
+            )
+        finally:
+            for proc, _ in workers:
+                proc.send_signal(signal.SIGINT)
+            for proc, _ in workers:
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
     print(f"serial: {serial}")
     print(f"remote: {remote}  {fleet}")
     if not serial or serial != remote:
@@ -135,16 +158,29 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print(f"graph serial: {graph_serial}")
-    print(f"graph remote: {graph_remote}  shards {shards}, "
-          f"{graph_fallbacks} fallback batches")
-    if not graph_serial or graph_serial != graph_remote:
-        print("FAIL: remote graph run diverged from serial", file=sys.stderr)
+    for leg, (cycles, shards, hits, fallbacks) in enumerate(graph_legs, 1):
+        print(f"graph remote #{leg}: {cycles}  shards {shards}, worker "
+              f"cache hits {hits}, {fallbacks} fallback batches")
+        if not graph_serial or graph_serial != cycles:
+            print(f"FAIL: remote graph run #{leg} diverged from serial",
+                  file=sys.stderr)
+            return 1
+        if fallbacks:
+            print(f"FAIL: remote graph run #{leg} fell back inline",
+                  file=sys.stderr)
+            return 1
+    first_shards = graph_legs[0][1]
+    if len(first_shards) != 2 or not all(first_shards.values()):
+        print("FAIL: the graph run's single evaluations did not spread "
+              f"across both daemons: {first_shards}", file=sys.stderr)
         return 1
-    if sum(shards.values()) == 0 or graph_fallbacks:
-        print("FAIL: the daemons did not serve the graph run", file=sys.stderr)
+    if sum(graph_legs[1][2].values()) == 0:
+        print("FAIL: the second session was not served from the workers' "
+              "shared cache", file=sys.stderr)
         return 1
-    print("OK: remote 2-worker tune and LeNet graph run are bit-identical "
-          "to serial (workers served, no fallback)")
+    print("OK: remote 2-worker tune and LeNet graph runs are bit-identical "
+          "to serial (both workers served, no fallback, second session "
+          "answered from the workers' shared cache)")
     return 0
 
 

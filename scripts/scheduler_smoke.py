@@ -25,10 +25,16 @@ import signal
 import subprocess
 import sys
 
+#: 120 trials give eight remote miss batches, most of them with more
+#: one-item chunks than the four slots.  A steal needs a slot to pull a
+#: chunk dealt to another one; with 40 trials there were only three
+#: batches of 3-4 chunks, at most one per slot, so whether any was
+#: stolen depended on which puller thread reached the queue first, and
+#: a run could read 0 steals with the scheduler working as designed.
 TUNE_ARGS = [
     "tune", "lenet", "conv1",
     "--objective", "cycles", "--tuner", "ga",
-    "--trials", "40", "--seed", "0",
+    "--trials", "120", "--seed", "0",
 ]
 
 CAPACITIES = (1, 3)

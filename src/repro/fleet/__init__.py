@@ -12,7 +12,7 @@ across machines:
 :mod:`repro.fleet.protocol`
     The wire format: length-prefixed JSON frames carrying an engine
     spec (config + params + controller type + fingerprint), structural
-    ``(key, layer, mapping)`` items, and per-item stats/error results.
+    ``(pos, layer, mapping)`` items, and per-item stats/error results.
     Truncated and oversized frames raise
     :class:`~repro.fleet.protocol.ProtocolError` instead of yielding
     partial batches.
@@ -26,11 +26,11 @@ across machines:
 
 :mod:`repro.fleet.worker`
     The daemon (``repro worker --listen HOST:PORT``): a threading TCP
-    server that rebuilds one controller per engine fingerprint —
+    server that rebuilds one evaluation engine per engine spec —
     verifying the fingerprint, so fleet version skew fails loudly —
-    executes batches, optionally consults/populates a local stats
-    cache (the SQLite tier shares it with co-located peers), and
-    streams results back.
+    runs each batch through it, deriving its own cache keys for an
+    optional local stats cache (the SQLite tier shares it with
+    co-located peers), and streams results back.
 
 :mod:`repro.fleet.remote_backend`
     The client: an executor backend registered as ``"remote"``.  The

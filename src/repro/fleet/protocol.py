@@ -15,8 +15,11 @@ Message vocabulary (the ``type`` field):
   the controller types it can rebuild (capabilities);
 * ``evaluate_batch`` — client request: an engine spec (fingerprint +
   config/params/controller type + functional flag) and a list of
-  ``(pos, key, layer, mapping)`` items;
-* ``results`` — worker response: per-item ``(pos, key, stats)`` or
+  ``(pos, layer, mapping)`` items.  No cache key travels: the worker
+  derives its own from the rebuilt engine, so no peer can write a key
+  of its choosing into a shared cache tier (a ``key`` sent by an older
+  client is ignored);
+* ``results`` — worker response: per-item ``(pos, stats)`` or
   ``(pos, error, error_type)`` entries, submission order preserved;
 * ``ping``/``pong`` — heartbeat;
 * ``bye`` — polite client disconnect.
@@ -37,12 +40,9 @@ and the connection is dropped before any state changes; clients raise
 :class:`ProtocolError`.
 
 Everything that crosses the wire is *structural*: layers and mappings
-are dataclasses of plain scalars, cache keys are tuples of scalars
-(JSON arrays on the wire, frozen back to tuples on arrival — the same
-round-trip the JSONL cache tier uses), and the engine spec rebuilds a
-bit-identical controller because
-:func:`~repro.engine.evaluation.fingerprint_config` is recomputed and
-verified on the worker side.
+are dataclasses of plain scalars, and the engine spec rebuilds a
+bit-identical engine because its fingerprint is recomputed and verified
+on the worker side (:func:`engine_from_spec`).
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ import secrets
 import socket
 import struct
 from dataclasses import asdict
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, SimulationError
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.params import CycleModelParams
-from repro.stonne.stats import SimulationStats
 
 #: Protocol version; bumped on incompatible frame/message changes.
 PROTOCOL_VERSION = 1
@@ -208,17 +207,11 @@ def mapping_from_wire(data: Optional[Dict[str, Any]]):
         raise ProtocolError(f"malformed wire mapping {data!r}: {exc}") from exc
 
 
-def key_from_wire(key):
-    """Freeze a JSON-decoded cache key back into nested tuples."""
-    from repro.engine.cache import _freeze
-
-    return _freeze(key)
-
-
 def engine_spec(engine) -> Dict[str, Any]:
-    """The serializable description a worker needs to rebuild ``engine``'s
-    controller: config, params, controller type and the fingerprint the
-    rebuild must reproduce.
+    """The serializable description a worker needs to rebuild ``engine``:
+    config, params, functional flag and the fingerprint the rebuild must
+    reproduce.  ``controller_type`` is redundant with the config; it
+    rides for workers that predate :func:`engine_from_spec`.
     """
     config = engine.config
     return {
@@ -232,32 +225,36 @@ def engine_spec(engine) -> Dict[str, Any]:
     }
 
 
-def rebuild_controller(spec: Dict[str, Any]):
-    """(controller, params, functional) rebuilt from an engine spec.
+def engine_from_spec(spec: Dict[str, Any], cache):
+    """The :class:`~repro.engine.evaluation.EvaluationEngine` a worker
+    runs ``spec``'s batches on, over ``cache`` (no caching when None).
 
     The controller class is resolved through the registry and the
     fingerprint recomputed; a mismatch (version skew, foreign controller
     registration) raises :class:`ProtocolError` rather than silently
     producing stats under the wrong cache identity.
     """
-    from repro.engine.evaluation import fingerprint_config
+    from repro.engine.evaluation import EvaluationEngine
     from repro.stonne.config import SimulatorConfig
-    from repro.stonne.controller import controller_class
 
     try:
-        config = SimulatorConfig.from_dict(spec["config"])
-        params = CycleModelParams(**spec["params"])
-        cls = controller_class(spec["controller_type"])
+        engine = EvaluationEngine(
+            SimulatorConfig.from_dict(spec["config"]),
+            CycleModelParams(**spec["params"]),
+            cache=cache,
+            cache_enabled=cache is not None,
+            functional=bool(spec.get("functional", False)),
+        )
     except (KeyError, TypeError, ReproError) as exc:
         raise ProtocolError(f"cannot rebuild engine spec: {exc}") from exc
-    fingerprint = fingerprint_config(config, params, cls)
-    if fingerprint != spec.get("fingerprint"):
+    if engine.fingerprint != spec.get("fingerprint"):
         raise ProtocolError(
             f"engine fingerprint mismatch: client sent "
-            f"{spec.get('fingerprint')!r}, worker rebuilt {fingerprint!r} "
-            f"(version or registration skew between fleet peers)"
+            f"{spec.get('fingerprint')!r}, worker rebuilt "
+            f"{engine.fingerprint!r} (version or registration skew between "
+            f"fleet peers)"
         )
-    return cls(config, params), params, bool(spec.get("functional", False))
+    return engine
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +322,9 @@ def hello_message(
 
 def evaluate_batch_message(
     spec: Dict[str, Any],
-    items: List[Tuple[int, Optional[Hashable], Any, Any]],
+    items: List[Tuple[int, Any, Any]],
 ) -> Dict[str, Any]:
-    """An ``evaluate_batch`` request for (pos, key, layer, mapping) items."""
+    """An ``evaluate_batch`` request for (pos, layer, mapping) items."""
     return {
         "type": "evaluate_batch",
         "version": PROTOCOL_VERSION,
@@ -335,11 +332,10 @@ def evaluate_batch_message(
         "items": [
             {
                 "pos": pos,
-                "key": key,
                 "layer": layer_to_wire(layer),
                 "mapping": mapping_to_wire(mapping),
             }
-            for pos, key, layer, mapping in items
+            for pos, layer, mapping in items
         ],
     }
 

@@ -14,12 +14,17 @@ drains each miss batch as chunks, one puller per slot.
   capacity unit of every reachable worker (``host:port`` addresses —
   constructor argument, CLI ``--workers``, or the
   ``REPRO_FLEET_WORKERS`` environment variable), so a capacity-3
-  worker runs three chunks at once;
+  worker is dealt three chunks for every one a capacity-1 worker gets.
+  Capacity weights the dealing, not the concurrency: all slots of one
+  address share its link, which carries one round trip at a time.  The
+  slot list rotates by one position per call, so batches of a single
+  chunk (one ``evaluate`` per layer of a graph run) spread across the
+  fleet instead of all landing on the first worker;
 * each chunk travels over one persistent
   :class:`~repro.fleet.daemon.DaemonLink` per worker (the shared client
   half of the daemon skeleton), so the handshake is paid once per
-  worker and controller rebuilds once per engine fingerprint per
-  worker;
+  worker and engine rebuilds once per engine spec per worker.  Only
+  layers and mappings travel: the worker derives its own cache keys;
 * a chunk whose worker dies mid-flight is *retried* on the surviving
   workers, so one crash costs one round trip, not the sweep;
 * when no worker is reachable there is one slot and its chunks run
@@ -37,6 +42,7 @@ checks keep working across the wire.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -117,6 +123,8 @@ class RemoteBackend(ExecutorBackend):
         self.fallback_batches = 0
         #: Shards retried on a surviving worker after a peer died.
         self.retried_shards = 0
+        #: Per-call rotation of the slot list (see :meth:`pull_slots`).
+        self._rotation = itertools.count()
 
     # ------------------------------------------------------------------
     def _addresses(self) -> List[str]:
@@ -154,8 +162,9 @@ class RemoteBackend(ExecutorBackend):
     # ------------------------------------------------------------------
     def pull_slots(self, engine, max_workers=None):
         """One scheduler slot per advertised capacity unit per reachable
-        worker — ``(address, unit)`` tokens.  One inline-fallback slot
-        when no worker answers."""
+        worker — ``(address, unit)`` tokens — rotated by one position per
+        call, since a one-chunk batch runs on the first slot.  One
+        inline-fallback slot when no worker answers."""
         addresses = self._addresses()
         capacities = self._capacities(addresses)
         slots = [
@@ -163,7 +172,10 @@ class RemoteBackend(ExecutorBackend):
             for address in addresses
             for unit in range(capacities.get(address, 0))
         ]
-        return slots or super().pull_slots(engine, max_workers)
+        if not slots:
+            return super().pull_slots(engine, max_workers)
+        shift = next(self._rotation) % len(slots)
+        return slots[shift:] + slots[:shift]
 
     def run_chunk(self, engine, items, slot=None):
         """Execute one scheduler chunk as a shard on the slot's worker,
@@ -190,8 +202,8 @@ class RemoteBackend(ExecutorBackend):
         Returns ``(key, stats-or-exception)`` pairs in submission order.
         """
         shard = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
+            (position, request.layer, request.mapping)
+            for position, (_, request) in enumerate(items)
         ]
         candidates = [preferred] + [a for a in all_addresses if a != preferred]
         message = protocol.evaluate_batch_message(

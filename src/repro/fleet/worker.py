@@ -3,21 +3,24 @@
 The connection dialogue (hello, optional HMAC auth, request loop, error
 frames) is the shared skeleton in :mod:`repro.fleet.daemon`; this module
 adds only the worker's own part: the ``evaluate_batch`` verb, its
-controller cache and the batch drain on shutdown.  The hello advertises
-the controller types the worker can rebuild and its capacity.
+engines and the batch drain on shutdown.  The hello advertises the
+controller types the worker can rebuild and its capacity.
 
-Controllers are rebuilt once per engine fingerprint and cached for the
-daemon's lifetime — the same amortization the process backend's workers
-use (:func:`repro.engine.backends._process_chunk`), lifted across
-machine boundaries.  Rebuilds are *verified*: the worker recomputes the
-fingerprint from the shipped (config, params, controller) and refuses
-batches whose fingerprint does not match, so version skew between fleet
-peers fails loudly instead of corrupting content-addressed caches.
+A batch runs through the same path as a client's own misses: the worker
+keeps one :class:`~repro.engine.evaluation.EvaluationEngine` per
+``(fingerprint, functional)`` pair it is shipped, built once and kept
+for the daemon's lifetime, and answers each batch with ``plan_many`` +
+``run_plans``.  Engines are *verified*: the worker recomputes the
+fingerprint from the shipped spec and refuses batches whose fingerprint
+does not match, so version skew between fleet peers fails loudly
+instead of corrupting content-addressed caches.
 
 A worker may also carry a local stats cache (typically the shared
-SQLite tier, so co-located workers pool their discoveries): batch items
-whose key is already cached skip the simulation entirely, and fresh
-results are stored before they are shipped back.
+SQLite tier, so co-located workers pool their discoveries).  Its engines
+derive every cache key themselves, exactly as a client engine does, so
+a hit skips the simulation and fresh results are stored before they are
+shipped back, and no client can write a key of its choosing into the
+shared tier.
 
 Run it as a daemon with ``repro worker --listen HOST:PORT`` or embed it
 with :func:`start_worker` (tests, benchmarks, notebooks).
@@ -34,8 +37,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.backends import simulate_chunk
 from repro.engine.cache import StatsCache
+from repro.engine.evaluation import EvalRequest, EvaluationEngine
 from repro.errors import FleetError
 from repro.fleet import protocol
 from repro.fleet.daemon import DaemonServer, parse_address, serve_until_stopped
@@ -48,13 +51,13 @@ class FleetWorker(DaemonServer):
     Args:
         address: ``(host, port)`` to bind; port 0 picks a free port
             (read :attr:`port` after construction).
-        cache: Optional local stats cache consulted/populated around
-            every simulation.  Use the SQLite tier to share it with
-            co-located workers and sweep drivers.
+        cache: Optional local stats cache every engine of this worker
+            consults and populates.  Use the SQLite tier to share it
+            with co-located workers and sweep drivers.
         capacity: Advertised scheduling weight (``hello.capacity``).
-            The remote backend sizes this worker's shards — and its
-            pull-scheduler slot count — proportionally.  Purely a
-            weight: simulation still serializes on the controller lock.
+            The remote backend names one pull-scheduler slot per unit,
+            so chunks are dealt to this worker proportionally.  Purely
+            a weight: simulation still serializes on the worker's lock.
         secret: Opt-in shared secret.  When set, the hello carries an
             HMAC challenge and every connection must answer it before
             its first request; a bad or missing digest is rejected with
@@ -74,10 +77,9 @@ class FleetWorker(DaemonServer):
         self.capacity = max(1, int(capacity))
         self.batches_served = 0
         self.items_served = 0
-        #: Rebuilt controllers keyed by engine fingerprint, with the
-        #: functional flag they were shipped with.
-        self._controllers: Dict[str, Tuple[object, bool]] = {}
-        self._controller_lock = threading.Lock()
+        #: One engine per (fingerprint, functional) pair shipped.
+        self._engines: Dict[Tuple[str, bool], EvaluationEngine] = {}
+        self._lock = threading.Lock()
         #: In-flight batch bookkeeping for graceful shutdown: close()
         #: waits until every started batch has produced its response.
         self._active_batches = 0
@@ -96,15 +98,14 @@ class FleetWorker(DaemonServer):
         }
 
     # ------------------------------------------------------------------
-    def _controller_for(self, spec) -> Tuple[object, bool]:
-        fingerprint = spec.get("fingerprint")
-        with self._controller_lock:
-            entry = self._controllers.get(fingerprint)
-            if entry is None:
-                controller, _, functional = protocol.rebuild_controller(spec)
-                entry = (controller, functional)
-                self._controllers[fingerprint] = entry
-            return entry
+    def _engine_for(self, spec) -> EvaluationEngine:
+        key = (spec.get("fingerprint"), bool(spec.get("functional", False)))
+        with self._lock:
+            engine = self._engines.get(key)
+            if engine is None:
+                engine = protocol.engine_from_spec(spec, self.cache)
+                self._engines[key] = engine
+            return engine
 
     def execute_batch(self, message) -> Dict:
         """The ``results`` (or batch-fatal ``error``) for one request.
@@ -125,65 +126,40 @@ class FleetWorker(DaemonServer):
     def _execute_batch(self, message) -> Dict:
         started = time.perf_counter()
         try:
-            controller, functional = self._controller_for(message.get("spec", {}))
+            engine = self._engine_for(message.get("spec", {}))
         except protocol.ProtocolError as exc:
             return protocol.error_message(exc)
         items = message.get("items", [])
         entries: List[Optional[Dict]] = [None] * len(items)
-        cache_hits = 0
-        #: Cache misses: (slot, pos, key, layer, mapping) awaiting one
-        #: grouped simulate_chunk pass.
-        pending = []
+        requests, slots = [], []
         for slot, item in enumerate(items):
-            pos = item.get("pos")
             try:
-                layer = protocol.layer_from_wire(item["layer"])
-                mapping = protocol.mapping_from_wire(item.get("mapping"))
-                key = protocol.key_from_wire(item.get("key"))
-                stats = self.cache.get(key) if (
-                    self.cache is not None and key is not None
-                ) else None
-                if stats is None:
-                    pending.append((slot, pos, key, layer, mapping))
-                else:
-                    stats.layer_name = layer.name
-                    entries[slot] = {"pos": pos, "stats": stats.to_dict()}
-                    cache_hits += 1
+                requests.append(EvalRequest(
+                    protocol.layer_from_wire(item["layer"]),
+                    protocol.mapping_from_wire(item.get("mapping")),
+                ))
+                slots.append(slot)
             except Exception as exc:
-                entries[slot] = {
-                    "pos": pos,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                }
-        if pending:
-            pairs = [(layer, mapping) for _, _, _, layer, mapping in pending]
-            # One controller per fingerprint, many handler threads:
-            # cycle-model tallies must not race.  The whole chunk runs
-            # under the lock, grouped so repeated layers share one batch
-            # kernel call (same path as the engine backends).
-            with self._controller_lock:
-                payloads = simulate_chunk(controller, pairs, functional)
-            puts = []
-            for (slot, pos, key, _, _), payload in zip(pending, payloads):
-                if isinstance(payload, Exception):
-                    entries[slot] = {
-                        "pos": pos,
-                        "error": str(payload),
-                        "error_type": type(payload).__name__,
-                    }
-                else:
-                    if key is not None:
-                        puts.append((key, payload))
-                    entries[slot] = {"pos": pos, "stats": payload.to_dict()}
-            if self.cache is not None and puts:
-                self.cache.put_many(puts)
-        self.batches_served += 1
-        self.items_served += len(entries)
+                entries[slot] = _error_entry(item.get("pos"), exc)
+        plan = engine.plan_many(requests)
+        # Many handler threads share each engine; simulation serializes
+        # on the worker-wide lock, as the capacity docstring promises.
+        with self._lock:
+            engine.run_plans([plan], return_errors=True)
+            self.batches_served += 1
+            self.items_served += len(entries)
+        for slot, payload in zip(slots, plan.results):
+            pos = items[slot].get("pos")
+            entries[slot] = (
+                _error_entry(pos, payload) if isinstance(payload, Exception)
+                else {"pos": pos, "stats": payload.to_dict()}
+            )
+        counters = plan.counters()
         timing = {
             "pid": os.getpid(),
             "duration_s": time.perf_counter() - started,
-            "cache_hits": cache_hits,
-            "simulated": len(pending),
+            "cache_hits": counters["cache_hits"],
+            "simulated": counters["unique_misses"],
             "items": len(entries),
         }
         return protocol.results_message(entries, timing=timing)
@@ -205,6 +181,10 @@ class FleetWorker(DaemonServer):
                     break
                 self._drain.wait(remaining)
         self.server_close()
+
+
+def _error_entry(pos, exc: Exception) -> Dict:
+    return {"pos": pos, "error": str(exc), "error_type": type(exc).__name__}
 
 
 def start_worker(

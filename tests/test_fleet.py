@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.engine import EvalRequest, EvaluationEngine, StatsCache
+from repro.engine import EvalRequest, EvaluationEngine, StatsCache, evaluation_key
 from repro.errors import MappingError
 from repro.fleet import protocol
 from repro.fleet.remote_backend import RemoteBackend
@@ -129,15 +129,15 @@ class TestStructuralWire:
         )
         assert isinstance(exc, SimulationError)
 
-    def test_rebuild_controller_verifies_fingerprint(self):
+    def test_engine_from_spec_verifies_fingerprint(self):
         engine = EvaluationEngine(CONFIG)
         spec = protocol.engine_spec(engine)
-        controller, _, functional = protocol.rebuild_controller(spec)
-        assert type(controller) is type(engine.controller)
-        assert functional is False
+        rebuilt = protocol.engine_from_spec(spec, None)
+        assert type(rebuilt.controller) is type(engine.controller)
+        assert rebuilt.functional is False
         spec["fingerprint"] = "deadbeef"
         with pytest.raises(protocol.ProtocolError, match="fingerprint"):
-            protocol.rebuild_controller(spec)
+            protocol.engine_from_spec(spec, None)
 
 
 def test_parse_address():
@@ -187,7 +187,7 @@ class TestWorkerDaemon:
         spec = protocol.engine_spec(engine)
         spec["fingerprint"] = "deadbeef"
         message = protocol.evaluate_batch_message(
-            spec, [(0, None, _conv(), ConvMapping())]
+            spec, [(0, _conv(), ConvMapping())]
         )
         sock = socket.create_connection((worker.host, worker.port), timeout=5)
         try:
@@ -240,10 +240,81 @@ class TestWorkerDaemon:
             backend.close()
         finally:
             server.close()
+        # Result keys are the client's own; the worker keys its cache
+        # itself, by the structural evaluation key.
         assert [key for key, _ in results] == [("k0",), ("bad",), ("k2",)]
         assert isinstance(results[1][1], MappingError)
-        assert cache.batches == [[("k0",), ("k2",)]]
-        assert cache.get(("k0",)).to_dict() == results[0][1].to_dict()
+        fingerprint = engine.fingerprint
+        key0 = evaluation_key(fingerprint, _conv(0), ConvMapping(T_R=3))
+        key2 = evaluation_key(fingerprint, _conv(2), ConvMapping(T_K=2))
+        assert cache.batches == [[key0, key2]]
+        assert cache.get(key0).to_dict() == results[0][1].to_dict()
+
+    def test_shipped_keys_never_reach_the_worker_cache(self):
+        """A client cannot write a key of its choosing into the worker's
+        (possibly shared) cache: keys sent on the wire are ignored."""
+        cache = StatsCache()
+        server, _ = start_worker(cache=cache)
+        engine = EvaluationEngine(CONFIG)
+        pairs = [(_conv(0), ConvMapping(T_R=3)), (_conv(1), ConvMapping(T_K=2))]
+        message = {
+            "type": "evaluate_batch",
+            "version": protocol.PROTOCOL_VERSION,
+            "spec": protocol.engine_spec(engine),
+            "items": [
+                {
+                    "pos": pos,
+                    "key": ["bogus", pos],
+                    "layer": protocol.layer_to_wire(layer),
+                    "mapping": protocol.mapping_to_wire(mapping),
+                }
+                for pos, (layer, mapping) in enumerate(pairs)
+            ],
+        }
+        sock = socket.create_connection((server.host, server.port), timeout=5)
+        try:
+            protocol.recv_message(sock)  # hello
+            protocol.send_message(sock, message)
+            response = protocol.recv_message(sock)
+        finally:
+            sock.close()
+            server.close()
+        assert response["type"] == "results"
+        assert [entry["pos"] for entry in response["items"]] == [0, 1]
+        assert all("stats" in entry for entry in response["items"])
+        expected = {
+            evaluation_key(engine.fingerprint, layer, mapping)
+            for layer, mapping in pairs
+        }
+        assert set(cache._records) == expected
+
+    def test_functional_batch_runs_the_datapath_after_a_plain_one(
+        self, worker, monkeypatch
+    ):
+        """Engines are per (fingerprint, functional): a worker that first
+        served a spec without the datapath still runs it when a later
+        batch of the same fingerprint asks for it."""
+        import repro.stonne.simulator as simulator
+
+        calls = []
+        real = simulator._conv_via_gemm
+
+        def spy(*args, **kwargs):
+            calls.append(args[2].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_conv_via_gemm", spy)
+        request = EvalRequest(_conv(), ConvMapping(T_R=3))
+        for functional in (False, True):
+            backend = RemoteBackend(workers=[worker.address])
+            engine = EvaluationEngine(
+                CONFIG, functional=functional, executor=backend
+            )
+            assert engine.evaluate_many([request])[0].cycles > 0
+            assert backend.fallback_batches == 0
+            engine.close()
+        assert worker.items_served == 2
+        assert calls == [request.layer.name]
 
 
 def _hold_first_batches(workers, timeout=10.0):
@@ -286,6 +357,72 @@ class TestRemoteParity:
         finally:
             w1.close()
             w2.close()
+
+    def test_single_evaluates_spread_across_the_fleet(self):
+        """A one-chunk batch runs on the first pull slot; the slot list
+        rotates per call, so single evaluations reach every worker."""
+        w1, _ = start_worker()
+        w2, _ = start_worker()
+        try:
+            backend = RemoteBackend(workers=[w1.address, w2.address])
+            engine = EvaluationEngine(CONFIG, cache=StatsCache(), executor=backend)
+            for request in _requests(4):
+                assert engine.evaluate(request.layer, request.mapping).cycles > 0
+            assert backend.fallback_batches == 0
+            engine.close()
+        finally:
+            w1.close()
+            w2.close()
+        assert w1.items_served > 0 and w2.items_served > 0
+        assert w1.items_served + w2.items_served == 4
+
+    def test_concurrent_clients_share_one_engine(self):
+        """Handler threads share the worker's engine and cache: results
+        stay bit-identical and no served item goes uncounted."""
+        import sys
+
+        cache = StatsCache()
+        server, _ = start_worker(cache=cache)
+        requests = _requests()
+        expected = _stats_dicts(
+            EvaluationEngine(CONFIG, executor="serial").evaluate_many(requests)
+        )
+        clients = 6
+        results, errors = {}, []
+
+        def client(index):
+            try:
+                engine = EvaluationEngine(
+                    CONFIG, cache=StatsCache(),
+                    executor=RemoteBackend(workers=[server.address]),
+                )
+                results[index] = _stats_dicts(engine.evaluate_many(requests))
+                engine.close()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert errors == []
+        assert [results[index] for index in range(clients)] == (
+            [expected] * clients
+        )
+        assert server.batches_served == clients
+        assert server.items_served == clients * len(requests)
+        assert len(server._engines) == 1
 
     def test_remote_parity_on_gemm_architecture(self):
         """Mapping-free architectures (TPU) travel the wire too."""

@@ -672,7 +672,7 @@ class TestWorkerAuth(_SecuredDaemonCases):
 
     def assert_untouched(self, worker):
         assert worker.batches_served == 0
-        assert not worker._controllers
+        assert not worker._engines
 
 
 class TestServiceAuth(_SecuredDaemonCases):
