@@ -20,7 +20,7 @@ from conftest import SMOKE, emit, scaled
 from repro.session import Session
 from repro.stonne import maeri_config, sigma_config
 from repro.stonne.layer import ConvLayer
-from repro.stonne.simulator import _im2col
+from repro.topi import im2col_nchw
 
 ROUNDS = 10
 #: conv2d_nchw timings are best of this many calls per architecture.
@@ -58,6 +58,13 @@ def _im2col_loop(data: np.ndarray, layer: ConvLayer) -> np.ndarray:
                 cols[idx] = patch.reshape(-1)
                 idx += 1
     return cols
+
+
+def _im2col(data: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    return im2col_nchw(
+        data, (layer.R, layer.S), strides=(layer.stride_h, layer.stride_w),
+        padding=(layer.pad_h, layer.pad_w),
+    )
 
 
 def _time(fn, rounds: int = ROUNDS) -> float:

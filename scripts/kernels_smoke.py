@@ -13,6 +13,9 @@ workload and asserts the contract:
   transformer layer at 9 power-of-two ``ms_size`` values x 3 bandwidth
   pairs exactly like its scalar scan, once with a cold candidate memo
   and once with a warm one (per-point times are printed);
+* a 4-slot thread engine with 4-item chunks, under a 1 us GIL switch
+  interval, runs the same MAERI sweep on the engine's one controller
+  (controllers hold no state) and returns exactly the serial payloads;
 * the batch sweep beats the scalar loop by >= 3x wall-clock even at
   this scale (best-of-3 timing).
 
@@ -110,6 +113,45 @@ def _mrna_memo_leg() -> int:
     return 0
 
 
+def _shared_controller_leg(config, layer, mappings) -> int:
+    """The sweep on four thread slots sharing one controller == serial."""
+    from repro.engine import EvalRequest, EvaluationEngine
+    from repro.stonne.maeri import MaeriController
+
+    requests = [EvalRequest(layer, mapping) for mapping in mappings]
+    serial = EvaluationEngine(config).evaluate_many(requests, return_errors=True)
+    built = []
+    real_init = MaeriController.__init__
+
+    def counting_init(controller, *args, **kwargs):
+        built.append(controller)
+        real_init(controller, *args, **kwargs)
+
+    interval = sys.getswitchinterval()
+    MaeriController.__init__ = counting_init
+    sys.setswitchinterval(1e-6)
+    try:
+        engine = EvaluationEngine(
+            config, executor="thread", max_workers=4, chunk_size=4
+        )
+        try:
+            threaded = engine.evaluate_many(requests, return_errors=True)
+        finally:
+            engine.close()
+    finally:
+        sys.setswitchinterval(interval)
+        MaeriController.__init__ = real_init
+    if _canon(threaded) != _canon(serial):
+        print("FAIL: 4 thread slots on one controller diverged from serial",
+              file=sys.stderr)
+        return 1
+    if built != [engine.controller]:
+        print(f"FAIL: the thread run built {len(built)} controllers, "
+              f"not the engine's one", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     from repro.mrna.mapper import MrnaMapper
     from repro.stonne.config import maeri_config
@@ -165,6 +207,8 @@ def main() -> int:
         return 1
     if _mrna_memo_leg():
         return 1
+    if _shared_controller_leg(maeri_config(ms_size=MS_SIZE), layer, mappings):
+        return 1
 
     scalar_s = _best_of(
         lambda: AcceleratorController.run_conv_batch(
@@ -182,8 +226,9 @@ def main() -> int:
         return 1
     print(
         f"OK: batch kernels bit-identical across MAERI sweep "
-        f"({SWEEP} mappings, 2 invalid isolated), psum proxy and mRNA "
-        f"scorer; {speedup:.1f}x over the scalar loop"
+        f"({SWEEP} mappings, 2 invalid isolated), psum proxy, mRNA "
+        f"scorer and 4 thread slots on one controller; "
+        f"{speedup:.1f}x over the scalar loop"
     )
     return 0
 

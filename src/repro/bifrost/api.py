@@ -15,8 +15,8 @@ lists:
 Real STONNE MAERI consumes only NHWC/RSCK (§V-B1), so Bifrost transposes
 NCHW/KCRS tensors on the CPU in step 2 and the output back in step 6,
 work that is *not* counted in the cycle totals.  Here the cycle models
-read layer descriptors, not tensors, and the functional datapath (an
-exact im2col GEMM) computes in NCHW whatever the architecture, so those
+read layer descriptors, not tensors, and the functional datapath
+(TOPI's im2col conv2d) computes in NCHW whatever the architecture, so those
 transposes are not emulated: they would be uncounted CPU work undone at
 once.  Step 2 reduces to a float64 conversion of the inputs and step 6
 to nothing; only :meth:`StonneBifrostApi.conv2d_nhwc` transposes, for
@@ -41,9 +41,9 @@ from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.simulator import _conv_via_gemm
 from repro.stonne.sparsity import prune_to_sparsity
 from repro.stonne.stats import SimulationStats
+from repro.topi.conv2d import conv2d_nchw
 from repro.topi.layout import nchw_to_nhwc, nhwc_to_nchw, rsck_to_kcrs
 
 
@@ -146,7 +146,7 @@ class StonneBifrostApi:
 
         One path for every architecture: the mapping is resolved when the
         controller requires one (MAERI), the session engine serves the
-        cycle model, and the exact NCHW datapath produces the output.
+        cycle model, and TOPI's NCHW conv2d produces the output.
         MAERI's NHWC/RSCK staging (§V-B1) is uncounted CPU work that the
         layout-independent datapath would undo at once, so it is not
         emulated; the output is bit-identical either way.
@@ -166,10 +166,10 @@ class StonneBifrostApi:
             )
         weights = self._maybe_prune(weights)
         stats = self._evaluate(layer)
-        output = _conv_via_gemm(
+        output = conv2d_nchw(
             np.asarray(data, dtype=np.float64),
             np.asarray(weights, dtype=np.float64),
-            layer,
+            strides, padding, groups=groups,
         )
         self.stats.append(stats)
         return output

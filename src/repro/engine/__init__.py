@@ -25,8 +25,8 @@ Components
     architecture through the controller registry, consults the cache,
     and simulates on a miss; ``evaluate_many`` fans a batch of
     :class:`~repro.engine.evaluation.EvalRequest` out over a thread
-    pool (each worker gets its own controller instance, so the cycle
-    models' internal tallies never race).  ``num_simulations`` vs
+    pool (controllers hold no state after construction, so one
+    controller per engine serves every thread).  ``num_simulations`` vs
     ``num_evaluations`` counters expose real simulation savings.
 
     ``functional=True`` additionally executes the exact datapath (the

@@ -128,9 +128,7 @@ class ExecutorBackend:
         batch kernels (:func:`simulate_chunk`).
         """
         pairs = [(request.layer, request.mapping) for _, request in items]
-        payloads = simulate_chunk(
-            engine._local_controller(), pairs, engine.functional
-        )
+        payloads = simulate_chunk(engine.controller, pairs, engine.functional)
         return [(key, payload) for (key, _), payload in zip(items, payloads)]
 
     @property
@@ -161,12 +159,14 @@ class ExecutorBackend:
 
 def simulate_layer(controller, layer, mapping, functional: bool):
     """Run one cycle-model simulation (plus the exact datapath when
-    ``functional``) on an already-built controller.
+    ``functional``) on a controller, which may be shared across threads.
 
     This is the single definition of "simulate": :func:`simulate_chunk`
     runs every singleton group and every functional item through it, in
-    every backend's slots alike.  Outputs of the functional datapath are
-    discarded — they never affect stats.
+    every backend's slots alike.  The datapath is TOPI's conv2d
+    (:mod:`repro.topi.conv2d`, the operator the Bifrost API runs) or a
+    GEMM on all-ones tensors; its outputs are discarded — they never
+    affect stats.
     """
     import numpy as np
 
@@ -179,24 +179,23 @@ def simulate_layer(controller, layer, mapping, functional: bool):
     else:
         stats = controller.run_gemm(layer)
     if functional:
-        from repro.stonne.simulator import _conv_via_gemm
-
         if isinstance(layer, ConvLayer):
+            from repro.topi import conv2d
+
+            args = (
+                (layer.stride_h, layer.stride_w), (layer.pad_h, layer.pad_w),
+                (layer.dil_h, layer.dil_w), layer.G,
+            )
             if layer.layout == "NHWC":
                 # NHWC activations / RSCK kernels, transposed around the
-                # NCHW core exactly like StonneBifrostApi.conv2d_nhwc.
-                from repro.topi.layout import nchw_to_nhwc, nhwc_to_nchw, rsck_to_kcrs
-
+                # NCHW core like StonneBifrostApi.conv2d_nhwc.
                 data = np.ones((layer.N, layer.H, layer.W, layer.C))
                 weights = np.ones((layer.R, layer.S, layer.C // layer.G, layer.K))
-                out = _conv_via_gemm(
-                    nhwc_to_nchw(data), rsck_to_kcrs(weights), layer
-                )
-                nchw_to_nhwc(out)
+                conv2d.conv2d_nhwc(data, weights, *args)
             else:
                 data = np.ones((layer.N, layer.C, layer.H, layer.W))
                 weights = np.ones((layer.K, layer.C // layer.G, layer.R, layer.S))
-                _conv_via_gemm(data, weights, layer)
+                conv2d.conv2d_nchw(data, weights, *args)
         elif isinstance(layer, FcLayer):
             data = np.ones((layer.batch, layer.in_features))
             weights = np.ones((layer.out_features, layer.in_features))
@@ -281,11 +280,12 @@ class SerialBackend(ExecutorBackend):
 class ThreadBackend(ExecutorBackend):
     """Threaded execution: one scheduler puller thread per slot.
 
-    Each puller lazily builds its own controller through the engine
-    (cycle-model tallies must not race).  Chunks run grouped into numpy
-    batch kernels (:func:`simulate_chunk`) whose array math releases the
-    GIL, so thread slots overlap; ``benchmarks/bench_scheduler.py``
-    measures it with an explicit ``chunk_size``.  Under automatic
+    Every puller runs on the engine's one controller: controllers hold
+    no state after construction, so slots share it without a lock.
+    Chunks run grouped into numpy batch kernels (:func:`simulate_chunk`)
+    whose array math releases the GIL, so thread slots overlap;
+    ``benchmarks/bench_scheduler.py`` measures it with an explicit
+    ``chunk_size``.  Under automatic
     chunking every group runs as one chunk on the caller's thread and
     no puller starts.
     """

@@ -19,10 +19,10 @@ overview.  The key design points:
   backend (:mod:`repro.engine.backends`): serial, threaded, one worker
   process per slot, or a fleet.  ``evaluate`` is a one-request batch,
   so a single evaluation takes the same path.  Batch-internal
-  duplicates simulate once.  Worker threads lazily build their own
-  controller (controllers keep internal tallies, e.g. the accumulation
-  buffer's write counters, which must not race); worker processes
-  return ``(key, stats)`` pairs that merge into the parent cache.
+  duplicates simulate once.  Controllers hold no state after
+  construction, so every thread slot shares :attr:`controller`; worker
+  processes build one controller each and return ``(key, stats)`` pairs
+  that merge into the parent cache.
 """
 
 from __future__ import annotations
@@ -265,7 +265,6 @@ class EvaluationEngine:
             config, params, type(self.controller)
         )
         self._counter_lock = threading.Lock()
-        self._thread_local = threading.local()
 
     # ------------------------------------------------------------------
     @property
@@ -277,19 +276,6 @@ class EvaluationEngine:
     def fingerprint(self) -> str:
         """Digest identifying this engine's (config, params) pair."""
         return self._fingerprint
-
-    def _local_controller(self) -> AcceleratorController:
-        """A per-thread controller (cycle-model tallies must not race).
-
-        Instantiates the class resolved at engine construction rather than
-        re-querying the registry, so a later registry hot-swap cannot make
-        worker threads disagree with :attr:`controller` or the fingerprint.
-        """
-        controller = getattr(self._thread_local, "controller", None)
-        if controller is None:
-            controller = type(self.controller)(self.config, self.params)
-            self._thread_local.controller = controller
-        return controller
 
     # ------------------------------------------------------------------
     def evaluate(

@@ -48,13 +48,12 @@ from repro.stonne.mapping import (
 from repro.stonne.maeri import MaeriController
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.sigma import SigmaController
-from repro.stonne.sparsity import BitmapTensor, measured_sparsity, prune_to_sparsity
+from repro.stonne.sparsity import prune_to_sparsity
 from repro.stonne.stats import SimulationStats, TrafficBreakdown, combine_stats
 from repro.stonne.tpu import TpuController
 
 __all__ = [
     "AcceleratorController",
-    "BitmapTensor",
     "controller_class",
     "make_controller",
     "register_controller",
@@ -88,7 +87,6 @@ __all__ = [
     "enumerate_conv_mappings",
     "enumerate_fc_mappings",
     "maeri_config",
-    "measured_sparsity",
     "prune_to_sparsity",
     "sigma_config",
     "tpu_config",

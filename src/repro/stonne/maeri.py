@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from typing import List, NamedTuple, Optional, Sequence, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.controller import (
     AcceleratorController,
@@ -58,7 +58,6 @@ from repro.stonne.mapping import (
     pack_conv_mappings,
     pack_fc_mappings,
 )
-from repro.stonne.memory import AccumulationBuffer
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.reduction import make_reduction_network
 from repro.stonne.stats import SimulationStats, TrafficBreakdown
@@ -191,9 +190,8 @@ def fits_int64(layer: Union[ConvLayer, FcLayer], ms_size: int,
       window 1);
     * each interval is at most ``per_iter = weights + inputs + num_vns *
       rmw_occupancy + raw_stall + 1``, the sum of its ``max`` terms;
-    * psums are at most ``2 * macs`` (conv) or ``macs * ms_size`` (dense)
-      and the accumulator writes at most ``macs * ms_size``, all below
-      ``macs * per_iter``.
+    * psums are at most ``2 * macs`` (conv) or ``macs * ms_size`` (dense),
+      both below ``macs * per_iter``.
 
     Every factor the profile and :func:`steady_state` multiply is >= 1,
     so each partial product is at most its final value, and every value
@@ -240,9 +238,14 @@ class MaeriController(AcceleratorController):
             bandwidth=config.rn_bw,
             rmw_occupancy=params.rmw_occupancy,
         )
-        self.accumulator = AccumulationBuffer(
-            enabled=config.accumulation_buffer,
-            raw_latency=params.acc_raw_latency,
+        if params.acc_raw_latency < 0:
+            raise SimulationError(
+                f"acc_raw_latency must be >= 0, got {params.acc_raw_latency}"
+            )
+        # Without an accumulation buffer psums spill to the global buffer
+        # and are re-fetched, doubling the read-after-write stall.
+        self._raw_stall = params.acc_raw_latency * (
+            1 if config.accumulation_buffer else 2
         )
 
     # ------------------------------------------------------------------
@@ -252,23 +255,15 @@ class MaeriController(AcceleratorController):
         """The model's stats fields for a tile profile, as ints or columns.
 
         Returns ``(fill, steady, cycles, psums, iterations,
-        multipliers_used, weights_distributed, inputs_distributed)`` and
-        records the accumulator writes.
+        multipliers_used, weights_distributed, inputs_distributed)``.
         """
-        partial_iters, final_iters, steady = steady_state(
+        _, _, steady = steady_state(
             profile,
             self.config.dn_bw,
             self.config.rn_bw,
             self.reduction.rmw_occupancy,
-            self.accumulator.hazard_stall(True),
+            self._raw_stall,
         )
-        partial_writes = partial_iters * profile.num_vns
-        final_writes = final_iters * profile.num_vns
-        if not isinstance(partial_writes, int):
-            partial_writes = sum(partial_writes.tolist())
-            final_writes = sum(final_writes.tolist())
-        self.accumulator.record_partial_writes(partial_writes)
-        self.accumulator.record_final_writes(final_writes)
         fill = self._fill_constant() + self.reduction.reduction_latency(
             profile.vn_size
         )
@@ -391,7 +386,7 @@ class MaeriController(AcceleratorController):
         base = layer if count == 1 else _single_batch(layer)
         ms_size = self.config.ms_size
         if not fits_int64(base, ms_size, self.reduction.rmw_occupancy,
-                          self.accumulator.hazard_stall(True),
+                          self._raw_stall,
                           self._fill_constant() + ms_size):
             return [_captured(scalar, layer, m) for m in mappings]
 

@@ -1,55 +1,17 @@
-"""Multiplier network models.
+"""Multiplier network model of the TPU.
 
-Two topologies from STONNE (Table III):
-
-* :class:`LinearMultiplierNetwork` (``LINEAR``) — MAERI/SIGMA's 1-D chain
-  of multiplier switches.  The array is *partitioned* into virtual neurons
-  by the mapping; every occupied multiplier retires one MAC per cycle.
-* :class:`OSMeshNetwork` (``OS_MESH``) — the TPU's 2-D output-stationary
-  mesh of ``rows x cols`` PEs executing the classic systolic schedule.
+:class:`OSMeshNetwork` (STONNE's ``OS_MESH``, Table III) is the TPU's 2-D
+output-stationary mesh of ``rows x cols`` PEs executing the classic
+systolic schedule.  MAERI's and SIGMA's linear arrays (``LINEAR``) need
+no object: every occupied multiplier retires one MAC per cycle, which
+their cycle models fold into each tile iteration's interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import MappingError, SimulationError
-
-
-@dataclass(frozen=True)
-class LinearMultiplierNetwork:
-    """A linear array of ``size`` multiplier switches."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise SimulationError(f"multiplier array size must be >= 1, got {self.size}")
-
-    def check_fit(self, vn_size: int, num_vns: int) -> None:
-        """Raise unless ``num_vns`` VNs of ``vn_size`` fit in the array."""
-        needed = vn_size * num_vns
-        if needed > self.size:
-            raise MappingError(
-                f"mapping needs {needed} multipliers "
-                f"({num_vns} VNs x {vn_size}) but the array has {self.size}"
-            )
-
-    def compute_cycles(self, macs_per_iteration: int, multipliers_used: int) -> int:
-        """Cycles the array needs to retire one iteration's MACs.
-
-        With every occupied multiplier doing one MAC per cycle, an
-        iteration that issues exactly one MAC per occupied PE takes a
-        single cycle; oversubscribed iterations (more MACs than PEs, which
-        SIGMA's auto-tiling can produce) serialize.
-        """
-        if multipliers_used < 1:
-            raise SimulationError("an iteration must occupy at least one multiplier")
-        if macs_per_iteration < 0:
-            raise SimulationError("negative MAC count")
-        if macs_per_iteration == 0:
-            return 0
-        return -(-macs_per_iteration // multipliers_used)
+from repro.errors import SimulationError
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from repro.stonne.controller import (
 )
 from repro.stonne.distribution import DistributionNetwork
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer, ceil_div
-from repro.stonne.multiplier import LinearMultiplierNetwork
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.reduction import make_reduction_network
 from repro.stonne.stats import SimulationStats, TrafficBreakdown
@@ -70,7 +69,6 @@ class SigmaController(AcceleratorController):
             )
         self.config = config
         self.params = params
-        self.multipliers = LinearMultiplierNetwork(size=config.ms_size)
         self.distribution = DistributionNetwork(
             bandwidth=config.dn_bw, fanout=config.ms_size
         )

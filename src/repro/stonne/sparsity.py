@@ -1,28 +1,26 @@
-"""Sparsity utilities: magnitude pruning and bitmap compression.
+"""Magnitude pruning for the sparse architectures (SIGMA, MAGMA).
 
-SIGMA consumes weight tensors in a bitmap-compressed format; Bifrost's
-evaluation prunes AlexNet to fixed sparsity ratios (Figure 9).  These
-helpers produce deterministically pruned tensors and the bitmap encoding
-the memory controller would stream.
+Bifrost's evaluation prunes AlexNet to fixed sparsity ratios (Figure 9);
+:func:`prune_to_sparsity` produces the deterministically pruned weights
+the Bifrost API computes with on a sparse configuration.  The cycle
+models read the configured ratio, not the tensor, so no bitmap encoding
+of the pruned weights is modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
-
 from repro.errors import SimulationError
 
 
-def prune_to_sparsity(weights: np.ndarray, sparsity_ratio: int) -> np.ndarray:
+def prune_to_sparsity(weights, sparsity_ratio: int):
     """Magnitude-prune ``weights`` so ``sparsity_ratio`` percent are zero.
 
     The smallest-magnitude elements are zeroed, matching the standard
     pruning recipe the paper's Figure 9 assumes.  The input is not
     modified.  ``sparsity_ratio`` is an integer percentage in [0, 100].
     """
+    import numpy as np
+
     if not 0 <= sparsity_ratio <= 100:
         raise SimulationError(
             f"sparsity_ratio must be in [0, 100], got {sparsity_ratio}"
@@ -39,52 +37,3 @@ def prune_to_sparsity(weights: np.ndarray, sparsity_ratio: int) -> np.ndarray:
     order = np.argsort(np.abs(flat), kind="stable")
     flat[order[:n_zero]] = 0.0
     return pruned
-
-
-def measured_sparsity(weights: np.ndarray) -> float:
-    """Fraction of exactly-zero elements in ``weights``."""
-    if weights.size == 0:
-        raise SimulationError("cannot measure sparsity of an empty tensor")
-    return float(np.count_nonzero(weights == 0.0)) / weights.size
-
-
-@dataclass(frozen=True)
-class BitmapTensor:
-    """Bitmap-compressed sparse tensor (SIGMA's on-wire format).
-
-    ``bitmap`` marks non-zero positions; ``values`` holds the non-zeros in
-    row-major order.  Decompression is exact.
-    """
-
-    shape: Tuple[int, ...]
-    bitmap: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def compress(cls, dense: np.ndarray) -> "BitmapTensor":
-        mask = dense != 0.0
-        return cls(
-            shape=tuple(dense.shape),
-            bitmap=mask.reshape(-1).copy(),
-            values=dense.reshape(-1)[mask.reshape(-1)].copy(),
-        )
-
-    def decompress(self) -> np.ndarray:
-        dense = np.zeros(int(np.prod(self.shape)), dtype=self.values.dtype)
-        dense[self.bitmap] = self.values
-        return dense.reshape(self.shape)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def density(self) -> float:
-        total = int(np.prod(self.shape))
-        return self.nnz / total if total else 0.0
-
-    @property
-    def compressed_elements(self) -> int:
-        """Storage in value-slots: non-zeros plus the bitmap (1/32 each)."""
-        total_bits = int(np.prod(self.shape))
-        return self.nnz + -(-total_bits // 32)

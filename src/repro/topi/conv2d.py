@@ -156,9 +156,9 @@ def conv2d_im2col_nchw(
             dilation,
         )
         w_mat = weights[g * k_per_g : (g + 1) * k_per_g].reshape(k_per_g, -1)
-        out[:, g * k_per_g : (g + 1) * k_per_g] = np.einsum(
-            "kc,ncp->nkp", w_mat, cols
-        ).reshape(n, k_per_g, p, q)
+        out[:, g * k_per_g : (g + 1) * k_per_g] = (w_mat @ cols).reshape(
+            n, k_per_g, p, q
+        )
     return out
 
 

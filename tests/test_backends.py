@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import (
     SerialBackend,
     StatsCache,
     ThreadBackend,
+    backend_counters,
     make_backend,
     register_backend,
     registered_backends,
@@ -171,6 +173,39 @@ class TestBackendParity:
         finally:
             thread_engine.close()
             process_engine.close()
+
+    def test_thread_slots_share_the_engine_controller(
+        self, maeri128, monkeypatch
+    ):
+        """Controllers hold no state after construction, so a 4-slot
+        thread run with explicit chunks builds no controller beyond the
+        engine's own, and still equals serial."""
+        reqs = [
+            EvalRequest(ConvLayer(f"c{i}", C=2 + i % 5, H=8, W=8, K=4 + i,
+                                  R=3, S=3), ConvMapping(T_R=3, T_K=1 + i % 2))
+            for i in range(24)
+        ]
+        serial = EvaluationEngine(maeri128).evaluate_many(reqs)
+        built = []
+        real_init = MaeriController.__init__
+
+        def spy(controller, *args, **kwargs):
+            built.append(controller)
+            real_init(controller, *args, **kwargs)
+
+        monkeypatch.setattr(MaeriController, "__init__", spy)
+        engine = EvaluationEngine(
+            maeri128, executor="thread", max_workers=4, chunk_size=4
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert engine.evaluate_many(reqs) == serial
+            assert backend_counters(engine.backend)["chunks_pulled"] == 6
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert built == [engine.controller]
 
     def test_process_backend_counts_simulations(self, maeri128):
         engine = EvaluationEngine(maeri128, executor="process", max_workers=2)

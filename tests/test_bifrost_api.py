@@ -13,9 +13,7 @@ from repro.bifrost import (
 )
 from repro.errors import LayerError, SimulationError
 from repro.stonne.config import maeri_config, sigma_config, tpu_config
-from repro.stonne.layer import ConvLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
-from repro.stonne.simulator import _conv_via_gemm
 from repro.topi import conv2d_nchw, dense as dense_ref, kcrs_to_rsck, nchw_to_nhwc, nhwc_to_nchw
 
 
@@ -85,18 +83,11 @@ def _conv_cases(rng):
 
 
 def _reference_conv(data, weights, strides, padding, groups):
-    """The exact NCHW datapath called directly on the same inputs."""
-    n, c, h, w = data.shape
-    k, _, r, s = weights.shape
-    layer = ConvLayer(
-        "ref", C=c, H=h, W=w, K=k, R=r, S=s,
-        stride_h=strides[0], stride_w=strides[1],
-        pad_h=padding[0], pad_w=padding[1], G=groups, N=n,
-    )
-    return _conv_via_gemm(
+    """TOPI's NCHW conv2d called directly on the same inputs."""
+    return conv2d_nchw(
         np.asarray(data, dtype=np.float64),
         np.asarray(weights, dtype=np.float64),
-        layer,
+        strides, padding, groups=groups,
     )
 
 

@@ -15,8 +15,7 @@ from repro.engine import EvaluationEngine
 from repro.errors import LayerError
 from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer
-from repro.stonne.simulator import _conv_via_gemm
-from repro.topi import conv2d_direct_nchw
+from repro.topi import conv2d_direct_nchw, conv2d_nchw
 from repro.topi.layout import (
     nchw_to_nhwc,
     nhwc_to_nchw,
@@ -37,6 +36,16 @@ def _layer(stride, dil, pad, groups=1, layout="NCHW"):
         "v", C=4, H=10, W=10, K=8, R=3, S=3, G=groups,
         stride_h=stride, stride_w=stride, pad_h=pad, pad_w=pad,
         dil_h=dil, dil_w=dil, layout=layout,
+    )
+
+
+def _datapath(data, weights, layer):
+    """TOPI's im2col conv2d with the layer's geometry: the datapath the
+    Bifrost API and the functional engine run."""
+    return conv2d_nchw(
+        data, weights, strides=(layer.stride_h, layer.stride_w),
+        padding=(layer.pad_h, layer.pad_w),
+        dilation=(layer.dil_h, layer.dil_w), groups=layer.G,
     )
 
 
@@ -74,7 +83,7 @@ class TestFunctionalParity:
         layer = _layer(stride, dil, pad, groups=groups)
         data = rng.normal(size=(1, layer.C, layer.H, layer.W))
         weights = rng.normal(size=(layer.K, layer.C // groups, 3, 3))
-        got = _conv_via_gemm(data, weights, layer)
+        got = _datapath(data, weights, layer)
         want = conv2d_direct_nchw(
             data, weights, strides=(stride, stride), padding=(pad, pad),
             dilation=(dil, dil), groups=groups,
@@ -88,7 +97,7 @@ class TestFunctionalParity:
         layer = _layer(stride, dil, pad, layout="NHWC")
         data_nhwc = rng.normal(size=(1, layer.H, layer.W, layer.C))
         weights_rsck = rng.normal(size=(3, 3, layer.C, layer.K))
-        out_nchw = _conv_via_gemm(
+        out_nchw = _datapath(
             nhwc_to_nchw(data_nhwc), rsck_to_kcrs(weights_rsck), layer
         )
         got = nchw_to_nhwc(out_nchw)
@@ -110,7 +119,7 @@ class TestFunctionalParity:
             data, weights, strides=(2, 2), padding=(2, 2), dilation=(2, 2)
         )
         np.testing.assert_allclose(
-            _conv_via_gemm(data, weights, layer), want, rtol=1e-9
+            _datapath(data, weights, layer), want, rtol=1e-9
         )
         assert stats.cycles > 0
 

@@ -8,8 +8,8 @@ reduced to a canonical value (``SimulationStats.to_dict()``, the psum
 int, or the raised exception's type and message), and each group of
 outcomes to a short SHA-256 digest.  ``tests/data/cycle_model_golden.json``
 holds the digests of a reference implementation; any change to a cycle
-count, traffic tally, error message or accumulator tally shows up as a
-mismatching key naming the config, workload group and entry point.
+count, traffic tally or error message shows up as a mismatching key
+naming the config, workload group and entry point.
 
 Regenerate (only when a model change is intended)::
 
@@ -267,11 +267,6 @@ def compute_digests():
                 add(f"estimate_{kind}_psums_batch", getattr(
                     batch_ctrl, f"estimate_{kind}_psums_batch")(layer, mappings))
                 add("run_gemm", [_call(scalar_ctrl.run_gemm, layer.as_gemm())])
-            for name, ctrl in (("scalar", scalar_ctrl), ("batch", batch_ctrl)):
-                accumulator = getattr(ctrl, "accumulator", None)
-                if accumulator is not None:
-                    add(f"accumulator.{name}",
-                        [(accumulator.reads, accumulator.writes)])
             if maeri:
                 outcomes.update(_mrna_outcomes(config, layers, mappings_for))
             for entry, values in outcomes.items():

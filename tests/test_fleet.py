@@ -294,16 +294,16 @@ class TestWorkerDaemon:
         """Engines are per (fingerprint, functional): a worker that first
         served a spec without the datapath still runs it when a later
         batch of the same fingerprint asks for it."""
-        import repro.stonne.simulator as simulator
+        from repro.topi import conv2d
 
         calls = []
-        real = simulator._conv_via_gemm
+        real = conv2d.conv2d_nchw
 
         def spy(*args, **kwargs):
-            calls.append(args[2].name)
+            calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_conv_via_gemm", spy)
+        monkeypatch.setattr(conv2d, "conv2d_nchw", spy)
         request = EvalRequest(_conv(), ConvMapping(T_R=3))
         for functional in (False, True):
             backend = RemoteBackend(workers=[worker.address])
@@ -314,7 +314,8 @@ class TestWorkerDaemon:
             assert backend.fallback_batches == 0
             engine.close()
         assert worker.items_served == 2
-        assert calls == [request.layer.name]
+        layer = request.layer
+        assert calls == [(layer.N, layer.C, layer.H, layer.W)]
 
 
 def _hold_first_batches(workers, timeout=10.0):

@@ -6,8 +6,7 @@ import pytest
 from repro.bifrost import MappingConfigurator, StonneBifrostApi
 from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer
-from repro.stonne.simulator import _conv_via_gemm, _im2col
-from repro.topi import conv2d_nchw
+from repro.topi import conv2d_nchw, im2col_nchw
 
 
 def _im2col_loop_reference(data, layer):
@@ -33,6 +32,13 @@ def _im2col_loop_reference(data, layer):
                 cols[idx] = patch.reshape(-1)
                 idx += 1
     return cols
+
+
+def _im2col(data, layer):
+    return im2col_nchw(
+        data, (layer.R, layer.S), strides=(layer.stride_h, layer.stride_w),
+        padding=(layer.pad_h, layer.pad_w),
+    )
 
 
 LAYERS = [
@@ -71,7 +77,7 @@ class TestBatchedConv:
         layer = ConvLayer("b", C=3, H=9, W=9, K=5, R=3, S=3, pad_h=1, pad_w=1)
         data = rng.normal(size=(4, 3, 9, 9))
         weights = rng.normal(size=(5, 3, 3, 3))
-        out = _conv_via_gemm(data, weights, layer)
+        out = conv2d_nchw(data, weights, padding=(1, 1))
         assert out.shape == (4, 5, layer.P, layer.Q)
         for i in range(4):
             np.testing.assert_allclose(
@@ -86,7 +92,8 @@ class TestBatchedConv:
         layer = ConvLayer("g", C=4, H=8, W=8, K=8, R=3, S=3, G=2)
         data = rng.normal(size=(3, 4, 8, 8))
         weights = rng.normal(size=(8, 2, 3, 3))
-        out = _conv_via_gemm(data, weights, layer)
+        out = conv2d_nchw(data, weights, groups=2)
+        assert out.shape == (3, 8, layer.P, layer.Q)
         for i in range(3):
             np.testing.assert_allclose(
                 out[i : i + 1],

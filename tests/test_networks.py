@@ -1,13 +1,15 @@
 """Unit tests for the network component models (distribution, reduction,
-multiplier, memory)."""
+multiplier) and MAERI's accumulation-buffer stall."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import MappingError, SimulationError
+from repro.errors import SimulationError
+from repro.stonne.config import maeri_config
 from repro.stonne.distribution import DistributionNetwork
-from repro.stonne.memory import AccumulationBuffer, GlobalBuffer
-from repro.stonne.multiplier import LinearMultiplierNetwork, OSMeshNetwork
+from repro.stonne.maeri import MaeriController, TileProfile, steady_state
+from repro.stonne.multiplier import OSMeshNetwork
+from repro.stonne.params import CycleModelParams
 from repro.stonne.reduction import ARTNetwork, FENetwork, make_reduction_network
 
 
@@ -62,18 +64,6 @@ class TestReductionNetworks:
 
 
 class TestMultiplierNetworks:
-    def test_linear_fit_check(self):
-        net = LinearMultiplierNetwork(size=64)
-        net.check_fit(vn_size=8, num_vns=8)
-        with pytest.raises(MappingError):
-            net.check_fit(vn_size=8, num_vns=9)
-
-    def test_linear_compute_cycles(self):
-        net = LinearMultiplierNetwork(size=64)
-        assert net.compute_cycles(64, 64) == 1
-        assert net.compute_cycles(65, 64) == 2
-        assert net.compute_cycles(0, 64) == 0
-
     def test_os_mesh_tile_cycles(self):
         mesh = OSMeshNetwork(rows=4, cols=4)
         # K + (rows + cols - 2) + 1
@@ -86,33 +76,34 @@ class TestMultiplierNetworks:
 
 
 class TestAccumulationBuffer:
+    @staticmethod
+    def _steady(red_folds, raw_stall):
+        """Steady cycles of a one-VN profile whose interval is the stall."""
+        profile = TileProfile(
+            iterations=red_folds, red_folds=red_folds, vn_size=1, num_vns=1,
+            unique_weights=1, unique_inputs=1, psums=0,
+        )
+        return steady_state(profile, dn_bw=64, rn_bw=64, rmw_occupancy=1,
+                            raw_stall=raw_stall)[2]
+
     def test_hazard_only_on_same_outputs(self):
-        acc = AccumulationBuffer(enabled=True, raw_latency=2)
-        assert acc.hazard_stall(False) == 0
-        assert acc.hazard_stall(True) == 2
+        # One reduction fold: no iteration revisits an output, no stall.
+        assert self._steady(red_folds=1, raw_stall=2) == 1
+        # Two folds accumulate onto the same outputs: both pay the stall.
+        assert self._steady(red_folds=2, raw_stall=2) == 2 * 2
 
     def test_disabled_buffer_doubles_penalty_and_spills(self):
-        acc = AccumulationBuffer(enabled=False, raw_latency=2)
-        assert acc.hazard_stall(True) == 4
-        assert acc.spill_factor() == 2
+        params = CycleModelParams(acc_raw_latency=3)
+        with_buffer = MaeriController(maeri_config(), params)
+        spilling = MaeriController(
+            maeri_config(accumulation_buffer=False), params
+        )
+        assert with_buffer._raw_stall == 3
+        assert spilling._raw_stall == 2 * 3
 
-    def test_traffic_accounting(self):
-        acc = AccumulationBuffer()
-        acc.record_partial_writes(10)
-        acc.record_final_writes(5)
-        assert acc.reads == 10
-        assert acc.writes == 15
-        with pytest.raises(SimulationError):
-            acc.record_partial_writes(-1)
-
-
-class TestGlobalBuffer:
-    def test_capacity_check(self):
-        buf = GlobalBuffer(read_bandwidth=64, write_bandwidth=16,
-                           capacity_elements=1000)
-        assert buf.fits(1000)
-        assert not buf.fits(1001)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(SimulationError):
-            GlobalBuffer(read_bandwidth=0, write_bandwidth=16)
+    def test_negative_raw_latency_is_rejected(self):
+        """Users set params (the ablation benches vary them), so a
+        negative latency is a typed error, not a silent negative stall."""
+        for config in (maeri_config(), maeri_config(accumulation_buffer=False)):
+            with pytest.raises(SimulationError, match="acc_raw_latency"):
+                MaeriController(config, CycleModelParams(acc_raw_latency=-1))
