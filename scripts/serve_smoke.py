@@ -7,7 +7,10 @@ client processes, and asserts the shared-cache dedup contract: the
 daemon runs jobs sequentially against one session, so whichever job
 lands second reports ``num_simulations == 0`` — every one of its
 scenarios is a cache hit from the first — while both archive
-bit-identical per-scenario results.
+bit-identical per-scenario results.  Each job's archive must be one
+line of compact JSON, and ``repro report diff`` between it and the
+same job's indented ``repro result --report-json`` file must exit 0
+with a zero delta.
 
 Then exercises the cancel/resume loop: a queued job is cancelled before
 it runs, its plan is resubmitted with ``--resume`` pointing at the
@@ -202,6 +205,26 @@ def main() -> int:
             return 1
         print("OK: overlap deduped through the shared cache, "
               "bit-identical results")
+        for job_id in job_ids:
+            archived = os.path.join(archive_dir, f"{job_id}.json")
+            with open(archived, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            if len(lines) != 1:
+                print(f"FAIL: archive {archived} spans {len(lines)} "
+                      "lines, expected one line of compact JSON",
+                      file=sys.stderr)
+                return 1
+            json.loads(lines[0])
+            diff = json.loads(_cli(
+                env, "report", "diff", archived,
+                os.path.join(tmp, f"{job_id}.json"), "--json",
+            ))
+            if not diff["zero"]:
+                print(f"FAIL: archive {archived} differs from the "
+                      f"CLI-written report: {diff}", file=sys.stderr)
+                return 1
+        print("OK: archives are one line of JSON and diff zero against "
+              "the indented --report-json files")
 
         # --- leg 2: cancel a queued job, resume from the archive -----
         from repro.serve import ServeClient

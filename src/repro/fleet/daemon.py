@@ -35,15 +35,19 @@ import socket
 import socketserver
 import threading
 import traceback
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.fleet import protocol
 
+#: A reply: a message dict, or a frame the protocol already encoded
+#: (``job_result`` splices its archived report into one).
+Reply = Union[Dict[str, Any], bytes]
+
 #: A request handler: ``(connection, message) -> reply``.  A handler that
 #: streams its own frames (``job_watch``) sends them through
 #: :meth:`Connection.send` and returns None.
-Handler = Callable[["Connection", Dict[str, Any]], Optional[Dict[str, Any]]]
+Handler = Callable[["Connection", Dict[str, Any]], Optional[Reply]]
 
 #: Seconds a client waits for a daemon to accept a connection.
 CONNECT_TIMEOUT_S = 5.0
@@ -75,10 +79,13 @@ class Connection(socketserver.BaseRequestHandler):
         # Requests are latency-sensitive small frames; don't Nagle them.
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
-    def send(self, message: Dict[str, Any]) -> None:
+    def send(self, message: Reply) -> None:
         """Send one frame; a failed send ends this connection."""
         try:
-            protocol.send_message(self.request, message)
+            if isinstance(message, bytes):
+                self.request.sendall(message)
+            else:
+                protocol.send_message(self.request, message)
         except OSError as exc:
             raise _Disconnected(str(exc)) from exc
 

@@ -29,7 +29,10 @@ own vocabulary: ``submit_sweep`` (a serialized
 :class:`~repro.sweep.SweepPlan`, optionally with a resume archive),
 ``job_list``/``job_status``/``job_result``/``job_cancel``/``job_watch``
 requests, ``job``/``jobs``/``job_result`` replies, and streamed
-``progress`` events while a watch is active.
+``progress`` events while a watch is active.  The ``job_result`` reply
+carries the job's archived report file as it is: the daemon splices the
+archive's bytes into the frame (:func:`job_result_frame`) instead of
+parsing and re-encoding them, and clients decode it like any frame.
 
 Both daemons support opt-in shared-secret authentication: a secured
 peer's ``hello`` carries an ``auth`` challenge (scheme + random nonce)
@@ -81,7 +84,12 @@ class ProtocolError(ReproError):
 # ----------------------------------------------------------------------
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """One wire frame: 4-byte big-endian length + UTF-8 JSON payload."""
-    payload = json.dumps(message, default=str).encode("utf-8")
+    return frame_payload(json.dumps(message, default=str).encode("utf-8"))
+
+
+def frame_payload(payload: bytes) -> bytes:
+    """Frame an already-encoded UTF-8 JSON payload (length prefix and
+    size check; every outgoing frame passes through here)."""
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -474,11 +482,21 @@ def jobs_message(jobs: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {"type": "jobs", "jobs": jobs}
 
 
-def job_result_message(
-    job: Dict[str, Any], report: Dict[str, Any]
-) -> Dict[str, Any]:
-    """A finished job's archived report (the ``job_result`` reply)."""
-    return {"type": "job_result", "job": job, "report": report}
+def job_result_frame(job: Dict[str, Any], report_json: bytes) -> bytes:
+    """The encoded ``job_result`` reply: ``{"type": "job_result", "job":
+    <job>, "report": <archived report>}``.
+
+    ``report_json`` is the archive file's bytes, spliced into the frame
+    as they are: the daemon neither parses nor re-encodes the report,
+    and a client decodes the frame like any other.  A torn archive
+    therefore reaches the client as a frame that is not valid JSON,
+    which it reports as a :class:`ProtocolError`.
+    """
+    head = json.dumps({"type": "job_result", "job": job}, default=str)
+    return frame_payload(
+        b"".join((head[:-1].encode("utf-8"), b', "report": ',
+                  report_json, b"}"))
+    )
 
 
 def progress_message(job_id: str, event: Dict[str, Any]) -> Dict[str, Any]:

@@ -14,7 +14,11 @@ not from racing sweeps against each other.
 Every finished report — including the partial report of a cancelled
 job — is archived as ``<archive_dir>/<job-id>.json``, a plain
 :class:`~repro.sweep.SweepReport` document that feeds straight into
-``repro report diff`` and ``repro submit --resume``.
+``repro report diff`` and ``repro submit --resume``.  Archives are
+compact JSON with sorted keys, one line (the indented form costs the
+pure-Python encoder, once per job, before the job is marked done), and
+a ``job_result`` reply sends the archived bytes as they are, spliced
+into its frame without a parse or re-encode.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the listener, cancel the
 running job at its next scenario checkpoint (archiving the resumable
@@ -23,7 +27,6 @@ partial), close the session's cache tiers and fleet, and exit 0.
 
 from __future__ import annotations
 
-import json
 import os
 import queue
 import socket
@@ -107,9 +110,9 @@ class SweepService(DaemonServer):
         def job_reply(job: Job) -> dict:
             return protocol.job_message(job.describe())
 
-        def result_reply(conn, message) -> dict:
-            job, report = self.result(message.get("id"))
-            return protocol.job_result_message(job.describe(), report)
+        def result_reply(conn, message) -> bytes:
+            job, report_json = self.result(message.get("id"))
+            return protocol.job_result_frame(job.describe(), report_json)
 
         return {
             "submit_sweep": lambda conn, m: job_reply(self.submit(m)),
@@ -183,15 +186,19 @@ class SweepService(DaemonServer):
         self.metrics.counter("serve.jobs_submitted").inc()
         return job
 
-    def result(self, job_id: Optional[str]) -> Tuple[Job, dict]:
-        """A finished job's archived report dict (state-checked)."""
+    def result(self, job_id: Optional[str]) -> Tuple[Job, bytes]:
+        """A finished job and its archive's bytes (state-checked).
+
+        The archive is compact, sorted JSON; it is read from disk per
+        request, not parsed, and sent on as it is (so the daemon holds
+        no report text between requests).
+        """
         job = self.jobs.get(job_id)
         if job.archive is None:
             raise ServeError(
                 f"job {job.id} is {job.state} and has no archived report yet"
             )
-        with open(job.archive, "r", encoding="utf-8") as handle:
-            return job, json.load(handle)
+        return job, Path(job.archive).read_bytes()
 
     # ------------------------------------------------------------------
     # the executor thread
@@ -252,7 +259,7 @@ class SweepService(DaemonServer):
     def _archive(self, job: Job, report: SweepReport) -> str:
         self.archive_dir.mkdir(parents=True, exist_ok=True)
         path = self.archive_dir / f"{job.id}.json"
-        path.write_text(report.to_json() + "\n", encoding="utf-8")
+        path.write_text(report.to_json(indent=None) + "\n", encoding="utf-8")
         return str(path)
 
     # ------------------------------------------------------------------

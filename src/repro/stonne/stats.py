@@ -182,7 +182,10 @@ class SimulationStats:
         Derived fields (``utilization``) and unknown keys are ignored, so
         records written by older/newer versions still load.
         """
-        known = {f.name for f in fields(cls)}
+        known = _FIELD_NAMES.get(cls)
+        if known is None:
+            known = frozenset(f.name for f in fields(cls))
+            _FIELD_NAMES[cls] = known
         payload = {k: v for k, v in data.items() if k in known}
         traffic = payload.get("traffic")
         if isinstance(traffic, dict):
@@ -195,6 +198,12 @@ class SimulationStats:
             f"{self.psums:,} psums, {self.macs:,} MACs, "
             f"utilization {self.utilization:.1%}"
         )
+
+
+#: Field names per stats class, for :meth:`SimulationStats.from_dict`:
+#: every SQLite cache read and report rebuild decodes each record through
+#: it, and ``dataclasses.fields`` builds a fresh tuple on every call.
+_FIELD_NAMES: Dict[type, frozenset] = {}
 
 
 def combine_stats(name: str, parts: list) -> SimulationStats:

@@ -249,7 +249,8 @@ class SweepReport:
             data["metrics"] = dict(self.metrics)
         return data
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        """Sorted-key JSON; ``indent=None`` is compact, one line."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod

@@ -20,7 +20,13 @@ driving session's stats cache and executor backend, so a shared
 matrix.
 Engines are keyed by their config fingerprint — scenarios that differ
 only in non-hardware knobs (tuning budget, cache bounds, executor hints)
-reuse one engine and therefore one key space.
+reuse one engine and therefore one key space.  A scenario's engine is
+looked up by its ``(SimulatorConfig, functional)`` pair before one is
+built: within one runner the cycle-model params and the controller
+registry are fixed, so equal hardware configs have equal fingerprints
+and a hit skips building a probe engine just to learn its fingerprint.
+Only a miss builds one, and it still falls back to the fingerprint, so
+two configs that compare unequal but fingerprint alike share an engine.
 
 ``Session.run``/``tune``/``compare`` construct single-scenario plans and
 execute through this same runner, so there is exactly one measurement
@@ -60,16 +66,18 @@ class SweepRunner:
     def __init__(self, session, progress=None) -> None:
         self.session = session
         self._progress = progress
-        #: Engines by (fingerprint, functional); seeded with the
-        #: session's own so single-scenario sweeps are bit-identical to
-        #: the pre-sweep entry points.
-        self._engines: Dict[Tuple[str, bool], Any] = {
-            (session.engine.fingerprint, session.engine.functional):
-                session.engine
+        #: (engine, simulator config) pairs by (fingerprint, functional);
+        #: seeded with the session's own so single-scenario sweeps are
+        #: bit-identical to the pre-sweep entry points.
+        own = (session.engine, session.simulator_config)
+        functional = session.engine.functional
+        self._engines: Dict[Tuple[str, bool], Tuple[Any, Any]] = {
+            (session.engine.fingerprint, functional): own
         }
-        self._sim_configs: Dict[Tuple[str, bool], Tuple[Any, List[str]]] = {
-            (session.engine.fingerprint, session.engine.functional):
-                (session.simulator_config, session.corrections)
+        #: The same pairs by (SimulatorConfig, functional), checked
+        #: before an engine is built.
+        self._by_config: Dict[Tuple[Any, bool], Tuple[Any, Any]] = {
+            (session.simulator_config, functional): own
         }
         #: MappingConfigurators by (engine fingerprint, tuning section).
         self._mappers: Dict[Tuple[str, Any], Any] = {
@@ -87,8 +95,9 @@ class SweepRunner:
         the driving session reuse its engine — which also honours a
         hand-built ``Session(simulator_config=...)``.  Anything else
         builds a hardware config from the scenario's architecture
-        section and reuses an engine per fingerprint, always sharing the
-        session's cache and executor backend.
+        section and reuses one engine per hardware config (and per
+        fingerprint), always sharing the session's cache and executor
+        backend.
         """
         from repro.engine import EvaluationEngine
 
@@ -100,25 +109,27 @@ class SweepRunner:
         ):
             return session.engine, session.simulator_config
 
-        sim_config, corrections = config.build_simulator_config()
-        engine = EvaluationEngine(
-            sim_config,
-            session.params,
-            cache=session.engine.cache,
-            executor=session.engine.backend,
-            max_workers=session.config.engine.max_workers,
-            functional=config.engine.functional,
-            chunk_size=session.config.engine.chunk_size,
-        )
-        key = (engine.fingerprint, engine.functional)
-        if key in self._engines:
-            # Same hardware as an earlier scenario: share its engine (and
-            # key space).  The probe engine holds no resources of its own
-            # — the backend instance above is the session's.
-            return self._engines[key], self._sim_configs[key][0]
-        self._engines[key] = engine
-        self._sim_configs[key] = (sim_config, corrections)
-        return engine, sim_config
+        sim_config, _ = config.build_simulator_config()
+        probe = (sim_config, config.engine.functional)
+        found = self._by_config.get(probe)
+        if found is None:
+            engine = EvaluationEngine(
+                sim_config,
+                session.params,
+                cache=session.engine.cache,
+                executor=session.engine.backend,
+                max_workers=session.config.engine.max_workers,
+                functional=config.engine.functional,
+                chunk_size=session.config.engine.chunk_size,
+            )
+            # A fingerprint seen before shares that engine (and key
+            # space); the new one holds no resources of its own — the
+            # backend instance above is the session's.
+            found = self._engines.setdefault(
+                (engine.fingerprint, engine.functional), (engine, sim_config)
+            )
+            self._by_config[probe] = found
+        return found
 
     def _mapper_for(self, scenario: Scenario, engine, sim_config):
         """One MappingConfigurator per (hardware, tuning section)."""
@@ -200,7 +211,7 @@ class SweepRunner:
         tier_baseline = self._tier_counters()
         baseline = {
             id(engine): {k: getattr(engine, k) for k in _ENGINE_COUNTERS}
-            for engine in self._engines.values()
+            for engine, _ in self._engines.values()
         }
         cache = self.session.engine.cache
         cache_baseline = {k: getattr(cache, k.split("_", 1)[1])
@@ -322,7 +333,7 @@ class SweepRunner:
         for key in _ENGINE_COUNTERS:
             counters[key] = sum(
                 getattr(engine, key) - baseline.get(id(engine), {}).get(key, 0)
-                for engine in self._engines.values()
+                for engine, _ in self._engines.values()
             )
         for key in _CACHE_COUNTERS:
             counters[key] = (

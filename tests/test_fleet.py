@@ -6,6 +6,7 @@ over real localhost sockets, remote-vs-serial stats parity, crash
 retry, and serial fallback.
 """
 
+import json
 import socket
 import struct
 import threading
@@ -79,6 +80,22 @@ class TestFraming:
     def test_oversized_message_refused_on_encode(self):
         with pytest.raises(protocol.ProtocolError, match="exceeds"):
             protocol.encode_frame({"blob": "x" * (protocol.MAX_FRAME_BYTES + 1)})
+
+    def test_job_result_frame_decodes_like_an_encoded_message(
+        self, monkeypatch
+    ):
+        job = {"id": "job-0001", "state": "done", "archive": None}
+        report = {"kind": "sweep", "scenarios": [], "counters": {"n": 1}}
+        archived = (json.dumps(report, sort_keys=True) + "\n").encode()
+        decoded, rest = protocol.decode_frame(
+            protocol.job_result_frame(job, archived)
+        )
+        assert rest == b""
+        assert decoded == {"type": "job_result", "job": job, "report": report}
+        # The spliced frame passes the same size check as any other.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", len(archived))
+        with pytest.raises(protocol.ProtocolError, match="exceeds"):
+            protocol.job_result_frame(job, archived)
 
     def test_non_json_payload_raises(self):
         frame = struct.pack(">I", 4) + b"{{{{"

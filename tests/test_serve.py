@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ServeError, SweepCancelled
+from repro.errors import ReproError, ServeError, SweepCancelled
 from repro.fleet import protocol
 from repro.fleet.daemon import DaemonLink
 from repro.fleet.remote_backend import RemoteBackend
@@ -37,6 +37,7 @@ from repro.sweep import (
     SweepPlan,
     SweepReport,
     diff_reports,
+    load_report,
     scenario_fingerprint,
     split_resume,
 )
@@ -404,6 +405,50 @@ class TestServeService:
         archived = SweepReport.from_dict(json.loads(path.read_text()))
         assert archived.names == ["mlp"]
         assert diff_reports(archived, archived).max_regression == 0
+
+    def test_resume_reads_indented_and_compact_archives_alike(
+        self, service, tmp_path
+    ):
+        """Archives written before they went compact (``to_json()``'s
+        indent) and the daemon's one-line archives resume and diff the
+        same."""
+        plan = _plan(models=["mlp", "lenet"])
+        with ServeClient(service.address) as client:
+            job = client.submit(plan)
+            final = client.wait(job["id"], timeout=120)
+        text = Path(final["archive"]).read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        compact = load_report(final["archive"])
+        indented_path = tmp_path / "indented.json"
+        indented_path.write_text(compact.to_json() + "\n")
+        indented = load_report(indented_path)
+        splits = [
+            split_resume(plan, archive) for archive in (indented, compact)
+        ]
+        for pending, reused in splits:
+            assert not pending and list(reused) == ["mlp", "lenet"]
+        assert {k: v.to_dict() for k, v in splits[0][1].items()} == {
+            k: v.to_dict() for k, v in splits[1][1].items()
+        }
+        assert diff_reports(indented, compact).is_zero
+
+    def test_torn_archive_is_a_typed_error_and_keeps_the_client(
+        self, service
+    ):
+        """``job_result`` sends the archive's bytes unparsed, so a torn
+        archive reaches the client as a frame it cannot decode: a typed
+        error within the timeout, after which the client still works."""
+        with ServeClient(service.address, timeout=10) as client:
+            job = client.submit(_plan())
+            final = client.wait(job["id"], timeout=120)
+            path = Path(final["archive"])
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+            started = time.monotonic()
+            with pytest.raises(ReproError):
+                client.result(job["id"])
+            assert time.monotonic() - started < 10
+            assert client.ping()
 
     def test_unknown_job_is_an_error_frame_not_a_hangup(self, service):
         with ServeClient(service.address) as client:

@@ -48,6 +48,25 @@ class TestSimulationStats:
         assert stats.energy is None and stats.area is None
 
 
+class TestFromDict:
+    def test_ignores_unknown_keys_and_derived_utilization(self):
+        original = make_stats(cycles=100, macs=6400, array=128)
+        data = dict(original.to_dict(), utilization=0.99, future_field=1)
+        assert SimulationStats.from_dict(data) == original
+
+    def test_subclass_fields_survive_and_stay_per_class(self):
+        @dataclass
+        class TaggedStats(SimulationStats):
+            tag: str = "none"
+
+        data = dict(make_stats().to_dict(), tag="hot")
+        tagged = TaggedStats.from_dict(data)
+        assert type(tagged) is TaggedStats and tagged.tag == "hot"
+        assert TaggedStats.from_dict(data) == tagged
+        # The base class, decoded after the subclass, still ignores it.
+        assert SimulationStats.from_dict(data) == make_stats()
+
+
 class TestClone:
     """``clone`` is the copy every cache get and put makes."""
 

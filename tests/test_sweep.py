@@ -187,6 +187,44 @@ class TestCrossScenarioDedup:
         }
         assert cycles[64] != cycles[128]
 
+    def test_one_engine_per_hardware_config(self, monkeypatch):
+        """A 3-model x 3-arch matrix at one hardware point builds one
+        engine per distinct (SimulatorConfig, functional), not one per
+        scenario, and every cell equals its own serial session."""
+        from repro.engine import EvaluationEngine
+
+        plan = SweepPlan.matrix(
+            CFG,
+            models=["mlp", "lenet", "alexnet"],
+            axes={"arch": ["maeri", "sigma", "tpu"], "ms_size": [64],
+                  "dn_bw": [32], "rn_bw": [32]},
+        )
+        built = []
+        original = EvaluationEngine.__init__
+
+        def spy(self, config, *args, **kwargs):
+            built.append((config, kwargs.get("functional", False)))
+            original(self, config, *args, **kwargs)
+
+        with Session(CFG) as s:
+            monkeypatch.setattr(EvaluationEngine, "__init__", spy)
+            report = s.sweep(plan)
+            monkeypatch.undo()
+        distinct = {
+            (scenario.config.build_simulator_config()[0],
+             scenario.config.engine.functional)
+            for scenario in plan.scenarios
+        }
+        assert len(plan.scenarios) == 9 and len(distinct) == 3
+        assert len(built) == 3 and set(built) == distinct
+        for scenario in plan.scenarios:
+            with Session(scenario.config) as s:
+                single = s.run(scenario.model)
+            swept = report[scenario.name]
+            assert [st.to_dict() for st in swept.layer_stats] == [
+                st.to_dict() for st in single.layer_stats
+            ]
+
     def test_sweep_on_process_executor_matches_serial(self, tmp_path):
         plan = SweepPlan.matrix(
             CFG, models=["mlp", "lenet"], profiles=EDGE_CLOUD
