@@ -151,9 +151,8 @@ def _secured_leg(env: dict, tmp: str) -> int:
     return 0
 
 
-def main() -> int:
+def _smoke(tmp: str) -> int:
     env = _env()
-    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
     archive_dir = os.path.join(tmp, "archive")
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
@@ -290,6 +289,11 @@ def main() -> int:
 
     # --- leg 3: shared-secret handshake across processes -------------
     return _secured_leg(env, tmp)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
+        return _smoke(tmp)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +40,7 @@ from repro.stonne.controller import AcceleratorController, make_controller
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.stats import SimulationStats
+from repro.stonne.stats import SimulationStats, field_names
 
 from repro.engine.backends import ExecutorBackend, make_backend
 from repro.engine.cache import StatsCache
@@ -72,20 +72,6 @@ def fingerprint_config(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-#: Per-class cache of non-name field names: ``dataclasses.fields`` builds
-#: a fresh tuple of Field objects on every call, which showed up in
-#: profiles when keying generation-sized tuner batches.
-_LAYER_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
-
-
-def _layer_field_names(cls: type) -> Tuple[str, ...]:
-    names = _LAYER_FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls) if f.name != "name")
-        _LAYER_FIELD_NAMES[cls] = names
-    return names
-
-
 @lru_cache(maxsize=4096)
 def _layer_key(layer: Layer) -> Tuple:
     """Structural identity of a layer: every field except its name.
@@ -94,7 +80,9 @@ def _layer_key(layer: Layer) -> Tuple:
     dataclasses, and a tuner batch keys the same few layer objects
     thousands of times.
     """
-    return tuple(getattr(layer, name) for name in _layer_field_names(type(layer)))
+    return tuple(
+        getattr(layer, name) for name in field_names(type(layer)) if name != "name"
+    )
 
 
 def evaluation_key(

@@ -24,7 +24,20 @@ STONNE's psum counter is workload-specific and we mirror that asymmetry
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
+
+
+@lru_cache(maxsize=None)
+def field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, in order, computed once per class.
+
+    ``dataclasses.fields`` builds a fresh tuple of Field objects on every
+    call; every SQLite cache read and report rebuild decodes each record
+    through :meth:`SimulationStats.from_dict`, and tuner batches key
+    thousands of layers.
+    """
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -182,11 +195,7 @@ class SimulationStats:
         Derived fields (``utilization``) and unknown keys are ignored, so
         records written by older/newer versions still load.
         """
-        known = _FIELD_NAMES.get(cls)
-        if known is None:
-            known = frozenset(f.name for f in fields(cls))
-            _FIELD_NAMES[cls] = known
-        payload = {k: v for k, v in data.items() if k in known}
+        payload = {k: data[k] for k in field_names(cls) if k in data}
         traffic = payload.get("traffic")
         if isinstance(traffic, dict):
             payload["traffic"] = TrafficBreakdown(**traffic)
@@ -198,12 +207,6 @@ class SimulationStats:
             f"{self.psums:,} psums, {self.macs:,} MACs, "
             f"utilization {self.utilization:.1%}"
         )
-
-
-#: Field names per stats class, for :meth:`SimulationStats.from_dict`:
-#: every SQLite cache read and report rebuild decodes each record through
-#: it, and ``dataclasses.fields`` builds a fresh tuple on every call.
-_FIELD_NAMES: Dict[type, frozenset] = {}
 
 
 def combine_stats(name: str, parts: list) -> SimulationStats:

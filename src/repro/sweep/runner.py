@@ -18,15 +18,12 @@ Resource sharing is strict: every engine the sweep materializes uses the
 driving session's stats cache and executor backend, so a shared
 ``.sqlite`` cache path and one set of process workers serve the whole
 matrix.
-Engines are keyed by their config fingerprint — scenarios that differ
-only in non-hardware knobs (tuning budget, cache bounds, executor hints)
-reuse one engine and therefore one key space.  A scenario's engine is
-looked up by its ``(SimulatorConfig, functional)`` pair before one is
-built: within one runner the cycle-model params and the controller
-registry are fixed, so equal hardware configs have equal fingerprints
-and a hit skips building a probe engine just to learn its fingerprint.
-Only a miss builds one, and it still falls back to the fingerprint, so
-two configs that compare unequal but fingerprint alike share an engine.
+Engines are keyed by their ``(SimulatorConfig, functional)`` pair —
+scenarios that differ only in non-hardware knobs (tuning budget, cache
+bounds, executor hints) reuse one engine and therefore one key space.
+Within one runner the cycle-model params and the controller registry
+are fixed, so equal hardware configs have equal fingerprints, and an
+engine is built only for a hardware config not seen before.
 
 ``Session.run``/``tune``/``compare`` construct single-scenario plans and
 execute through this same runner, so there is exactly one measurement
@@ -66,18 +63,12 @@ class SweepRunner:
     def __init__(self, session, progress=None) -> None:
         self.session = session
         self._progress = progress
-        #: (engine, simulator config) pairs by (fingerprint, functional);
-        #: seeded with the session's own so single-scenario sweeps are
-        #: bit-identical to the pre-sweep entry points.
-        own = (session.engine, session.simulator_config)
-        functional = session.engine.functional
-        self._engines: Dict[Tuple[str, bool], Tuple[Any, Any]] = {
-            (session.engine.fingerprint, functional): own
-        }
-        #: The same pairs by (SimulatorConfig, functional), checked
-        #: before an engine is built.
-        self._by_config: Dict[Tuple[Any, bool], Tuple[Any, Any]] = {
-            (session.simulator_config, functional): own
+        #: Engines by (SimulatorConfig, functional); seeded with the
+        #: session's own so single-scenario sweeps are bit-identical to
+        #: the pre-sweep entry points.
+        self._engines: Dict[Tuple[Any, bool], Any] = {
+            (session.simulator_config, session.engine.functional):
+                session.engine
         }
         #: MappingConfigurators by (engine fingerprint, tuning section).
         self._mappers: Dict[Tuple[str, Any], Any] = {
@@ -95,9 +86,8 @@ class SweepRunner:
         the driving session reuse its engine — which also honours a
         hand-built ``Session(simulator_config=...)``.  Anything else
         builds a hardware config from the scenario's architecture
-        section and reuses one engine per hardware config (and per
-        fingerprint), always sharing the session's cache and executor
-        backend.
+        section and reuses one engine per hardware config, always
+        sharing the session's cache and executor backend.
         """
         from repro.engine import EvaluationEngine
 
@@ -110,9 +100,11 @@ class SweepRunner:
             return session.engine, session.simulator_config
 
         sim_config, _ = config.build_simulator_config()
-        probe = (sim_config, config.engine.functional)
-        found = self._by_config.get(probe)
-        if found is None:
+        key = (sim_config, config.engine.functional)
+        engine = self._engines.get(key)
+        if engine is None:
+            # The engine holds no resources of its own — the backend
+            # instance below is the session's.
             engine = EvaluationEngine(
                 sim_config,
                 session.params,
@@ -122,14 +114,8 @@ class SweepRunner:
                 functional=config.engine.functional,
                 chunk_size=session.config.engine.chunk_size,
             )
-            # A fingerprint seen before shares that engine (and key
-            # space); the new one holds no resources of its own — the
-            # backend instance above is the session's.
-            found = self._engines.setdefault(
-                (engine.fingerprint, engine.functional), (engine, sim_config)
-            )
-            self._by_config[probe] = found
-        return found
+            self._engines[key] = engine
+        return engine, sim_config
 
     def _mapper_for(self, scenario: Scenario, engine, sim_config):
         """One MappingConfigurator per (hardware, tuning section)."""
@@ -211,7 +197,7 @@ class SweepRunner:
         tier_baseline = self._tier_counters()
         baseline = {
             id(engine): {k: getattr(engine, k) for k in _ENGINE_COUNTERS}
-            for engine, _ in self._engines.values()
+            for engine in self._engines.values()
         }
         cache = self.session.engine.cache
         cache_baseline = {k: getattr(cache, k.split("_", 1)[1])
@@ -333,7 +319,7 @@ class SweepRunner:
         for key in _ENGINE_COUNTERS:
             counters[key] = sum(
                 getattr(engine, key) - baseline.get(id(engine), {}).get(key, 0)
-                for engine, _ in self._engines.values()
+                for engine in self._engines.values()
             )
         for key in _CACHE_COUNTERS:
             counters[key] = (
