@@ -12,6 +12,11 @@ line of compact JSON, and ``repro report diff`` between it and the
 same job's indented ``repro result --report-json`` file must exit 0
 with a zero delta.
 
+The plan is then submitted once more: the daemon's session kept the
+engines and mapping memos the first jobs built, and the new job must
+simulate nothing and archive exactly the bytes of the leg-1 job that
+was served from the cache.
+
 Then exercises the cancel/resume loop: a queued job is cancelled before
 it runs, its plan is resubmitted with ``--resume`` pointing at the
 first job's archive, and the finished report must show exactly the
@@ -36,6 +41,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 MATRIX = ["--models", "mlp,lenet", "--axis", "ms_size=64,128"]
 RESUME_MATRIX = ["--models", "mlp,lenet", "--axis", "ms_size=128,256"]
@@ -224,6 +230,31 @@ def _smoke(tmp: str) -> int:
                 return 1
         print("OK: archives are one line of JSON and diff zero against "
               "the indented --report-json files")
+
+        # --- leg 1b: resubmit the plan; the session kept its engines -
+        cached_id = job_ids[[
+            report["counters"]["num_simulations"] for report in reports
+        ].index(0)]
+        again_id = _job_id(_cli(
+            env, "submit", "--connect", address, "--watch",
+            "--label", "again", *MATRIX,
+        ))
+        archived = {
+            job_id: Path(archive_dir, f"{job_id}.json").read_bytes()
+            for job_id in (cached_id, again_id)
+        }
+        again = json.loads(archived[again_id])
+        if again["counters"]["num_simulations"] != 0:
+            print(f"FAIL: resubmitted job {again_id} simulated "
+                  f"{again['counters']['num_simulations']} layers",
+                  file=sys.stderr)
+            return 1
+        if archived[again_id] != archived[cached_id]:
+            print(f"FAIL: resubmitted job {again_id}'s archive differs "
+                  f"from {cached_id}'s", file=sys.stderr)
+            return 1
+        print(f"OK: resubmitted plan ({again_id}) simulated nothing and "
+              f"archived the same bytes as {cached_id}")
 
         # --- leg 2: cancel a queued job, resume from the archive -----
         from repro.serve import ServeClient

@@ -11,11 +11,12 @@ strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Union
 
 from repro.engine import EvaluationEngine
+from repro.engine.evaluation import _layer_key
 from repro.errors import MappingError, TuningError
 from repro.mrna.mapper import MrnaMapper
 from repro.session.config import TuningConfig
@@ -73,23 +74,12 @@ class MappingConfigurator:
         # session (or one sweep) may both have an "fc1" with different
         # shapes, and identically shaped layers under different names
         # should share one tuned mapping.
-        key = self._structural_key(layer)
+        key = (type(layer).__name__, _layer_key(layer))
         if key in self._cache:
             return self._cache[key]
         mapping = self._generate(layer)
         self._cache[key] = mapping
         return mapping
-
-    @staticmethod
-    def _structural_key(layer: Layer) -> tuple:
-        return (
-            type(layer).__name__,
-            tuple(
-                getattr(layer, f.name)
-                for f in dataclass_fields(layer)
-                if f.name != "name"
-            ),
-        )
 
     # ------------------------------------------------------------------
     @staticmethod

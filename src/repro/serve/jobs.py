@@ -20,6 +20,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -81,8 +82,11 @@ class JobQueue:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
+        #: Every job ever submitted, in submission order.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        #: Ids still to dispatch, oldest first; ids cancelled while
+        #: queued are skipped when they reach the front.
+        self._queued: "deque[str]" = deque()
         self._sequence = 0
 
     # ------------------------------------------------------------------
@@ -104,7 +108,7 @@ class JobQueue:
                 label=label,
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._queued.append(job.id)
             self._ready.notify_all()
             return job
 
@@ -113,15 +117,15 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None:
                 raise ServeError(
-                    f"unknown job {job_id!r}; known: "
-                    f"{', '.join(self._order) or 'none'}"
+                    f"unknown job {job_id!r} ({len(self._jobs)} jobs "
+                    "submitted; `repro jobs` lists them)"
                 )
             return job
 
     def list(self) -> List[Job]:
         """Every job, in submission order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job: queued flips terminal now, running flips its
@@ -174,8 +178,8 @@ class JobQueue:
         )
         with self._lock:
             while True:
-                for job_id in self._order:
-                    job = self._jobs[job_id]
+                while self._queued:
+                    job = self._jobs[self._queued.popleft()]
                     if job.state == "queued":
                         job.state = "running"
                         job.started_s = time.time()

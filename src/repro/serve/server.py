@@ -9,7 +9,10 @@ drains the queue and runs each job through ``Session.sweep`` —
 sequentially, because a session's engines are not thread-safe, and
 deliberately: concurrency across *clients* comes from the shared stats
 cache (a scenario one job simulated is a cache hit for every later job),
-not from racing sweeps against each other.
+not from racing sweeps against each other.  The session also keeps the
+sweep engines and mapping memos a job built (a bounded LRU of hardware
+configs, :data:`~repro.sweep.runner.ENGINE_ENTRIES`), so a later job at
+the same hardware points goes straight to its cache lookups.
 
 Every finished report — including the partial report of a cancelled
 job — is archived as ``<archive_dir>/<job-id>.json``, a plain
@@ -191,14 +194,21 @@ class SweepService(DaemonServer):
 
         The archive is compact, sorted JSON; it is read from disk per
         request, not parsed, and sent on as it is (so the daemon holds
-        no report text between requests).
+        no report text between requests).  An archive that is gone or
+        unreadable is a :class:`ServeError` naming the job and the path.
         """
         job = self.jobs.get(job_id)
         if job.archive is None:
             raise ServeError(
                 f"job {job.id} is {job.state} and has no archived report yet"
             )
-        return job, Path(job.archive).read_bytes()
+        try:
+            return job, Path(job.archive).read_bytes()
+        except OSError as exc:
+            raise ServeError(
+                f"job {job.id}'s archive {job.archive} cannot be read: "
+                f"{exc.strerror or exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # the executor thread

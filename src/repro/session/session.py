@@ -191,6 +191,10 @@ class Session:
             raise
         self._installed = False
         self._closed = False
+        #: Engines and mapping memos every sweep of this session shares
+        #: (a :class:`~repro.sweep.runner.SweepEngines`, built by the
+        #: first sweep).
+        self._sweep_engines = None
 
     # ------------------------------------------------------------------
     # construction layers
@@ -232,6 +236,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
+        self._sweep_engines = None
         try:
             if self._installed:
                 self.uninstall()
@@ -458,6 +463,12 @@ class Session:
         shared between scenarios simulate exactly once and the executor
         tiers stay saturated across the whole matrix.  Returns a
         :class:`~repro.sweep.SweepReport`.
+
+        The engines and their mapping memos outlive the call: a later
+        sweep on this session reuses them (a bounded LRU of
+        :data:`~repro.sweep.runner.ENGINE_ENTRIES` hardware configs
+        besides the session's own), so repeating a sweep recomputes no
+        mRNA or tuned mapping.  :meth:`close` drops them.
 
         ``progress`` is an optional per-milestone event callback (see
         :class:`~repro.sweep.SweepRunner`); raising

@@ -21,9 +21,16 @@ matrix.
 Engines are keyed by their ``(SimulatorConfig, functional)`` pair —
 scenarios that differ only in non-hardware knobs (tuning budget, cache
 bounds, executor hints) reuse one engine and therefore one key space.
-Within one runner the cycle-model params and the controller registry
-are fixed, so equal hardware configs have equal fingerprints, and an
-engine is built only for a hardware config not seen before.
+The cycle-model params and the controller registry are fixed per
+session, so equal hardware configs have equal fingerprints.
+
+Engines and their mapping memos are session-scoped
+(:class:`SweepEngines`): a later sweep on the same session — every job
+of ``repro serve`` — reuses the engines and the mRNA/tuned mappings an
+earlier sweep built, so a warm job goes straight to its cache lookups.
+The table is a bounded LRU of :data:`ENGINE_ENTRIES` hardware configs
+besides the session's own.  Mappers are pure functions of (hardware,
+layer, tuning section), so reuse never changes a result.
 
 ``Session.run``/``tune``/``compare`` construct single-scenario plans and
 execute through this same runner, so there is exactly one measurement
@@ -33,7 +40,8 @@ path to maintain.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SweepCancelled, TuningError
 from repro.obs.trace import TRACER
@@ -45,6 +53,113 @@ from repro.sweep.resume import scenario_fingerprint, split_resume
 #: Counter keys aggregated per engine into the sweep-scoped delta.
 _ENGINE_COUNTERS = ("num_evaluations", "num_simulations")
 _CACHE_COUNTERS = ("cache_hits", "cache_misses")
+
+#: LRU bound on the hardware configs a session keeps sweep engines (and
+#: their mapping memos) for, besides its own.  Tracemalloc over the
+#: first 200 points of the benchmark's seed-1 ``dse_sweep`` (3 models x
+#: MAERI/SIGMA/TPU, which fill the table) measured 0.89 MB held by a
+#: full table, about 3.5 KB per entry.
+ENGINE_ENTRIES = 256
+
+
+class Hardware(NamedTuple):
+    """One hardware config's engine and its mappers by tuning section."""
+
+    engine: Any
+    sim_config: Any
+    mappers: Dict[Any, Any]
+
+
+class SweepEngines:
+    """A session's sweep engines and mapping memos, kept for its life.
+
+    Engines are keyed by ``(SimulatorConfig, functional)``.  Each entry
+    holds its engine's MappingConfigurators by tuning section, so a
+    mapping memo lives exactly as long as the engine (fingerprint) it
+    maps for.  The session's own engine and mapper are the seed entry
+    and are never evicted.  The other entries form an LRU that
+    :meth:`trim` cuts to :data:`ENGINE_ENTRIES` after each sweep — never
+    during one, so a sweep resolves each hardware config to one engine
+    however many configs it spans.
+    """
+
+    def __init__(self, session) -> None:
+        self._session = session
+        self._own_key = (session.simulator_config, session.engine.functional)
+        self._own = Hardware(
+            session.engine,
+            session.simulator_config,
+            {session.config.tuning: session.mappings},
+        )
+        self._lru: "OrderedDict[Tuple[Any, bool], Hardware]" = OrderedDict()
+
+    def __len__(self) -> int:
+        """Entries besides the session's own."""
+        return len(self._lru)
+
+    def hardware_for(self, config) -> Hardware:
+        """The entry executing a scenario resolved to ``config``.
+
+        Scenarios whose architecture section (and functional flag) match
+        the session reuse its engine — which also honours a hand-built
+        ``Session(simulator_config=...)``.  Anything else builds a
+        hardware config from the scenario's architecture section and
+        reuses one engine per hardware config, always sharing the
+        session's cache and executor backend.
+        """
+        from repro.engine import EvaluationEngine
+
+        session = self._session
+        functional = config.engine.functional
+        if (
+            config.architecture == session.config.architecture
+            and functional == session.config.engine.functional
+        ):
+            return self._own
+        sim_config, _ = config.build_simulator_config()
+        key = (sim_config, functional)
+        hardware = self._lru.get(key)
+        if hardware is not None:
+            self._lru.move_to_end(key)
+            return hardware
+        if key == self._own_key:
+            return self._own
+        # The engine holds no resources of its own — the backend
+        # instance below is the session's.
+        engine = EvaluationEngine(
+            sim_config,
+            session.params,
+            cache=session.engine.cache,
+            executor=session.engine.backend,
+            max_workers=session.config.engine.max_workers,
+            functional=functional,
+            chunk_size=session.config.engine.chunk_size,
+        )
+        hardware = self._lru[key] = Hardware(engine, sim_config, {})
+        return hardware
+
+    @staticmethod
+    def mapper_for(hardware: Hardware, tuning):
+        """The entry's MappingConfigurator for one tuning section."""
+        from repro.bifrost.mapping_config import (
+            MappingConfigurator,
+            MappingStrategy,
+        )
+
+        mapper = hardware.mappers.get(tuning)
+        if mapper is None:
+            mapper = hardware.mappers[tuning] = MappingConfigurator(
+                config=hardware.sim_config,
+                strategy=MappingStrategy(tuning.mapping),
+                tuning=tuning,
+                engine=hardware.engine,
+            )
+        return mapper
+
+    def trim(self) -> None:
+        """Evict the least recently used entries beyond the bound."""
+        while len(self._lru) > ENGINE_ENTRIES:
+            self._lru.popitem(last=False)
 
 
 class SweepRunner:
@@ -58,84 +173,17 @@ class SweepRunner:
     scenarios, and the exception is re-raised with ``partial`` set to a
     :class:`SweepReport` of everything finished so far (resumable via
     ``--resume``).
+
+    The runner holds no engines or mappers: it looks them up in the
+    session's :class:`SweepEngines` table.
     """
 
     def __init__(self, session, progress=None) -> None:
         self.session = session
         self._progress = progress
-        #: Engines by (SimulatorConfig, functional); seeded with the
-        #: session's own so single-scenario sweeps are bit-identical to
-        #: the pre-sweep entry points.
-        self._engines: Dict[Tuple[Any, bool], Any] = {
-            (session.simulator_config, session.engine.functional):
-                session.engine
-        }
-        #: MappingConfigurators by (engine fingerprint, tuning section).
-        self._mappers: Dict[Tuple[str, Any], Any] = {
-            (session.engine.fingerprint, session.config.tuning):
-                session.mappings
-        }
-
-    # ------------------------------------------------------------------
-    # materialization
-    # ------------------------------------------------------------------
-    def _engine_for(self, scenario: Scenario):
-        """The (engine, simulator_config) pair executing ``scenario``.
-
-        Scenarios whose architecture section (and functional flag) match
-        the driving session reuse its engine — which also honours a
-        hand-built ``Session(simulator_config=...)``.  Anything else
-        builds a hardware config from the scenario's architecture
-        section and reuses one engine per hardware config, always
-        sharing the session's cache and executor backend.
-        """
-        from repro.engine import EvaluationEngine
-
-        session = self.session
-        config = scenario.config
-        if (
-            config.architecture == session.config.architecture
-            and config.engine.functional == session.config.engine.functional
-        ):
-            return session.engine, session.simulator_config
-
-        sim_config, _ = config.build_simulator_config()
-        key = (sim_config, config.engine.functional)
-        engine = self._engines.get(key)
-        if engine is None:
-            # The engine holds no resources of its own — the backend
-            # instance below is the session's.
-            engine = EvaluationEngine(
-                sim_config,
-                session.params,
-                cache=session.engine.cache,
-                executor=session.engine.backend,
-                max_workers=session.config.engine.max_workers,
-                functional=config.engine.functional,
-                chunk_size=session.config.engine.chunk_size,
-            )
-            self._engines[key] = engine
-        return engine, sim_config
-
-    def _mapper_for(self, scenario: Scenario, engine, sim_config):
-        """One MappingConfigurator per (hardware, tuning section)."""
-        from repro.bifrost.mapping_config import (
-            MappingConfigurator,
-            MappingStrategy,
-        )
-
-        tuning = scenario.config.tuning
-        key = (engine.fingerprint, tuning)
-        mapper = self._mappers.get(key)
-        if mapper is None:
-            mapper = MappingConfigurator(
-                config=sim_config,
-                strategy=MappingStrategy(tuning.mapping),
-                tuning=tuning,
-                engine=engine,
-            )
-            self._mappers[key] = mapper
-        return mapper
+        if session._sweep_engines is None:
+            session._sweep_engines = SweepEngines(session)
+        self._engines: SweepEngines = session._sweep_engines
 
     # ------------------------------------------------------------------
     # execution
@@ -153,7 +201,10 @@ class SweepRunner:
         with TRACER.span(
             "sweep.execute", category="sweep", scenarios=len(plan.scenarios)
         ):
-            return self._execute(plan, resume)
+            try:
+                return self._execute(plan, resume)
+            finally:
+                self._engines.trim()
 
     # ------------------------------------------------------------------
     # progress / cancellation
@@ -195,10 +246,10 @@ class SweepRunner:
 
         started = time.perf_counter()
         tier_baseline = self._tier_counters()
-        baseline = {
-            id(engine): {k: getattr(engine, k) for k in _ENGINE_COUNTERS}
-            for engine in self._engines.values()
-        }
+        # Engine counters at first touch, per engine this sweep uses: the
+        # session's table outlives the sweep, so a baseline over all of
+        # it would cost every hardware point the session ever saw.
+        baseline: Dict[int, Tuple[Any, Dict[str, int]]] = {}
         cache = self.session.engine.cache
         cache_baseline = {k: getattr(cache, k.split("_", 1)[1])
                           for k in _CACHE_COUNTERS}
@@ -236,10 +287,18 @@ class SweepRunner:
                  "completed": len(completed), "total": total},
                 plan, completed,
             )
-            engine, sim_config = self._engine_for(scenario)
+            hardware = self._engines.hardware_for(scenario.config)
+            engine, sim_config = hardware.engine, hardware.sim_config
+            if id(engine) not in baseline:
+                baseline[id(engine)] = (
+                    engine,
+                    {k: getattr(engine, k) for k in _ENGINE_COUNTERS},
+                )
             batch_plan = None
             if scenario.kind == "run":
-                mapper = self._mapper_for(scenario, engine, sim_config)
+                mapper = self._engines.mapper_for(
+                    hardware, scenario.config.tuning
+                )
                 requests = []
                 for layer in zoo_layers(scenario.model):
                     mapping = (
@@ -318,8 +377,8 @@ class SweepRunner:
             counters["resumed_scenarios"] = len(reused)
         for key in _ENGINE_COUNTERS:
             counters[key] = sum(
-                getattr(engine, key) - baseline.get(id(engine), {}).get(key, 0)
-                for engine in self._engines.values()
+                getattr(engine, key) - before[key]
+                for engine, before in baseline.values()
             )
         for key in _CACHE_COUNTERS:
             counters[key] = (

@@ -262,6 +262,28 @@ class TestJobQueue:
         assert queue.next_job(timeout=0).state == "running"
         assert queue.next_job(timeout=0) is None
 
+    def test_fifo_across_interleaved_submits_and_cancels(self):
+        queue = JobQueue()
+        jobs = [queue.submit(_plan()) for _ in range(3)]
+        queue.cancel(jobs[0].id)
+        jobs.append(queue.submit(_plan()))
+        queue.cancel(jobs[2].id)
+        assert queue.next_job(timeout=0) is jobs[1]
+        jobs.append(queue.submit(_plan()))
+        queue.cancel(jobs[4].id)
+        jobs.append(queue.submit(_plan()))
+        claimed = [queue.next_job(timeout=0) for _ in range(3)]
+        assert claimed == [jobs[3], jobs[5], None]
+        assert [job.id for job in queue.list()] == [job.id for job in jobs]
+
+    def test_unknown_job_error_does_not_list_every_id(self):
+        queue = JobQueue()
+        for _ in range(3):
+            queue.submit(_plan())
+        with pytest.raises(ServeError, match="unknown job") as info:
+            queue.get("job-9999")
+        assert "job-0001" not in str(info.value)
+
     def test_cancel_queued_is_immediate(self):
         queue = JobQueue()
         job = queue.submit(_plan())
@@ -449,6 +471,34 @@ class TestServeService:
                 client.result(job["id"])
             assert time.monotonic() - started < 10
             assert client.ping()
+
+    def test_missing_archive_is_a_typed_error_naming_job_and_path(
+        self, service, capsys
+    ):
+        with ServeClient(service.address) as client:
+            job = client.submit(_plan())
+            final = client.wait(job["id"], timeout=120)
+            os.remove(final["archive"])
+            with pytest.raises(ServeError) as info:
+                client.result(job["id"])
+            assert job["id"] in str(info.value)
+            assert final["archive"] in str(info.value)
+            assert client.ping()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_identical_jobs_archive_identical_bytes(self, service):
+        """A job on the engines and mapping memos an earlier job left in
+        the session archives the same bytes as the one before it."""
+        plan = _plan(models=["mlp", "lenet"], ms_size=[64, 128])
+        with ServeClient(service.address) as client:
+            finals = []
+            for _ in range(3):
+                job = client.submit(plan)
+                finals.append(client.wait(job["id"], timeout=120))
+        # The first job simulates; the next two are fully warm.
+        warm = [Path(final["archive"]).read_bytes() for final in finals[1:]]
+        assert warm[0] == warm[1]
+        assert json.loads(warm[0])["counters"]["num_simulations"] == 0
 
     def test_unknown_job_is_an_error_frame_not_a_hangup(self, service):
         with ServeClient(service.address) as client:

@@ -260,6 +260,102 @@ class TestCrossScenarioDedup:
                 s.sweep(["mlp"])
 
 
+def _count_builds(monkeypatch):
+    """Spy on engine construction and mRNA calls; returns the tally."""
+    from repro.engine import EvaluationEngine
+    from repro.mrna import MrnaMapper
+
+    built = {"engines": 0, "mrna": 0}
+    original_init = EvaluationEngine.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built["engines"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EvaluationEngine, "__init__", spy_init)
+    for name in ("map_conv", "map_fc"):
+        original = getattr(MrnaMapper, name)
+
+        def spy_map(self, layer, _original=original):
+            built["mrna"] += 1
+            return _original(self, layer)
+
+        monkeypatch.setattr(MrnaMapper, name, spy_map)
+    return built
+
+
+class TestSessionScopedEngines:
+    """Sweep engines and mapping memos live as long as the session."""
+
+    #: ms_size=128 is CFG's own hardware point; the rest build engines.
+    PLAN = SweepPlan.matrix(
+        CFG, models=["mlp", "lenet"], axes={"ms_size": [64, 128, 256]}
+    )
+
+    def test_repeated_sweep_builds_nothing(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        with Session(CFG) as s:
+            s.sweep(self.PLAN)
+            first = dict(built)
+            again = s.sweep(self.PLAN)
+        monkeypatch.undo()
+        # The session's own engine plus one per other ms_size.
+        assert first["engines"] == 3 and first["mrna"] > 0
+        assert built == first
+        assert again.counters["num_simulations"] == 0
+        assert again.counters["num_evaluations"] == 24
+
+    def test_repeated_sweep_matches_a_fresh_session(self, tmp_path):
+        """The warm sweep on kept engines reports exactly what the same
+        sweep reports from a fresh session over the same warm cache."""
+        cache = str(tmp_path / "warm.sqlite")
+        with Session(CFG, cache_path=cache) as s:
+            s.sweep(self.PLAN)
+            kept = s.sweep(self.PLAN)
+        with Session(CFG, cache_path=cache) as s:
+            fresh = s.sweep(self.PLAN)
+        assert kept.to_dict() == fresh.to_dict()
+        assert kept.counters == fresh.counters
+
+    def test_table_is_bounded_lru_and_keeps_the_own_engine(
+        self, monkeypatch
+    ):
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner, "ENGINE_ENTRIES", 2)
+        wide = SweepPlan.matrix(
+            CFG, models=["mlp"], axes={"ms_size": [32, 64, 128, 256, 512]}
+        )
+        with Session(CFG) as s:
+            own = s.run("mlp")
+            s.sweep(wide)
+            table = s._sweep_engines
+            assert len(table) == 2
+            assert table.hardware_for(CFG).engine is s.engine
+            built = _count_builds(monkeypatch)
+            # The session's own engine and the two most recently used
+            # hardware points survive; the others are rebuilt.  Reusing
+            # 256 makes 512 the least recent, so building 32 evicts it.
+            for ms_size, engines in (
+                (128, 0), (256, 0), (32, 1), (256, 1), (512, 2),
+            ):
+                s.sweep(SweepPlan.matrix(
+                    CFG, models=["mlp"], axes={"ms_size": [ms_size]}
+                ))
+                assert built["engines"] == engines, ms_size
+            assert len(table) == 2
+            assert [st.to_dict() for st in s.run("mlp").layer_stats] == [
+                st.to_dict() for st in own.layer_stats
+            ]
+
+    def test_close_drops_the_table(self):
+        s = Session(CFG)
+        s.sweep(self.PLAN)
+        assert len(s._sweep_engines) == 2
+        s.close()
+        assert s._sweep_engines is None
+
+
 class TestSweepReport:
     @pytest.fixture(scope="class")
     def report(self):
