@@ -11,8 +11,10 @@ workload and asserts the contract:
   exactly with their scalar counterparts;
 * the mRNA mapper maps every distinct alexnet, vgg_small and
   transformer layer at 9 power-of-two ``ms_size`` values x 3 bandwidth
-  pairs exactly like its scalar scan, once with a cold candidate memo
-  and once with a warm one (per-point times are printed);
+  pairs x both accumulation-buffer settings exactly like its scalar
+  scan, once with a cold candidate memo and once with a warm one
+  (per-point times are printed), and each pick's estimate equals the
+  steady cycles the MAERI controller simulates for it;
 * a 4-slot thread engine with 4-item chunks, under a 1 us GIL switch
   interval, runs the same MAERI sweep on the engine's one controller
   (controllers hold no state) and returns exactly the serial payloads;
@@ -61,13 +63,15 @@ def _best_of(fn, repeats=3):
 
 
 def _mrna_memo_leg() -> int:
-    """Cold-memo and warm-memo mRNA scores against the scalar scan."""
+    """Cold-memo and warm-memo mRNA scores against the scalar scan, and
+    each pick's estimate against the controller's steady cycles."""
     import dataclasses
 
     from repro.mrna import mapper as mrna_mapper
     from repro.zoo import zoo_layers
     from repro.stonne.config import maeri_config
     from repro.stonne.layer import ConvLayer
+    from repro.stonne.maeri import MaeriController
 
     distinct = {}
     for model in MRNA_MODELS:
@@ -82,27 +86,47 @@ def _mrna_memo_leg() -> int:
         return (mapper.score_conv if conv else mapper.score_fc)(layer)
 
     timings = {"cold": [], "warm": []}
-    for ms_size in (2 ** k for k in range(3, 12)):
-        for dn_bw, rn_bw in MRNA_BANDWIDTHS:
-            mapper = mrna_mapper.MrnaMapper(
-                maeri_config(ms_size=ms_size, dn_bw=dn_bw, rn_bw=rn_bw)
+    for buffer, ms_size, (dn_bw, rn_bw) in itertools.product(
+        (True, False), (2 ** k for k in range(3, 12)), MRNA_BANDWIDTHS
+    ):
+        config = maeri_config(
+            ms_size=ms_size, dn_bw=dn_bw, rn_bw=rn_bw,
+            accumulation_buffer=buffer,
+        )
+        mapper = mrna_mapper.MrnaMapper(config)
+        reference = [score(mapper, layer, scalar=True) for layer in layers]
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                mrna_mapper._conv_candidates.cache_clear()
+                mrna_mapper._fc_candidates.cache_clear()
+            start = time.perf_counter()
+            scored = [score(mapper, layer) for layer in layers]
+            timings[memo].append(time.perf_counter() - start)
+            if scored != reference:
+                print(
+                    f"FAIL: mRNA {memo}-memo scores diverged from the "
+                    f"scalar scan at ms_size={ms_size}, dn_bw={dn_bw}, "
+                    f"rn_bw={rn_bw}, accumulation_buffer={buffer}",
+                    file=sys.stderr,
+                )
+                return 1
+        controller = MaeriController(config)
+        for layer, choice in zip(layers, reference):
+            run = (
+                controller.run_conv if isinstance(layer, ConvLayer)
+                else controller.run_fc
             )
-            reference = [score(mapper, layer, scalar=True) for layer in layers]
-            for memo in ("cold", "warm"):
-                if memo == "cold":
-                    mrna_mapper._conv_candidates.cache_clear()
-                    mrna_mapper._fc_candidates.cache_clear()
-                start = time.perf_counter()
-                scored = [score(mapper, layer) for layer in layers]
-                timings[memo].append(time.perf_counter() - start)
-                if scored != reference:
-                    print(
-                        f"FAIL: mRNA {memo}-memo scores diverged from the "
-                        f"scalar scan at ms_size={ms_size}, dn_bw={dn_bw}, "
-                        f"rn_bw={rn_bw}",
-                        file=sys.stderr,
-                    )
-                    return 1
+            steady = run(layer, choice.mapping).phase_cycles["steady"]
+            if choice.estimated_cycles != steady:
+                print(
+                    f"FAIL: mRNA estimated {choice.estimated_cycles} "
+                    f"cycles for {layer.name} but the controller "
+                    f"simulates {steady} steady cycles at "
+                    f"ms_size={ms_size}, dn_bw={dn_bw}, rn_bw={rn_bw}, "
+                    f"accumulation_buffer={buffer}",
+                    file=sys.stderr,
+                )
+                return 1
     for memo, times in timings.items():
         times.sort()
         print(

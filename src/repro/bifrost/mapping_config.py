@@ -55,6 +55,7 @@ class MappingConfigurator:
     manual: Dict[str, Mapping] = field(default_factory=dict)
     engine: Optional[EvaluationEngine] = field(default=None, repr=False)
     _cache: Dict[tuple, Mapping] = field(default_factory=dict)
+    _mapper: Optional[MrnaMapper] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.strategy = MappingStrategy(self.strategy)
@@ -108,10 +109,11 @@ class MappingConfigurator:
                 else FcMapping.basic()
             )
         if self.strategy is MappingStrategy.MRNA:
-            mapper = MrnaMapper(self.config)
+            if self._mapper is None:
+                self._mapper = MrnaMapper(self.config)
             if isinstance(layer, ConvLayer):
-                return mapper.map_conv(layer)
-            return mapper.map_fc(layer)
+                return self._mapper.map_conv(layer)
+            return self._mapper.map_fc(layer)
         return self._tune(layer)
 
     def _tune(self, layer: Layer) -> Mapping:

@@ -3,20 +3,33 @@
 For each layer the mapper enumerates *structured* candidates — tiles drawn
 from the divisors of each dimension (perfect tilings waste no multiplier
 slots on ragged edges, a rule mRNA derives from MAERI's VN packing) plus
-the dimension bound itself — prunes by array capacity, scores every
-survivor with the closed-form :class:`MaeriAnalyticalModel`, and returns
+the dimension bound itself — prunes by array capacity, prices every
+survivor with the MAERI controller's own steady term
+(:meth:`~repro.stonne.maeri.MaeriController.steady_cycles`), and returns
 the argmin.  No simulation runs, so mapping a whole network takes
 milliseconds; the resulting mappings vary per layer (Table VI), unlike
 psum-guided tuning.
 
+The objective is steady-state cycles: ``partial_iters * ii_partial +
+final_iters * ii_final``, with each interval the max of the distribution,
+reduction, compute and RAW-stall terms.  Like mRNA's closed form it
+leaves out the pipeline fill the simulator adds
+(``reduction_latency(vn_size)`` differs between candidates), so the pick
+has the fewest steady cycles among the candidates but not always the
+fewest total cycles.  Over every alexnet, vgg_small, lenet and mlp layer
+at ``ms_size`` 8-512 and ``dn_bw = rn_bw`` 4-128 with the accumulation
+buffer, the pick costs at most 3.1% more total cycles than the best
+candidate.
+
 Capacity enumerates and bandwidth prices.  The candidate set and the
 profile columns the cost reads depend only on the layer's shape and
-``ms_size``; only the pricing (:func:`~repro.stonne.maeri.steady_state`)
-reads ``dn_bw``/``rn_bw``.  So :func:`_conv_candidates` /
-:func:`_fc_candidates` enumerate once per key — the layer with its name
-blanked, and ``ms_size`` — into a module-level LRU memo of
-:data:`MEMO_ENTRIES` entries, and every call only prices the memoised
-columns at its own bandwidths and takes the argmin.  An entry holds
+``ms_size``; only the pricing reads ``dn_bw``/``rn_bw`` and the RAW
+stall (doubled without an accumulation buffer).  So
+:func:`_conv_candidates` / :func:`_fc_candidates` enumerate once per
+key — the layer with its name blanked, and ``ms_size`` — into a
+module-level LRU memo of :data:`MEMO_ENTRIES` entries, and every call
+only prices the memoised columns at its own bandwidths and takes the
+argmin.  An entry holds
 read-only arrays in the narrowest dtype of each column, one row per
 distinct cost tuple.  Measured on the 21 distinct layers of alexnet,
 vgg_small and transformer at the 9 power-of-two ``ms_size`` values from
@@ -33,10 +46,14 @@ from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import MappingError, TuningError
-from repro.mrna.model import MaeriAnalyticalModel
 from repro.stonne.config import ControllerType, SimulatorConfig
 from repro.stonne.layer import ConvLayer, FcLayer
-from repro.stonne.maeri import TileProfile, conv_profile, fc_profile
+from repro.stonne.maeri import (
+    MaeriController,
+    TileProfile,
+    conv_profile,
+    fc_profile,
+)
 from repro.stonne.mapping import (
     ConvMapping,
     FcMapping,
@@ -104,7 +121,7 @@ class _Candidates(NamedTuple):
     """A layer's valid candidates at one ``ms_size``, without bandwidth.
 
     ``tiles`` holds the varying tiles (grid order, ``T_G = T_N = 1``
-    implied); the other fields are the profile columns ``steady_state``
+    implied); the other fields are the profile columns the steady term
     reads, with ``traffic = unique_weights + unique_inputs``.  One row
     per distinct cost tuple, at its first grid occurrence; every array
     is read-only and narrow.
@@ -116,13 +133,13 @@ class _Candidates(NamedTuple):
     num_vns: object
     traffic: object
 
-    def price(self, model: MaeriAnalyticalModel) -> Tuple[List[int], int]:
-        """The first cheapest row's tiles and cycles at ``model``'s bandwidths."""
+    def price(self, controller: MaeriController) -> Tuple[List[int], int]:
+        """The first cheapest row's tiles and steady cycles on ``controller``."""
         import numpy as np
 
         wide = [column.astype(np.int64) for column in self[1:]]
-        # steady_state reads only the traffic sum, never vn_size or psums.
-        cycles = model.profile_cycles(
+        # The steady term reads only the traffic sum, never vn_size or psums.
+        cycles = controller.steady_cycles(
             TileProfile(
                 iterations=wide[0], red_folds=wide[1], vn_size=None,
                 num_vns=wide[2], unique_weights=wide[3], unique_inputs=0,
@@ -187,7 +204,7 @@ def _fc_candidates(layer: FcLayer, ms: int) -> Optional[_Candidates]:
 
 @dataclass
 class MappingChoice:
-    """A scored candidate mapping."""
+    """A scored candidate mapping and its steady-state cycles."""
 
     mapping: object
     estimated_cycles: int
@@ -206,7 +223,7 @@ class MrnaMapper:
                 f"mRNA targets MAERI only, got {config.controller_type.value}"
             )
         self.config = config
-        self.model = MaeriAnalyticalModel(config, params)
+        self.controller = MaeriController(config, params)
 
     # ------------------------------------------------------------------
     def conv_candidates(self, layer: ConvLayer) -> List[ConvMapping]:
@@ -241,15 +258,15 @@ class MrnaMapper:
         columns come from the memo keyed by (``layer`` without its name,
         ``ms_size``); this call only prices them at the config's
         ``dn_bw``/``rn_bw`` and keeps the first minimum, so only the
-        winner becomes a :class:`ConvMapping`.  Layers beyond the int64
-        bound run the scalar scan on Python ints.
+        winner becomes a :class:`ConvMapping`.  Layers beyond the
+        controller's int64 bound run the scalar scan on Python ints.
         """
-        if not self.model.fits_int64(layer):
+        if not self.controller.fits_int64(layer):
             return self._score_conv_scalar(layer)
         return self._score_conv_batch(layer)
 
     def score_fc(self, layer: FcLayer) -> MappingChoice:
-        if not self.model.fits_int64(layer):
+        if not self.controller.fits_int64(layer):
             return self._score_fc_scalar(layer)
         return self._score_fc_batch(layer)
 
@@ -258,7 +275,7 @@ class MrnaMapper:
         candidates = _conv_candidates(replace(layer, name=""), self.config.ms_size)
         if candidates is None:
             raise TuningError(f"no valid conv mapping for layer {layer.name!r}")
-        (t_r, t_s, t_c, t_k, t_x, t_y), cycles = candidates.price(self.model)
+        (t_r, t_s, t_c, t_k, t_x, t_y), cycles = candidates.price(self.controller)
         mapping = ConvMapping(T_R=t_r, T_S=t_s, T_C=t_c, T_K=t_k, T_X=t_x, T_Y=t_y)
         return MappingChoice(mapping=mapping, estimated_cycles=cycles)
 
@@ -266,7 +283,7 @@ class MrnaMapper:
         candidates = _fc_candidates(replace(layer, name=""), self.config.ms_size)
         if candidates is None:
             raise TuningError(f"no valid FC mapping for layer {layer.name!r}")
-        (t_s, t_k), cycles = candidates.price(self.model)
+        (t_s, t_k), cycles = candidates.price(self.controller)
         mapping = FcMapping(T_S=t_s, T_K=t_k, T_N=1)
         return MappingChoice(mapping=mapping, estimated_cycles=cycles)
 
@@ -279,7 +296,9 @@ class MrnaMapper:
                 mapping.validate_for(layer, self.config.ms_size)
             except MappingError:
                 continue
-            cycles = self.model.conv_cycles(layer, mapping)
+            cycles = self.controller.steady_cycles(
+                conv_profile(layer, mapping.as_tuple())
+            )
             if best is None or cycles < best.estimated_cycles:
                 best = MappingChoice(mapping=mapping, estimated_cycles=cycles)
         if best is None:
@@ -293,7 +312,9 @@ class MrnaMapper:
                 mapping.validate_for(layer, self.config.ms_size)
             except MappingError:
                 continue
-            cycles = self.model.fc_cycles(layer, mapping)
+            cycles = self.controller.steady_cycles(
+                fc_profile(layer, mapping.as_tuple())
+            )
             if best is None or cycles < best.estimated_cycles:
                 best = MappingChoice(mapping=mapping, estimated_cycles=cycles)
         if best is None:

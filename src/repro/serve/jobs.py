@@ -38,8 +38,12 @@ class Job:
     """One submitted sweep plan and everything known about its run."""
 
     id: str
-    plan: Any  # SweepPlan
-    resume: Optional[Any] = None  # SweepReport archive, if resuming
+    #: The SweepPlan and the SweepReport to resume from, if any; both are
+    #: dropped once the job is terminal, so a finished job keeps only
+    #: its ``scenarios`` count.
+    plan: Any
+    resume: Optional[Any] = None
+    scenarios: int = 0
     label: Optional[str] = None
     state: str = "queued"
     error: Optional[str] = None
@@ -65,7 +69,7 @@ class Job:
             "id": self.id,
             "label": self.label,
             "state": self.state,
-            "scenarios": len(self.plan.scenarios),
+            "scenarios": self.scenarios,
             "completed": self.progress.get("completed", 0),
             "resumed": self.progress.get("resumed", 0),
             "error": self.error,
@@ -105,6 +109,7 @@ class JobQueue:
                 id=f"job-{self._sequence:04d}",
                 plan=plan,
                 resume=resume,
+                scenarios=len(plan.scenarios),
                 label=label,
             )
             self._jobs[job.id] = job
@@ -134,12 +139,8 @@ class JobQueue:
         job = self.get(job_id)
         with self._lock:
             if job.state == "queued":
-                job.state = "cancelled"
-                job.finished_s = time.time()
                 self._publish_locked(job, {"event": "cancelled"})
-                for events in job.subscribers:
-                    events.put(None)
-                job.subscribers.clear()
+                self._land_locked(job, "cancelled")
             elif job.state == "running":
                 job.cancel_event.set()
             else:
@@ -208,16 +209,22 @@ class JobQueue:
         if state not in TERMINAL_STATES:
             raise ServeError(f"{state!r} is not a terminal job state")
         with self._lock:
-            job.state = state
             job.error = error
             if archive is not None:
                 job.archive = archive
-            job.finished_s = time.time()
-            for events in job.subscribers:
-                events.put(None)
-            job.subscribers.clear()
+            self._land_locked(job, state)
 
     # ------------------------------------------------------------------
+    def _land_locked(self, job: Job, state: str) -> None:
+        """Make ``job`` terminal, wake its watchers, and drop its plan
+        and resume report: a daemon keeps every job record for its life."""
+        job.state = state
+        job.finished_s = time.time()
+        job.plan = job.resume = None
+        for events in job.subscribers:
+            events.put(None)
+        job.subscribers.clear()
+
     def _publish_locked(self, job: Job, event: Dict[str, Any]) -> None:
         job.progress = dict(event)
         for events in job.subscribers:

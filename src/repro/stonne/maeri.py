@@ -30,6 +30,11 @@ tiles as Python ints (``run_conv`` and friends) or a whole batch's tiles
 as int64 numpy columns (the ``*_batch`` kernels), so the two paths
 cannot disagree.  :func:`fits_int64` decides per layer whether the int64
 columns are exact; layers beyond it run every row on Python ints.
+
+:meth:`MaeriController.steady_cycles` is the steady term on its own, at
+the controller's bandwidths and RAW stall.  The mRNA mapper
+(:mod:`repro.mrna`) prices its candidates with that method, so mapping
+and simulation share one price.
 """
 
 from __future__ import annotations
@@ -251,19 +256,37 @@ class MaeriController(AcceleratorController):
     # ------------------------------------------------------------------
     # cycle model core
     # ------------------------------------------------------------------
+    def steady_cycles(self, profile: TileProfile):
+        """The steady-state cycles of a tile profile, as an int or a column.
+
+        This is the one MAERI price: :meth:`_evaluate` adds pipeline fill
+        to it, and the mRNA mapper ranks its candidates by it alone.
+        """
+        return steady_state(
+            profile,
+            self.config.dn_bw,
+            self.config.rn_bw,
+            self.reduction.rmw_occupancy,
+            self._raw_stall,
+        )[2]
+
+    def fits_int64(self, layer: Union[ConvLayer, FcLayer]) -> bool:
+        """Whether int64 columns evaluate every valid mapping of ``layer``
+        exactly, fill included (:func:`fits_int64` at this controller's
+        stall)."""
+        ms_size = self.config.ms_size
+        return fits_int64(
+            layer, ms_size, self.reduction.rmw_occupancy, self._raw_stall,
+            self._fill_constant() + ms_size,
+        )
+
     def _evaluate(self, profile: TileProfile):
         """The model's stats fields for a tile profile, as ints or columns.
 
         Returns ``(fill, steady, cycles, psums, iterations,
         multipliers_used, weights_distributed, inputs_distributed)``.
         """
-        _, _, steady = steady_state(
-            profile,
-            self.config.dn_bw,
-            self.config.rn_bw,
-            self.reduction.rmw_occupancy,
-            self._raw_stall,
-        )
+        steady = self.steady_cycles(profile)
         fill = self._fill_constant() + self.reduction.reduction_latency(
             profile.vn_size
         )
@@ -384,12 +407,10 @@ class MaeriController(AcceleratorController):
             scalar = self.run_conv if conv else self.run_fc
         count = _batch_count(layer)
         base = layer if count == 1 else _single_batch(layer)
-        ms_size = self.config.ms_size
-        if not fits_int64(base, ms_size, self.reduction.rmw_occupancy,
-                          self._raw_stall,
-                          self._fill_constant() + ms_size):
+        if not self.fits_int64(base):
             return [_captured(scalar, layer, m) for m in mappings]
 
+        ms_size = self.config.ms_size
         if conv:
             default = ConvMapping.basic()
             tiles = pack_conv_mappings([m or default for m in mappings])

@@ -31,7 +31,9 @@ from repro.stonne.config import (
 )
 from repro.stonne.controller import AcceleratorController, make_controller
 from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
-from repro.stonne.maeri import conv_profile, fits_int64, steady_state
+from repro.stonne.maeri import (
+    conv_profile, fc_profile, fits_int64, steady_state,
+)
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.stonne.params import DEFAULT_PARAMS
 
@@ -184,8 +186,6 @@ class TestMaeriParity:
     def test_single_calls_stay_off_numpy(self, monkeypatch):
         # One mapping runs the model on Python ints: a numpy call would
         # cost several times the whole simulation.
-        from repro.mrna import MaeriAnalyticalModel
-
         class NoNumpy:
             def __getattr__(self, name):
                 raise AssertionError(f"single call used numpy.{name}")
@@ -197,15 +197,16 @@ class TestMaeriParity:
         for reduce_network_type in ("ASNETWORK", "FENETWORK"):
             config = maeri_config(reduce_network_type=reduce_network_type)
             controller = make_controller(config)
-            model = MaeriAnalyticalModel(config)
             monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
             values = [
                 controller.run_conv(conv, conv_map).cycles,
                 controller.run_fc(fc, fc_map).cycles,
                 controller.estimate_conv_psums(conv, conv_map),
                 controller.estimate_fc_psums(fc, fc_map),
-                model.conv_cycles(conv, conv_map),
-                model.fc_cycles(fc, fc_map),
+                controller.steady_cycles(
+                    conv_profile(conv, conv_map.as_tuple())
+                ),
+                controller.steady_cycles(fc_profile(fc, fc_map.as_tuple())),
             ]
             monkeypatch.undo()
             assert all(type(value) is int for value in values)

@@ -114,3 +114,24 @@ class TestMrnaStrategy:
         mapping = configurator.mapping_for(conv)
         mapping.validate_for(conv, maeri128.ms_size)
         assert configurator.mapping_for(conv) is mapping
+
+    def test_one_mapper_serves_every_layer(
+        self, maeri128, conv, fc, monkeypatch
+    ):
+        from repro.mrna import MrnaMapper
+
+        built = []
+        real_init = MrnaMapper.__init__
+
+        def counting_init(mapper, *args, **kwargs):
+            built.append(mapper)
+            real_init(mapper, *args, **kwargs)
+
+        monkeypatch.setattr(MrnaMapper, "__init__", counting_init)
+        configurator = MappingConfigurator(
+            config=maeri128, strategy=MappingStrategy.MRNA
+        )
+        wider = ConvLayer("wide", C=16, H=10, W=10, K=32, R=3, S=3)
+        for layer in (conv, fc, wider):
+            configurator.mapping_for(layer)
+        assert len(built) == 1

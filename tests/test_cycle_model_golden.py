@@ -2,14 +2,15 @@
 
 A fixed corpus — every ``repro.zoo`` layer, the seeded batch-kernel
 corpus, batch-N layers and layers whose dimensions approach the int64
-range — is run through each controller's scalar and batch entry points
-and through the mRNA analytical model and mapper.  Each outcome is
-reduced to a canonical value (``SimulationStats.to_dict()``, the psum
-int, or the raised exception's type and message), and each group of
-outcomes to a short SHA-256 digest.  ``tests/data/cycle_model_golden.json``
-holds the digests of a reference implementation; any change to a cycle
-count, traffic tally or error message shows up as a mismatching key
-naming the config, workload group and entry point.
+range — is run through each controller's scalar and batch entry points,
+through MAERI's steady term and through the mRNA mapper that prices
+with it.  Each outcome is reduced to a canonical value
+(``SimulationStats.to_dict()``, the psum int, or the raised exception's
+type and message), and each group of outcomes to a short SHA-256
+digest.  ``tests/data/cycle_model_golden.json`` holds the digests of a
+reference implementation; any change to a cycle count, traffic tally or
+error message shows up as a mismatching key naming the config, workload
+group and entry point.
 
 Regenerate (only when a model change is intended)::
 
@@ -189,21 +190,23 @@ def _digest(values):
 
 
 def _mrna_outcomes(config, layers, mappings_for):
-    from repro.mrna import MaeriAnalyticalModel, MrnaMapper
+    from repro.mrna import MrnaMapper
     from repro.stonne.layer import ConvLayer, FcLayer
+    from repro.stonne.maeri import conv_profile, fc_profile
 
-    model = MaeriAnalyticalModel(config)
     mapper = MrnaMapper(config)
+    steady = mapper.controller.steady_cycles
     cycles, scores = [], []
     for layer in layers:
         if isinstance(layer, ConvLayer):
-            estimate, score = model.conv_cycles, mapper.score_conv
+            profile, score = conv_profile, mapper.score_conv
         elif isinstance(layer, FcLayer):
-            estimate, score = model.fc_cycles, mapper.score_fc
+            profile, score = fc_profile, mapper.score_fc
         else:
             continue
         cycles.extend(
-            _call(estimate, layer, m) for m in mappings_for(layer) if m
+            _call(lambda m: steady(profile(layer, m.as_tuple())), m)
+            for m in mappings_for(layer) if m
         )
         if max(_bounds(layer)) < 2 ** 20:
             choice = _call(score, layer)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import LayerError, TuningError
-from repro.mrna import MaeriAnalyticalModel, MrnaMapper
+from repro.mrna import MrnaMapper
 from repro.mrna import mapper as mrna_mapper
 from repro.zoo import zoo_layers
 from repro.stonne.config import maeri_config, sigma_config
@@ -38,27 +38,66 @@ class TestConstruction:
 
 
 class TestAnalyticalModel:
-    def test_estimates_track_simulation(self, maeri128, conv, fc):
-        """The analytical model should be within ~2% of simulated cycles
-        (it ignores only config/pipeline-fill overheads)."""
-        model = MaeriAnalyticalModel(maeri128)
-        controller = MaeriController(maeri128)
-        for mapping in [
-            ConvMapping(T_R=3, T_S=3, T_C=8),
-            ConvMapping(T_K=4, T_X=4, T_Y=4),
-            ConvMapping.basic(),
-        ]:
-            estimated = model.conv_cycles(conv, mapping)
-            simulated = controller.run_conv(conv, mapping).cycles
-            assert abs(estimated - simulated) / simulated < 0.02
-        for mapping in [FcMapping(T_S=16, T_K=8), FcMapping.basic()]:
-            estimated = model.fc_cycles(fc, mapping)
-            simulated = controller.run_fc(fc, mapping).cycles
-            assert abs(estimated - simulated) / simulated < 0.02
+    def test_estimates_track_simulation(self, conv, fc):
+        """mRNA's estimate is the controller's simulated steady term,
+        exactly, with and without the accumulation buffer; the simulator
+        adds only pipeline fill on top."""
+        layers = [conv, fc] + list(zoo_layers("lenet"))
+        for buffer in (True, False):
+            config = maeri_config(accumulation_buffer=buffer)
+            mapper = MrnaMapper(config)
+            controller = MaeriController(config)
+            for layer in layers:
+                choice = _score(mapper, layer)
+                stats = _run(controller, layer, choice.mapping)
+                assert choice.estimated_cycles == stats.phase_cycles["steady"]
+                assert stats.cycles == (
+                    choice.estimated_cycles + stats.phase_cycles["fill"]
+                )
 
-    def test_utilization(self, maeri128, conv):
-        model = MaeriAnalyticalModel(maeri128)
-        assert model.conv_utilization(conv, ConvMapping(T_R=3, T_S=3, T_C=8)) == 72 / 128
+
+PICK_MODELS = ("alexnet", "vgg_small", "lenet", "mlp")
+
+
+class TestPickIsSteadyOptimal:
+    @pytest.mark.parametrize("buffer", [True, False], ids=["acc", "noacc"])
+    def test_pick_has_the_fewest_steady_cycles_of_its_candidates(self, buffer):
+        """On every layer of the paper networks, mRNA's pick has the
+        minimum simulated steady cycles among its own candidates: it and
+        the simulator charge one RAW stall (doubled without the buffer)."""
+        layers = [
+            layer for model in PICK_MODELS for layer in zoo_layers(model)
+        ]
+        for ms_size, bandwidth in itertools.product(
+            (8, 32, 128, 512), (4, 16, 128)
+        ):
+            config = maeri_config(
+                ms_size=ms_size, dn_bw=bandwidth, rn_bw=bandwidth,
+                accumulation_buffer=buffer,
+            )
+            mapper = MrnaMapper(config)
+            controller = MaeriController(config)
+            for layer in layers:
+                conv = isinstance(layer, ConvLayer)
+                candidates = (
+                    mapper.conv_candidates(layer) if conv
+                    else mapper.fc_candidates(layer)
+                )
+                run_batch = (
+                    controller.run_conv_batch if conv
+                    else controller.run_fc_batch
+                )
+                simulated = run_batch(layer, candidates)
+                best = min(
+                    stats.phase_cycles["steady"] for stats in simulated
+                    if not isinstance(stats, Exception)
+                )
+                choice = _score(mapper, layer)
+                assert choice.estimated_cycles == best, (
+                    layer.name, ms_size, bandwidth
+                )
+                picked = _run(controller, layer, choice.mapping)
+                assert picked.phase_cycles["steady"] == best
 
 
 class TestMapper:
@@ -127,6 +166,12 @@ def _score(mapper, layer):
     if isinstance(layer, ConvLayer):
         return mapper.score_conv(layer)
     return mapper.score_fc(layer)
+
+
+def _run(controller, layer, mapping):
+    if isinstance(layer, ConvLayer):
+        return controller.run_conv(layer, mapping)
+    return controller.run_fc(layer, mapping)
 
 
 def _scalar_score(mapper, layer):
@@ -223,7 +268,7 @@ class TestCandidateMemo:
         renamed = dataclasses.replace(layer, name="renamed")
         for dn_bw, rn_bw in (first, second):
             mapper = _mapper_at(ms_size, dn_bw, rn_bw)
-            assert mapper.model.fits_int64(layer)
+            assert mapper.controller.fits_int64(layer)
             reference = _scalar_score(mapper, layer)
             for scored in (_score(mapper, layer), _score(mapper, renamed)):
                 assert scored.mapping == reference.mapping

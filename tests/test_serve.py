@@ -318,6 +318,23 @@ class TestJobQueue:
         with pytest.raises(ServeError):
             queue.finish(job, "running")
 
+    def test_terminal_jobs_drop_plan_and_resume_but_keep_the_count(self):
+        queue = JobQueue()
+        finished = queue.submit(
+            _plan(models=("mlp", "lenet")), resume=object()
+        )
+        cancelled = queue.submit(_plan(), resume=object())
+        before = [finished.describe()["scenarios"],
+                  cancelled.describe()["scenarios"]]
+        assert before == [2, 1]
+        queue.next_job(timeout=0)
+        queue.finish(finished, "done")
+        queue.cancel(cancelled.id)
+        for job in (finished, cancelled):
+            assert job.plan is None and job.resume is None
+        assert [finished.describe()["scenarios"],
+                cancelled.describe()["scenarios"]] == before
+
 
 # ----------------------------------------------------------------------
 # live service
@@ -392,6 +409,21 @@ class TestServeService:
         assert final["state"] == "done"
         kinds = [event.get("event") for event in events]
         assert "scenario" in kinds and kinds[-1] == "done"
+
+    def test_status_reports_scenarios_after_the_plan_is_dropped(
+        self, service, capsys
+    ):
+        from repro.cli import main
+
+        with ServeClient(service.address) as client:
+            job = client.submit(_plan(models=["mlp", "lenet"]))
+            final = client.wait(job["id"], timeout=120)
+        assert final["state"] == "done"
+        assert job["scenarios"] == final["scenarios"] == 2
+        record = service.jobs.get(job["id"])
+        assert record.plan is None and record.resume is None
+        assert main(["status", job["id"], "--connect", service.address]) == 0
+        assert "2/2 scenarios" in capsys.readouterr().out
 
     def test_cancel_lands_terminal(self, service):
         with ServeClient(service.address) as client:
