@@ -14,8 +14,10 @@ Two in-process legs follow.  One sweeps on the process executor into a
 fresh ``.sqlite`` cache with automatic chunking: each engine group
 runs as one chunk on the caller's thread, no worker process starts, and the sweep equals a serial sweep.  It then reopens
 the file in a new session and sweeps again: the second sweep simulates
-nothing, equals a serial sweep, and the file holds exactly one row per
-simulated key (each merge is written as one transaction).  The last
+nothing, runs at most one SELECT per scenario plan (each plan reads its
+keys in one batch), returns records that refuse writes, equals a serial
+sweep, and the file holds exactly one row per simulated key (each merge
+is written as one transaction).  The last
 pins a chunk size so every group reaches the workers, SIGKILLs one
 worker between two sweeps of one session and asserts the second sweep
 is bit-identical to a serial sweep and ran on a respawned worker: a
@@ -25,6 +27,7 @@ Run:  PYTHONPATH=src python scripts/sweep_smoke.py
 Exit: 0 on success, 1 on any mismatch.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -99,10 +102,26 @@ def sqlite_cache_leg(tmp: str) -> None:
     pulled = cold.counters["scheduler"]["chunks_pulled"]
     assert pulled == len(groups), (pulled, sorted(groups))
     with Session(cache_path=path) as session:
-        warm = session.sweep(plan(session))
+        warm_plan = plan(session)
+        selects = []
+        session.engine.cache._conn.set_trace_callback(
+            lambda sql: selects.append(sql)
+            if sql.lstrip().upper().startswith("SELECT") else None)
+        warm = session.sweep(warm_plan)
+        session.engine.cache._conn.set_trace_callback(None)
         rows = session.engine.cache.disk_entries()
     assert warm.counters["num_simulations"] == 0, warm.counters
     assert rows == simulated, (rows, simulated)
+    # Each scenario's plan looks its keys up in one get_many: at most
+    # one query per plan, however many layers fall through to the file.
+    assert 0 < len(selects) <= len(warm_plan.scenarios), selects
+    record = warm[warm.names[0]].layer_stats[0]
+    try:
+        record.cycles = 0
+    except dataclasses.FrozenInstanceError:
+        pass
+    else:
+        raise AssertionError("a cached record accepted a write")
     with Session(executor="serial") as session:
         serial = session.sweep(plan(session))
     assert layer_stats(cold) == layer_stats(serial), (
@@ -114,7 +133,9 @@ def sqlite_cache_leg(tmp: str) -> None:
     print(
         f"sqlite cache: {simulated} simulations on --executor process in "
         f"{pulled} inline chunks, no worker started, == serial; "
-        f"{rows} rows; reopened sweep ran 0 simulations and == serial"
+        f"{rows} rows; reopened sweep ran 0 simulations in {len(selects)} "
+        f"SELECTs for {len(warm_plan.scenarios)} plans, returned frozen "
+        "records and == serial"
     )
 
 

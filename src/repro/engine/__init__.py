@@ -76,8 +76,8 @@ Who routes through it
 
 Results are bit-identical with the cache on or off and across backends:
 every controller is a deterministic function of (layer, config, params,
-mapping), and cache hits return independent copies so callers can never
-corrupt the cache.
+mapping), and records are frozen, so a cache hit hands out the cached
+record itself and no caller can corrupt the cache.
 """
 
 from repro.engine.backends import (

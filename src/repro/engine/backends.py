@@ -211,10 +211,10 @@ def simulate_layer_batch(controller, layer, mappings) -> List:
 
     Each controller has a single cycle model: MAERI's batch kernels
     evaluate it on int64 columns (Python ints for the layers int64
-    cannot hold), and the mapping-free fabrics run it once and copy the
-    result, so a batch returns exactly what the per-item scalar calls
-    would.  A GEMM carries no mapping, so its ``n`` items are ``n``
-    copies of one ``run_gemm``.
+    cannot hold), and the mapping-free fabrics run it once and share
+    the (immutable) result, so a batch returns exactly what the
+    per-item scalar calls would.  A GEMM carries no mapping, so its
+    ``n`` items are one ``run_gemm`` record ``n`` times.
     """
     from repro.stonne.controller import _lowered_gemm_batch
     from repro.stonne.layer import ConvLayer, FcLayer

@@ -2,10 +2,9 @@
 disk-persistent variant.
 
 Keys are produced by :func:`repro.engine.evaluation.evaluation_key`;
-values are :class:`~repro.stonne.stats.SimulationStats`.  The cache
-stores and returns independent copies, so neither the producer nor any
-consumer can mutate a cached record (several controllers rename
-``stats.layer_name`` in place, and reports attach energy records).
+values are :class:`~repro.stonne.stats.SimulationStats`.  Records are
+frozen, so every tier stores and returns the very object it was given:
+no consumer can change a cached record, and a hit costs no copy.
 
 :class:`PersistentStatsCache` adds an append-only JSONL spill: every new
 record is appended to disk as one line, and opening a cache on an
@@ -24,10 +23,16 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
+from typing import (
+    Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.obs.trace import TRACER
 from repro.stonne.stats import SimulationStats
+
+#: The one JSON encoder for persisted keys and records: ``json.dumps(obj,
+#: default=str)`` builds an equal encoder per call.
+ENCODER = json.JSONEncoder(default=str)
 
 #: Default maximum number of cached records.  A record is a few hundred
 #: bytes, so the default bound stays in the low tens of megabytes.
@@ -54,7 +59,7 @@ class StatsCache:
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> Optional[SimulationStats]:
-        """The cached stats for ``key`` (an independent copy), or None.
+        """The cached (shared, immutable) stats for ``key``, or None.
 
         Counts a hit or a miss and refreshes the entry's LRU position.
         """
@@ -65,12 +70,34 @@ class StatsCache:
                 return None
             self._records.move_to_end(key)
             self.hits += 1
-            return record.clone()
+            return record
+
+    def get_many(
+        self, keys: Sequence[Hashable]
+    ) -> List[Optional[SimulationStats]]:
+        """The cached stats for every key, in order (None for a miss).
+
+        Reads as a loop of :meth:`get` would, with one exception: a key
+        that missed is not asked again within the call, so its repeats
+        are None and uncounted.  That is what the engine's planner
+        needs: it parks the repeats of a miss behind its first
+        occurrence.  The engine looks up each plan's keys in one call,
+        so a tier with a costly read (the SQLite tier's query) can
+        batch them; this default is a plain loop.
+        """
+        results: List[Optional[SimulationStats]] = []
+        missed: set = set()
+        for key in keys:
+            record = None if key in missed else self.get(key)
+            if record is None:
+                missed.add(key)
+            results.append(record)
+        return results
 
     def put(self, key: Hashable, stats: SimulationStats) -> None:
-        """Store a copy of ``stats`` under ``key``, evicting LRU overflow."""
+        """Store ``stats`` under ``key``, evicting LRU overflow."""
         with self._lock:
-            self._records[key] = stats.clone()
+            self._records[key] = stats
             self._records.move_to_end(key)
             evicted = 0
             while len(self._records) > self.max_entries:
@@ -210,9 +237,9 @@ class PersistentStatsCache(StatsCache):
         self.warm_entries = len(self._records)
 
     def put(self, key: Hashable, stats: SimulationStats) -> None:
-        """Store a copy of ``stats`` and append new keys to the spill."""
+        """Store ``stats`` and append new keys to the spill."""
         with self._lock:
-            self._records[key] = stats.clone()
+            self._records[key] = stats
             self._records.move_to_end(key)
             evicted = 0
             while len(self._records) > self.max_entries:
@@ -225,9 +252,7 @@ class PersistentStatsCache(StatsCache):
                         "cache.evict", category="cache",
                         tier="jsonl-l1", count=evicted)
             if key not in self._persisted:
-                line = json.dumps(
-                    {"key": key, "stats": stats.to_dict()}, default=str
-                )
+                line = ENCODER.encode({"key": key, "stats": stats.to_dict()})
                 self._file.write(line + "\n")
                 self._file.flush()
                 self._persisted.add(key)

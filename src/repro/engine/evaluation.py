@@ -9,10 +9,12 @@ overview.  The key design points:
   — so identical work is recognized across layers, sessions and tuner
   runs.  The config/params digest is computed once per engine, keeping
   the per-evaluation key a cheap tuple of scalars.
-* **Copy-on-hit.**  Cache hits return an independent
-  :class:`~repro.stonne.stats.SimulationStats` with ``layer_name``
-  rewritten to the requesting layer's name, so records stay attributable
-  even when they were produced by a different layer of the same shape.
+* **Shared, immutable records.**  A cache hit is the cached (frozen)
+  :class:`~repro.stonne.stats.SimulationStats` itself, renamed to the
+  requesting layer only when the names differ
+  (:meth:`~repro.stonne.stats.SimulationStats.renamed` builds the new
+  record), so records stay attributable even when they were produced by
+  a different layer of the same shape, and no hit costs a copy.
 * **One evaluation path.**  ``evaluate_many`` splits a batch into cache
   hits and misses and hands the misses to the pull scheduler
   (:mod:`repro.engine.scheduler`), which runs them on an executor
@@ -176,22 +178,26 @@ class BatchPlan:
         self.results[position] = payload
 
     def _resolve_duplicates(self) -> None:
-        """Fill the parked duplicate slots from the cache (or the
-        batch-local result when the LRU bound already evicted it)."""
+        """Fill the parked duplicate slots from the cache, in one
+        ``get_many`` (or from the batch-local result when the LRU bound
+        already evicted it)."""
+        parked = []
         for position, key in self._duplicates:
             if key in self._miss_errors:
                 # The first occurrence failed; its error stands in here too.
                 self.results[position] = self._miss_errors[key]
-                continue
-            cached = self.engine.cache.get(key)
+            else:
+                parked.append((position, key))
+        if not parked:
+            return
+        found = self.engine.cache.get_many([key for _, key in parked])
+        for (position, key), cached in zip(parked, found):
             if cached is None:
                 # Already evicted (LRU bound smaller than the batch's
                 # distinct misses); serve the batch-local result instead.
                 cached = self._miss_stats[key]
-            # Attribute a copy — never rename a shared object in place
-            # (a duck-typed cache may have returned its stored record).
-            self.results[position] = cached.clone(
-                layer_name=self.requests[position].layer.name
+            self.results[position] = cached.renamed(
+                self.requests[position].layer.name
             )
 
 
@@ -205,10 +211,11 @@ class EvaluationEngine:
         cache: A shared :class:`StatsCache`; a private one is created
             when omitted.  Sharing a cache across engines is safe — the
             config/params fingerprint is part of every key.  Any object
-            serves whose ``get`` and ``put_many`` match the
+            serves whose ``get_many`` and ``put_many`` match the
             :class:`StatsCache` ones: those two are the engine's whole
-            cache seam (:meth:`counters` also reads ``hits``,
-            ``misses``, ``hit_rate`` and ``len``).
+            cache seam, one lookup per plan and one write per merge
+            (:meth:`counters` also reads ``hits``, ``misses``,
+            ``hit_rate`` and ``len``).
         cache_enabled: When False every evaluation simulates (the cache
             is neither consulted nor populated); counters still track.
         functional: When True every *simulation* also executes the exact
@@ -314,28 +321,23 @@ class EvaluationEngine:
             plan._pending = [(None, position) for position in range(len(normalized))]
             return plan
 
+        fingerprint = self._fingerprint
+        keys = [
+            evaluation_key(fingerprint, request.layer, request.mapping)
+            for request in normalized
+        ]
         pending_keys: set = set()
         with TRACER.span("cache.lookup", category="cache") as span:
-            for position, request in enumerate(normalized):
-                key = evaluation_key(
-                    self._fingerprint, request.layer, request.mapping
-                )
-                if key in pending_keys:
-                    # Resolved from the cache after the first occurrence
-                    # runs, mirroring what a serial loop would do.
-                    plan._duplicates.append((position, key))
-                    continue
-                cached = self.cache.get(key)
+            found = self.cache.get_many(keys)
+            for position, (key, cached) in enumerate(zip(keys, found)):
                 if cached is not None:
-                    # An attributed *copy*, mirroring run_plans'
-                    # semantics: renaming the returned object in place
-                    # would alias two plans onto one record whenever the
-                    # cache's get() does not copy (duck-typed caches),
-                    # letting the second scenario rename the first's
-                    # result.
-                    plan.results[position] = cached.clone(
-                        layer_name=request.layer.name
+                    plan.results[position] = cached.renamed(
+                        normalized[position].layer.name
                     )
+                elif key in pending_keys:
+                    # A repeat of a miss: resolved from the cache after
+                    # the first occurrence runs, as a serial loop would.
+                    plan._duplicates.append((position, key))
                 else:
                     pending_keys.add(key)
                     plan._pending.append((key, position))
@@ -405,9 +407,8 @@ class EvaluationEngine:
                     stats = payload
                     if index > 0:
                         # Cross-plan shared result: every other plan
-                        # gets an independent, re-attributed copy.
-                        stats = payload.clone()
-                        stats.layer_name = (
+                        # gets it attributed to its own layer.
+                        stats = payload.renamed(
                             plan.requests[position].layer.name
                         )
                     plan._record(position, key, stats)
@@ -430,7 +431,7 @@ class EvaluationEngine:
         The misses of every plan are flattened into a single backend
         batch with *cross-plan* key dedup — a layer shared by several
         plans (scenarios of a sweep) simulates exactly once and every
-        plan receives an independently attributed copy.  Results merge
+        plan receives it attributed to its own layer.  Results merge
         into the cache and into each plan's ``results``; parked
         duplicates resolve afterwards.
 

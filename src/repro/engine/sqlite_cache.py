@@ -9,10 +9,12 @@ configuration, worker B should skip it *in the same sweep*.
 :class:`SqliteStatsCache` provides that: the in-memory LRU is a private
 L1, and every L1 miss falls through to a shared SQLite database opened in
 WAL mode (concurrent readers never block the single writer; writers
-queue on the file lock with a busy timeout).  Keys are the same
+queue on the file lock with a busy timeout).  A lookup group (one
+engine plan) reads all its L1 misses in one query.  Keys are the same
 content-addressed tuples as every other tier, serialized to canonical
 JSON text; values round-trip through
 :meth:`~repro.stonne.stats.SimulationStats.to_dict`.  Records are
+frozen, so both tiers hand out the objects they hold, and they are
 deterministic functions of their key, so ``INSERT OR REPLACE`` races
 between writers are harmless — both sides write identical bytes.
 
@@ -28,10 +30,13 @@ import os
 import sqlite3
 import threading
 import time
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
+from typing import (
+    Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
-from repro.engine.cache import DEFAULT_MAX_ENTRIES, StatsCache, _freeze
+from repro.engine.cache import DEFAULT_MAX_ENTRIES, ENCODER, StatsCache
 from repro.obs.trace import TRACER
 from repro.stonne.stats import SimulationStats
 
@@ -51,39 +56,42 @@ _ACCESS_INDEX = (
 )
 
 #: One row write: the record plus the next stamp of the shared logical
-#: clock (see :meth:`SqliteStatsCache._touch`).
+#: clock (see :meth:`SqliteStatsCache._stamp`).
 _INSERT = (
     "INSERT OR REPLACE INTO stats (key, stats, accessed_at) "
     "VALUES (?, ?, (SELECT COALESCE(MAX(accessed_at), 0) + 1 FROM stats))"
 )
 
 
+#: Keys per ``WHERE key IN (...)`` query: the portable SQLite limit on
+#: bound variables per statement.
+_SELECT_CHUNK = 999
+
+
+@lru_cache(maxsize=4096)
 def encode_key(key: Hashable) -> str:
     """Canonical JSON text of a content-addressed cache key.
 
     Keys are tuples of scalars and nested tuples (see
     :func:`repro.engine.evaluation.evaluation_key`); tuples serialize as
     JSON arrays, deterministically, so the text form is itself
-    content-addressed.
+    content-addressed.  Memoized: a sweep encodes a missed key when it
+    looks it up and again when it stores the result, and the bound
+    covers a sweep of up to 4,096 distinct lookups between the two.
     """
-    return json.dumps(key, default=str)
-
-
-def decode_key(text: str) -> Hashable:
-    """Invert :func:`encode_key` (JSON arrays frozen back to tuples)."""
-    return _freeze(json.loads(text))
+    return ENCODER.encode(key)
 
 
 class SqliteStatsCache(StatsCache):
     """A :class:`StatsCache` backed by a shared WAL-mode SQLite database.
 
     The in-memory LRU is a per-process L1; the database is the shared
-    tier.  ``get`` consults L1 first and falls through to the database on
-    a miss, so inserts from *other* processes become visible mid-sweep
-    without any refresh protocol.  ``put_many`` writes a batch to both
-    tiers and commits it once — one engine merge (every result of one
-    scheduler call for one engine) is one durable transaction; ``put``
-    is a batch of one.
+    tier.  ``get_many`` consults L1 first and reads every key it lacks
+    in one query, so inserts from *other* processes become visible
+    mid-sweep without any refresh protocol; ``get`` is a lookup of one.
+    ``put_many`` writes a batch to both tiers and commits it once — one
+    engine merge (every result of one scheduler call for one engine) is
+    one durable transaction; ``put`` is a batch of one.
 
     The shared tier grows without bound by default; ``max_rows`` caps it
     with LRU eviction: with a cap set, every get and put stamps the
@@ -169,60 +177,110 @@ class SqliteStatsCache(StatsCache):
             )
 
     # ------------------------------------------------------------------
-    def _touch(self, encoded: str) -> None:
-        """Refresh a row's LRU stamp (cap-enabled caches only).
-
-        The stamp is a shared logical clock (MAX+1), not wall time: it
-        is monotone under concurrent writers and immune to clock skew
-        between fleet members.  Uncapped caches skip it entirely so
-        reads stay read-only — no writer lock, no WAL growth, and
-        read-only database files keep working.
-        """
-        if self.max_rows is None:
-            return
-        self._conn.execute(
-            "UPDATE stats SET accessed_at = "
-            "(SELECT MAX(accessed_at) FROM stats) + 1 WHERE key = ?",
-            (encoded,),
-        )
-        self._conn.commit()
+    def _select(
+        self, keys: Sequence[Hashable]
+    ) -> Dict[Hashable, SimulationStats]:
+        """The decoded rows of the given distinct keys that the database
+        holds, read in queries of at most :data:`_SELECT_CHUNK` keys."""
+        by_text = {encode_key(key): key for key in keys}
+        texts = list(by_text)
+        found: Dict[Hashable, SimulationStats] = {}
+        for start in range(0, len(texts), _SELECT_CHUNK):
+            chunk = texts[start:start + _SELECT_CHUNK]
+            query = (
+                "SELECT key, stats FROM stats WHERE key IN ("
+                + ",".join("?" * len(chunk)) + ")"
+            )
+            for text, row in self._conn.execute(query, chunk):
+                found[by_text[text]] = SimulationStats.from_dict(
+                    json.loads(row))
+        return found
 
     def get(self, key: Hashable) -> Optional[SimulationStats]:
-        """L1 first, then the shared database; a database hit warms L1.
+        """L1 first, then the shared database: a lookup of one (see
+        :meth:`get_many`)."""
+        return self.get_many((key,))[0]
 
-        When a row cap is set, *both* hit paths refresh the shared
-        ``accessed_at`` stamp — an L1 hit must still count as fleet-wide
-        access, or the hottest keys (absorbed by L1 after first read)
-        would look cold to every other process's eviction.
+    def get_many(
+        self, keys: Sequence[Hashable]
+    ) -> List[Optional[SimulationStats]]:
+        """L1 first, then one database query for every key L1 lacks; a
+        database hit warms L1.
+
+        Counters, L1 order and row stamps read as a loop of :meth:`get`
+        over ``keys`` would leave them (see :meth:`StatsCache.get_many`
+        for the repeats of a miss), while the database is queried once
+        per distinct key.  When a row cap is set, *every* hit, L1 hits
+        included, refreshes the row's shared ``accessed_at`` stamp in
+        key order — an L1 hit must still count as fleet-wide access, or
+        the hottest keys (absorbed by L1 after first read) would look
+        cold to every other process's eviction.  All database work runs
+        before L1 or the counters change, so a failed call leaves both
+        tiers as they were.
         """
         with self._lock:
-            record = self._records.get(key)
-            if record is not None:
-                self._records.move_to_end(key)
-                self.hits += 1
-                self.l1_hits += 1
-                if self.max_rows is not None:  # keep L1 hits encode-free
-                    self._touch(encode_key(key))
-                return record.clone()
-            encoded = encode_key(key)
-            row = self._conn.execute(
-                "SELECT stats FROM stats WHERE key = ?", (encoded,)
-            ).fetchone()
-            if row is None:
-                self.misses += 1
-                return None
-            self._touch(encoded)
-            stats = SimulationStats.from_dict(json.loads(row[0]))
-            self._records[key] = stats
-            self._records.move_to_end(key)
-            while len(self._records) > self.max_entries:
-                self._records.popitem(last=False)
-            self.hits += 1
-            self.db_hits += 1
-            if TRACER.enabled:
+            records = self._records
+            absent = [key for key in dict.fromkeys(keys) if key not in records]
+            try:
+                rows = self._select(absent) if absent else {}
+                if self.max_rows is not None:
+                    self._stamp([
+                        encode_key(key) for key in keys
+                        if key in records or key in rows
+                    ])
+            except BaseException:
+                self._conn.rollback()
+                raise
+            results: List[Optional[SimulationStats]] = []
+            missed: set = set()
+            l1_hits = db_hits = 0
+            for key in keys:
+                record = records.get(key)
+                if record is not None:
+                    records.move_to_end(key)
+                    l1_hits += 1
+                else:
+                    record = rows.get(key)
+                    if record is None:
+                        missed.add(key)
+                        results.append(None)
+                        continue
+                    db_hits += 1
+                    records[key] = record
+                    while len(records) > self.max_entries:
+                        # A loop of get would read a later repeat of an
+                        # evicted key back from its (identical) row.
+                        old_key, old_record = records.popitem(last=False)
+                        rows[old_key] = old_record
+                results.append(record)
+            self.l1_hits += l1_hits
+            self.db_hits += db_hits
+            self.hits += l1_hits + db_hits
+            self.misses += len(missed)
+            if db_hits and TRACER.enabled:
                 TRACER.instant(
-                    "cache.fallthrough", category="cache", tier="sqlite")
-            return stats.clone()
+                    "cache.fallthrough", category="cache",
+                    tier="sqlite", count=db_hits)
+            return results
+
+    def _stamp(self, encoded: List[str]) -> None:
+        """Refresh the LRU stamps of these rows, in order, and commit
+        (cap-enabled caches only).
+
+        The stamp is a shared logical clock (MAX+1 per statement), not
+        wall time: it is monotone under concurrent writers and immune to
+        clock skew between fleet members.  Uncapped caches never call
+        this, so their reads stay read-only — no writer lock, no WAL
+        growth, and read-only database files keep working.
+        """
+        if not encoded:
+            return
+        self._conn.executemany(
+            "UPDATE stats SET accessed_at = "
+            "(SELECT MAX(accessed_at) FROM stats) + 1 WHERE key = ?",
+            [(text,) for text in encoded],
+        )
+        self._conn.commit()
 
     def put(self, key: Hashable, stats: SimulationStats) -> None:
         """Write both tiers, as a batch of one (see :meth:`put_many`)."""
@@ -235,28 +293,32 @@ class SqliteStatsCache(StatsCache):
 
         Rows go in in order, each stamped and (when capped) evicting its
         overflow exactly as a loop of single puts would; only the commit
-        is shared.  So one engine merge is one transaction: other
-        processes see the whole batch at once or, after a crash before
-        the commit, none of it.  A failed batch is rolled back, leaving
-        both tiers and the counters as they were.
+        is shared, and an uncapped batch is one ``executemany``.  So one
+        engine merge is one transaction: other processes see the whole
+        batch at once or, after a crash before the commit, none of it.
+        A failed batch is rolled back, leaving both tiers and the
+        counters as they were.
         """
         items = list(items)
         rows = [
-            (encode_key(key), json.dumps(stats.to_dict(), default=str))
+            (encode_key(key), ENCODER.encode(stats.to_dict()))
             for key, stats in items
         ]
         with self._lock:
             evicted = 0
             try:
-                for row in rows:
-                    self._conn.execute(_INSERT, row)
-                    evicted += self._evict_overflow()
+                if self.max_rows is None:
+                    self._conn.executemany(_INSERT, rows)
+                else:
+                    for row in rows:
+                        self._conn.execute(_INSERT, row)
+                        evicted += self._evict_overflow()
                 self._conn.commit()
             except BaseException:
                 self._conn.rollback()
                 raise
             for key, stats in items:
-                self._records[key] = stats.clone()
+                self._records[key] = stats
                 self._records.move_to_end(key)
             while len(self._records) > self.max_entries:
                 self._records.popitem(last=False)

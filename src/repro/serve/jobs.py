@@ -8,6 +8,11 @@ executor thread that actually runs sweeps — every transition happens
 under its lock, and progress events fan out to per-job subscriber
 queues so a watching client never blocks the runner.
 
+The queue keeps the newest :data:`JOB_HISTORY` terminal jobs; older
+ones age out (their archive files stay on disk), so a long-lived daemon
+holds a bounded job table.  Queued and running jobs, and terminal jobs
+a watcher is still attached to, are never dropped.
+
 Cancellation is cooperative: ``cancel()`` flips a queued job terminal
 immediately, while a running job gets its ``cancel_event`` set and the
 runner's progress checkpoint raises
@@ -31,6 +36,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: Terminal jobs a queue keeps (newest first); older ones age out.
+JOB_HISTORY = 512
 
 
 @dataclass
@@ -56,7 +64,8 @@ class Job:
     archive: Optional[str] = None
     #: Set to request cooperative cancellation of a running job.
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: Live watch subscriptions; each receives every progress event.
+    #: Live watch subscriptions; each receives every progress event and
+    #: stays listed until its watcher unsubscribes.
     subscribers: List["queue.Queue"] = field(default_factory=list)
 
     @property
@@ -86,11 +95,13 @@ class JobQueue:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        #: Every job ever submitted, in submission order.
+        #: Every job not yet aged out, in submission order.
         self._jobs: Dict[str, Job] = {}
         #: Ids still to dispatch, oldest first; ids cancelled while
         #: queued are skipped when they reach the front.
         self._queued: "deque[str]" = deque()
+        #: Ids of the retained terminal jobs, in the order they landed.
+        self._finished: "deque[str]" = deque()
         self._sequence = 0
 
     # ------------------------------------------------------------------
@@ -121,14 +132,25 @@ class JobQueue:
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
+                if self._aged_out(job_id):
+                    raise ServeError(
+                        f"job {job_id} aged out of the service's history "
+                        f"(it keeps the newest {JOB_HISTORY} finished "
+                        "jobs); its archive file, if any, is still on disk"
+                    )
                 raise ServeError(
-                    f"unknown job {job_id!r} ({len(self._jobs)} jobs "
+                    f"unknown job {job_id!r} ({self._sequence} jobs "
                     "submitted; `repro jobs` lists them)"
                 )
             return job
 
+    def _aged_out(self, job_id) -> bool:
+        """Whether ``job_id`` names a job this queue issued and dropped."""
+        number = str(job_id).partition("job-")[2]
+        return number.isdigit() and 0 < int(number) <= self._sequence
+
     def list(self) -> List[Job]:
-        """Every job, in submission order."""
+        """Every retained job, in submission order."""
         with self._lock:
             return list(self._jobs.values())
 
@@ -162,10 +184,11 @@ class JobQueue:
             return events
 
     def unsubscribe(self, job_id: str, events: "queue.Queue") -> None:
-        job = self.get(job_id)
         with self._lock:
-            if events in job.subscribers:
+            job = self._jobs.get(job_id)
+            if job is not None and events in job.subscribers:
                 job.subscribers.remove(events)
+                self._trim_locked()
 
     # ------------------------------------------------------------------
     # executor-side API
@@ -216,14 +239,25 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     def _land_locked(self, job: Job, state: str) -> None:
-        """Make ``job`` terminal, wake its watchers, and drop its plan
-        and resume report: a daemon keeps every job record for its life."""
+        """Make ``job`` terminal, wake its watchers, drop its plan and
+        resume report, and age out the oldest terminal jobs."""
         job.state = state
         job.finished_s = time.time()
         job.plan = job.resume = None
         for events in job.subscribers:
             events.put(None)
-        job.subscribers.clear()
+        self._finished.append(job.id)
+        self._trim_locked()
+
+    def _trim_locked(self) -> None:
+        """Drop the oldest terminal jobs past :data:`JOB_HISTORY`.  A
+        job with a watcher still attached stops the trim until the
+        watcher unsubscribes, so the history may briefly run over."""
+        while len(self._finished) > JOB_HISTORY:
+            oldest = self._jobs.get(self._finished[0])
+            if oldest is not None and oldest.subscribers:
+                return
+            self._jobs.pop(self._finished.popleft(), None)
 
     def _publish_locked(self, job: Job, event: Dict[str, Any]) -> None:
         job.progress = dict(event)
@@ -231,4 +265,4 @@ class JobQueue:
             events.put(dict(event))
 
 
-__all__ = ["JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue"]
+__all__ = ["JOB_HISTORY", "JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue"]

@@ -138,27 +138,26 @@ def _lowered_gemm_batch(controller, layer, mappings):
 
     Those fabrics ignore the mapping entirely, so every item of a
     same-layer group is the *same* simulation: run the (lowered) GEMM
-    once and hand each item an independent copy (scaled by ``repeated``
-    for batch-N layers).  The only per-item divergence the scalar path
-    has is the batch-parallel T_N rejection, reproduced here.
+    once and hand every item the same (immutable) record, scaled by
+    ``repeated`` for batch-N layers.  The only per-item divergence the
+    scalar path has is the batch-parallel T_N rejection, reproduced here.
     """
     count = _batch_count(layer)
     base = layer if count == 1 else _single_batch(layer)
     gemm = base if isinstance(base, GemmLayer) else base.as_gemm()
-    template = None
+    shared = None
     results: List[Union[SimulationStats, Exception]] = []
     for mapping in mappings:
         if count > 1 and mapping is not None and getattr(mapping, "T_N", 1) != 1:
             results.append(_batch_parallel_error(mapping, layer, count))
             continue
-        if template is None:
+        if shared is None:
             try:
-                template = controller.run_gemm(gemm)
+                shared = controller.run_gemm(gemm).repeated(count, layer.name)
             except Exception as exc:
                 results.append(exc)
                 continue
-            template.layer_name = layer.name
-        results.append(template.repeated(count))
+        results.append(shared)
     return results
 
 
@@ -241,9 +240,9 @@ class AcceleratorController:
     # result.  MAERI writes its model once over tile columns and
     # evaluates it on Python ints for one mapping or on int64 numpy
     # columns for a batch (see repro.stonne.maeri); SIGMA, TPU and MAGMA
-    # ignore mappings, so a batch runs the scalar model once and copies
-    # it (_lowered_gemm_batch).  The defaults loop the scalar methods, so
-    # third-party controllers stay correct without opting in.
+    # ignore mappings, so a batch runs the scalar model once and shares
+    # the record (_lowered_gemm_batch).  The defaults loop the scalar
+    # methods, so third-party controllers stay correct without opting in.
 
     def run_conv_batch(
         self, layer: ConvLayer, mappings: Sequence[Optional[ConvMapping]]

@@ -17,7 +17,7 @@ configurations and mappings is the quantity Bifrost would tune on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import SimulationError
 from repro.stonne.stats import SimulationStats
@@ -132,6 +132,5 @@ def attach_energy(
     stats: SimulationStats,
     table: EnergyTable = DEFAULT_ENERGY_TABLE,
 ) -> SimulationStats:
-    """Fill ``stats.energy`` in place and return the record."""
-    stats.energy = estimate_energy(stats, table).total
-    return stats
+    """A copy of ``stats`` with ``energy`` filled in (records are frozen)."""
+    return replace(stats, energy=estimate_energy(stats, table).total)

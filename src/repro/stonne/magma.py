@@ -136,15 +136,11 @@ class MagmaController(AcceleratorController):
 
     def run_fc(self, layer: FcLayer, mapping=None) -> SimulationStats:
         """Dense layer with sparse weights (``mapping`` ignored)."""
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     def run_conv(self, layer: ConvLayer, mapping=None) -> SimulationStats:
         """Convolution via im2col, sparse filters x dense input matrix."""
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     # ------------------------------------------------------------------
     # batch kernels (see AcceleratorController contract)

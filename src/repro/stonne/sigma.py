@@ -155,15 +155,11 @@ class SigmaController(AcceleratorController):
         is dense regardless of weight sparsity, which is why conv savings
         trail the sparsity fraction.
         """
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     def run_fc(self, layer: FcLayer, mapping=None) -> SimulationStats:
         """Dense layer as a native sparse GEMM (``mapping`` ignored)."""
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     # ------------------------------------------------------------------
     # batch kernels (see AcceleratorController contract)

@@ -19,6 +19,14 @@ STONNE's psum counter is workload-specific and we mirror that asymmetry
   reduction fold.  Minimizing it maximizes spatial reduction
   (``T_R·T_S·T_C``), which is why psum-guided conv tuning still finds
   strong mappings (§VIII-B).
+
+Immutability
+------------
+Both records are frozen dataclasses: every cache tier, plan and report
+shares one object per result instead of copying it.  Changing a record
+means building a new one (:meth:`SimulationStats.renamed`,
+:func:`dataclasses.replace`).  ``phase_cycles`` stays a plain dict so
+records pickle across worker processes; nothing writes to it.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ def field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrafficBreakdown:
     """Element counts moved through each fabric during a simulation."""
 
@@ -62,7 +70,7 @@ class TrafficBreakdown:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationStats:
     """The result of simulating one layer on one accelerator configuration.
 
@@ -114,25 +122,22 @@ class SimulationStats:
             return float("inf")
         return baseline.cycles / self.cycles
 
-    def clone(self, layer_name: Optional[str] = None) -> "SimulationStats":
-        """An independent copy (nested records included), optionally renamed.
+    def renamed(self, layer_name: str) -> "SimulationStats":
+        """This record attributed to ``layer_name``: ``self`` when the name
+        already matches, otherwise a copy sharing every other member.
 
-        The engine cache copies on every get and put, so this copies
-        ``__dict__`` directly instead of going through ``__init__`` (as
+        The engine renames every cache hit, so this copies ``__dict__``
+        directly instead of going through the frozen ``__init__`` (as
         :func:`dataclasses.replace` does, at about three times the
-        cost).  Fields added later, subclass fields included, are still
-        copied without this method needing to know about them; only the
-        two mutable members get fresh objects.
+        cost).  Fields added later, subclass fields included, carry
+        over without this method needing to know about them.
         """
+        if layer_name == self.layer_name:
+            return self
         copy = object.__new__(self.__class__)
         state = copy.__dict__
         state.update(self.__dict__)
-        traffic = object.__new__(self.traffic.__class__)
-        traffic.__dict__.update(self.traffic.__dict__)
-        state["traffic"] = traffic
-        state["phase_cycles"] = dict(self.phase_cycles)
-        if layer_name is not None:
-            state["layer_name"] = layer_name
+        state["layer_name"] = layer_name
         return copy
 
     def repeated(self, count: int, layer_name: Optional[str] = None) -> "SimulationStats":
@@ -150,7 +155,7 @@ class SimulationStats:
             raise ValueError(f"repeat count must be >= 1, got {count}")
         name = self.layer_name if layer_name is None else layer_name
         if count == 1:
-            return self.clone(layer_name=name)
+            return self.renamed(name)
         return replace(
             self,
             layer_name=name,

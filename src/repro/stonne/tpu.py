@@ -86,14 +86,10 @@ class TpuController(AcceleratorController):
 
         ``mapping`` is accepted for surface uniformity and ignored: the
         TPU's dataflow is fixed (§V-A)."""
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     def run_fc(self, layer: FcLayer, mapping=None) -> SimulationStats:
-        stats = self.run_gemm(layer.as_gemm())
-        stats.layer_name = layer.name
-        return stats
+        return self.run_gemm(layer.as_gemm()).renamed(layer.name)
 
     # ------------------------------------------------------------------
     # batch kernels (see AcceleratorController contract)

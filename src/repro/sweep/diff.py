@@ -59,7 +59,7 @@ def _report_metrics(report) -> Dict[str, float]:
         return {
             "cycles": float(report.total_cycles),
             "energy": float(
-                sum(attach_energy(s.clone()).energy for s in report.layer_stats)
+                sum(attach_energy(s).energy for s in report.layer_stats)
             ),
         }
     if isinstance(report, TuneReport):

@@ -44,7 +44,7 @@ def scenario_metric(report, metric: str) -> Optional[float]:
             from repro.stonne.energy import attach_energy
 
             return float(
-                sum(attach_energy(s.clone()).energy for s in report.layer_stats)
+                sum(attach_energy(s).energy for s in report.layer_stats)
             )
         return None
     if isinstance(report, TuneReport):

@@ -398,7 +398,7 @@ class TestProcessWorkers:
 
         def stamps_pid(controller, layer, mapping, functional):
             stats = real(controller, layer, mapping, functional)
-            return stats.clone(layer_name=str(os.getpid()))
+            return stats.renamed(str(os.getpid()))
 
         monkeypatch.setattr(backends_mod, "simulate_layer", stamps_pid)
         backend = ProcessBackend(max_workers=2)
@@ -429,7 +429,7 @@ class TestProcessWorkers:
 
         def stamps_pid(controller, layer, mapping, functional):
             stats = real(controller, layer, mapping, functional)
-            return stats.clone(layer_name=str(os.getpid()))
+            return stats.renamed(str(os.getpid()))
 
         monkeypatch.setattr(backends_mod, "simulate_layer", stamps_pid)
         layer = ConvLayer("c", C=4, H=10, W=10, K=8, R=3, S=3)

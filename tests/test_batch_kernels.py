@@ -230,8 +230,9 @@ class TestGemmParity:
             scalar = _scalar(controller, method, layer, [None] * 5)
             assert _canon(batch) == _canon(scalar)
             assert not any(isinstance(r, Exception) for r in batch)
-            # Independent copies: mutating one must not alias another.
-            batch[0].layer_name = "mutated"
+            # Items may share one record, so it must refuse writes.
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                batch[0].layer_name = "mutated"
             assert batch[1].layer_name == layer.name
 
 

@@ -22,7 +22,7 @@ from repro.stonne.config import (
 from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
-from repro.stonne.stats import SimulationStats
+from repro.stonne.stats import SimulationStats, TrafficBreakdown
 
 ALL_CONFIGS = [maeri_config(), sigma_config(), tpu_config()]
 
@@ -46,9 +46,9 @@ class TestRepeatedStats:
             iterations=4,
             multipliers_used=8,
             array_size=128,
+            traffic=TrafficBreakdown(weights_distributed=7),
             phase_cycles={"fill": 2, "steady": 98},
         )
-        base.traffic.weights_distributed = 7
         tripled = base.repeated(3)
         assert tripled.cycles == 300
         assert tripled.psums == 30
@@ -58,13 +58,15 @@ class TestRepeatedStats:
         assert tripled.traffic.weights_distributed == 21
         assert tripled.multipliers_used == 8  # max, not sum
         assert tripled.array_size == 128
-        # The original is untouched (repeated returns an independent copy).
+        # The original is untouched (repeated builds a new record).
         assert base.cycles == 100 and base.phase_cycles["fill"] == 2
 
-    def test_count_one_is_a_clone(self):
+    def test_count_one_is_the_record_or_a_rename(self):
         base = SimulationStats("l", "maeri", 1, 1, 1, 1, 1, 128)
-        copy = base.repeated(1)
-        assert copy is not base and copy.to_dict() == base.to_dict()
+        assert base.repeated(1) is base
+        renamed = base.repeated(1, layer_name="m")
+        assert renamed.layer_name == "m" and base.layer_name == "l"
+        assert renamed.to_dict() == dict(base.to_dict(), layer_name="m")
 
     def test_rejects_nonpositive_count(self):
         base = SimulationStats("l", "maeri", 1, 1, 1, 1, 1, 128)

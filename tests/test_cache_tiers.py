@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,7 +78,8 @@ class TestSqliteStatsCache:
             cache.put(KEY, _stats())
             got = cache.get(KEY)
             assert got.to_dict() == _stats().to_dict()
-            got.cycles = 1  # mutating the copy must not corrupt the cache
+            with pytest.raises(FrozenInstanceError):
+                got.cycles = 1  # the cache hands out its own record
             assert cache.get(KEY).cycles == 100
 
     def test_persists_across_instances(self, tmp_path):
@@ -603,3 +605,220 @@ class TestPutMany:
         commits = [s for s in statements if s.strip().upper() == "COMMIT"]
         assert report.counters["num_simulations"] > len(archs)
         assert 1 <= len(commits) <= len(archs), statements
+
+
+# ----------------------------------------------------------------------
+# batched reads (one query per lookup group)
+# ----------------------------------------------------------------------
+def _loop_of_get(cache, keys):
+    """What ``get_many`` must read like: a loop of ``get`` that does not
+    ask again for a key that missed."""
+    results, missed = [], set()
+    for key in keys:
+        record = None if key in missed else cache.get(key)
+        if record is None:
+            missed.add(key)
+        results.append(record)
+    return results
+
+
+def _selects(cache):
+    """Start recording the SELECTs a SQLite cache's connection runs."""
+    statements = []
+    cache._conn.set_trace_callback(
+        lambda sql: statements.append(sql)
+        if sql.lstrip().upper().startswith("SELECT KEY") else None)
+    return statements
+
+
+class _FailingStatements:
+    """Connection proxy: every statement starting with ``prefix`` raises."""
+
+    def __init__(self, conn, prefix):
+        self._conn = conn
+        self._prefix = prefix
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def _check(self, sql):
+        if sql.lstrip().upper().startswith(self._prefix):
+            raise sqlite3.OperationalError("database is locked (injected)")
+
+    def execute(self, sql, *args):
+        self._check(sql)
+        return self._conn.execute(sql, *args)
+
+    def executemany(self, sql, *args):
+        self._check(sql)
+        return self._conn.executemany(sql, *args)
+
+
+class TestGetMany:
+    @pytest.mark.parametrize("tier", ["memory", "jsonl", "sqlite"])
+    def test_order_hits_and_misses(self, tmp_path, tier):
+        cache = {
+            "memory": lambda: StatsCache(),
+            "jsonl": lambda: PersistentStatsCache(tmp_path / "c.jsonl"),
+            "sqlite": lambda: SqliteStatsCache(tmp_path / "c.sqlite"),
+        }[tier]()
+        cache.put(_key(0), _stats(cycles=10))
+        cache.put(_key(1), _stats(cycles=11))
+        keys = [_key(1), _key(9), _key(0), _key(9), _key(1)]
+        found = cache.get_many(keys)
+        assert [None if s is None else s.cycles for s in found] == [
+            11, None, 10, None, 11]
+        # Every hit position counts; the repeated miss counts once.
+        assert (cache.hits, cache.misses) == (3, 1)
+        assert cache.get_many([]) == []
+        getattr(cache, "close", lambda: None)()
+
+    def test_database_hits_warm_l1_and_repeats_hit_it(self, tmp_path):
+        path = tmp_path / "c.sqlite"
+        with SqliteStatsCache(path) as writer:
+            writer.put_many(
+                [(_key(i), _stats(cycles=i + 1)) for i in range(3)])
+        with SqliteStatsCache(path) as reader:
+            statements = _selects(reader)
+            found = reader.get_many([_key(2), _key(0), _key(2), _key(7)])
+            assert [s and s.cycles for s in found] == [3, 1, 3, None]
+            assert found[0] is found[2]
+            assert reader.tier_counters() == {
+                "l1_hits": 1, "db_hits": 2, "misses": 1, "evictions": 0}
+            assert len(statements) == 1
+
+    def test_more_keys_than_one_query_binds(self, tmp_path):
+        path = tmp_path / "wide.sqlite"
+        count = 2500
+        with SqliteStatsCache(path) as writer:
+            writer.put_many(
+                [(_key(i), _stats(cycles=i + 1)) for i in range(count)])
+        with SqliteStatsCache(path, max_entries=count) as reader:
+            statements = _selects(reader)
+            keys = [_key(i) for i in range(count + 10)]
+            found = reader.get_many(keys)
+        assert [s.cycles for s in found[:count]] == list(range(1, count + 1))
+        assert found[count:] == [None] * 10
+        assert len(statements) == 3  # 999 + 999 + 512 distinct keys
+        assert reader.db_hits == count and reader.misses == 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stored=st.sets(st.integers(0, 7), max_size=8),
+        warm=st.lists(st.integers(0, 9), max_size=6),
+        lookups=st.lists(st.integers(0, 9), max_size=12),
+        max_rows=st.one_of(st.none(), st.integers(3, 8)),
+        max_entries=st.integers(1, 4),
+    )
+    def test_reads_like_a_loop_of_get(
+        self, stored, warm, lookups, max_rows, max_entries
+    ):
+        """Results, counters, L1 order and (capped) row stamps all match
+        a loop of ``get``; the database is queried once per call."""
+        with tempfile.TemporaryDirectory() as tmp:
+            caches = []
+            for name in ("many", "loop"):
+                path = os.path.join(tmp, f"{name}.sqlite")
+                with SqliteStatsCache(path) as writer:
+                    writer.put_many([(_key(i), _stats(cycles=i + 1))
+                                     for i in sorted(stored)])
+                cache = SqliteStatsCache(
+                    path, max_entries=max_entries, max_rows=max_rows)
+                for key in warm:
+                    cache.get(_key(key))
+                caches.append(cache)
+            many, loop = caches
+            statements = _selects(many)
+            keys = [_key(i) for i in lookups]
+            assert [s and s.to_dict() for s in many.get_many(keys)] == [
+                s and s.to_dict() for s in _loop_of_get(loop, keys)]
+            assert len(statements) <= 1
+            assert many.tier_counters() == loop.tier_counters()
+            assert many.hits == loop.hits
+            assert list(many._records) == list(loop._records)
+            assert _rows(many.path) == _rows(loop.path)
+            many.close()
+            loop.close()
+
+    @pytest.mark.parametrize("failing", ["SELECT KEY", "UPDATE"])
+    def test_failed_call_leaves_both_tiers_as_they_were(
+        self, tmp_path, failing
+    ):
+        path = tmp_path / "fail.sqlite"
+        with SqliteStatsCache(path) as writer:
+            writer.put_many(
+                [(_key(i), _stats(cycles=i + 1)) for i in range(6)])
+        cache = SqliteStatsCache(path, max_entries=3, max_rows=10)
+        cache.get_many([_key(0), _key(1), _key(2)])
+        before = (list(cache._records.items()), cache.tier_counters(),
+                  cache.hits, _rows(path))
+        real = cache._conn
+        cache._conn = _FailingStatements(real, failing)
+        with pytest.raises(sqlite3.OperationalError, match="injected"):
+            cache.get_many([_key(1), _key(4), _key(5), _key(0)])
+        cache._conn = real
+        assert not real.in_transaction
+        assert (list(cache._records.items()), cache.tier_counters(),
+                cache.hits, _rows(path)) == before
+        assert [s.cycles for s in cache.get_many([_key(4), _key(1)])] == [5, 2]
+        cache.close()
+
+
+class TestFrozenRecords:
+    """Every tier hands out the record it holds, so none may be writable."""
+
+    @pytest.mark.parametrize(
+        "tier", ["memory", "jsonl", "sqlite-l1", "sqlite-db"])
+    def test_tier_records_refuse_writes(self, tmp_path, tier):
+        if tier == "memory":
+            cache = StatsCache()
+        elif tier == "jsonl":
+            with PersistentStatsCache(tmp_path / "c.jsonl") as writer:
+                writer.put(KEY, _stats())
+            cache = PersistentStatsCache(tmp_path / "c.jsonl")  # warm start
+        else:
+            cache = SqliteStatsCache(tmp_path / "c.sqlite")
+            if tier == "sqlite-db":
+                cache.put(KEY, _stats())
+                cache.close()
+                cache = SqliteStatsCache(tmp_path / "c.sqlite")
+        if tier in ("memory", "sqlite-l1"):
+            cache.put(KEY, _stats())
+        for record in (cache.get(KEY), cache.get_many([KEY])[0]):
+            with pytest.raises(FrozenInstanceError):
+                record.cycles = 1
+            with pytest.raises(FrozenInstanceError):
+                record.traffic.psums_reduced = 1
+        assert cache.get(KEY).cycles == 100
+        getattr(cache, "close", lambda: None)()
+
+    def test_plan_results_refuse_writes(self):
+        engine = EvaluationEngine(CONFIG)
+        layer = ConvLayer("c", C=4, H=8, W=8, K=8, R=3, S=3)
+        cold = engine.plan_many([layer])
+        engine.run_plans([cold])
+        twin = ConvLayer("d", C=4, H=8, W=8, K=8, R=3, S=3)
+        warm = engine.plan_many([layer, twin])
+        for record in cold.results + warm.results:
+            with pytest.raises(FrozenInstanceError):
+                record.layer_name = "x"
+        assert warm.results[0] is cold.results[0]
+        assert warm.results[1].layer_name == "d"
+
+
+def test_cold_sweep_encodes_each_distinct_key_once(tmp_path):
+    from repro.session import Session
+    from repro.sweep import SweepPlan
+
+    encode_key.cache_clear()
+    with Session(cache_path=str(tmp_path / "cold.sqlite")) as session:
+        plan = SweepPlan.matrix(
+            session.config, models=["mlp", "lenet"],
+            axes={"arch": ["maeri", "sigma"], "ms_size": [64, 128]})
+        report = session.sweep(plan)
+        rows = session.engine.cache.disk_entries()
+    info = encode_key.cache_info()
+    assert report.counters["num_simulations"] == rows > 0
+    # One encoding per distinct key: at its lookup; its write reuses it.
+    assert info.misses == rows
+    assert info.hits >= rows

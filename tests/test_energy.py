@@ -1,5 +1,7 @@
 """Tests for the energy model extension (the paper's future-work item)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SimulationError
@@ -57,10 +59,12 @@ class TestEstimateEnergy:
 
     def test_attach_energy_fills_stats(self, conv_stats):
         assert conv_stats.energy is None
-        attach_energy(conv_stats)
-        assert conv_stats.energy == pytest.approx(
+        filled = attach_energy(conv_stats)
+        assert filled.energy == pytest.approx(
             estimate_energy(conv_stats).total
         )
+        assert conv_stats.energy is None  # records are frozen
+        assert replace(filled, energy=None) == conv_stats
 
     def test_summary_mentions_components(self, conv_stats):
         text = estimate_energy(conv_stats).summary()

@@ -1,5 +1,7 @@
 """Tests for repro.engine: cache correctness, batching, tuner integration."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.engine import EvalRequest, EvaluationEngine, StatsCache, evaluation_key
@@ -44,9 +46,10 @@ class TestCacheCorrectness:
     def test_hit_is_mutation_isolated(self, maeri128, conv):
         engine = EvaluationEngine(maeri128)
         first = engine.evaluate(conv)
-        first.cycles = -1  # corrupt the caller's copy
+        with pytest.raises(FrozenInstanceError):
+            first.cycles = -1  # the cache holds this very record
         second = engine.evaluate(conv)
-        assert second.cycles > 0
+        assert second is first and second.cycles > 0
 
     def test_hit_rewrites_layer_name(self, maeri128):
         """Structurally identical layers share entries but keep their names."""

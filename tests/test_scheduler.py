@@ -480,6 +480,9 @@ class _DuckCache:
             self.hits += 1
         return record
 
+    def get_many(self, keys):
+        return [self.get(key) for key in keys]
+
     def put(self, key, stats) -> None:
         self.store[key] = stats
 

@@ -32,6 +32,7 @@ from repro.fleet.daemon import DaemonLink
 from repro.fleet.remote_backend import RemoteBackend
 from repro.fleet.worker import FleetWorker, start_worker
 from repro.serve import JobQueue, ServeClient, SweepService
+from repro.serve import jobs as jobs_mod
 from repro.session import Session, SessionConfig
 from repro.sweep import (
     SweepPlan,
@@ -334,6 +335,95 @@ class TestJobQueue:
             assert job.plan is None and job.resume is None
         assert [finished.describe()["scenarios"],
                 cancelled.describe()["scenarios"]] == before
+
+
+
+def _run_to_done(queue, count):
+    """Submit and finish ``count`` jobs; returns them in order."""
+    jobs = []
+    for _ in range(count):
+        job = queue.submit(_plan())
+        assert queue.next_job(timeout=0) is job
+        queue.finish(job, "done", archive=f"{job.id}.json")
+        jobs.append(job)
+    return jobs
+
+
+class TestJobHistory:
+    @pytest.fixture(autouse=True)
+    def short_history(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "JOB_HISTORY", 2)
+
+    def test_keeps_the_newest_terminal_jobs(self):
+        queue = JobQueue()
+        jobs = _run_to_done(queue, 5)
+        assert [job.id for job in queue.list()] == [jobs[3].id, jobs[4].id]
+        with pytest.raises(ServeError, match="aged out"):
+            queue.get(jobs[0].id)
+        with pytest.raises(ServeError, match="unknown job"):
+            queue.get("job-0099")
+        with pytest.raises(ServeError, match="unknown job"):
+            queue.get("nonsense")
+
+    def test_queued_and_running_jobs_are_never_dropped(self):
+        queue = JobQueue()
+        running = queue.submit(_plan())
+        assert queue.next_job(timeout=0) is running
+        queued = queue.submit(_plan())
+        cancelled = []
+        for _ in range(4):
+            job = queue.submit(_plan())
+            cancelled.append(job)
+            queue.cancel(job.id)  # queued -> terminal at once
+        kept = [job.id for job in queue.list()]
+        assert kept == [running.id, queued.id] + [
+            job.id for job in cancelled[-2:]
+        ]
+        assert running.state == "running" and queued.state == "queued"
+
+    def test_a_watched_job_waits_for_its_watcher(self):
+        queue = JobQueue()
+        watched = queue.submit(_plan())
+        events = queue.subscribe(watched.id)
+        queue.next_job(timeout=0)
+        queue.finish(watched, "done")
+        later = _run_to_done(queue, 3)
+        # The oldest terminal job still has a watcher: nothing ages out.
+        assert queue.get(watched.id) is watched
+        assert len(queue.list()) == 4
+        assert events.get(timeout=1) is None
+        queue.unsubscribe(watched.id, events)
+        assert [job.id for job in queue.list()] == [
+            later[1].id, later[2].id
+        ]
+        with pytest.raises(ServeError, match="aged out"):
+            queue.get(watched.id)
+        queue.unsubscribe(watched.id, events)  # an aged-out id is a no-op
+
+    def test_service_result_of_an_aged_out_job_keeps_its_archive(
+        self, tmp_path
+    ):
+        svc = SweepService(
+            ("127.0.0.1", 0), config=SessionConfig(),
+            archive_dir=str(tmp_path / "archive"),
+        )
+        thread = threading.Thread(target=svc.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServeClient(svc.address) as client:
+                finals = []
+                for _ in range(3):
+                    job = client.submit(_plan())
+                    finals.append(client.wait(job["id"], timeout=120))
+                with pytest.raises(ServeError, match="aged out"):
+                    client.result(finals[0]["id"])
+                with pytest.raises(ServeError, match="aged out"):
+                    client.status(finals[0]["id"])
+                assert client.result(finals[2]["id"]).scenarios
+                assert client.ping()
+        finally:
+            svc.close()
+        assert Path(finals[0]["archive"]).exists()
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TestFunctionalConv:
         np.testing.assert_allclose(output, expected, rtol=1e-10)
         assert api.stats[0] == make_controller(maeri128).run_conv(
             conv_layer, ConvMapping(T_R=3, T_S=3, T_C=3)
-        ).clone(layer_name="conv2d")
+        ).renamed("conv2d")
 
     def test_sigma_output_matches_reference(self, rng, sigma128, conv_layer):
         data, weights = make_tensors(rng, conv_layer)

@@ -1,6 +1,6 @@
 """Tests for SimulationStats and aggregation."""
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
 
@@ -55,7 +55,7 @@ class TestFromDict:
         assert SimulationStats.from_dict(data) == original
 
     def test_subclass_fields_survive_and_stay_per_class(self):
-        @dataclass
+        @dataclass(frozen=True)
         class TaggedStats(SimulationStats):
             tag: str = "none"
 
@@ -67,50 +67,58 @@ class TestFromDict:
         assert SimulationStats.from_dict(data) == make_stats()
 
 
-class TestClone:
-    """``clone`` is the copy every cache get and put makes."""
+class TestRenamed:
+    """Records are frozen; ``renamed`` is how every cache hit and every
+    cross-plan share is attributed to the requesting layer."""
 
     def full(self):
-        stats = make_stats(name="conv1", cycles=900)
-        stats.energy = 12.5
-        stats.area = 3.25
-        return stats
+        return replace(make_stats(name="conv1", cycles=900),
+                       energy=12.5, area=3.25)
 
-    def test_copy_is_equal_and_shares_no_mutable_member(self):
+    def test_records_refuse_writes(self):
+        stats = self.full()
+        with pytest.raises(FrozenInstanceError):
+            stats.cycles += 1
+        with pytest.raises(FrozenInstanceError):
+            stats.traffic.outputs_written += 1
+        with pytest.raises(FrozenInstanceError):
+            stats.layer_name = "other"
+        assert stats == self.full()
+
+    def test_same_name_is_the_record_itself(self):
         original = self.full()
-        copy = original.clone()
-        assert copy == original
-        assert type(copy) is SimulationStats
-        assert copy.traffic.psums_reduced == 10
-        assert copy.phase_cycles == {"fill": 10, "steady": 890}
-        assert copy.traffic is not original.traffic
-        assert copy.phase_cycles is not original.phase_cycles
-        copy.traffic.outputs_written += 1
-        copy.phase_cycles["drain"] = 5
-        copy.cycles += 1
-        assert original == self.full()
+        assert original.renamed("conv1") is original
+        assert original.repeated(1) is original
 
     def test_rename_changes_only_the_layer_name(self):
         original = self.full()
-        renamed = original.clone(layer_name="conv2")
+        renamed = original.renamed("conv2")
         assert renamed.layer_name == "conv2"
         assert original.layer_name == "conv1"
-        renamed.layer_name = "conv1"
-        assert renamed == original
-        assert renamed.clone() == original
+        assert type(renamed) is SimulationStats
+        assert renamed.traffic is original.traffic
+        assert renamed.renamed("conv1") == original
+        assert replace(renamed, layer_name="conv1") == original
 
     def test_subclass_fields_survive(self):
-        @dataclass
+        @dataclass(frozen=True)
         class TaggedStats(SimulationStats):
             tag: str = "none"
 
         original = TaggedStats(**vars(self.full()), tag="hot")
-        copy = original.clone(layer_name="x")
+        copy = original.renamed("x")
         assert type(copy) is TaggedStats
         assert copy.tag == "hot"
         assert copy.energy == 12.5
-        copy.layer_name = original.layer_name
-        assert copy == original
+        assert copy.renamed(original.layer_name) == original
+        with pytest.raises(FrozenInstanceError):
+            copy.tag = "cold"
+
+    def test_non_frozen_subclass_is_rejected(self):
+        with pytest.raises(TypeError):
+            @dataclass
+            class MutableStats(SimulationStats):
+                tag: str = "none"
 
 
 class TestTrafficBreakdown:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -419,7 +420,8 @@ class TestDiff:
 
     def test_regression_detected(self, report):
         worse = copy.deepcopy(report)
-        worse.scenarios[0].report.layer_stats[0].cycles *= 2
+        stats = worse.scenarios[0].report.layer_stats
+        stats[0] = replace(stats[0], cycles=stats[0].cycles * 2)
         diff = diff_reports(report, worse)
         assert not diff.is_zero
         assert diff.max_regression > 0
@@ -542,7 +544,8 @@ class TestSweepCli:
         before = tmp_path / "before.json"
         before.write_text(run.to_json())
         worse_report = RunReport.from_json(run.to_json())
-        worse_report.layer_stats[0].cycles *= 2
+        first = worse_report.layer_stats[0]
+        worse_report.layer_stats[0] = replace(first, cycles=first.cycles * 2)
         after = tmp_path / "after.json"
         after.write_text(worse_report.to_json())
         assert main([
