@@ -178,20 +178,21 @@ class BatchPlan:
         self.results[position] = payload
 
     def _resolve_duplicates(self) -> None:
-        """Fill the parked duplicate slots from the cache, in one
-        ``get_many`` (or from the batch-local result when the LRU bound
-        already evicted it)."""
-        parked = []
+        """Fill the parked duplicate slots from the cache (or the
+        batch-local result when the LRU bound already evicted it).
+
+        One ``get`` per slot, as a serial loop would count them: two
+        repeats of an evicted key are two misses.  Repeats are rare and
+        their first occurrence was just written, so they stay out of
+        the plan's one ``get_many``.
+        """
+        get = self.engine.cache.get
         for position, key in self._duplicates:
             if key in self._miss_errors:
                 # The first occurrence failed; its error stands in here too.
                 self.results[position] = self._miss_errors[key]
-            else:
-                parked.append((position, key))
-        if not parked:
-            return
-        found = self.engine.cache.get_many([key for _, key in parked])
-        for (position, key), cached in zip(parked, found):
+                continue
+            cached = get(key)
             if cached is None:
                 # Already evicted (LRU bound smaller than the batch's
                 # distinct misses); serve the batch-local result instead.
@@ -211,10 +212,10 @@ class EvaluationEngine:
         cache: A shared :class:`StatsCache`; a private one is created
             when omitted.  Sharing a cache across engines is safe — the
             config/params fingerprint is part of every key.  Any object
-            serves whose ``get_many`` and ``put_many`` match the
-            :class:`StatsCache` ones: those two are the engine's whole
-            cache seam, one lookup per plan and one write per merge
-            (:meth:`counters` also reads ``hits``, ``misses``,
+            serves whose ``get_many``, ``get`` and ``put_many`` match
+            the :class:`StatsCache` ones: one ``get_many`` per plan, one
+            ``get`` per in-plan repeat of a miss, one ``put_many`` per
+            merge (:meth:`counters` also reads ``hits``, ``misses``,
             ``hit_rate`` and ``len``).
         cache_enabled: When False every evaluation simulates (the cache
             is neither consulted nor populated); counters still track.

@@ -97,8 +97,8 @@ class JobQueue:
         self._ready = threading.Condition(self._lock)
         #: Every job not yet aged out, in submission order.
         self._jobs: Dict[str, Job] = {}
-        #: Ids still to dispatch, oldest first; ids cancelled while
-        #: queued are skipped when they reach the front.
+        #: Ids of the queued jobs, oldest first (cancelling one removes
+        #: it, so a trimmed terminal job never stays here).
         self._queued: "deque[str]" = deque()
         #: Ids of the retained terminal jobs, in the order they landed.
         self._finished: "deque[str]" = deque()
@@ -161,6 +161,7 @@ class JobQueue:
         job = self.get(job_id)
         with self._lock:
             if job.state == "queued":
+                self._queued.remove(job.id)
                 self._publish_locked(job, {"event": "cancelled"})
                 self._land_locked(job, "cancelled")
             elif job.state == "running":
@@ -202,12 +203,11 @@ class JobQueue:
         )
         with self._lock:
             while True:
-                while self._queued:
+                if self._queued:
                     job = self._jobs[self._queued.popleft()]
-                    if job.state == "queued":
-                        job.state = "running"
-                        job.started_s = time.time()
-                        return job
+                    job.state = "running"
+                    job.started_s = time.time()
+                    return job
                 if deadline is None:
                     self._ready.wait()
                 else:

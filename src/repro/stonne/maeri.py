@@ -65,7 +65,7 @@ from repro.stonne.mapping import (
 )
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
 from repro.stonne.reduction import make_reduction_network
-from repro.stonne.stats import SimulationStats, TrafficBreakdown
+from repro.stonne.stats import SimulationStats, build_stats, build_traffic
 
 
 class TileProfile(NamedTuple):
@@ -305,23 +305,16 @@ class MaeriController(AcceleratorController):
             + self.distribution.fill_latency() * self.params.pipeline_fill_per_level
         )
 
-    def _stats(self, name, macs, outputs, fill, steady, cycles, psums,
-               iterations, used, weights_distributed, inputs_distributed):
-        # Positional construction: it halves the cost of building the
-        # batch kernels' per-row records.
-        return SimulationStats(
-            name, self._controller_name, cycles, psums, macs, iterations,
-            used, self.config.ms_size,
-            TrafficBreakdown(
-                weights_distributed, inputs_distributed, psums, outputs
-            ),
-            {"fill": fill, "steady": steady},
-        )
-
     def _run(self, layer, profile: TileProfile) -> SimulationStats:
-        return self._stats(
-            layer.name, layer.macs, layer.output_elements,
-            *self._evaluate(profile),
+        # The record layout _batch builds per row; keep the two in step.
+        fill, steady, cycles, psums, iterations, used, wd, id_ = (
+            self._evaluate(profile)
+        )
+        return build_stats(
+            layer.name, self._controller_name, cycles, psums, layer.macs,
+            iterations, used, self.config.ms_size,
+            build_traffic(wd, id_, psums, layer.output_elements),
+            {"fill": fill, "steady": steady},
         )
 
     # ------------------------------------------------------------------
@@ -437,12 +430,17 @@ class MaeriController(AcceleratorController):
                 results[row] = psums * count
             return results
 
-        make, name = self._stats, layer.name
-        macs, outputs = base.macs, base.output_elements
+        # _run's record layout, built inline: one record per row is most
+        # of a batch's cost, so the loop makes no other call.
+        name, controller = layer.name, self._controller_name
+        macs, outputs, ms_size = base.macs, base.output_elements, ms_size
         for row, fill, steady, cycles, psums, iters, used, wd, id_ in zip(
             rows, *(column.tolist() for column in self._evaluate(profile))
         ):
-            stats = make(name, macs, outputs, fill, steady, cycles, psums,
-                         iters, used, wd, id_)
+            stats = build_stats(
+                name, controller, cycles, psums, macs, iters, used, ms_size,
+                build_traffic(wd, id_, psums, outputs),
+                {"fill": fill, "steady": steady},
+            )
             results[row] = stats if count == 1 else stats.repeated(count)
         return results

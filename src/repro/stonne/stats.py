@@ -22,17 +22,25 @@ STONNE's psum counter is workload-specific and we mirror that asymmetry
 
 Immutability
 ------------
-Both records are frozen dataclasses: every cache tier, plan and report
-shares one object per result instead of copying it.  Changing a record
-means building a new one (:meth:`SimulationStats.renamed`,
+Both records are frozen, slotted dataclasses: every cache tier, plan and
+report shares one object per result instead of copying it.  Changing a
+record means building a new one (:meth:`SimulationStats.renamed`,
 :func:`dataclasses.replace`).  ``phase_cycles`` stays a plain dict so
 records pickle across worker processes; nothing writes to it.
+
+A frozen ``__init__`` stores each field through ``object.__setattr__``,
+about four times the cost of a plain one, and the batch kernels build one
+record per mapping.  :func:`build_stats` and :func:`build_traffic` take
+the constructors' arguments and return the same records at a plain
+``__init__``'s cost; the kernels, :meth:`SimulationStats.renamed`,
+unpickling and :meth:`SimulationStats.from_dict` build through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 
@@ -48,7 +56,7 @@ def field_names(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficBreakdown:
     """Element counts moved through each fabric during a simulation."""
 
@@ -69,8 +77,13 @@ class TrafficBreakdown:
             outputs_written=self.outputs_written + other.outputs_written,
         )
 
+    def __reduce__(self):
+        # Pickle (process and fleet workers return records this way)
+        # rebuilds through the builder instead of the frozen __init__.
+        return _rebuild(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SimulationStats:
     """The result of simulating one layer on one accelerator configuration.
 
@@ -126,19 +139,17 @@ class SimulationStats:
         """This record attributed to ``layer_name``: ``self`` when the name
         already matches, otherwise a copy sharing every other member.
 
-        The engine renames every cache hit, so this copies ``__dict__``
-        directly instead of going through the frozen ``__init__`` (as
-        :func:`dataclasses.replace` does, at about three times the
-        cost).  Fields added later, subclass fields included, carry
-        over without this method needing to know about them.
+        The engine renames every cache hit, so a plain record is rebuilt
+        through :func:`build_stats` (:func:`dataclasses.replace` goes
+        through the frozen ``__init__``, at about four times the cost);
+        a subclass, whose fields the builder does not know, through
+        :func:`dataclasses.replace`.
         """
         if layer_name == self.layer_name:
             return self
-        copy = object.__new__(self.__class__)
-        state = copy.__dict__
-        state.update(self.__dict__)
-        state["layer_name"] = layer_name
-        return copy
+        if type(self) is not SimulationStats:
+            return replace(self, layer_name=layer_name)
+        return build_stats(layer_name, *_STATS_TAIL(self))
 
     def repeated(self, count: int, layer_name: Optional[str] = None) -> "SimulationStats":
         """Stats for ``count`` back-to-back runs of this exact simulation.
@@ -203,8 +214,11 @@ class SimulationStats:
         payload = {k: data[k] for k in field_names(cls) if k in data}
         traffic = payload.get("traffic")
         if isinstance(traffic, dict):
-            payload["traffic"] = TrafficBreakdown(**traffic)
-        return cls(**payload)
+            payload["traffic"] = build_traffic(**traffic)
+        return (build_stats if cls is SimulationStats else cls)(**payload)
+
+    def __reduce__(self):
+        return _rebuild(self)
 
     def summary(self) -> str:
         return (
@@ -212,6 +226,68 @@ class SimulationStats:
             f"{self.psums:,} psums, {self.macs:,} MACs, "
             f"utilization {self.utilization:.1%}"
         )
+
+
+# ----------------------------------------------------------------------
+# builders: the records at a plain __init__'s cost
+# ----------------------------------------------------------------------
+# Each builder is a mutable twin with its record's slots.  Its __init__
+# stores every field straight into its slot, then reassigns the new
+# instance's __class__ to the record, which CPython allows between
+# classes with the same slots; calling it therefore returns a frozen
+# record.  Its parameters mirror the record's fields (tests check that).
+_DEFAULT = object()
+
+
+class build_traffic:
+    """``TrafficBreakdown(...)``, built without the frozen ``__init__``."""
+
+    __slots__ = TrafficBreakdown.__slots__
+
+    def __init__(self, weights_distributed=0, inputs_distributed=0,
+                 psums_reduced=0, outputs_written=0):
+        self.weights_distributed = weights_distributed
+        self.inputs_distributed = inputs_distributed
+        self.psums_reduced = psums_reduced
+        self.outputs_written = outputs_written
+        self.__class__ = TrafficBreakdown
+
+
+class build_stats:
+    """``SimulationStats(...)``, built without the frozen ``__init__``."""
+
+    __slots__ = SimulationStats.__slots__
+
+    def __init__(self, layer_name, controller, cycles, psums, macs,
+                 iterations, multipliers_used, array_size,
+                 traffic=_DEFAULT, phase_cycles=_DEFAULT,
+                 energy=None, area=None):
+        self.layer_name = layer_name
+        self.controller = controller
+        self.cycles = cycles
+        self.psums = psums
+        self.macs = macs
+        self.iterations = iterations
+        self.multipliers_used = multipliers_used
+        self.array_size = array_size
+        self.traffic = build_traffic() if traffic is _DEFAULT else traffic
+        self.phase_cycles = {} if phase_cycles is _DEFAULT else phase_cycles
+        self.energy = energy
+        self.area = area
+        self.__class__ = SimulationStats
+
+
+#: Every field after ``layer_name`` (the first), in constructor order.
+_STATS_TAIL = attrgetter(*field_names(SimulationStats)[1:])
+_BUILDERS = {TrafficBreakdown: build_traffic, SimulationStats: build_stats}
+
+
+def _rebuild(record) -> tuple:
+    """``__reduce__`` for both records: their builder (or, for a
+    subclass, its own constructor) and every field value in order."""
+    cls = type(record)
+    values = tuple(getattr(record, name) for name in field_names(cls))
+    return _BUILDERS.get(cls, cls), values
 
 
 def combine_stats(name: str, parts: list) -> SimulationStats:

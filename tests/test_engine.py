@@ -146,6 +146,19 @@ class TestCacheBounds:
         engine.evaluate(layers[0])  # evicted -> simulated again
         assert engine.cache.hits == 0 and engine.cache.misses == 4
 
+    def test_evicted_repeats_count_like_a_loop_of_get(self, maeri128):
+        # a, b, a, a in one batch with room for one record: the plan
+        # misses a and b and parks both repeats of a; writing b evicts
+        # a, so each parked repeat asks the cache again and misses.
+        engine = EvaluationEngine(maeri128, cache=StatsCache(max_entries=1))
+        a = FcLayer("a", in_features=8, out_features=4)
+        b = FcLayer("b", in_features=9, out_features=4)
+        results = engine.evaluate_many([a, b, a, a])
+        assert engine.cache.misses == 4 and engine.cache.hits == 0
+        assert engine.num_simulations == 2
+        assert [r.layer_name for r in results] == ["a", "b", "a", "a"]
+        assert results[2] == results[3] == results[0]
+
     def test_disabled_cache_always_simulates(self, maeri128, conv):
         engine = EvaluationEngine(maeri128, cache_enabled=False)
         engine.evaluate(conv)

@@ -380,6 +380,10 @@ class TestJobHistory:
             job.id for job in cancelled[-2:]
         ]
         assert running.state == "running" and queued.state == "queued"
+        # The cancelled jobs that aged out are never dispatched.
+        queue.finish(running, "done")
+        assert queue.next_job(timeout=0) is queued
+        assert queue.next_job(timeout=0) is None
 
     def test_a_watched_job_waits_for_its_watcher(self):
         queue = JobQueue()

@@ -1,10 +1,20 @@
 """Tests for SimulationStats and aggregation."""
 
-from dataclasses import FrozenInstanceError, dataclass, replace
+import copy
+import inspect
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 
 import pytest
 
-from repro.stonne.stats import SimulationStats, TrafficBreakdown, combine_stats
+from repro.stonne.stats import (
+    SimulationStats,
+    TrafficBreakdown,
+    build_stats,
+    build_traffic,
+    combine_stats,
+    field_names,
+)
 
 
 def make_stats(name="l", controller="MAERI_DENSE_WORKLOAD", cycles=100,
@@ -105,20 +115,76 @@ class TestRenamed:
         class TaggedStats(SimulationStats):
             tag: str = "none"
 
-        original = TaggedStats(**vars(self.full()), tag="hot")
-        copy = original.renamed("x")
-        assert type(copy) is TaggedStats
-        assert copy.tag == "hot"
-        assert copy.energy == 12.5
-        assert copy.renamed(original.layer_name) == original
+        base = self.full()
+        original = TaggedStats(
+            **{name: getattr(base, name) for name in field_names(SimulationStats)},
+            tag="hot",
+        )
+        renamed = original.renamed("x")
+        assert type(renamed) is TaggedStats
+        assert renamed.tag == "hot"
+        assert renamed.energy == 12.5
+        assert renamed.renamed(original.layer_name) == original
         with pytest.raises(FrozenInstanceError):
-            copy.tag = "cold"
+            renamed.tag = "cold"
+        twin = copy.deepcopy(original)  # __reduce__, as pickle uses it
+        assert type(twin) is TaggedStats and twin == original
 
     def test_non_frozen_subclass_is_rejected(self):
         with pytest.raises(TypeError):
             @dataclass
             class MutableStats(SimulationStats):
                 tag: str = "none"
+
+
+class TestBuilders:
+    """``build_stats``/``build_traffic`` are the constructors at a plain
+    ``__init__``'s cost; what they return is the frozen record itself."""
+
+    @pytest.mark.parametrize(
+        "builder, record",
+        [(build_stats, SimulationStats), (build_traffic, TrafficBreakdown)],
+    )
+    def test_parameters_mirror_the_fields(self, builder, record):
+        params = inspect.signature(builder).parameters
+        assert list(params) == list(field_names(record))
+        for f in fields(record):
+            default = params[f.name].default
+            if f.default is not MISSING:
+                assert default == f.default, f.name
+            elif f.default_factory is MISSING:
+                assert default is inspect.Parameter.empty, f.name
+
+    def test_builds_the_record_the_constructor_builds(self):
+        traffic = build_traffic(7, 3, 10, 2)
+        built = build_stats("l", "MAERI_DENSE_WORKLOAD", 100, 10, 500, 5,
+                            64, 128, traffic, {"fill": 10, "steady": 90})
+        assert type(built) is SimulationStats
+        assert type(built.traffic) is TrafficBreakdown
+        assert built == make_stats()
+        assert build_stats("l", "c", 1, 2, 3, 4, 5, 6) == SimulationStats(
+            "l", "c", 1, 2, 3, 4, 5, 6
+        )
+        with pytest.raises(FrozenInstanceError):
+            built.cycles = 1
+        with pytest.raises(FrozenInstanceError):
+            built.traffic.psums_reduced = 1
+
+    def test_pickle_and_copies_rebuild_frozen_records(self):
+        original = replace(make_stats(), energy=1.5)
+        for twin in (pickle.loads(pickle.dumps(original)),
+                     copy.deepcopy(original), copy.copy(original)):
+            assert twin == original and twin is not original
+            assert type(twin) is SimulationStats
+            assert type(twin.traffic) is TrafficBreakdown
+            with pytest.raises(FrozenInstanceError):
+                twin.energy = 2.0
+
+    def test_from_dict_builds_frozen_records(self):
+        decoded = SimulationStats.from_dict(make_stats().to_dict())
+        assert decoded == make_stats()
+        with pytest.raises(FrozenInstanceError):
+            decoded.traffic.outputs_written = 0
 
 
 class TestTrafficBreakdown:
