@@ -85,6 +85,12 @@ class ExecutionReport:
 class GraphExecutor:
     """Executes a finalized graph.
 
+    Each run releases an intermediate as soon as its last reader has run
+    (TVM's graph executor reuses that storage the same way), so a run
+    holds only its live set.  An op must therefore not assume the
+    executor keeps its inputs alive after it returns; graph outputs are
+    never released.
+
     Args:
         graph: A finalized :class:`~repro.ir.graph.Graph`.
         policy: Offload policy; defaults to CPU-only.
@@ -123,30 +129,41 @@ class GraphExecutor:
         if unknown:
             raise GraphError(f"unknown feeds: {sorted(unknown)}")
 
+        # Liveness: each value is dropped right after its last reader runs;
+        # one nothing reads is dropped as soon as it is made.  Outputs stay.
+        order = self.graph.topological_order()
+        last_reader = {ref: node.node_id for node in order for ref in node.inputs}
+        outputs = set(self.graph.output_ids)
+        release: Dict[int, List[int]] = {}
+        for node in order:
+            if node.node_id not in outputs:
+                reader = last_reader.get(node.node_id, node.node_id)
+                release.setdefault(reader, []).append(node.node_id)
+
         report = ExecutionReport(graph_name=self.graph.name)
-        for node in self.graph.topological_order():
-            if node.kind == "input":
-                continue
+        for node in order:
             if node.kind == "const":
                 values[node.node_id] = self.graph.params[node.node_id]
-                continue
-            assert node.op_name is not None
-            target = self.policy(node)
-            impl = lookup_op(node.op_name, target)
-            inputs = [values[ref] for ref in node.inputs]
-            start = time.perf_counter()
-            out = impl(node.attrs, inputs)
-            elapsed = time.perf_counter() - start
-            values[node.node_id] = out
-            report.profiles.append(
-                NodeProfile(
-                    node_id=node.node_id,
-                    name=node.name,
-                    op_name=node.op_name,
-                    target=target,
-                    wall_time_s=elapsed,
-                    output_shape=tuple(out.shape),
+            elif node.kind == "op":
+                assert node.op_name is not None
+                target = self.policy(node)
+                impl = lookup_op(node.op_name, target)
+                start = time.perf_counter()
+                values[node.node_id] = impl(
+                    node.attrs, [values[ref] for ref in node.inputs]
                 )
-            )
+                elapsed = time.perf_counter() - start
+                report.profiles.append(
+                    NodeProfile(
+                        node_id=node.node_id,
+                        name=node.name,
+                        op_name=node.op_name,
+                        target=target,
+                        wall_time_s=elapsed,
+                        output_shape=tuple(values[node.node_id].shape),
+                    )
+                )
+            for ref in release.get(node.node_id, ()):
+                del values[ref]
         self.last_report = report
         return [values[node_id] for node_id in self.graph.output_ids]

@@ -147,6 +147,8 @@ def conv2d_im2col_nchw(
     _, c_per_g, r, s = weights.shape
     k_per_g = k // groups
     out = np.empty((n, k, p, q), dtype=np.result_type(data, weights))
+    # Each group's GEMM writes straight into its (n, k/G, p*q) view of out.
+    out_cols = out.reshape(n, groups, k_per_g, p * q)
     for g in range(groups):
         cols = im2col_nchw(
             data[:, g * c_per_g : (g + 1) * c_per_g],
@@ -156,9 +158,7 @@ def conv2d_im2col_nchw(
             dilation,
         )
         w_mat = weights[g * k_per_g : (g + 1) * k_per_g].reshape(k_per_g, -1)
-        out[:, g * k_per_g : (g + 1) * k_per_g] = (w_mat @ cols).reshape(
-            n, k_per_g, p, q
-        )
+        np.matmul(w_mat, cols, out=out_cols[:, g])
     return out
 
 

@@ -83,4 +83,4 @@ def lrn(
         hi = min(c, ch + half + 1)
         sums[:, ch] = squared[:, lo:hi].sum(axis=1)
     denom = (k + alpha * sums / size) ** beta
-    return (data / denom).astype(np.result_type(data))
+    return (data / denom).astype(np.result_type(data), copy=False)

@@ -37,6 +37,8 @@ def _pool_prepare(
         raise LayerError(
             f"pooling output would be empty: input {h}x{w}, window {r}x{s}"
         )
+    if pad_h == pad_w == 0:
+        return data, p, q  # only read, so no copy is needed
     padded = np.pad(
         data,
         ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
@@ -64,7 +66,7 @@ def max_pool2d(
                 :, :, ri : ri + p * stride_h : stride_h, si : si + q * stride_w : stride_w
             ]
             np.maximum(out, window, out=out)
-    return out.astype(np.result_type(data))
+    return out.astype(np.result_type(data), copy=False)
 
 
 def avg_pool2d(
@@ -84,7 +86,8 @@ def avg_pool2d(
             out += padded[
                 :, :, ri : ri + p * stride_h : stride_h, si : si + q * stride_w : stride_w
             ]
-    return (out / (r * s)).astype(np.result_type(data))
+    out /= r * s
+    return out.astype(np.result_type(data), copy=False)
 
 
 def adaptive_avg_pool2d(data: np.ndarray, output_size: Tuple[int, int]) -> np.ndarray:
@@ -103,7 +106,7 @@ def adaptive_avg_pool2d(data: np.ndarray, output_size: Tuple[int, int]) -> np.nd
             w0 = (j * w) // out_w
             w1 = -(-((j + 1) * w) // out_w)
             out[:, :, i, j] = data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-    return out.astype(np.result_type(data))
+    return out.astype(np.result_type(data), copy=False)
 
 
 def flatten(data: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from repro.bifrost import MappingConfigurator, StonneBifrostApi
 from repro.stonne.controller import make_controller
 from repro.stonne.layer import ConvLayer
-from repro.topi import conv2d_nchw, im2col_nchw
+from repro.topi import conv2d_im2col_nchw, conv2d_nchw, im2col_nchw
 
 
 def _im2col_loop_reference(data, layer):
@@ -99,6 +99,24 @@ class TestBatchedConv:
                 out[i : i + 1],
                 conv2d_direct_nchw(data[i : i + 1], weights, groups=2),
                 rtol=1e-9,
+            )
+
+    def test_gemm_into_output_is_bit_identical(self, rng):
+        """The GEMM writes each group's slice of the output in place; the
+        result must equal the per-group product exactly, not approximately."""
+        data = rng.normal(size=(2, 6, 11, 11))
+        weights = rng.normal(size=(8, 3, 3, 3))
+        out = conv2d_im2col_nchw(
+            data, weights, strides=(2, 2), padding=(1, 1), groups=2
+        )
+        assert out.shape == (2, 8, 6, 6)
+        for g in range(2):
+            cols = im2col_nchw(
+                data[:, 3 * g : 3 * (g + 1)], (3, 3), strides=(2, 2), padding=(1, 1)
+            )
+            w_mat = weights[4 * g : 4 * (g + 1)].reshape(4, -1)
+            np.testing.assert_array_equal(
+                out[:, 4 * g : 4 * (g + 1)], (w_mat @ cols).reshape(2, 4, 6, 6)
             )
 
     def test_api_simulates_every_batch_element(self, rng, maeri128):
