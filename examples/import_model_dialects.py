@@ -100,7 +100,7 @@ graphs = {
 
 print("running each import on SIGMA at 50% sparsity\n")
 for dialect, graph in graphs.items():
-    with Session(arch="sigma", sparsity=50) as session:
+    with Session(arch="sigma", sparsity_ratio=0.5) as session:
         first_input = graph.nodes[graph.input_ids[0]].name
         result = session.run_graph(graph, {first_input: data})
     offloaded = ", ".join(s.layer_name for s in result.layer_stats)

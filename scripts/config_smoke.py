@@ -13,8 +13,8 @@ CLI:
 4. the file-driven example (``examples/session_quickstart.py``) runs
    end to end under that TOML;
 5. a TOML naming a removed knob (``[tuning] speculation``,
-   ``[engine] steal_deadline``) makes ``repro run --config`` fail with
-   the key named on stderr;
+   ``[engine] steal_deadline``, ``[architecture] sparsity``) makes
+   ``repro run --config`` fail with the key named on stderr;
 6. ``repro tune alexnet fc1`` searches its 64-config space exhaustively
    (the whole space fits the default 400-trial budget): 36 valid
    configs explored, best mapping ``(128, 1, 1)``.
@@ -163,11 +163,14 @@ def main() -> int:
         for section, key, value in (
             ("tuning", "speculation", "true"),
             ("engine", "steal_deadline", "5.0"),
+            ("architecture", "sparsity", "50"),
         ):
             removed.write_text(f"[{section}]\n{key} = {value}\n")
             proc = run_cli("run", "mlp", "--config", str(removed), check=False)
             assert proc.returncode != 0, proc.stdout
-            assert key in proc.stderr, proc.stderr
+            # Quoted, so the valid ``sparsity_ratio`` the error lists
+            # does not count as naming ``sparsity``.
+            assert f"'{key}'" in proc.stderr, proc.stderr
             print(f"run --config rejects the removed [{section}] {key} key")
 
         # 6. A space that fits the trial budget is searched exhaustively.

@@ -54,14 +54,17 @@ class Architecture:
         return self
 
     def sigma(self, sparsity_ratio: int = 0) -> "Architecture":
-        """Select the SIGMA architecture at the given weight sparsity."""
+        """Select the SIGMA architecture at the given weight sparsity,
+        an int *percent* (50, not 0.5), as :class:`SimulatorConfig`
+        takes it."""
         self.controller_type = ControllerType.SIGMA_SPARSE_GEMM
         self.sparsity_ratio = sparsity_ratio
         self._config = None
         return self
 
     def magma(self, sparsity_ratio: int = 0) -> "Architecture":
-        """Select the MAGMA (sparse-dense GEMM) architecture (§IX)."""
+        """Select the MAGMA (sparse-dense GEMM) architecture (§IX) at
+        the given weight sparsity, an int percent like :meth:`sigma`'s."""
         self.controller_type = ControllerType.MAGMA_SPARSE_DENSE
         self.sparsity_ratio = sparsity_ratio
         self._config = None

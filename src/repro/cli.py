@@ -671,10 +671,11 @@ sweep service:
   bit-identical to `repro sweep` run locally.  Finished (and cancelled)
   reports land in --archive-dir as plain SweepReport JSON: diff them
   with `repro report diff`, or resubmit with --resume ARCHIVED.json
-  (also on plain `repro sweep`) to re-run only scenarios whose
-  resolved-config hash is absent from the archive.  Set fleet.secret /
-  REPRO_FLEET_SECRET on daemons and clients to require a shared-secret
-  handshake on every connection (workers honour the same knob).
+  (also on plain `repro sweep`) to re-run only scenarios whose hash
+  (engine fingerprint, tuning, workload) is absent from the archive.
+  Set fleet.secret / REPRO_FLEET_SECRET on daemons and clients to
+  require a shared-secret handshake on every connection (workers
+  honour the same knob).
   SIGTERM/SIGINT shut daemons down gracefully: in-flight work drains,
   a running job's partial report is archived resumable, caches close,
   exit 0.
@@ -815,9 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(diffable via: repro report diff)")
     sweep.add_argument(
         "--resume", metavar="ARCHIVED.json",
-        help="skip scenarios whose resolved-config hash matches this "
-             "archived SweepReport (interrupted matrices pick up where "
-             "they left off)")
+        help="skip scenarios whose hash (engine fingerprint, tuning, "
+             "workload) matches this archived SweepReport (interrupted "
+             "matrices pick up where they left off)")
 
     config = sub.add_parser(
         "config",

@@ -375,6 +375,17 @@ def error_message(error: Exception) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # sweep-service vocabulary (repro.serve)
 # ----------------------------------------------------------------------
+def result_config(config) -> Dict[str, Dict[str, object]]:
+    """A scenario config's wire form: the sections that determine its
+    results (architecture, the engine's ``functional`` flag, tuning)."""
+    full = config.to_dict()
+    return {
+        "architecture": full["architecture"],
+        "engine": {"functional": full["engine"]["functional"]},
+        "tuning": full["tuning"],
+    }
+
+
 def plan_to_wire(plan) -> Dict[str, Any]:
     """Serialize a :class:`~repro.sweep.SweepPlan` for submission.
 
@@ -384,15 +395,13 @@ def plan_to_wire(plan) -> Dict[str, Any]:
     archived or resubmitted and therefore cannot cross the wire.
 
     Only the *result-determining* config sections cross the wire
-    (:func:`~repro.sweep.resume.result_config`: architecture, the
-    functional flag, tuning).  Environmental sections stay client-side —
-    the daemon runs every job against its own executor, cache and fleet,
-    and ``fleet.secret`` in particular must never ride a frame: shipping
-    it would hand the shared secret to any passive observer and defeat
-    the challenge-response design.
+    (:func:`result_config`).  Environmental sections (executor, cache,
+    fleet, observability) stay client-side — the daemon runs every job
+    against its own executor, cache and fleet, and ``fleet.secret`` in
+    particular must never ride a frame: shipping it would hand the
+    shared secret to any passive observer and defeat the
+    challenge-response design.
     """
-    from repro.sweep.resume import result_config
-
     scenarios = []
     for scenario in plan.scenarios:
         if scenario.target is not None:
@@ -450,9 +459,9 @@ def submit_message(
     label: Optional[str] = None,
 ) -> Dict[str, Any]:
     """A ``submit_sweep`` request.  ``resume`` is an archived
-    SweepReport dict — the service skips scenarios whose resolved-config
-    hash matches it and folds the archived results into the job's
-    report."""
+    SweepReport dict — the service skips scenarios whose
+    :func:`~repro.sweep.resume.scenario_fingerprint` matches it and
+    folds the archived results into the job's report."""
     message: Dict[str, Any] = {
         "type": "submit_sweep",
         "version": PROTOCOL_VERSION,

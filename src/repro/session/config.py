@@ -137,19 +137,14 @@ class ArchitectureConfig:
         default=16,
         metadata=_meta(kind="int", help="reduction network bandwidth"),
     )
-    sparsity: int = field(
-        default=0,
-        metadata=_meta(kind="int",
-                       help="weight sparsity percentage (SIGMA/MAGMA)"),
-    )
+    #: Weight sparsity as a *ratio* (k / 100); it resolves to
+    #: :attr:`SimulatorConfig.sparsity_ratio`, an int *percent* (k).
     sparsity_ratio: float = field(
         default=0.0,
         metadata=_meta(key="sparsity_ratio", kind="float",
-                       help="weight sparsity as a ratio in [0, 1) "
-                            "(SIGMA/MAGMA); a non-zero value takes "
-                            "precedence over the percentage form and is "
-                            "the spelling sweep axes use "
-                            "(--axis architecture.sparsity_ratio=0,0.5,0.9)"),
+                       help="weight sparsity as a ratio in [0, 1) on the "
+                            "percent grid, e.g. 0.5 (SIGMA/MAGMA; "
+                            "--axis architecture.sparsity_ratio=0,0.5,0.9)"),
     )
 
     def __post_init__(self) -> None:
@@ -157,15 +152,16 @@ class ArchitectureConfig:
             raise ConfigError(
                 f"arch must be one of {ARCHITECTURES}, got {self.arch!r}"
             )
-        if not 0 <= self.sparsity <= 100:
-            raise ConfigError(
-                f"sparsity must be a percentage in [0, 100], "
-                f"got {self.sparsity}"
-            )
         if not 0.0 <= self.sparsity_ratio < 1.0:
             raise ConfigError(
                 f"sparsity_ratio must be in [0.0, 1.0), "
                 f"got {self.sparsity_ratio}"
+            )
+        percent = self.sparsity_ratio * 100
+        if abs(percent - round(percent)) > 1e-9:
+            raise ConfigError(
+                f"sparsity_ratio must be a multiple of 0.01 (a whole "
+                f"percent), got {self.sparsity_ratio}"
             )
 
 
@@ -749,13 +745,7 @@ class SessionConfig:
 
         arch = Architecture()
         a = self.architecture
-        # The ratio spelling (sweep-axis friendly) wins over the legacy
-        # percentage when set; both resolve to the same percent knob.
-        sparsity = (
-            int(round(a.sparsity_ratio * 100))
-            if a.sparsity_ratio > 0
-            else a.sparsity
-        )
+        sparsity = round(a.sparsity_ratio * 100)
         if a.arch == "maeri":
             arch.maeri()
         elif a.arch == "sigma":

@@ -14,8 +14,8 @@ STONNE":
 * the TPU must use the ``TEMPORALRN`` reduction network, an accumulation
   buffer, and has its distribution/reduction bandwidths fixed to
   ``rows + cols`` and ``rows * cols`` respectively;
-* ``sparsity_ratio`` is a percentage in [0, 100] and only meaningful for
-  SIGMA.
+* ``sparsity_ratio`` is an int *percent* in [0, 100] (STONNE's unit,
+  whatever the name says) and only meaningful for SIGMA and MAGMA.
 """
 
 from __future__ import annotations
@@ -85,6 +85,9 @@ class SimulatorConfig:
     Use keyword construction or the :func:`maeri_config` /
     :func:`sigma_config` / :func:`tpu_config` helpers.  Instances are
     immutable; derive variants with :meth:`with_updates`.
+
+    ``sparsity_ratio`` is an int *percent* (50 where the session's
+    :attr:`~repro.session.ArchitectureConfig.sparsity_ratio` says 0.5).
     """
 
     controller_type: ControllerType = ControllerType.MAERI_DENSE_WORKLOAD

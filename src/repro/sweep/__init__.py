@@ -51,11 +51,7 @@ from repro.sweep.plan import (
     resolve_axis_key,
 )
 from repro.sweep.report import ScenarioResult, SweepReport, scenario_metric
-from repro.sweep.resume import (
-    result_config,
-    scenario_fingerprint,
-    split_resume,
-)
+from repro.sweep.resume import scenario_fingerprint, split_resume
 from repro.sweep.runner import SweepRunner
 
 __all__ = [
@@ -71,7 +67,6 @@ __all__ = [
     "diff_reports",
     "load_report",
     "resolve_axis_key",
-    "result_config",
     "scenario_fingerprint",
     "scenario_metric",
     "split_resume",

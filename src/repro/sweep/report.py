@@ -58,12 +58,12 @@ def scenario_metric(report, metric: str) -> Optional[float]:
 class ScenarioResult:
     """One executed sweep cell: its matrix coordinates plus its report.
 
-    ``config_hash`` is the scenario's resolved-config fingerprint
-    (:func:`repro.sweep.resume.scenario_fingerprint`), stamped at
-    execution time — it is what ``--resume`` matches an archived cell
-    against a new plan with, so renamed scenarios still resume and
-    reconfigured ones never do.  Archives predating it (no hash) are
-    simply never matched.
+    ``config_hash`` is the scenario's fingerprint
+    (:func:`repro.sweep.resume.scenario_fingerprint`, over its engine's
+    fingerprint and workload), stamped at execution time — it is what
+    ``--resume`` matches an archived cell against a new plan with, so
+    renamed scenarios still resume and ones on other hardware or params
+    never do.  Archives predating it (no hash) are simply never matched.
     """
 
     name: str

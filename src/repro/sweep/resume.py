@@ -1,14 +1,15 @@
 """Sweep resume: skip scenarios an archived report already answered.
 
 A week-long matrix that dies at cell 37 should not re-simulate cells
-1–36.  :func:`scenario_fingerprint` hashes the *resolved* inputs that
-determine a cell's report — the result-determining sections of its
-:class:`~repro.session.SessionConfig` (:func:`result_config`) plus the
-workload reference (model, kind, layer) — so resume matching is
-semantic, not positional: renamed scenarios still match, reconfigured
-ones never do, and environmental differences (executor choice, cache
-paths, fleet wiring, a rotated ``fleet.secret``) never invalidate a
-match.  :func:`split_resume` partitions a new plan against an archived
+1–36.  :func:`scenario_fingerprint` hashes what determines a cell's
+report: the fingerprint of the engine the sweep runner resolved for it
+(hardware, cycle-model params, controller class — what the stats cache
+keys on), the ``functional`` flag, the tuning section and the workload
+reference.  Renamed scenarios still match; a cell on other hardware or
+params never does, however its architecture section is spelled; and
+environmental knobs (executor, cache paths, fleet wiring, a rotated
+``fleet.secret``) never invalidate a match.
+:func:`split_resume` partitions a new plan against an archived
 :class:`~repro.sweep.report.SweepReport` into the scenarios that must
 still run and the results that carry over (re-labelled to the new
 plan's coordinates).
@@ -21,42 +22,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.sweep.plan import Scenario, SweepPlan
 from repro.sweep.report import ScenarioResult, SweepReport
 
 
-def result_config(config) -> Dict[str, Dict[str, object]]:
-    """The sections of a resolved config that determine a scenario's
-    results: the architecture, the engine's ``functional`` flag, and the
-    tuning section.
+def scenario_fingerprint(
+    scenario: Scenario, engine_fingerprint: str
+) -> Optional[str]:
+    """The hash identifying a scenario's result.
 
-    Environmental knobs — executor choice and pool sizing, cache paths
-    and bounds, fleet wiring and ``fleet.secret``, observability — are
-    excluded: they change where and how fast a scenario runs, never what
-    it reports (the sweep runner reads them from the driving session,
-    not the scenario).  Keeping them out means resume fingerprints
-    survive environment changes, and nothing secret ever lands in an
-    archive or a wire frame.
-    """
-    full = config.to_dict()
-    return {
-        "architecture": full["architecture"],
-        "engine": {"functional": full["engine"]["functional"]},
-        "tuning": full["tuning"],
-    }
-
-
-def scenario_fingerprint(scenario: Scenario) -> Optional[str]:
-    """The resolved-config hash identifying a scenario's result.
-
-    Covers everything that determines the cell's report: the
-    result-determining config sections (:func:`result_config`) and the
-    workload reference.  Labels (name, profile, overrides) and
-    environmental knobs are deliberately excluded — two cells that
-    resolve to the same hardware+workload produce the same report,
-    however they were spelled in the matrix and wherever they ran.
+    ``engine_fingerprint`` is the
+    :attr:`~repro.engine.EvaluationEngine.fingerprint` of the engine the
+    scenario runs on.  Labels (name, profile, overrides), the raw
+    architecture section and environmental knobs are deliberately
+    excluded — two cells on the same engine with the same workload
+    produce the same report, however they were spelled in the matrix
+    and wherever they ran.
 
     Returns None for target-bearing scenarios (bare layer descriptors
     have no stable serialized form), which therefore never resume.
@@ -64,7 +47,9 @@ def scenario_fingerprint(scenario: Scenario) -> Optional[str]:
     if scenario.target is not None:
         return None
     payload = {
-        "config": result_config(scenario.config),
+        "engine": engine_fingerprint,
+        "functional": scenario.config.engine.functional,
+        "tuning": vars(scenario.config.tuning),
         "model": scenario.model,
         "kind": scenario.kind,
         "layer": scenario.layer,
@@ -74,14 +59,18 @@ def scenario_fingerprint(scenario: Scenario) -> Optional[str]:
 
 
 def split_resume(
-    plan: SweepPlan, archive: SweepReport
+    plan: SweepPlan,
+    hashes: Mapping[str, Optional[str]],
+    archive: SweepReport,
 ) -> Tuple[List[Scenario], Dict[str, ScenarioResult]]:
     """Partition ``plan`` against ``archive`` into (pending, reused).
 
-    ``pending`` keeps plan order; ``reused`` maps scenario *name* (from
-    the new plan) to the archived result re-labelled to the new cell's
-    coordinates, so the merged report reads as if the whole plan ran.
-    Each archived result is consumed at most once.
+    ``hashes`` maps each scenario name to its
+    :func:`scenario_fingerprint`.  ``pending`` keeps plan order;
+    ``reused`` maps scenario *name* (from the new plan) to the archived
+    result re-labelled to the new cell's coordinates, so the merged
+    report reads as if the whole plan ran.  Each archived result is
+    consumed at most once.
     """
     by_hash: Dict[str, ScenarioResult] = {}
     for result in archive.scenarios:
@@ -91,7 +80,7 @@ def split_resume(
     pending: List[Scenario] = []
     reused: Dict[str, ScenarioResult] = {}
     for scenario in plan.scenarios:
-        fingerprint = scenario_fingerprint(scenario)
+        fingerprint = hashes[scenario.name]
         archived = by_hash.pop(fingerprint, None) if fingerprint else None
         if archived is None:
             pending.append(scenario)
@@ -108,4 +97,4 @@ def split_resume(
     return pending, reused
 
 
-__all__ = ["result_config", "scenario_fingerprint", "split_resume"]
+__all__ = ["scenario_fingerprint", "split_resume"]

@@ -194,9 +194,9 @@ class SweepRunner:
         """Run every scenario, batching run-kind evaluations per engine.
 
         ``resume`` is an archived :class:`SweepReport`: scenarios whose
-        resolved-config hash matches an archived cell adopt its report
-        instead of re-running (``counters["resumed_scenarios"]`` counts
-        them).
+        :func:`~repro.sweep.resume.scenario_fingerprint` matches an
+        archived cell adopt its report instead of re-running
+        (``counters["resumed_scenarios"]`` counts them).
         """
         with TRACER.span(
             "sweep.execute", category="sweep", scenarios=len(plan.scenarios)
@@ -254,8 +254,14 @@ class SweepRunner:
         cache_baseline = {k: getattr(cache, k.split("_", 1)[1])
                           for k in _CACHE_COUNTERS}
 
+        # Each scenario's engine, and the hash its result is archived
+        # and resumed under, are resolved once per sweep.
+        hardware, hashes = {}, {}
+        for s in plan.scenarios:
+            hardware[s.name] = entry = self._engines.hardware_for(s.config)
+            hashes[s.name] = scenario_fingerprint(s, entry.engine.fingerprint)
         if resume is not None:
-            pending, reused = split_resume(plan, resume)
+            pending, reused = split_resume(plan, hashes, resume)
         else:
             pending, reused = list(plan.scenarios), {}
         total = len(plan.scenarios)
@@ -287,8 +293,8 @@ class SweepRunner:
                  "completed": len(completed), "total": total},
                 plan, completed,
             )
-            hardware = self._engines.hardware_for(scenario.config)
-            engine, sim_config = hardware.engine, hardware.sim_config
+            entry = hardware[scenario.name]
+            engine, sim_config = entry.engine, entry.sim_config
             if id(engine) not in baseline:
                 baseline[id(engine)] = (
                     engine,
@@ -297,7 +303,7 @@ class SweepRunner:
             batch_plan = None
             if scenario.kind == "run":
                 mapper = self._engines.mapper_for(
-                    hardware, scenario.config.tuning
+                    entry, scenario.config.tuning
                 )
                 requests = []
                 for layer in zoo_layers(scenario.model):
@@ -361,7 +367,7 @@ class SweepRunner:
                 model=scenario.model,
                 profile=scenario.profile,
                 overrides=dict(scenario.overrides),
-                config_hash=scenario_fingerprint(scenario),
+                config_hash=hashes[scenario.name],
             )
             self._emit(
                 {"event": "scenario", "name": scenario.name, "status": "done",

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine import EvaluationEngine
 from repro.errors import ReproError, ServeError, SweepCancelled
 from repro.fleet import protocol
 from repro.fleet.daemon import DaemonLink
@@ -48,6 +49,19 @@ def _plan(models=("mlp",), **axes):
     return SweepPlan.matrix(
         SessionConfig(), models=list(models), axes=axes or None
     )
+
+
+def _fingerprint(scenario):
+    """A scenario's resume hash on the default-params engine its
+    architecture section resolves to."""
+    sim_config, _ = scenario.config.build_simulator_config()
+    return scenario_fingerprint(
+        scenario, EvaluationEngine(sim_config).fingerprint
+    )
+
+
+def _hashes(plan):
+    return {s.name: _fingerprint(s) for s in plan.scenarios}
 
 
 def _hold_next_job(service):
@@ -88,16 +102,16 @@ class TestResume:
     def test_fingerprint_is_stable_and_semantic(self):
         a = _plan().scenarios[0]
         b = _plan().scenarios[0]
-        assert scenario_fingerprint(a) == scenario_fingerprint(b)
+        assert _fingerprint(a) == _fingerprint(b)
 
     def test_fingerprint_tracks_config_and_model(self):
         base = _plan(models=["mlp", "lenet"])
         small, other = base.scenarios
         changed = _plan(ms_size=[64]).scenarios[0]
         prints = {
-            scenario_fingerprint(small),
-            scenario_fingerprint(other),
-            scenario_fingerprint(changed),
+            _fingerprint(small),
+            _fingerprint(other),
+            _fingerprint(changed),
         }
         assert len(prints) == 3
 
@@ -116,7 +130,7 @@ class TestResume:
         )
         a = SweepPlan.matrix(base, models=["mlp"]).scenarios[0]
         b = SweepPlan.matrix(envy, models=["mlp"]).scenarios[0]
-        assert scenario_fingerprint(a) == scenario_fingerprint(b)
+        assert _fingerprint(a) == _fingerprint(b)
 
     def test_fingerprint_tracks_result_determining_knobs(self):
         base = SweepPlan.matrix(
@@ -130,9 +144,9 @@ class TestResume:
             SessionConfig.resolve(env=False, seed=7), models=["mlp"]
         ).scenarios[0]
         prints = {
-            scenario_fingerprint(base),
-            scenario_fingerprint(functional),
-            scenario_fingerprint(tuned),
+            _fingerprint(base),
+            _fingerprint(functional),
+            _fingerprint(tuned),
         }
         assert len(prints) == 3
 
@@ -141,7 +155,7 @@ class TestResume:
 
         layer = ConvLayer("c", C=4, H=8, W=8, K=4, R=3, S=3)
         plan = SweepPlan.single(SessionConfig(), kind="tune", target=layer)
-        assert scenario_fingerprint(plan.scenarios[0]) is None
+        assert scenario_fingerprint(plan.scenarios[0], "any engine") is None
 
     def test_split_resume_partitions_and_relabels(self):
         plan = _plan(models=["mlp", "lenet"])
@@ -157,10 +171,10 @@ class TestResume:
         archived.scenarios.append(
             ScenarioResult(
                 name="old-name", kind="run", report=None, model="mlp",
-                config_hash=scenario_fingerprint(mlp),
+                config_hash=_fingerprint(mlp),
             )
         )
-        pending, reused = split_resume(plan, archived)
+        pending, reused = split_resume(plan, _hashes(plan), archived)
         assert [s.name for s in pending] == ["lenet"]
         assert list(reused) == ["mlp"]
         assert reused["mlp"].name == "mlp"
@@ -175,7 +189,7 @@ class TestResume:
                                model="mlp")
             ]
         )
-        pending, reused = split_resume(plan, archived)
+        pending, reused = split_resume(plan, _hashes(plan), archived)
         assert len(pending) == 1 and not reused
 
     def test_config_hash_round_trips_json(self):
@@ -239,6 +253,76 @@ class TestResume:
             )
         assert finished.counters["resumed_scenarios"] == 1
         assert finished.names == ["mlp", "lenet"]
+
+    def _resume_on(self, session_kwargs):
+        """Sweep lenet on a default session, then resume that archive
+        on a session built with ``session_kwargs``; returns the
+        (archive, resumed, fresh) reports, the last two on the second
+        session's hardware."""
+        plan = _plan(models=["lenet"])
+        with Session(SessionConfig()) as session:
+            archive = session.sweep(plan)
+        with Session(SessionConfig(), **session_kwargs) as session:
+            resumed = session.sweep(plan, resume=archive)
+        with Session(SessionConfig(), **session_kwargs) as session:
+            fresh = session.sweep(plan)
+        return archive, resumed, fresh
+
+    @staticmethod
+    def _cycles(report):
+        return sum(s.cycles for s in report.scenarios[0].report.layer_stats)
+
+    def test_resume_under_custom_params_resimulates(self):
+        from dataclasses import replace
+
+        from repro.stonne.params import DEFAULT_PARAMS
+
+        params = replace(
+            DEFAULT_PARAMS, config_cycles=DEFAULT_PARAMS.config_cycles + 10_000
+        )
+        archive, resumed, fresh = self._resume_on({"params": params})
+        assert "resumed_scenarios" not in resumed.counters
+        assert self._cycles(resumed) == self._cycles(fresh)
+        assert self._cycles(resumed) != self._cycles(archive)
+
+    def test_resume_on_hand_built_config_resimulates(self):
+        from repro.stonne import maeri_config
+
+        hand_built = maeri_config(ms_size=32, dn_bw=8, rn_bw=8)
+        archive, resumed, fresh = self._resume_on(
+            {"simulator_config": hand_built}
+        )
+        assert "resumed_scenarios" not in resumed.counters
+        assert self._cycles(resumed) == self._cycles(fresh)
+        assert self._cycles(resumed) != self._cycles(archive)
+
+    @pytest.mark.parametrize(
+        "arch, knob, values",
+        [("maeri", "sparsity_ratio", [0.0, 0.5]),
+         ("tpu", "ms_size", [128, 64])],
+    )
+    def test_knobs_the_hardware_ignores_hash_equal(self, arch, knob, values):
+        """Two cells that resolve to the same hardware hash equal, so
+        one resumes the other."""
+        plan = SweepPlan.matrix(
+            SessionConfig.resolve(env=False, arch=arch),
+            models=["mlp"],
+            axes={knob: values},
+        )
+        with Session(SessionConfig()) as session:
+            report = session.sweep(plan)
+        first, second = (s.config_hash for s in report.scenarios)
+        assert first == second
+        second_only = SweepPlan.matrix(
+            SessionConfig.resolve(env=False, arch=arch),
+            models=["mlp"],
+            axes={knob: values[1:]},
+        )
+        with Session(SessionConfig()) as session:
+            resumed = session.sweep(
+                second_only, resume=SweepReport(scenarios=report.scenarios[:1])
+            )
+        assert resumed.counters["resumed_scenarios"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +655,8 @@ class TestServeService:
         indented_path.write_text(compact.to_json() + "\n")
         indented = load_report(indented_path)
         splits = [
-            split_resume(plan, archive) for archive in (indented, compact)
+            split_resume(plan, _hashes(plan), archive)
+            for archive in (indented, compact)
         ]
         for pending, reused in splits:
             assert not pending and list(reused) == ["mlp", "lenet"]
@@ -650,8 +735,8 @@ class TestServeService:
         assert "fleet" not in blob
         # The reduced form still round-trips to the same resume hash.
         rebuilt = protocol.plan_from_wire(wire)
-        assert scenario_fingerprint(rebuilt.scenarios[0]) == (
-            scenario_fingerprint(plan.scenarios[0])
+        assert _fingerprint(rebuilt.scenarios[0]) == (
+            _fingerprint(plan.scenarios[0])
         )
 
     def test_dead_watcher_unsubscribes_mid_job(self, tmp_path, monkeypatch):

@@ -68,7 +68,7 @@ class TestFileLayer:
         path = _write_toml(tmp_path, """
 [architecture]
 arch = "sigma"
-sparsity = 50
+sparsity_ratio = 0.5
 
 [engine]
 executor = "thread"
@@ -80,7 +80,7 @@ max_rows = 1000
 """)
         cfg = SessionConfig.from_file(path)
         assert cfg.architecture.arch == "sigma"
-        assert cfg.architecture.sparsity == 50
+        assert cfg.architecture.sparsity_ratio == 0.5
         assert cfg.engine.executor == "thread"
         assert cfg.engine.max_workers == 3
         assert cfg.cache.path == "stats.sqlite"
@@ -251,7 +251,7 @@ _DSE_OVERRIDES = st.fixed_dictionaries({}, optional={
     "ms_size": st.sampled_from([2 ** k for k in range(3, 12)]),
     "dn_bw": st.sampled_from([2 ** k for k in range(11)]),
     "rn_bw": st.sampled_from([2 ** k for k in range(11)]),
-    "sparsity_ratio": st.floats(0.0, 1.0, exclude_max=True),
+    "sparsity_ratio": st.integers(0, 99).map(lambda k: k / 100),
     "ms_rows": st.sampled_from([2 ** k for k in range(2, 6)]),
     "ms_cols": st.sampled_from([2 ** k for k in range(2, 6)]),
     "cache_max_entries": st.integers(1, 1 << 20),

@@ -91,12 +91,26 @@ class TestSparsityRatioAxis:
         sim_config, _ = config.build_simulator_config()
         assert sim_config.sparsity_ratio == 50
 
-    def test_zero_ratio_defers_to_the_legacy_percent_field(self):
-        config = SessionConfig.resolve(
-            env=False, arch="sigma", sparsity=30, sparsity_ratio=0.0
-        )
-        sim_config, _ = config.build_simulator_config()
-        assert sim_config.sparsity_ratio == 30
+    def test_ratio_must_land_on_a_whole_percent(self):
+        for ratio in (0.004, 0.505):
+            with pytest.raises(ConfigError, match="multiple of 0.01"):
+                SessionConfig.resolve(env=False, sparsity_ratio=ratio)
+        # Float noise on the grid passes: 0.07 * 100 and 0.57 * 100 are
+        # 7.000000000000001 and 56.99999999999999.
+        for k in range(100):
+            config = SessionConfig.resolve(
+                env=False, arch="sigma", sparsity_ratio=k / 100
+            )
+            sim_config, _ = config.build_simulator_config()
+            assert sim_config.sparsity_ratio == k
+
+    def test_percent_spelling_is_an_unknown_key(self):
+        """Sparsity has one spelling: the removed percent field is an
+        unknown key whose error names the ratio."""
+        with pytest.raises(ConfigError, match="sparsity_ratio"):
+            SessionConfig.resolve(env=False, arch="sigma", sparsity=30)
+        with pytest.raises(ConfigError, match="sparsity_ratio"):
+            SessionConfig.from_dict({"architecture": {"sparsity": 30}})
 
     def test_axis_coerces_through_config_rules(self):
         config = SessionConfig.resolve(env=False, arch="sigma")
