@@ -736,6 +736,16 @@ def _add_service_client_args(parser) -> None:
         help="named [profile.NAME] overlay from the --config file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes long flags only when spelled out in full, so a
+    retired flag (``--sparsity``) is an unrecognized argument instead of
+    an abbreviation of a longer one (``--sparsity-ratio``).  Subparsers
+    are built with the parent's class, so every level inherits this."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.session import add_config_arguments
     from repro.zoo import zoo_models
@@ -744,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     # fuzz models) are included in the choices.
     MODELS = zoo_models()
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Bifrost reproduction CLI",
         epilog=FLEET_EPILOG,

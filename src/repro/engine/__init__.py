@@ -80,54 +80,23 @@ mapping), and records are frozen, so a cache hit hands out the cached
 record itself and no caller can corrupt the cache.
 """
 
-from repro.engine.backends import (
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-    register_backend,
-    registered_backends,
-    unregister_backend,
-)
-from repro.engine.cache import (
-    PersistentStatsCache,
-    StatsCache,
-    make_stats_cache,
-)
-from repro.engine.evaluation import (
-    BatchPlan,
-    EvalRequest,
-    EvaluationEngine,
-    evaluation_key,
-    fingerprint_config,
-)
-from repro.engine.scheduler import (
-    WorkQueue,
-    backend_counters,
-    run_plan_groups,
-)
-from repro.engine.sqlite_cache import SqliteStatsCache
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BatchPlan",
-    "EvalRequest",
-    "EvaluationEngine",
-    "ExecutorBackend",
-    "PersistentStatsCache",
-    "ProcessBackend",
-    "SerialBackend",
-    "SqliteStatsCache",
-    "StatsCache",
-    "ThreadBackend",
-    "WorkQueue",
-    "backend_counters",
-    "evaluation_key",
-    "fingerprint_config",
-    "make_backend",
-    "make_stats_cache",
-    "register_backend",
-    "registered_backends",
-    "run_plan_groups",
-    "unregister_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.backends": (
+        "ExecutorBackend", "ProcessBackend", "SerialBackend",
+        "ThreadBackend", "make_backend", "register_backend",
+        "registered_backends", "unregister_backend",
+    ),
+    "repro.engine.cache": (
+        "PersistentStatsCache", "StatsCache", "make_stats_cache",
+    ),
+    "repro.engine.evaluation": (
+        "BatchPlan", "EvalRequest", "EvaluationEngine", "evaluation_key",
+        "fingerprint_config",
+    ),
+    "repro.engine.scheduler": (
+        "WorkQueue", "backend_counters", "run_plan_groups",
+    ),
+    "repro.engine.sqlite_cache": ("SqliteStatsCache",),
+})

@@ -44,7 +44,6 @@ cannot poison a generation of tuner proposals.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from typing import (
@@ -364,6 +363,8 @@ class _Worker:
         self.start()
 
     def start(self) -> None:
+        import multiprocessing
+
         context = multiprocessing.get_context()
         self.conn, child = context.Pipe()
         self.process = context.Process(

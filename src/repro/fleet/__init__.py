@@ -48,24 +48,13 @@ discoveries *mid-sweep*: worker A's measurement is worker B's cache hit
 within the same tuning run.
 """
 
-from repro.fleet.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
-from repro.fleet.remote_backend import RemoteBackend
-from repro.fleet.daemon import parse_address
-from repro.fleet.worker import FleetWorker, serve, start_worker
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RemoteBackend",
-    "FleetWorker",
-    "decode_frame",
-    "encode_frame",
-    "parse_address",
-    "serve",
-    "start_worker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fleet.protocol": (
+        "PROTOCOL_VERSION", "ProtocolError", "decode_frame", "encode_frame",
+    ),
+    "repro.fleet.remote_backend": ("RemoteBackend",),
+    "repro.fleet.daemon": ("parse_address",),
+    "repro.fleet.worker": ("FleetWorker", "serve", "start_worker"),
+})

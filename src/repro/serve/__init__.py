@@ -23,17 +23,18 @@ cache hits.
 Results are bit-identical to the same plan run via ``repro sweep``
 locally: submissions travel as resolved config dicts and replay through
 the exact same :class:`~repro.sweep.SweepRunner` path.
+
+The names above are imported on first use (:mod:`repro.lazy`), so a
+client imports no server: ``from repro.serve import ServeClient`` loads
+the wire protocol and the report types, not the service, the engine or
+the fleet worker.  The daemon in turn defers its session, and with it
+numpy, the model builders and the engine, to its first job.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.jobs import JOB_STATES, Job, JobQueue
-from repro.serve.server import SweepService, serve
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "JOB_STATES",
-    "Job",
-    "JobQueue",
-    "ServeClient",
-    "SweepService",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.client": ("ServeClient",),
+    "repro.serve.jobs": ("JOB_STATES", "Job", "JobQueue"),
+    "repro.serve.server": ("SweepService", "serve"),
+})

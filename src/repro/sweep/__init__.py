@@ -37,37 +37,17 @@ Typical use::
         print(report.best().name)
 """
 
-from repro.sweep.diff import (
-    MetricDelta,
-    ReportDiff,
-    ScenarioDelta,
-    diff_reports,
-    load_report,
-)
-from repro.sweep.plan import (
-    SCENARIO_KINDS,
-    Scenario,
-    SweepPlan,
-    resolve_axis_key,
-)
-from repro.sweep.report import ScenarioResult, SweepReport, scenario_metric
-from repro.sweep.resume import scenario_fingerprint, split_resume
-from repro.sweep.runner import SweepRunner
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "MetricDelta",
-    "ReportDiff",
-    "SCENARIO_KINDS",
-    "Scenario",
-    "ScenarioDelta",
-    "ScenarioResult",
-    "SweepPlan",
-    "SweepReport",
-    "SweepRunner",
-    "diff_reports",
-    "load_report",
-    "resolve_axis_key",
-    "scenario_fingerprint",
-    "scenario_metric",
-    "split_resume",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweep.diff": (
+        "MetricDelta", "ReportDiff", "ScenarioDelta", "diff_reports",
+        "load_report",
+    ),
+    "repro.sweep.plan": (
+        "SCENARIO_KINDS", "Scenario", "SweepPlan", "resolve_axis_key",
+    ),
+    "repro.sweep.report": ("ScenarioResult", "SweepReport", "scenario_metric"),
+    "repro.sweep.resume": ("scenario_fingerprint", "split_resume"),
+    "repro.sweep.runner": ("SweepRunner",),
+})

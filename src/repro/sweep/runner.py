@@ -92,6 +92,10 @@ class SweepEngines:
             {session.config.tuning: session.mappings},
         )
         self._lru: "OrderedDict[Tuple[Any, bool], Hardware]" = OrderedDict()
+        # (architecture section, functional) -> LRU key, for the sweep in
+        # progress: a sweep builds each distinct config once, however
+        # many scenarios share it.  trim() clears it.
+        self._keys: Dict[Tuple[Any, bool], Tuple[Any, bool]] = {}
 
     def __len__(self) -> int:
         """Entries besides the session's own."""
@@ -116,8 +120,11 @@ class SweepEngines:
             and functional == session.config.engine.functional
         ):
             return self._own
-        sim_config, _ = config.build_simulator_config()
-        key = (sim_config, functional)
+        section = (config.architecture, functional)
+        key = self._keys.get(section)
+        if key is None:
+            sim_config, _ = config.build_simulator_config()
+            key = self._keys[section] = (sim_config, functional)
         hardware = self._lru.get(key)
         if hardware is not None:
             self._lru.move_to_end(key)
@@ -126,6 +133,7 @@ class SweepEngines:
             return self._own
         # The engine holds no resources of its own — the backend
         # instance below is the session's.
+        sim_config = key[0]
         engine = EvaluationEngine(
             sim_config,
             session.params,
@@ -157,7 +165,9 @@ class SweepEngines:
         return mapper
 
     def trim(self) -> None:
-        """Evict the least recently used entries beyond the bound."""
+        """End a sweep: evict the least recently used entries beyond the
+        bound and forget the sweep's resolved configs."""
+        self._keys.clear()
         while len(self._lru) > ENGINE_ENTRIES:
             self._lru.popitem(last=False)
 

@@ -8,10 +8,12 @@ the fuzz harness — goes through :func:`zoo_layers` / :func:`zoo_models`
 here, so registering a new workload (built-in or user-defined) makes it
 runnable by name everywhere at once.
 
-The classic paper models (AlexNet, LeNet, VGG-small, MLP) register at
-import time from :mod:`repro.models`; the modern workloads the paper's
-matrix lacks (transformer encoder block, depthwise/grouped conv,
-dilated and NHWC-layout variants) register from :mod:`repro.zoo.modern`.
+The classic paper models (AlexNet, LeNet, VGG-small, MLP) register by
+name on the first lookup; their factories import :mod:`repro.models`
+(the IR and numpy) only when the layers are first asked for.  The modern
+workloads the paper's matrix lacks (transformer encoder block,
+depthwise/grouped conv, dilated and NHWC-layout variants) register from
+:mod:`repro.zoo.modern`.
 
 Register your own::
 
@@ -139,38 +141,38 @@ def zoo_models(tag: Optional[str] = None) -> Tuple[str, ...]:
 _BUILTINS_LOADED = False
 
 
+def _classic_layers(name: str) -> Callable[[], List]:
+    """The factory of ``repro.models.<name>_builder()``'s descriptors.
+
+    The builders pull in the IR and numpy, so the module is imported
+    when the layers are first asked for, not when the name registers:
+    listing the zoo (the CLI parser's model choices) loads neither.
+    """
+
+    def factory() -> List:
+        from repro import models
+
+        builder = getattr(models, f"{name}_builder")
+        return models.graph_layers(builder().graph)
+
+    return factory
+
+
 def _ensure_builtin_models() -> None:
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
 
-    from repro import models as classic
-
-    register_model(
-        "alexnet",
-        lambda: classic.graph_layers(classic.alexnet_builder().graph),
-        description="AlexNet conv+fc stack (paper Table II)",
-        tags=("classic", "cnn"),
-    )
-    register_model(
-        "lenet",
-        lambda: classic.graph_layers(classic.lenet_builder().graph),
-        description="LeNet-5 conv+fc stack",
-        tags=("classic", "cnn"),
-    )
-    register_model(
-        "vgg_small",
-        lambda: classic.graph_layers(classic.vgg_small_builder().graph),
-        description="Reduced VGG conv+fc stack",
-        tags=("classic", "cnn"),
-    )
-    register_model(
-        "mlp",
-        lambda: classic.graph_layers(classic.mlp_builder().graph),
-        description="3-layer MLP (dense only)",
-        tags=("classic", "mlp"),
-    )
+    for name, description, tags in (
+        ("alexnet", "AlexNet conv+fc stack (paper Table II)", ("classic", "cnn")),
+        ("lenet", "LeNet-5 conv+fc stack", ("classic", "cnn")),
+        ("vgg_small", "Reduced VGG conv+fc stack", ("classic", "cnn")),
+        ("mlp", "3-layer MLP (dense only)", ("classic", "mlp")),
+    ):
+        register_model(
+            name, _classic_layers(name), description=description, tags=tags
+        )
 
     # Modern workloads (transformer block, depthwise/grouped/dilated/NHWC
     # conv) — registration happens inside the module import.

@@ -12,6 +12,22 @@ class TestFeatures:
         assert "Bifrost" in out and "STONNE" in out
 
 
+class TestFlagSpelling:
+    @pytest.mark.parametrize("argv", [
+        ["run", "mlp", "--sparsity", "50"],
+        ["run", "mlp", "--arc", "sigma"],
+    ])
+    def test_abbreviated_long_flags_are_unrecognized(self, argv, capsys):
+        """A prefix of a long flag is not that flag: a retired flag
+        (``--sparsity``) or a typo must not run as a longer one."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in (
+            capsys.readouterr().err
+        )
+
+
 class TestRun:
     def test_lenet_on_maeri_with_mrna(self, capsys):
         assert main(["run", "lenet", "--arch", "maeri", "--mapping", "mrna"]) == 0

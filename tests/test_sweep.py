@@ -226,6 +226,34 @@ class TestCrossScenarioDedup:
                 st.to_dict() for st in single.layer_stats
             ]
 
+    def test_one_hardware_resolution_per_distinct_config(self, monkeypatch):
+        """A 3-model x 3-arch matrix resolves each of its 3 hardware
+        configs once per sweep, not once per scenario, and a repeat sweep
+        on the kept engines reports the same cells."""
+        plan = SweepPlan.matrix(
+            CFG,
+            models=["mlp", "lenet", "alexnet"],
+            axes={"arch": ["maeri", "sigma", "tpu"], "ms_size": [64],
+                  "dn_bw": [32], "rn_bw": [32]},
+        )
+        resolved = []
+        original = SessionConfig.build_simulator_config
+
+        def spy(self):
+            resolved.append(self.architecture.arch)
+            return original(self)
+
+        with Session(CFG) as s:
+            monkeypatch.setattr(SessionConfig, "build_simulator_config", spy)
+            first = s.sweep(plan)
+            assert sorted(resolved) == ["maeri", "sigma", "tpu"]
+            again = s.sweep(plan)
+            monkeypatch.undo()
+        assert len(resolved) == 6
+        for before, after in zip(first.scenarios, again.scenarios):
+            assert after.config_hash == before.config_hash
+            assert after.report.layer_stats == before.report.layer_stats
+
     def test_sweep_on_process_executor_matches_serial(self, tmp_path):
         plan = SweepPlan.matrix(
             CFG, models=["mlp", "lenet"], profiles=EDGE_CLOUD
